@@ -14,7 +14,7 @@
 
 use bfvr_bdd::{Bdd, BddManager, Var};
 
-use crate::vector::{component_from_conditions, conditions_of, Bfv, Conditions};
+use crate::vector::{component_from_conditions, Bfv, Conditions};
 use crate::{Result, Space};
 
 /// Set union `F ∪ G` (paper §2.3).
@@ -41,6 +41,19 @@ use crate::{Result, Space};
 /// if it is forced to that value in both operands, or in the only operand
 /// not yet excluded.
 ///
+/// Two facts about canonical operands keep the walk short:
+///
+/// * Each component is monotone in its own choice variable
+///   (`f_i|v_i=0 ≤ f_i|v_i=1`), so its forced conditions are disjoint. An
+///   identical pair `f_i = g_i` therefore yields `h_i = f_i` and leaves
+///   both exclusions unchanged, whatever they are: the component is
+///   carried through without a BDD operation. Raw simulation components
+///   under re-parameterization (§2.6) do not depend on the output space's
+///   choice variables at all, so this holds for them too.
+/// * The exclusions are disjoint (`f^x ∧ g^x = ⊥`), which makes the
+///   union's forced conditions disjoint, so the component is assembled
+///   with a single `ite` on its choice variable.
+///
 /// # Errors
 ///
 /// Fails on BDD resource-limit exhaustion.
@@ -50,55 +63,54 @@ pub fn union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv>
     let mut gx = Bdd::FALSE; // G excluded
     let mut comps = Vec::with_capacity(n);
     for i in 0..n {
-        let v = space.var(i);
-        // Fast path: while no operand is excluded and the components are
-        // identical, the union component equals them and the exclusions
-        // stay ⊥ (the support optimization of paper §3 — components that
-        // do not depend on the variable being quantified are skipped).
-        if fx.is_false() && gx.is_false() && f.component(i) == g.component(i) {
-            comps.push(f.component(i));
+        let (fi, gi) = (f.component(i), g.component(i));
+        // Identical components: h¹ = f¹ and h⁰ = f⁰, so h = f_i, and
+        // neither exclusion changes (see above).
+        if fi == gi {
+            comps.push(fi);
             continue;
         }
-        let cf = conditions_of(m, f.component(i), v)?;
-        let cg = conditions_of(m, g.component(i), v)?;
+        let v = space.var(i);
+        let (f1, f0) = forced(m, fi, v)?;
+        let (g1, g0) = forced(m, gi, v)?;
         // h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ ;  h⁰ symmetrically.
-        let h1 = three_way(m, cf.one, cg.one, fx, gx)?;
-        let h0 = three_way(m, cf.zero, cg.zero, fx, gx)?;
-        let forced = m.or(h1, h0)?;
-        let hc = m.not(forced);
-        let h = component_from_conditions(
-            m,
-            Conditions {
-                one: h1,
-                zero: h0,
-                choice: hc,
-            },
-            v,
-        )?;
+        let h1 = three_way(m, f1, g1, fx, gx)?;
+        let h0 = three_way(m, f0, g0, fx, gx)?;
+        // h = h¹ ∨ (¬h¹ ∧ ¬h⁰ ∧ v) = ite(v, ¬h⁰, h¹), as h¹ ∧ h⁰ = ⊥.
+        let vv = m.var(v);
+        let nh0 = m.not(h0);
+        let h = m.ite(vv, nh0, h1)?;
         // Exclusion update: an operand drops out when the selected bit
         // contradicts its forced value.
-        let nh = m.not(h);
-        fx = exclude(m, fx, cf, h, nh)?;
-        gx = exclude(m, gx, cg, h, nh)?;
+        fx = exclude(m, fx, f1, f0, h)?;
+        gx = exclude(m, gx, g1, g0, h)?;
         comps.push(h);
     }
     Bfv::from_components(space, comps)
 }
 
-/// `a·b ∨ a·(other excluded) ∨ (own excluded)·b` for the union's forced
-/// conditions.
-fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
-    let t1 = m.and(a, b)?;
-    let t2 = m.and(a, bx)?;
-    let t3 = m.and(ax, b)?;
-    m.or_all(&[t1, t2, t3]).map_err(Into::into)
+/// The forced conditions `(f¹, f⁰) = (f|v=0, ¬f|v=1)` of a component —
+/// all that union and intersection read of [`Conditions`], without the
+/// free-choice conjunction.
+fn forced(m: &mut BddManager, f: Bdd, v: Var) -> Result<(Bdd, Bdd)> {
+    let lo = m.cofactor(f, v, false)?;
+    let hi = m.cofactor(f, v, true)?;
+    Ok((lo, m.not(hi)))
 }
 
-/// `x' = x ∨ (forced0 ∧ h) ∨ (forced1 ∧ ¬h)`.
-fn exclude(m: &mut BddManager, x: Bdd, c: Conditions, h: Bdd, nh: Bdd) -> Result<Bdd> {
-    let z = m.and(c.zero, h)?;
-    let o = m.and(c.one, nh)?;
-    m.or_all(&[x, z, o]).map_err(Into::into)
+/// `a·b ∨ a·(other excluded) ∨ (own excluded)·b = ite(a, b ∨ bˣ, aˣ·b)`
+/// for the union's forced conditions.
+fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
+    let hi = m.or(b, bx)?;
+    let lo = m.and(ax, b)?;
+    m.ite(a, hi, lo).map_err(Into::into)
+}
+
+/// `x' = x ∨ (forced0 ∧ h) ∨ (forced1 ∧ ¬h) = ite(h, x ∨ forced0, x ∨ forced1)`.
+fn exclude(m: &mut BddManager, x: Bdd, one: Bdd, zero: Bdd, h: Bdd) -> Result<Bdd> {
+    let hi = m.or(x, zero)?;
+    let lo = m.or(x, one)?;
+    m.ite(h, hi, lo).map_err(Into::into)
 }
 
 /// Set intersection `F ∩ G` (paper §2.4); `None` when empty.
@@ -138,13 +150,14 @@ fn exclude(m: &mut BddManager, x: Bdd, c: Conditions, h: Bdd, nh: Bdd) -> Result
 /// Fails on BDD resource-limit exhaustion.
 pub fn intersect(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Option<Bfv>> {
     let n = space.len();
-    // Backward pass: conditions(i) cached for the forward pass.
+    // Backward pass: forced conditions (one, zero) cached for the forward
+    // pass.
     let mut cf = Vec::with_capacity(n);
     let mut cg = Vec::with_capacity(n);
     for i in 0..n {
         let v = space.var(i);
-        cf.push(conditions_of(m, f.component(i), v)?);
-        cg.push(conditions_of(m, g.component(i), v)?);
+        cf.push(forced(m, f.component(i), v)?);
+        cg.push(forced(m, g.component(i), v)?);
     }
     // elim[i] = e_i of the paper: conflicts strictly downstream of
     // component i, as a function of v_1..v_i. elim[n] = ⊥.
@@ -154,11 +167,12 @@ pub fn intersect(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<
         let e_lo = m.cofactor(elim[i + 1], v, false)?;
         let e_hi = m.cofactor(elim[i + 1], v, true)?;
         // Direct conflicts at component i+1 (0-based i).
-        let d1 = m.and(cf[i].zero, cg[i].one)?;
-        let d2 = m.and(cf[i].one, cg[i].zero)?;
+        let ((f1, f0), (g1, g0)) = (cf[i], cg[i]);
+        let d1 = m.and(f0, g1)?;
+        let d2 = m.and(f1, g0)?;
         // Forced choices running into downstream eliminations.
-        let forced1 = m.or(cf[i].one, cg[i].one)?;
-        let forced0 = m.or(cf[i].zero, cg[i].zero)?;
+        let forced1 = m.or(f1, g1)?;
+        let forced0 = m.or(f0, g0)?;
         let fe1 = m.and(forced1, e_hi)?;
         let fe0 = m.and(forced0, e_lo)?;
         // Unavoidable downstream conflict for a genuinely free choice.
@@ -183,8 +197,9 @@ pub fn intersect(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<
         let v = space.var(i);
         let e_lo = m.cofactor(elim[i + 1], v, false)?;
         let e_hi = m.cofactor(elim[i + 1], v, true)?;
-        let k1 = m.or_all(&[cf[i].one, cg[i].one, e_lo])?;
-        let k0 = m.or_all(&[cf[i].zero, cg[i].zero, e_hi])?;
+        let ((f1, f0), (g1, g0)) = (cf[i], cg[i]);
+        let k1 = m.or_all(&[f1, g1, e_lo])?;
+        let k0 = m.or_all(&[f0, g0, e_hi])?;
         let forced = m.or(k1, k0)?;
         let kc = m.not(forced);
         let k = component_from_conditions(

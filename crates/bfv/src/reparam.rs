@@ -20,7 +20,7 @@
 //! simple support based cost heuristic"; both that and a fixed schedule
 //! are provided (the ablation bench compares them).
 
-use bfvr_bdd::{BddManager, Var};
+use bfvr_bdd::{Bdd, BddManager, Support, Var};
 
 use crate::ops;
 use crate::vector::Bfv;
@@ -85,48 +85,96 @@ pub fn reparameterize_with(
     params: &[Var],
     schedule: Schedule,
 ) -> Result<Bfv> {
+    eliminate(m, space, vec, params, schedule, |_| {})
+}
+
+/// The elimination loop behind [`reparameterize_with`]; `picked` sees
+/// every parameter in the order the schedule takes it, including those no
+/// component depends on.
+///
+/// The support of each component is computed once and recomputed only
+/// for the components whose handle the last union changed. It answers the
+/// dependency check, the schedule's dependent counts, and which
+/// components need cofactoring at all: the others are carried into both
+/// cofactors unchanged, where the union's identical-component fast path
+/// passes them straight through.
+fn eliminate(
+    m: &mut BddManager,
+    space: &Space,
+    vec: &Bfv,
+    params: &[Var],
+    schedule: Schedule,
+    mut picked: impl FnMut(Var),
+) -> Result<Bfv> {
     let mut current = vec.clone();
+    let mut supports: Vec<Support> = current.components().iter().map(|&c| m.support(c)).collect();
     let mut remaining: Vec<Var> = params.to_vec();
     while !remaining.is_empty() {
         let idx = match schedule {
             Schedule::Fixed => 0,
-            Schedule::DynamicSupport => cheapest_param(m, &current, &remaining),
+            Schedule::DynamicSupport => cheapest_param(m, &current, &supports, &remaining),
         };
         let p = remaining.swap_remove(idx);
+        picked(p);
         // Support check: a parameter no component depends on is free.
-        let dependent = current
-            .components()
-            .iter()
-            .any(|&c| m.support(c).contains(p));
-        if !dependent {
+        if !supports.iter().any(|s| s.contains(p)) {
             continue;
         }
-        let f0 = ops::cofactor(m, space, &current, p, false)?;
-        let f1 = ops::cofactor(m, space, &current, p, true)?;
-        current = ops::union(m, space, &f0, &f1)?;
+        let mut lo = current.components().to_vec();
+        let mut hi = lo.clone();
+        for (j, s) in supports.iter().enumerate() {
+            if s.contains(p) {
+                lo[j] = m.cofactor(lo[j], p, false)?;
+                hi[j] = m.cofactor(hi[j], p, true)?;
+            }
+        }
+        let f0 = Bfv::from_components(space, lo)?;
+        let f1 = Bfv::from_components(space, hi)?;
+        let next = ops::union(m, space, &f0, &f1)?;
+        for (j, (&old, &new)) in current
+            .components()
+            .iter()
+            .zip(next.components())
+            .enumerate()
+        {
+            if old != new {
+                supports[j] = m.support(new);
+            }
+        }
+        current = next;
     }
     Ok(current)
 }
 
-/// Index of the cheapest parameter to eliminate next.
-fn cheapest_param(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> usize {
-    let supports: Vec<_> = vec.components().iter().map(|&c| m.support(c)).collect();
-    let mut best = 0usize;
-    let mut best_cost = (usize::MAX, usize::MAX);
+/// Index of the cheapest parameter to eliminate next: the first with the
+/// least `(dependent count, shared size of the dependents)`.
+///
+/// Counts come from the cached supports; `shared_size` is walked only for
+/// parameters tied at the least count, and not at all when no tie (or no
+/// dependent) needs breaking.
+fn cheapest_param(m: &BddManager, vec: &Bfv, supports: &[Support], remaining: &[Var]) -> usize {
+    let counts: Vec<usize> = remaining
+        .iter()
+        .map(|&p| supports.iter().filter(|s| s.contains(p)).count())
+        .collect();
+    let least = counts.iter().copied().min().unwrap_or(0);
+    let first = counts.iter().position(|&c| c == least).unwrap_or(0);
+    if least == 0 || counts.iter().filter(|&&c| c == least).count() == 1 {
+        return first;
+    }
+    let mut best = first;
+    let mut best_size = usize::MAX;
     for (i, &p) in remaining.iter().enumerate() {
-        let dependents: Vec<usize> = (0..vec.len())
+        if counts[i] != least {
+            continue;
+        }
+        let roots: Vec<Bdd> = (0..vec.len())
             .filter(|&j| supports[j].contains(p))
+            .map(|j| vec.component(j))
             .collect();
-        let count = dependents.len();
-        let size: usize = if count == 0 {
-            0
-        } else {
-            let roots: Vec<_> = dependents.iter().map(|&j| vec.component(j)).collect();
-            m.shared_size(&roots)
-        };
-        let cost = (count, size);
-        if cost < best_cost {
-            best_cost = cost;
+        let size = m.shared_size(&roots);
+        if size < best_size {
+            best_size = size;
             best = i;
         }
     }
@@ -225,6 +273,127 @@ mod tests {
         let pcube = m.cube_from_vars(&ps).unwrap();
         let expect = m.exists(rel, pcube).unwrap();
         assert_eq!(got, expect);
+    }
+
+    /// Reference for `cheapest_param`: every support recomputed from
+    /// scratch, `shared_size` walked for every remaining parameter, the
+    /// first least `(count, size)` winning. Also reports whether the least
+    /// count was nonzero and shared, so that sizes had to break the tie.
+    fn cheapest_param_from_scratch(m: &BddManager, vec: &Bfv, remaining: &[Var]) -> (usize, bool) {
+        let supports: Vec<_> = vec.components().iter().map(|&c| m.support(c)).collect();
+        let costs: Vec<(usize, usize)> = remaining
+            .iter()
+            .map(|&p| {
+                let roots: Vec<Bdd> = (0..vec.len())
+                    .filter(|&j| supports[j].contains(p))
+                    .map(|j| vec.component(j))
+                    .collect();
+                let size = if roots.is_empty() {
+                    0
+                } else {
+                    m.shared_size(&roots)
+                };
+                (roots.len(), size)
+            })
+            .collect();
+        let least = *costs.iter().min().unwrap();
+        let best = costs.iter().position(|&c| c == least).unwrap();
+        let tied = least.0 > 0 && costs.iter().filter(|c| c.0 == least.0).count() > 1;
+        (best, tied)
+    }
+
+    /// Deterministic xorshift64* for the randomized schedule test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    /// A random function of up to three of `params`, from a truth table.
+    fn random_fn(m: &mut BddManager, rng: &mut Rng, params: &[Var]) -> Bdd {
+        let k = (rng.next() % 4) as usize;
+        let vars: Vec<Var> = (0..k)
+            .map(|_| params[(rng.next() % params.len() as u64) as usize])
+            .collect();
+        let tt = rng.next();
+        let mut f = Bdd::FALSE;
+        for row in 0..1u64 << k {
+            if tt & (1 << row) == 0 {
+                continue;
+            }
+            let mut cube = Bdd::TRUE;
+            for (b, &v) in vars.iter().enumerate() {
+                let lit = if row & (1 << b) != 0 {
+                    m.var(v)
+                } else {
+                    m.nvar(v)
+                };
+                cube = m.and(cube, lit).unwrap();
+            }
+            f = m.or(f, cube).unwrap();
+        }
+        f
+    }
+
+    #[test]
+    fn cached_schedule_matches_from_scratch_order() {
+        // Output space on vars 0..4, parameters on vars 4..10; the last
+        // parameter is never used, so every case has one with zero
+        // dependents.
+        let space = Space::contiguous(4);
+        let params: Vec<Var> = (4..10).map(Var).collect();
+        let mut rng = Rng(0x5C4E_D01E);
+        let (mut zero_picks, mut ties) = (0, 0);
+        for case in 0..300 {
+            let mut m = BddManager::new(10);
+            let mut comps: Vec<Bdd> = (0..4)
+                .map(|_| random_fn(&mut m, &mut rng, &params[..5]))
+                .collect();
+            if rng.next().is_multiple_of(4) {
+                comps[3] = comps[2]; // identical components tie more often
+            }
+            let n = Bfv::from_components(&space, comps).unwrap();
+            let mut got = Vec::new();
+            let r = eliminate(&mut m, &space, &n, &params, Schedule::DynamicSupport, |p| {
+                got.push(p);
+            })
+            .unwrap();
+            // Reference: the from-scratch rule over full cofactors.
+            let mut expect = Vec::new();
+            let mut current = n.clone();
+            let mut remaining = params.clone();
+            while !remaining.is_empty() {
+                let (idx, tied) = cheapest_param_from_scratch(&m, &current, &remaining);
+                ties += usize::from(tied);
+                let p = remaining.swap_remove(idx);
+                expect.push(p);
+                if !current
+                    .components()
+                    .iter()
+                    .any(|&c| m.support(c).contains(p))
+                {
+                    zero_picks += 1;
+                    continue;
+                }
+                let f0 = ops::cofactor(&mut m, &space, &current, p, false).unwrap();
+                let f1 = ops::cofactor(&mut m, &space, &current, p, true).unwrap();
+                current = ops::union(&mut m, &space, &f0, &f1).unwrap();
+            }
+            assert_eq!(got, expect, "case {case}: elimination order");
+            assert_eq!(r.components(), current.components(), "case {case}");
+            assert!(r.is_canonical(&mut m, &space).unwrap(), "case {case}");
+        }
+        assert!(
+            zero_picks > 0 && ties > 0,
+            "{zero_picks} zero picks, {ties} ties"
+        );
     }
 
     #[test]

@@ -97,6 +97,122 @@ fn union_matches_oracle() {
     });
 }
 
+/// The textbook union, kept as the bit-identity reference for
+/// `ops::union`: full conditions per component, reassembly as
+/// `one ∨ (choice ∧ v)`, and the identical-component shortcut taken only
+/// while both exclusions are ⊥. Also reports whether an identical pair
+/// was met after an exclusion fired, where only `ops::union` shortcuts.
+fn reference_union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> (Bfv, bool) {
+    fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Bdd {
+        let t1 = m.and(a, b).unwrap();
+        let t2 = m.and(a, bx).unwrap();
+        let t3 = m.and(ax, b).unwrap();
+        m.or_all(&[t1, t2, t3]).unwrap()
+    }
+    let (mut fx, mut gx) = (Bdd::FALSE, Bdd::FALSE);
+    let mut late_identical = false;
+    let mut comps = Vec::new();
+    for i in 0..space.len() {
+        if f.component(i) == g.component(i) {
+            if fx.is_false() && gx.is_false() {
+                comps.push(f.component(i));
+                continue;
+            }
+            late_identical = true;
+        }
+        let cf = f.conditions(m, space, i).unwrap();
+        let cg = g.conditions(m, space, i).unwrap();
+        let h1 = three_way(m, cf.one, cg.one, fx, gx);
+        let h0 = three_way(m, cf.zero, cg.zero, fx, gx);
+        let forced = m.or(h1, h0).unwrap();
+        let hc = m.not(forced);
+        let v = m.var(space.var(i));
+        let cv = m.and(hc, v).unwrap();
+        let h = m.or(h1, cv).unwrap();
+        let nh = m.not(h);
+        for (x, c) in [(&mut fx, cf), (&mut gx, cg)] {
+            let z = m.and(c.zero, h).unwrap();
+            let o = m.and(c.one, nh).unwrap();
+            *x = m.or_all(&[*x, z, o]).unwrap();
+        }
+        comps.push(h);
+    }
+    (Bfv::from_components(space, comps).unwrap(), late_identical)
+}
+
+#[test]
+fn union_bit_identical_to_reference_on_canonical_pairs() {
+    for_cases(0xBF0A, |case, rng| {
+        let (a, b) = (rng.mask(), rng.mask());
+        let mut m = BddManager::new(N as u32);
+        let space = Space::contiguous(N as u32);
+        let fa = set_of_mask(&mut m, &space, a).unwrap();
+        let fb = set_of_mask(&mut m, &space, b).unwrap();
+        let got = ops::union(&mut m, &space, &fa, &fb).unwrap();
+        let (expect, _) = reference_union(&mut m, &space, &fa, &fb);
+        assert_eq!(
+            got.components(),
+            expect.components(),
+            "case {case}: {a:#06x} ∪ {b:#06x}"
+        );
+    });
+}
+
+/// A function of `params` given by a truth table over them (row bit `j`
+/// is the value of `params[j]`, the first parameter as the MSB).
+fn fn_of_table(m: &mut BddManager, params: &[Var], tt: u64) -> Bdd {
+    let k = params.len();
+    let mut f = Bdd::FALSE;
+    for row in 0..1u64 << k {
+        if tt & (1 << row) != 0 {
+            let mut cube = Bdd::TRUE;
+            for (j, &p) in params.iter().enumerate() {
+                let bit = (row >> (k - 1 - j)) & 1 == 1;
+                let lit = if bit { m.var(p) } else { m.nvar(p) };
+                cube = m.and(cube, lit).unwrap();
+            }
+            f = m.or(f, cube).unwrap();
+        }
+    }
+    f
+}
+
+#[test]
+fn union_bit_identical_to_reference_on_reparam_operands() {
+    // The operand shape re-parameterization produces: (N|p=0, N|p=1) for a
+    // parameterized vector N midway through elimination. Components that
+    // do not depend on p are identical in both cofactors, and one that
+    // does, placed earlier, lets an exclusion fire before them.
+    let mut late_identical_cases = 0;
+    for_cases(0xBF0B, |case, rng| {
+        let mut m = BddManager::new(8);
+        let space = Space::contiguous(4);
+        let params: Vec<Var> = (4..8).map(Var).collect();
+        let mut comps = Vec::new();
+        for _ in 0..4 {
+            // Each component reads a random subset of the parameters.
+            let mine: Vec<Var> = params.iter().copied().filter(|_| rng.flip()).collect();
+            comps.push(fn_of_table(&mut m, &mine, rng.next()));
+        }
+        let n = Bfv::from_components(&space, comps).unwrap();
+        // Eliminate a random prefix of the parameters first.
+        let done = rng.below(4) as usize;
+        let mid =
+            reparameterize_with(&mut m, &space, &n, &params[..done], Schedule::Fixed).unwrap();
+        let p = params[done + rng.below((4 - done) as u64) as usize];
+        let f0 = ops::cofactor(&mut m, &space, &mid, p, false).unwrap();
+        let f1 = ops::cofactor(&mut m, &space, &mid, p, true).unwrap();
+        let got = ops::union(&mut m, &space, &f0, &f1).unwrap();
+        let (expect, late_identical) = reference_union(&mut m, &space, &f0, &f1);
+        assert_eq!(got.components(), expect.components(), "case {case}");
+        late_identical_cases += usize::from(late_identical);
+    });
+    assert!(
+        late_identical_cases > 0,
+        "no case met an identical pair after an exclusion"
+    );
+}
+
 #[test]
 fn intersect_matches_oracle() {
     for_cases(0xBF02, |case, rng| {
@@ -242,20 +358,7 @@ fn reparam_matches_relational_image() {
         let params: Vec<Var> = (4..8).map(Var).collect();
         let mut comps = Vec::new();
         for tt in tts {
-            // Build the function from its truth table over params.
-            let mut f = Bdd::FALSE;
-            for row in 0..16u16 {
-                if tt & (1 << row) != 0 {
-                    let mut cube = Bdd::TRUE;
-                    for (j, &p) in params.iter().enumerate() {
-                        let bit = (row >> (3 - j)) & 1 == 1;
-                        let lit = if bit { m.var(p) } else { m.nvar(p) };
-                        cube = m.and(cube, lit).unwrap();
-                    }
-                    f = m.or(f, cube).unwrap();
-                }
-            }
-            comps.push(f);
+            comps.push(fn_of_table(&mut m, &params, u64::from(tt)));
         }
         let n = Bfv::from_components(&space, comps.clone()).unwrap();
         let sched = if dynamic {
