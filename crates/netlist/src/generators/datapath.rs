@@ -6,8 +6,9 @@
 //! next-state function. That is the structural phenomenon of parallel-
 //! load datapaths the shift/counter families lack: an image engine that
 //! re-traverses input-only logic once per latch pays for the cone `n`
-//! times per step, while one that detects substitution-free sub-DAGs
-//! (the frozen-function kernel's support prepass) skips it wholesale.
+//! times per step. Sequential `vector_compose` clears its substitution
+//! memo per call, so these families stress the image step's composition;
+//! their closed-form reached sets keep them exact regression circuits.
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 

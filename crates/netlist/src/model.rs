@@ -82,6 +82,39 @@ impl GateKind {
         }
     }
 
+    /// Evaluates the gate on 64 input vectors at once: bit `k` of each
+    /// fan-in word is that fan-in's value in vector `k`, and bit `k` of
+    /// the result equals [`GateKind::eval`] on vector `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an invalid arity, as [`GateKind::eval`] does.
+    #[must_use]
+    pub fn eval_words(&self, ins: &[u64]) -> u64 {
+        let and = || ins.iter().fold(!0, |acc, &w| acc & w);
+        let or = || ins.iter().fold(0, |acc, &w| acc | w);
+        let xor = || ins.iter().fold(0, |acc, &w| acc ^ w);
+        match self {
+            GateKind::And => and(),
+            GateKind::Or => or(),
+            GateKind::Nand => !and(),
+            GateKind::Nor => !or(),
+            GateKind::Not => !ins[0],
+            GateKind::Buf => ins[0],
+            GateKind::Xor => xor(),
+            GateKind::Xnor => !xor(),
+            GateKind::Const0 => 0,
+            GateKind::Const1 => !0,
+            GateKind::Cover(rows) => rows.iter().fold(0, |acc, row| {
+                acc | row.iter().zip(ins).fold(!0, |cube, (lit, &w)| match lit {
+                    None => cube,
+                    Some(true) => cube & w,
+                    Some(false) => cube & !w,
+                })
+            }),
+        }
+    }
+
     /// Whether `n` fan-ins are legal for this gate kind.
     #[must_use]
     pub fn arity_ok(&self, n: usize) -> bool {
@@ -498,6 +531,57 @@ mod tests {
         b.gate("d", GateKind::Xor, &["x", "b"]).unwrap();
         b.output("x");
         b
+    }
+
+    #[test]
+    fn eval_words_matches_eval_on_every_lane() {
+        // splitmix64: deterministic random words without a dependency.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let lit = |r: u64| match r % 3 {
+            0 => None,
+            1 => Some(false),
+            _ => Some(true),
+        };
+        for round in 0..200 {
+            let n = 1 + (round % 5);
+            let rows = (0..1 + round % 4)
+                .map(|_| (0..n).map(|_| lit(next())).collect())
+                .collect();
+            let kinds = [
+                GateKind::And,
+                GateKind::Or,
+                GateKind::Nand,
+                GateKind::Nor,
+                GateKind::Not,
+                GateKind::Buf,
+                GateKind::Xor,
+                GateKind::Xnor,
+                GateKind::Const0,
+                GateKind::Const1,
+                GateKind::Cover(rows),
+            ];
+            let words: Vec<u64> = (0..n).map(|_| next()).collect();
+            for kind in &kinds {
+                let arity = (0..=n).rev().find(|&a| kind.arity_ok(a)).unwrap();
+                let ins = &words[..arity];
+                let got = kind.eval_words(ins);
+                for k in 0..64 {
+                    let lane: Vec<bool> = ins.iter().map(|w| (w >> k) & 1 == 1).collect();
+                    assert_eq!(
+                        (got >> k) & 1 == 1,
+                        kind.eval(&lane),
+                        "{kind:?} on lane {k} of {ins:x?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -483,12 +483,12 @@ const ITER_COLS: [&str; 9] = [
 
 /// Preferred ordering for the per-iteration op-phase columns; keys the
 /// trace emits that are not listed here follow in first-seen order.
-const OP_ORDER: [&str; 6] = ["image", "freeze", "compose", "intern", "convert", "union"];
+const OP_ORDER: [&str; 3] = ["image", "convert", "union"];
 
 /// The union of op-phase keys across a run's iterations, in [`OP_ORDER`]
-/// then first-seen order — the frozen backend emits `freeze`/`compose`/
-/// `intern` sub-phases the sequential path doesn't, and a run's table
-/// shows exactly the phases its engine recorded.
+/// then first-seen order, so a run's table shows exactly the phases its
+/// engine recorded — including keys this build no longer emits, such as
+/// the `freeze`/`compose`/`intern` phases of traces from older binaries.
 fn op_keys(run: &EngineRun) -> Vec<String> {
     let mut seen: Vec<String> = Vec::new();
     for r in &run.iters {
@@ -650,13 +650,11 @@ mod tests {
         assert!(md.contains("### counter4/S1"), "{md}");
     }
 
-    #[test]
-    fn renders_op_phase_columns() {
-        let mut t = Tracer::collector(1);
-        t.meta("phases");
-        t.iteration(IterRecord {
-            engine: "BFV*F".into(),
-            iteration: 1,
+    /// One iteration record carrying just these op-phase timings (µs).
+    fn ops_record(engine: &'static str, iteration: u64, ops: Counters) -> IterRecord {
+        IterRecord {
+            engine: engine.into(),
+            iteration,
             dur_us: 2000,
             frontier_nodes: 1,
             reached_nodes: 1,
@@ -666,30 +664,76 @@ mod tests {
             gc_collected: 0,
             states: None,
             snapshot: Counters::new(),
-            ops: Counters::new()
+            ops,
+        }
+    }
+
+    /// Byte offsets of `cols` in `text`, panicking on a missing column.
+    fn column_offsets(text: &str, cols: &[&str]) -> Vec<usize> {
+        cols.iter()
+            .map(|c| {
+                text.find(c)
+                    .unwrap_or_else(|| panic!("{c} missing: {text}"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn renders_op_phase_columns() {
+        let mut t = Tracer::collector(1);
+        t.meta("phases");
+        t.iteration(ops_record(
+            "CBM",
+            1,
+            Counters::new()
                 .with("union", 100.0)
                 .with("image", 1500.0)
-                .with("freeze", 200.0)
-                .with("compose", 900.0)
-                .with("intern", 150.0),
-        });
+                .with("convert", 900.0),
+        ));
         let text = render(&t.drain(), Format::Text);
         // Canonical order, not the Counters' sorted-key order.
-        let cols: Vec<usize> = [
-            "image(ms)",
-            "freeze(ms)",
-            "compose(ms)",
-            "intern(ms)",
-            "union(ms)",
-        ]
-        .iter()
-        .map(|c| {
-            text.find(c)
-                .unwrap_or_else(|| panic!("{c} missing: {text}"))
-        })
-        .collect();
+        let cols = column_offsets(&text, &["image(ms)", "convert(ms)", "union(ms)"]);
         assert!(cols.windows(2).all(|w| w[0] < w[1]), "order: {text}");
-        assert!(text.contains("0.9"), "compose ms: {text}");
+        assert!(text.contains("0.9"), "convert ms: {text}");
+    }
+
+    #[test]
+    fn renders_legacy_op_keys_in_first_seen_order() {
+        // Older binaries split the image into `freeze`/`compose`/`intern`
+        // phases; their traces must still render, the unknown keys after
+        // the canonical ones in the order the trace first mentions them.
+        let mut t = Tracer::collector(1);
+        t.meta("legacy phases");
+        t.iteration(ops_record(
+            "BFV*F",
+            1,
+            Counters::new()
+                .with("image", 1500.0)
+                .with("intern", 150.0)
+                .with("union", 100.0),
+        ));
+        t.iteration(ops_record(
+            "BFV*F",
+            2,
+            Counters::new()
+                .with("image", 1400.0)
+                .with("freeze", 200.0)
+                .with("compose", 700.0)
+                .with("union", 90.0),
+        ));
+        let text = render(&t.drain(), Format::Text);
+        let cols = column_offsets(
+            &text,
+            &[
+                "image(ms)",
+                "union(ms)",
+                "intern(ms)",
+                "compose(ms)",
+                "freeze(ms)",
+            ],
+        );
+        assert!(cols.windows(2).all(|w| w[0] < w[1]), "order: {text}");
+        assert!(text.contains("0.7"), "compose ms: {text}");
     }
 
     #[test]

@@ -153,11 +153,9 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             conversion_time += conv;
             // Op-class timers in loop order; the conversion slice of the
             // image/union timers is also broken out under its own label
-            // when the backend reported any, as are the frozen image
-            // path's freeze/compose/intern phases.
-            let mut ops: Vec<(&'static str, Duration)> = Vec::with_capacity(6);
+            // when the backend reported any.
+            let mut ops: Vec<(&'static str, Duration)> = Vec::with_capacity(3);
             ops.push(("image", image_time));
-            ops.extend(backend.take_image_phases());
             if conv > Duration::ZERO {
                 ops.push(("convert", conv));
             }
@@ -256,7 +254,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         peak_nodes,
         elapsed,
         conversion_time,
-        frozen_jobs: backend.effective_jobs(),
         reorders,
         reorder_nodes: (reorder_before, reorder_after),
         per_iteration,

@@ -112,8 +112,7 @@ fn dispatch(
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
         (EngineKind::Bfv, ReprKind::Bfv) => {
-            let mut b =
-                backends::BfvBackend::new(fsm, opts.schedule).with_parallel(opts.frozen, opts.jobs);
+            let mut b = backends::BfvBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
         (EngineKind::Bfv, ReprKind::Zonotope) => {
@@ -121,8 +120,7 @@ fn dispatch(
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
         (EngineKind::Cdec, ReprKind::Cdec) => {
-            let mut b = backends::CdecBackend::new(fsm, opts.schedule)
-                .with_parallel(opts.frozen, opts.jobs);
+            let mut b = backends::CdecBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
         // Unsupported pair: a caller bug, not a resource limit.

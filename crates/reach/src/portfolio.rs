@@ -342,12 +342,6 @@ pub struct LaneReport {
     /// path, so a cancelled lane reports [`Outcome::TimeOut`] — never
     /// [`Outcome::Error`].
     pub cancelled: bool,
-    /// Effective worker count of the lane's frozen image pool (`None`
-    /// when the lane ran the sequential image path). Racing lanes run
-    /// their frozen pools single-threaded — the race already owns the
-    /// thread budget — so this reports the parallelism actually used,
-    /// not the `--jobs` request.
-    pub frozen_jobs: Option<usize>,
     /// Dynamic reorder (sift) passes the lane's driver triggered; zero
     /// unless the lane requested sifting and its representation supports
     /// it ([`bfvr_setrepr::SetRepr::supports_reorder`]).
@@ -391,7 +385,6 @@ struct LaneOpts {
     schedule: bfvr_bfv::reparam::Schedule,
     cluster_threshold: usize,
     use_frontier: bool,
-    frozen: bool,
     sift: bool,
     sift_max_growth: f64,
     sift_trigger: f64,
@@ -412,7 +405,6 @@ impl LaneOpts {
             schedule: opts.schedule,
             cluster_threshold: opts.cluster_threshold,
             use_frontier: opts.use_frontier,
-            frozen: opts.frozen,
             sift: opts.sift,
             sift_max_growth: opts.sift_max_growth,
             sift_trigger: opts.sift_trigger,
@@ -431,12 +423,6 @@ impl LaneOpts {
             schedule: self.schedule,
             cluster_threshold: self.cluster_threshold,
             use_frontier: self.use_frontier,
-            frozen: self.frozen,
-            // Racing lanes keep their frozen pools single-threaded: the
-            // race itself owns the machine's thread budget (`--jobs`
-            // caps *lanes* there), so a frozen racing lane exercises the
-            // frozen kernel without oversubscribing the pool.
-            jobs: 1,
             sift: self.sift,
             sift_max_growth: self.sift_max_growth,
             sift_trigger: self.sift_trigger,
@@ -474,7 +460,6 @@ struct LaneMessage {
     rounds: usize,
     won: bool,
     cancelled: bool,
-    frozen_jobs: Option<usize>,
     reorders: usize,
     reorder_nodes: (usize, usize),
     /// The lane's collected trace stream ([`bfvr_obs::Event`] is plain
@@ -510,7 +495,6 @@ fn race_lane(
         rounds: 0,
         won: false,
         cancelled: true,
-        frozen_jobs: None,
         reorders: 0,
         reorder_nodes: (0, 0),
         events: Vec::new(),
@@ -567,7 +551,6 @@ fn race_lane(
         rounds,
         won,
         cancelled,
-        frozen_jobs: result.frozen_jobs,
         reorders: result.reorders,
         reorder_nodes: result.reorder_nodes,
         events,
@@ -694,7 +677,6 @@ pub fn run_racing(
             rounds: 0,
             won: false,
             cancelled: true,
-            frozen_jobs: None,
             reorders: 0,
             reorder_nodes: (0, 0),
             events: Vec::new(),
@@ -726,7 +708,6 @@ pub fn run_racing(
             elapsed: msg.elapsed,
             rounds: msg.rounds,
             cancelled: msg.cancelled,
-            frozen_jobs: msg.frozen_jobs,
             reorders: msg.reorders,
         });
         if winner == Some(i) {
@@ -742,7 +723,6 @@ pub fn run_racing(
                 peak_nodes: msg.peak_nodes,
                 elapsed: msg.elapsed,
                 conversion_time: msg.conversion_time,
-                frozen_jobs: msg.frozen_jobs,
                 reorders: msg.reorders,
                 reorder_nodes: msg.reorder_nodes,
                 per_iteration: msg.per_iteration,

@@ -232,7 +232,7 @@ pub trait SetRepr {
     /// because most representations carry order-dependent structure the
     /// manager cannot see: the BFV/CDEC vectors require component order
     /// = variable order (paper §3) for `space()` and the reparameterized
-    /// image, ZDD stores label nodes with frozen levels, and zonotope
+    /// image, ZDD stores label nodes with fixed levels, and zonotope
     /// generators are bound to an encoding pass. Backends whose loop
     /// state is plain χ BDDs (semantic `Var`s resolve levels at the API
     /// boundary) opt in by returning `true`.
@@ -244,22 +244,5 @@ pub trait SetRepr {
     /// call (CBM-style bridge costs are reported, not hidden).
     fn take_conversion(&mut self) -> Duration {
         Duration::ZERO
-    }
-
-    /// Drains the per-phase timing breakdown of the last
-    /// [`image`](SetRepr::image) call when it ran on the frozen-function
-    /// parallel backend — `("freeze", …)`, `("compose", …)`,
-    /// `("intern", …)` in phase order. Backends on the sequential image
-    /// path return nothing; the driver folds these into the iteration's
-    /// op-class telemetry counters.
-    fn take_image_phases(&mut self) -> Vec<(&'static str, Duration)> {
-        Vec::new()
-    }
-
-    /// Effective worker-thread count of the frozen image pool, if this
-    /// backend is running one (`None` on the sequential path). Reported
-    /// in results and lane tables as the parallelism actually used.
-    fn effective_jobs(&self) -> Option<usize> {
-        None
     }
 }

@@ -4,8 +4,8 @@
 //! `{off, sift}` on the order-sensitive monolithic χ engine.
 //!
 //! Each cell of the static × dynamic matrix runs as **interleaved
-//! off/sift pairs** on fresh managers — the drift-proof protocol of
-//! `BENCH_frozen_apply.json`: both sides of a pair run back-to-back so
+//! off/sift pairs** on fresh managers, a drift-proof protocol: both
+//! sides of a pair run back-to-back so
 //! machine drift cancels in the ratio, every pair asserts identical
 //! reached-state and iteration counts (sifting is a graph-shape change,
 //! never a semantic one), and the reported time ratio is the median

@@ -92,26 +92,12 @@ USAGE:
                                          pass (default 1.2)
                     [--sift-trigger <f>] live-node growth multiple that
                                          fires a reorder pass (default 2)
-                    [--frozen]           run the image step on the frozen-
-                                         function parallel backend: freeze
-                                         the transition vector + reached set
-                                         once per iteration, fan per-component
-                                         compose tasks across a worker pool,
-                                         re-intern in one batched pass.
-                                         Bit-identical results; BFV/CDEC
-                                         lanes only (χ lanes ignore it);
-                                         frozen lanes print as LANE*F
                     [--race]             run the selected engines (default:
                                          all) concurrently, one manager per
                                          thread; first fixed point wins and
                                          cancels the rest
                     [--jobs <n>]         with --race: cap racing worker
-                                         threads (default: one per engine);
-                                         with --frozen: frozen image pool
-                                         size (default: all cores, clamped
-                                         to the component count). Racing
-                                         frozen lanes always run their
-                                         pools single-threaded
+                                         threads (default: one per engine)
                     [--escalate]         on T.O./M.O., resume from the
                                          checkpoint with raised budgets
                                          (per lane when racing)
@@ -387,15 +373,43 @@ fn parse_opts(args: &[String]) -> Result<ReachOptions, String> {
             return Err("--sift-trigger must be >= 1".into());
         }
     }
-    opts.frozen = args.iter().any(|a| a == "--frozen");
-    if let Some(s) = flag_value(args, "--jobs") {
-        let n: usize = s.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-        if n == 0 {
-            return Err("--jobs must be at least 1".into());
-        }
-        opts.jobs = n;
-    }
     Ok(opts)
+}
+
+/// The flags [`parse_opts`] reads: resource limits and dynamic sifting.
+const OPT_FLAGS: &[&str] = &[
+    "--time-limit",
+    "--node-limit",
+    "--cache-limit",
+    "--sift",
+    "--sift-maxgrowth",
+    "--sift-trigger",
+];
+
+/// The single-lane run flags `reach` and `resume` share: tracing
+/// ([`parse_trace`]), durable checkpoints ([`parse_durable`]) and the
+/// job-runner result file.
+const RUN_FLAGS: &[&str] = &[
+    "--trace-out",
+    "--trace-sample",
+    "--checkpoint-out",
+    "--checkpoint-every",
+    "--result-out",
+];
+
+/// Rejects any `--flag` of `bfvr <cmd>` that is in none of the `known`
+/// lists, so a misspelled or retired option is a usage error instead of
+/// being dropped without a word.
+fn reject_unknown_flags(cmd: &str, args: &[String], known: &[&[&str]]) -> Result<(), String> {
+    let unknown = args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.iter().any(|k| k.contains(&a.as_str())));
+    match unknown {
+        Some(flag) => Err(format!(
+            "unknown flag `{flag}` for `bfvr {cmd}` (run `bfvr help` for the option list)"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Parses the escalation flags; `None` unless `--escalate` is given.
@@ -733,6 +747,27 @@ fn settle_durable(
 }
 
 fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
+    reject_unknown_flags(
+        "reach",
+        args,
+        &[
+            OPT_FLAGS,
+            RUN_FLAGS,
+            &[
+                "--engine",
+                "--repr",
+                "--order",
+                "--race",
+                "--jobs",
+                "--escalate",
+                "--escalate-factor",
+                "--max-budget",
+                "--dump-reached",
+                "--stats",
+                "--kill-at-iter",
+            ],
+        ],
+    )?;
     let circuit = args.get(1).ok_or("reach needs a file")?.clone();
     let net = load(&circuit)?;
     let orders = parse_order_list(args)?;
@@ -762,8 +797,8 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             .flat_map(|&l| orders.iter().map(move |&o| l.with_order(o)))
             .collect();
     }
-    if !race && !opts.frozen && flag_value(args, "--jobs").is_some() {
-        return Err("--jobs requires --race or --frozen".into());
+    if !race && args.iter().any(|a| a == "--jobs") {
+        return Err("--jobs requires --race".into());
     }
     let result_out = flag_value(args, "--result-out");
     let kill_at = match flag_value(args, "--kill-at-iter") {
@@ -795,22 +830,9 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
         order_token(order)
     };
     let lint = bfvr::nlint::run_passes(&net).summary();
-    // Frozen-backend provenance in the meta header: requested pool size
-    // (`auto` = all cores); each lane's *effective* width is in its
-    // result/report row.
-    let frozen_label = if opts.frozen {
-        let jobs = if opts.jobs == 0 {
-            "auto".to_string()
-        } else {
-            opts.jobs.to_string()
-        };
-        format!(" frozen=on jobs={jobs}")
-    } else {
-        String::new()
-    };
-    // Sifting provenance mirrors the frozen backend's: the meta header
-    // records that dynamic reordering was armed and with what knobs;
-    // whether it *fired* is in the per-lane reorder events.
+    // Sifting provenance: the meta header records that dynamic
+    // reordering was armed and with what knobs; whether it *fired* is in
+    // the per-lane reorder events.
     let sift_label = if opts.sift {
         format!(
             " sift=on maxgrowth={} trigger={}",
@@ -822,7 +844,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let trace = parse_trace(
         args,
         &format!(
-            "bfvr reach {} order={order_label} lint={lint}{frozen_label}{sift_label}",
+            "bfvr reach {} order={order_label} lint={lint}{sift_label}",
             net.name()
         ),
     )?;
@@ -955,9 +977,6 @@ fn reach_plain(
                 r.elapsed.as_secs_f64() * 1e3,
                 r.peak_nodes
             );
-            if let Some(j) = r.frozen_jobs {
-                println!("  frozen image pool: {j} worker thread(s)");
-            }
             if r.reorders > 0 {
                 let (before, after) = r.reorder_nodes;
                 println!(
@@ -1016,18 +1035,13 @@ fn reach_plain(
     })
 }
 
-/// The lane column: [`Lane::display`], tagged `*F` when the frozen
-/// parallel image backend is active for the lane and `~S` when dynamic
-/// sifting is armed for it. Each tag applies only where the backend
-/// actually engages — a χ lane under `--frozen` runs its ordinary
-/// relational product, and a BFV/CDEC/ZDD/zono lane under `--sift` keeps
-/// its static order (the representation is tied to it) — so the table
-/// shows what each lane really ran, e.g. `MONO@FORCE~S`.
+/// The lane column: [`Lane::display`], tagged `~S` when dynamic sifting
+/// is armed for it. The tag applies only where sifting actually engages
+/// — a BFV/CDEC/ZDD/zono lane under `--sift` keeps its static order (the
+/// representation is tied to it) — so the table shows what each lane
+/// really ran, e.g. `MONO@FORCE~S`.
 fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
     let mut cell = lane.display();
-    if opts.frozen && lane.engine.frozen_capable() {
-        cell.push_str("*F");
-    }
     if opts.sift && lane.repr.supports_reorder() {
         cell.push_str("~S");
     }
@@ -1088,12 +1102,6 @@ fn cmd_reach_race(
         } else {
             ""
         };
-        // Effective frozen-pool width (always 1 in a race — the race
-        // owns the thread budget), so the report still shows which
-        // lanes took the frozen path.
-        let pool = lane
-            .frozen_jobs
-            .map_or(String::new(), |j| format!(" F×{j}"));
         // Reorder provenance: how many sift passes actually fired on
         // this lane (0 suppresses the tag — an armed lane that never
         // crossed the trigger ran its static order end to end).
@@ -1103,14 +1111,13 @@ fn cmd_reach_race(
             String::new()
         };
         println!(
-            "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}{}",
+            "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}",
             lane_cell(lanes[i], opts),
             status,
             states_cell(lane.reached_states, lane.over_approx),
             lane.iterations,
             lane.elapsed.as_secs_f64() * 1e3,
             lane.peak_nodes,
-            pool,
             sifted,
             won,
         );
@@ -1137,6 +1144,7 @@ fn cmd_reach_race(
 /// circuit fingerprint — so resume takes no positional circuit argument
 /// and refuses a checkpoint whose circuit no longer matches.
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
+    reject_unknown_flags("resume", args, &[OPT_FLAGS, RUN_FLAGS, &["--from"]])?;
     let from = flag_value(args, "--from").ok_or("resume needs --from <checkpoint>")?;
     let from_path = PathBuf::from(&from);
     let meta = read_meta(&from_path).map_err(|e| format!("{from}: {e}"))?;
@@ -1371,6 +1379,11 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 /// findings compiler-style, sorted by severity then pass. Exits nonzero
 /// iff any error-severity finding was produced.
 fn cmd_audit(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "audit",
+        args,
+        &[OPT_FLAGS, &["--engine", "--repr", "--order", "--selftest"]],
+    )?;
     let net = load(args.get(1).ok_or("audit needs a file")?)?;
     let order = parse_order(args)?;
     let base_opts = parse_opts(args)?;

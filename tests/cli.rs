@@ -29,6 +29,45 @@ fn unknown_command_fails() {
     assert!(String::from_utf8_lossy(&o.stderr).contains("unknown command"));
 }
 
+fn stderr(o: &Output) -> String {
+    String::from_utf8_lossy(&o.stderr).to_string()
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for (args, flag) in [
+        (&["reach", "gen:s27", "--parallel"][..], "--parallel"),
+        (
+            &["reach", "gen:s27", "--engine", "bfv", "--jobz", "2"],
+            "--jobz",
+        ),
+        (&["audit", "gen:s27", "--jobs", "2"], "--jobs"),
+        (
+            &["resume", "--from", "missing.ckpt", "--engine", "bfv"],
+            "--engine",
+        ),
+    ] {
+        let o = bfvr(args);
+        assert!(!o.status.success(), "{args:?} must fail");
+        let want = format!("unknown flag `{flag}`");
+        assert!(stderr(&o).contains(&want), "{args:?}: {}", stderr(&o));
+    }
+}
+
+#[test]
+fn jobs_requires_race() {
+    let o = bfvr(&["reach", "gen:s27", "--jobs", "2"]);
+    assert!(!o.status.success());
+    assert!(
+        stderr(&o).contains("--jobs requires --race"),
+        "{}",
+        stderr(&o)
+    );
+    let raced = bfvr(&["reach", "gen:s27", "--race", "--jobs", "1"]);
+    assert!(raced.status.success(), "{}", stderr(&raced));
+    assert!(stdout(&raced).contains("<- winner"), "{}", stdout(&raced));
+}
+
 #[test]
 fn gen_emits_parseable_bench() {
     let o = bfvr(&["gen", "counter:5"]);
