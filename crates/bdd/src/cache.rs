@@ -233,9 +233,14 @@ pub(crate) struct Caches {
     pub and_exists: OpCache,
     pub constrain: OpCache,
     pub restrict: OpCache,
-    /// Scoped substitution memo shared by `vector_compose` and
-    /// `cofactor`: each call opens a fresh scope with an O(1) `clear`,
-    /// because memoized results are valid only for that call's map.
+    /// Shannon cofactors `f|v=val`, keyed on `(regular f, literal of v,
+    /// val)`. Every key word is a live edge (literal nodes are permanent
+    /// roots), so entries persist across calls until a sweep or reorder
+    /// flushes them, like every other operation cache.
+    pub cofactor: OpCache,
+    /// Scoped substitution memo for `vector_compose`: each call opens a
+    /// fresh scope with an O(1) `clear`, because memoized results are
+    /// valid only for that call's map.
     pub subst: OpCache,
     /// Per-cache slot cap (rounded up to a power of two on use).
     pub limit: usize,
@@ -249,18 +254,20 @@ impl Caches {
             and_exists: OpCache::default(),
             constrain: OpCache::default(),
             restrict: OpCache::default(),
+            cofactor: OpCache::default(),
             subst: OpCache::default(),
             limit: DEFAULT_CACHE_LIMIT,
         }
     }
 
-    fn all_mut(&mut self) -> [&mut OpCache; 6] {
+    fn all_mut(&mut self) -> [&mut OpCache; 7] {
         [
             &mut self.ite,
             &mut self.exists,
             &mut self.and_exists,
             &mut self.constrain,
             &mut self.restrict,
+            &mut self.cofactor,
             &mut self.subst,
         ]
     }
@@ -283,16 +290,9 @@ impl Caches {
 
     /// Lifetime totals across all operations: `(lookups, hits)`.
     pub fn totals(&self) -> (u64, u64) {
-        let all = [
-            &self.ite,
-            &self.exists,
-            &self.and_exists,
-            &self.constrain,
-            &self.restrict,
-            &self.subst,
-        ];
-        let lookups = all.iter().map(|c| c.lookups).sum();
-        let hits = all.iter().map(|c| c.hits).sum();
+        let all = self.named();
+        let lookups = all.iter().map(|(_, c)| c.lookups).sum();
+        let hits = all.iter().map(|(_, c)| c.hits).sum();
         (lookups, hits)
     }
 
@@ -301,14 +301,17 @@ impl Caches {
         self.named().iter().map(|(_, c)| c.bytes()).sum()
     }
 
-    /// All caches with their operation names, for the cache-residue audit.
-    pub fn named(&self) -> [(&'static str, &OpCache); 6] {
+    /// All caches with their operation names: the one list that
+    /// [`Self::totals`], [`Self::bytes`], [`Self::stats`] and the
+    /// cache-residue audit read.
+    pub fn named(&self) -> [(&'static str, &OpCache); 7] {
         [
             ("ite", &self.ite),
             ("exists", &self.exists),
             ("and_exists", &self.and_exists),
             ("constrain", &self.constrain),
             ("restrict", &self.restrict),
+            ("cofactor", &self.cofactor),
             ("subst", &self.subst),
         ]
     }
@@ -438,11 +441,36 @@ mod tests {
         let _ = cs.ite.get((0, 0, 0));
         let _ = cs.exists.get((9, 9, 9));
         assert_eq!(cs.totals(), (2, 1));
-        assert_eq!(cs.stats().len(), 6);
+        assert_eq!(cs.stats().len(), 7);
         assert!(cs.bytes() > 0);
         cs.clear_all();
         assert_eq!(cs.stats()[0].entries, 0);
         assert_eq!(cs.totals(), (2, 1), "clearing keeps counters");
+    }
+
+    #[test]
+    fn totals_sum_the_per_operation_stats() {
+        // Give every cache a distinct lookup count through `all_mut`, so
+        // the stats also show `named` lists the same caches.
+        let mut cs = Caches::new();
+        let limit = cs.limit;
+        for (i, c) in cs.all_mut().into_iter().enumerate() {
+            c.put((i as u32, 0, 0), Bdd(2), limit);
+            for _ in 0..=i {
+                let _ = c.get((i as u32, 0, 0));
+            }
+        }
+        let stats = cs.stats();
+        let lookups: u64 = stats.iter().map(|s| s.lookups).sum();
+        let hits: u64 = stats.iter().map(|s| s.hits).sum();
+        assert_eq!(cs.totals(), (lookups, hits));
+        let mut per_cache: Vec<u64> = stats.iter().map(|s| s.lookups).collect();
+        per_cache.sort_unstable();
+        let expect: Vec<u64> = (1..=stats.len() as u64).collect();
+        assert_eq!(
+            per_cache, expect,
+            "named() and all_mut() list the same caches"
+        );
     }
 
     #[test]

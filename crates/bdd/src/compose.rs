@@ -5,9 +5,18 @@
 //! composed with the Boolean functional vector of the current reached set
 //! in one pass (`bfvr-sim`). Memoized results are valid only for one
 //! call's substitution map, so each call opens a fresh *scope* in the
-//! shared lossy [`crate::cache`] table — an O(1) generation bump — instead
-//! of allocating a hash map per call. Both polarities of an operand fold
-//! onto one entry, because substitution commutes with complement:
+//! lossy `subst` table of [`crate::cache`] — an O(1) generation bump —
+//! instead of allocating a hash map per call.
+//!
+//! Shannon cofactors, which the §2.3 set union reads on every fixed-point
+//! iteration, need no scope: a result depends only on the operand, the
+//! variable and the polarity, all of which go into the key. Their
+//! `cofactor` cache therefore persists across calls until a sweep or a
+//! reorder flushes it, so cofactoring a reached set that grew by a few
+//! nodes re-walks only the new ones.
+//!
+//! Both memos fold the two polarities of an operand onto one entry,
+//! because cofactoring and substitution commute with complement:
 //! `(¬f)[v ← g] = ¬(f[v ← g])`.
 
 use crate::manager::BddManager;
@@ -16,6 +25,10 @@ use crate::Result;
 
 impl BddManager {
     /// Shannon cofactor `f|v=val`.
+    ///
+    /// Results are memoized across calls, keyed on the operand, the
+    /// variable's literal and `val`; the memo lives until the next sweep
+    /// or reorder, like the other operation caches.
     ///
     /// # Errors
     ///
@@ -26,18 +39,16 @@ impl BddManager {
     /// Panics if `v` is outside the manager's variable range.
     pub fn cofactor(&mut self, f: Bdd, v: Var, val: bool) -> Result<Bdd> {
         assert!(v.0 < self.num_vars(), "variable {v} out of range");
-        // The scope opens inside the closure so a reclaim-and-retry starts
-        // from a clean table (stale entries would reference freed slots).
         // Recursion walks by *level*; resolve the variable's current level
-        // once up front (identity until a dynamic reorder).
+        // once up front (identity until a dynamic reorder). The memo key
+        // names the variable by its literal edge instead, which stays
+        // live and stays the same variable whatever the level map.
         let lvl = self.var_to_level(v);
-        self.recover(&[f], |m| {
-            m.caches.subst.clear();
-            m.cofactor_rec(f, lvl, val)
-        })
+        let lit = self.var(v).0;
+        self.recover(&[f], |m| m.cofactor_rec(f, lvl, lit, val))
     }
 
-    fn cofactor_rec(&mut self, f: Bdd, lvl: u32, val: bool) -> Result<Bdd> {
+    fn cofactor_rec(&mut self, f: Bdd, lvl: u32, lit: u32, val: bool) -> Result<Bdd> {
         if f.is_const() || self.level(f) > lvl {
             return Ok(f);
         }
@@ -45,19 +56,19 @@ impl BddManager {
             return Ok(if val { self.high(f) } else { self.low(f) });
         }
         // Cofactoring commutes with complement, so both polarities of a
-        // node share one scope entry keyed on the regular edge.
+        // node share one entry keyed on the regular edge.
         let reg = f.regular();
         let neg = f.is_complemented();
-        let key = (reg.0, 0, 0);
-        if let Some(r) = self.caches.subst.get(key) {
+        let key = (reg.0, lit, u32::from(val));
+        if let Some(r) = self.caches.cofactor.get(key) {
             return Ok(if neg { r.complement() } else { r });
         }
         let top = self.level(reg);
-        let e = self.cofactor_rec(self.low(reg), lvl, val)?;
-        let t = self.cofactor_rec(self.high(reg), lvl, val)?;
+        let e = self.cofactor_rec(self.low(reg), lvl, lit, val)?;
+        let t = self.cofactor_rec(self.high(reg), lvl, lit, val)?;
         let r = self.mk(top, e, t)?;
         let limit = self.caches.limit;
-        self.caches.subst.put(key, r, limit);
+        self.caches.cofactor.put(key, r, limit);
         Ok(if neg { r.complement() } else { r })
     }
 
@@ -99,6 +110,9 @@ impl BddManager {
             "substitution map must cover all {} variables",
             self.num_vars()
         );
+        if f.is_const() {
+            return Ok(f);
+        }
         let mut roots: Vec<Bdd> = vec![f];
         roots.extend(map.iter().flatten().copied());
         self.recover(&roots, |m| {
@@ -146,8 +160,12 @@ impl BddManager {
     /// # Panics
     ///
     /// Panics if `perm` is shorter than the variable count or maps outside
-    /// the variable range.
+    /// the variable range. A constant `f` is returned as is, before `perm`
+    /// is checked.
     pub fn permute(&mut self, f: Bdd, perm: &[Var]) -> Result<Bdd> {
+        if f.is_const() {
+            return Ok(f);
+        }
         let n = self.num_vars() as usize;
         assert!(perm.len() >= n, "permutation must cover all variables");
         let mut map: Vec<Option<Bdd>> = vec![None; n];
@@ -175,8 +193,12 @@ impl BddManager {
     ///
     /// # Panics
     ///
-    /// Panics if any variable is out of range or appears twice.
+    /// Panics if any variable is out of range or appears twice. A constant
+    /// `f` is returned as is, before `pairs` is checked.
     pub fn swap_vars(&mut self, f: Bdd, pairs: &[(Var, Var)]) -> Result<Bdd> {
+        if f.is_const() {
+            return Ok(f);
+        }
         let n = self.num_vars() as usize;
         let mut perm: Vec<Var> = (0..n as u32).map(Var).collect();
         let mut seen = vec![false; n];
@@ -238,6 +260,37 @@ mod tests {
             let vv = m.var(Var(v));
             let back = m.ite(vv, f1, f0).unwrap();
             assert_eq!(back, f, "Shannon expansion failed on v{v}");
+        }
+    }
+
+    #[test]
+    fn cofactor_memo_keys_on_variable_and_polarity() {
+        // z sits above x and y, so each of these cofactors consults the
+        // persistent memo at f's root node: an entry keyed without the
+        // variable or without the polarity would be served to the next.
+        let (mut m, z, x, y, _) = setup();
+        let xy = m.and(x, y).unwrap();
+        let x_xor_y = m.xor(x, y).unwrap();
+        let f = m.ite(z, xy, x_xor_y).unwrap();
+        let nf = m.not(f);
+        let got = [
+            m.cofactor(f, Var(1), false).unwrap(),
+            m.cofactor(f, Var(1), true).unwrap(),
+            m.cofactor(f, Var(2), false).unwrap(),
+            m.cofactor(nf, Var(1), false).unwrap(),
+        ];
+        let (nz, ny) = (m.not(z), m.not(y));
+        let expect = [
+            m.and(nz, y).unwrap(),
+            m.xnor(z, y).unwrap(),
+            m.and(nz, x).unwrap(),
+            m.or(z, ny).unwrap(),
+        ];
+        assert_eq!(got, expect);
+        for i in 0..got.len() {
+            for j in i + 1..got.len() {
+                assert_ne!(got[i], got[j], "cofactors {i} and {j} alias");
+            }
         }
     }
 
@@ -306,6 +359,19 @@ mod tests {
         let expect = m.or(cd, b).unwrap();
         assert_eq!(g, expect);
         assert_eq!(m.swap_vars(g, &pairs).unwrap(), f);
+    }
+
+    #[test]
+    fn constants_pass_through_rename_and_compose() {
+        let (mut m, a, ..) = setup();
+        let pairs = [(Var(0), Var(2)), (Var(1), Var(3))];
+        let perm = [Var(2), Var(3), Var(0), Var(1)];
+        let map = [Some(a), None, None, None];
+        for k in [Bdd::TRUE, Bdd::FALSE] {
+            assert_eq!(m.swap_vars(k, &pairs).unwrap(), k);
+            assert_eq!(m.permute(k, &perm).unwrap(), k);
+            assert_eq!(m.vector_compose(k, &map).unwrap(), k);
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! harness would: every case derives from a seeded PRNG, so failures are
 //! reproducible from the printed case number.
 
-use bfvr_bdd::{Bdd, BddManager, Var};
+use bfvr_bdd::{Bdd, BddManager, SiftConfig, Var};
 
 const NVARS: u32 = 5;
 const CASES: u64 = 128;
@@ -431,4 +431,70 @@ fn permute_roundtrip() {
         let back = m.permute(g, &inv).unwrap();
         assert_eq!(back, f, "case {case}");
     });
+}
+
+/// Variables for the persistent-memo schedule: enough levels for sifting
+/// and explicit reorders to move every cofactor variable around.
+const MEMO_VARS: u32 = 6;
+
+#[test]
+fn persistent_cofactor_memo_survives_sweeps_and_reorders() {
+    // Interleaves every cache flush point (partial-root collection,
+    // sifting, explicit reorders, cache resizing) with cofactors of a
+    // few live functions. A memo entry surviving a flush it should not
+    // would either reference a freed slot (residue audit) or serve a
+    // recycled slot's function (truth-table oracle).
+    let mut rng = Rng::new(0xC0FA);
+    for case in 0..24 {
+        let mut m = BddManager::new(MEMO_VARS);
+        let exprs: Vec<Expr> = (0..4)
+            .map(|_| Expr::random(&mut rng, MEMO_VARS, 5))
+            .collect();
+        let mut fs: Vec<Bdd> = exprs.iter().map(|e| e.build(&mut m)).collect();
+        for step in 0..30 {
+            match rng.below(5) {
+                0 => {
+                    let keep: Vec<bool> = fs.iter().map(|_| rng.flip()).collect();
+                    let roots: Vec<Bdd> =
+                        (0..fs.len()).filter(|&i| keep[i]).map(|i| fs[i]).collect();
+                    m.collect_garbage(&roots);
+                    for i in (0..fs.len()).filter(|&i| !keep[i]) {
+                        fs[i] = exprs[i].build(&mut m);
+                    }
+                }
+                1 => {
+                    m.sift(&fs, &SiftConfig::default());
+                }
+                2 => {
+                    let mut order: Vec<u32> = (0..MEMO_VARS).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    m.reorder_to(&order, &fs).unwrap();
+                }
+                3 => m.set_cache_limit(if rng.flip() { 1 } else { 1 << 12 }),
+                _ => {}
+            }
+            for (i, e) in exprs.iter().enumerate() {
+                let neg = rng.flip();
+                let f = if neg { m.not(fs[i]) } else { fs[i] };
+                for v in 0..MEMO_VARS {
+                    for val in [false, true] {
+                        let cf = m.cofactor(f, Var(v), val).unwrap();
+                        for asg in assignments_over(MEMO_VARS) {
+                            let mut a = asg.clone();
+                            a[v as usize] = val;
+                            assert_eq!(
+                                m.eval(cf, &asg),
+                                e.eval(&a) ^ neg,
+                                "case {case} step {step}: f{i}|v{v}={val}"
+                            );
+                        }
+                    }
+                }
+            }
+            let residue = m.audit_cache_residue();
+            assert!(residue.is_empty(), "case {case} step {step}: {residue:?}");
+        }
+    }
 }

@@ -105,6 +105,11 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
             "cache.restrict.hits",
             "cache.restrict.entries",
         ),
+        "cofactor" => (
+            "cache.cofactor.lookups",
+            "cache.cofactor.hits",
+            "cache.cofactor.entries",
+        ),
         "subst" => (
             "cache.subst.lookups",
             "cache.subst.hits",
@@ -222,5 +227,23 @@ pub(crate) fn engine_span_close(
         Outcome::MemOut => t.limit(lane, LimitKind::NodeLimit, r.iterations as u64),
         Outcome::TimeOut => t.limit(lane, LimitKind::Deadline, r.iterations as u64),
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_manager_cache_has_interned_counter_names() {
+        let m = BddManager::new(2);
+        for cs in m.cache_stats() {
+            let (lookups, hits, entries) = cache_counter_names(cs.name)
+                .unwrap_or_else(|| panic!("cache {:?} has no interned names", cs.name));
+            let prefix = format!("cache.{}.", cs.name);
+            assert_eq!(lookups, format!("{prefix}lookups"));
+            assert_eq!(hits, format!("{prefix}hits"));
+            assert_eq!(entries, format!("{prefix}entries"));
+        }
     }
 }
