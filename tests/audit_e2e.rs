@@ -201,3 +201,57 @@ fn cli_audit_bad_input_exits_nonzero() {
         .unwrap();
     assert!(!out.status.success());
 }
+
+fn bfvr_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_bfvr"))
+        .args(args)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).to_string()
+}
+
+/// Golden output: the exact stdout of the audit mutation self-test —
+/// lane row, mutation table (labels, passes, witnesses, finding counts)
+/// and the summary tally.
+#[test]
+fn cli_audit_selftest_golden_stdout() {
+    assert_eq!(
+        bfvr_stdout(&["audit", "gen:counter:4", "--engine", "bfv", "--selftest"]),
+        "\
+BFV            ok    16 iteration(s), 16 state(s), audited
+mutation self-test over cnt4's reached set:
+  graph/complement-hi    -> detected by graph-wf, with witness (4 finding(s))
+  graph/free-live-slot   -> detected by leak (4 finding(s))
+  leak/unrooted-survivor -> detected by leak, with witness (1 finding(s))
+  bfv/widen-support      -> detected by bfv-support, with witness (4 finding(s))
+  bfv/flip-complement    -> detected by bfv-partition, with witness (2 finding(s))
+  bfv/negate-head        -> detected by bfv-idempotence, with witness (2 finding(s))
+  cdec/widen-constraint  -> detected by cdec-prefix, with witness (3 finding(s))
+  cdec/drop-constraint   -> detected by cdec-prefix (1 finding(s))
+  chi/flip-member        -> detected by cross-equiv, with witness (1 finding(s))
+audit: 0 finding(s) — 0 error(s), 0 warning(s), 0 note(s)
+"
+    );
+}
+
+/// Golden output: the exact stdout of `bfvr audit gen:s27` over all five
+/// engines.
+#[test]
+fn cli_audit_s27_golden_stdout() {
+    assert_eq!(
+        bfvr_stdout(&["audit", "gen:s27"]),
+        "\
+BFV            ok     2 iteration(s), 6 state(s), audited
+CBM            ok     2 iteration(s), 6 state(s), audited
+MONO           ok     2 iteration(s), 6 state(s), audited
+IWLS95         ok     2 iteration(s), 6 state(s), audited
+CDEC           ok     2 iteration(s), 6 state(s), audited
+audit: 0 finding(s) — 0 error(s), 0 warning(s), 0 note(s)
+"
+    );
+}

@@ -184,3 +184,76 @@ fn cli_order_flags_preserve_counts() {
         }
     }
 }
+
+fn corrupt_fixture() -> String {
+    format!(
+        "{}/tests/fixtures/corrupt.bench",
+        env!("CARGO_MANIFEST_DIR")
+    )
+}
+
+/// Golden output: the exact stdout of `bfvr lint` on the seeded-corrupt
+/// fixture — finding order, rendering and the summary tally.
+#[test]
+fn lint_corrupt_fixture_golden_stdout() {
+    let o = bfvr(&["lint", &corrupt_fixture()]);
+    assert!(o.status.success(), "{o:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&o.stdout),
+        "\
+warning[const-prop]: latch `dead` never leaves its reset value 0
+  --> latch/dead
+  witness: stuck-at-0
+warning[const-prop]: gate `ndead` is stuck at 0 in every reachable state
+  --> signal/ndead
+  witness: stuck-at-0
+warning[dead-latch]: latch `dead` lies outside every output cone of influence
+  --> latch/dead
+warning[dup-gate]: gate `g1` is structurally identical to `g2`
+  --> signal/g1
+  witness: g2, g1
+warning[unread]: gate output `orphan` is never read by a gate, latch or output
+  --> signal/orphan
+info[support]: next-state support: 2 slot(s) (1 latches, 1 inputs)
+  --> latch/dead
+  witness: dead, b
+info[support]: next-state support: 2 slot(s) (1 latches, 1 inputs)
+  --> latch/q0
+  witness: q0, a
+lint: 7 finding(s) — 0 error(s), 5 warning(s), 2 note(s)
+"
+    );
+}
+
+/// Golden output: the exact stdout of `bfvr lint gen:s27 --selftest` —
+/// the report followed by the mutation table.
+#[test]
+fn lint_selftest_golden_stdout() {
+    let o = bfvr(&["lint", "gen:s27", "--selftest"]);
+    assert!(o.status.success(), "{o:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&o.stdout),
+        "\
+info[support]: next-state support: 6 slot(s) (3 latches, 3 inputs)
+  --> latch/G5
+  witness: G5, G6, G7, G0, G1, G3
+info[support]: next-state support: 6 slot(s) (3 latches, 3 inputs)
+  --> latch/G6
+  witness: G5, G6, G7, G0, G1, G3
+info[support]: next-state support: 3 slot(s) (1 latches, 2 inputs)
+  --> latch/G7
+  witness: G7, G1, G2
+lint: 3 finding(s) — 0 error(s), 0 warning(s), 3 note(s)
+netlist mutation self-test on s27:
+  cycle/splice     -> detected by comb-cycle, with witness (1 finding(s))
+  undriven/ghost   -> detected by undriven (1 finding(s))
+  unread/orphan    -> detected by unread (1 finding(s))
+  unread/input     -> detected by unread (1 finding(s))
+  stuck/and0       -> detected by const-prop, with witness (1 finding(s))
+  stuck/or1        -> detected by const-prop, with witness (1 finding(s))
+  latch/constant   -> detected by const-prop, with witness (1 finding(s))
+  latch/dead       -> detected by dead-latch (1 finding(s))
+  gate/duplicate   -> detected by dup-gate, with witness (1 finding(s))
+"
+    );
+}
