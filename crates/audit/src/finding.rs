@@ -1,40 +1,19 @@
-//! The diagnostic vocabulary: passes, severities, witnesses, findings and
-//! the sorted report.
+//! What the audit layer adds to the shared [`bfvr_obs::diag`]
+//! vocabulary: its passes and its witness, a counterexample cube.
 
 use std::fmt;
 
 use bfvr_bdd::{Bdd, BddManager, Var};
+use bfvr_obs::diag;
 
-/// How serious a finding is.
-///
-/// Ordered so that `Info < Warning < Error`; reports sort descending.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Context the caller may want (e.g. an audit skipped as inconclusive).
-    Info,
-    /// A quality problem that does not make results wrong (e.g. a leak).
-    Warning,
-    /// A broken invariant: results can no longer be trusted.
-    Error,
-}
+pub use bfvr_obs::diag::Severity;
 
-impl Severity {
-    /// Lowercase label, as rendered in diagnostics.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// An audit finding.
+pub type Finding = diag::Finding<Pass, Witness>;
+/// A sorted collection of audit findings.
+pub type Report = diag::Report<Pass, Witness>;
+/// The outcome of one seeded corruption of the audit self-test.
+pub type MutationOutcome = diag::MutationOutcome<Pass>;
 
 /// The analysis passes of the framework, in the order they run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -95,6 +74,12 @@ impl fmt::Display for Pass {
     }
 }
 
+impl diag::PassId for Pass {
+    fn id(self) -> &'static str {
+        Pass::id(self)
+    }
+}
+
 /// A concrete counterexample cube: one assignment of the violating BDD's
 /// support variables under which the reported property fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,156 +121,9 @@ impl fmt::Display for Witness {
     }
 }
 
-/// One diagnostic: a pass, a severity, the path of the violating object,
-/// a message and (where extractable) a concrete witness cube.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Finding {
-    /// The pass that produced this finding.
-    pub pass: Pass,
-    /// How serious it is.
-    pub severity: Severity,
-    /// Path of the violating object, e.g. `bfv/component[2]` or
-    /// `manager/slot[17]`, optionally scoped (`iter[3]/bfv/component[2]`).
-    pub path: String,
-    /// One-line description with the concrete numbers.
-    pub message: String,
-    /// A counterexample cube, when one can be extracted from the
-    /// violating BDD.
-    pub witness: Option<Witness>,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity, self.pass, self.message)?;
-        write!(f, "\n  --> {}", self.path)?;
-        if let Some(w) = &self.witness {
-            write!(f, "\n  witness: {w}")?;
-        }
-        Ok(())
-    }
-}
-
-/// An accumulating collection of findings with stable, diff-friendly
-/// ordering: severity (most severe first), then pass id, then path.
-#[derive(Clone, Debug, Default)]
-pub struct Report {
-    findings: Vec<Finding>,
-}
-
-impl Report {
-    /// An empty report.
-    #[must_use]
-    pub fn new() -> Self {
-        Report::default()
-    }
-
-    /// Appends one finding.
-    pub fn push(&mut self, finding: Finding) {
-        self.findings.push(finding);
-    }
-
-    /// Number of findings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.findings.len()
-    }
-
-    /// Whether the report holds no findings.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// The findings in sorted order (severity desc, pass id, path,
-    /// message).
-    #[must_use]
-    pub fn sorted(&self) -> Vec<&Finding> {
-        let mut v: Vec<&Finding> = self.findings.iter().collect();
-        v.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.pass.id().cmp(b.pass.id()))
-                .then_with(|| a.path.cmp(&b.path))
-                .then_with(|| a.message.cmp(&b.message))
-        });
-        v
-    }
-
-    /// The most severe finding level, if any.
-    #[must_use]
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
-    /// Whether any finding is at [`Severity::Error`] (the exit-code
-    /// contract of `bfvr audit`: nonzero iff this is true).
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.max_severity() == Some(Severity::Error)
-    }
-
-    /// Count of findings at exactly `severity`.
-    #[must_use]
-    pub fn count_at(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == severity)
-            .count()
-    }
-
-    /// All findings produced by `pass`, unsorted.
-    pub fn by_pass(&self, pass: Pass) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(move |f| f.pass == pass)
-    }
-
-    /// Renders every finding in sorted order, one compiler-style block
-    /// per finding, separated by blank lines.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let blocks: Vec<String> = self.sorted().iter().map(|f| f.to_string()).collect();
-        blocks.join("\n\n")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn finding(pass: Pass, severity: Severity, path: &str) -> Finding {
-        Finding {
-            pass,
-            severity,
-            path: path.to_string(),
-            message: "m".to_string(),
-            witness: None,
-        }
-    }
-
-    #[test]
-    fn report_sorts_by_severity_then_pass_then_path() {
-        let mut r = Report::new();
-        r.push(finding(Pass::Leak, Severity::Warning, "b"));
-        r.push(finding(Pass::BfvSupport, Severity::Error, "z"));
-        r.push(finding(Pass::GraphWf, Severity::Error, "a"));
-        r.push(finding(Pass::Leak, Severity::Warning, "a"));
-        let order: Vec<(&str, &str)> = r
-            .sorted()
-            .iter()
-            .map(|f| (f.pass.id(), f.path.as_str()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ("bfv-support", "z"),
-                ("graph-wf", "a"),
-                ("leak", "a"),
-                ("leak", "b"),
-            ]
-        );
-        assert!(r.has_errors());
-        assert_eq!(r.max_severity(), Some(Severity::Error));
-        assert_eq!(r.count_at(Severity::Warning), 2);
-    }
 
     #[test]
     fn witness_renders_as_cube() {

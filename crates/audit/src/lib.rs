@@ -11,7 +11,10 @@
 //! diagnostics — each [`Finding`] names its [`Pass`], a [`Severity`], the
 //! violating object's path, a message with the concrete numbers, and
 //! (where extractable) a [`Witness`]: a concrete counterexample cube from
-//! the violating BDD.
+//! the violating BDD. [`Severity`], [`Finding`], [`Report`] and
+//! [`MutationOutcome`] come from the diagnostics vocabulary of
+//! [`bfvr_obs::diag`], which `bfvr-nlint` shares one layer down; this
+//! crate owns only its [`Pass`] enum and its [`Witness`].
 //!
 //! The seven passes, in run order:
 //!
@@ -77,6 +80,6 @@ mod finding;
 mod mutation;
 mod passes;
 
-pub use finding::{Finding, Pass, Report, Severity, Witness};
-pub use mutation::{run_mutations, MutationOutcome};
+pub use finding::{Finding, MutationOutcome, Pass, Report, Severity, Witness};
+pub use mutation::run_mutations;
 pub use passes::{run_passes, AuditTargets};

@@ -19,25 +19,8 @@ use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::convert::to_characteristic;
 use bfvr_bfv::{Bfv, Result, Space};
 
-use crate::finding::{Pass, Report};
+use crate::finding::{MutationOutcome, Pass, Report};
 use crate::passes::{run_passes, AuditTargets};
-
-/// The result of one seeded corruption.
-#[derive(Clone, Debug)]
-pub struct MutationOutcome {
-    /// Stable mutation label, e.g. `bfv/widen-support`.
-    pub label: &'static str,
-    /// The pass this corruption targets.
-    pub expected: Pass,
-    /// Whether the targeted pass produced at least one finding.
-    pub fired: bool,
-    /// Whether at least one of the targeted pass's findings carried a
-    /// concrete witness cube.
-    pub with_witness: bool,
-    /// Total findings across all passes (other passes may fire too; a
-    /// corruption rarely violates exactly one invariant).
-    pub findings: usize,
-}
 
 /// Summarizes a report against the pass a mutation targets.
 fn outcome(label: &'static str, expected: Pass, report: &Report) -> MutationOutcome {

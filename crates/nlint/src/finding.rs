@@ -1,41 +1,19 @@
-//! The diagnostic vocabulary: passes, severities, witnesses, findings and
-//! the sorted report — the netlist-level twin of `bfvr-audit`'s.
+//! What the lint layer adds to the shared [`bfvr_obs::diag`]
+//! vocabulary: its passes and its witnesses (a cycle, a stuck-at value,
+//! a set of signals).
 
 use std::fmt;
 
-/// How serious a finding is.
-///
-/// Ordered so that `Info < Warning < Error`; reports sort descending.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// Structure the caller may want to know about (support statistics,
-    /// passes skipped as inconclusive).
-    Info,
-    /// Logic that inflates the representation without making results
-    /// wrong: constant or dead latches, duplicate gates, unread signals.
-    Warning,
-    /// A malformed circuit: reachability results cannot be trusted (or
-    /// computed at all).
-    Error,
-}
+use bfvr_obs::diag;
 
-impl Severity {
-    /// Lowercase label, as rendered in diagnostics.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
+pub use bfvr_obs::diag::Severity;
 
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
+/// A lint finding.
+pub type Finding = diag::Finding<Pass, Witness>;
+/// A sorted collection of lint findings.
+pub type Report = diag::Report<Pass, Witness>;
+/// The outcome of one seeded corruption of the lint self-test.
+pub type MutationOutcome = diag::MutationOutcome<Pass>;
 
 /// The analysis passes of the netlist linter, in the order they run.
 ///
@@ -102,6 +80,12 @@ impl fmt::Display for Pass {
     }
 }
 
+impl diag::PassId for Pass {
+    fn id(self) -> &'static str {
+        Pass::id(self)
+    }
+}
+
 /// Concrete evidence attached to a finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Witness {
@@ -132,167 +116,9 @@ impl fmt::Display for Witness {
     }
 }
 
-/// One diagnostic: a pass, a severity, the path of the offending signal,
-/// a message and (where extractable) concrete evidence.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Finding {
-    /// The pass that produced this finding.
-    pub pass: Pass,
-    /// How serious it is.
-    pub severity: Severity,
-    /// Path of the offending object, e.g. `signal/count2` or
-    /// `latch/q0`.
-    pub path: String,
-    /// One-line description with the concrete names and numbers.
-    pub message: String,
-    /// Evidence, when the pass can extract it.
-    pub witness: Option<Witness>,
-}
-
-impl fmt::Display for Finding {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}[{}]: {}", self.severity, self.pass, self.message)?;
-        write!(f, "\n  --> {}", self.path)?;
-        if let Some(w) = &self.witness {
-            write!(f, "\n  witness: {w}")?;
-        }
-        Ok(())
-    }
-}
-
-/// An accumulating collection of findings with stable, diff-friendly
-/// ordering: severity (most severe first), then pass id, then path.
-#[derive(Clone, Debug, Default)]
-pub struct Report {
-    findings: Vec<Finding>,
-}
-
-impl Report {
-    /// An empty report.
-    #[must_use]
-    pub fn new() -> Self {
-        Report::default()
-    }
-
-    /// Appends one finding.
-    pub fn push(&mut self, finding: Finding) {
-        self.findings.push(finding);
-    }
-
-    /// Number of findings.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.findings.len()
-    }
-
-    /// Whether the report holds no findings.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.findings.is_empty()
-    }
-
-    /// The findings in sorted order (severity desc, pass id, path,
-    /// message).
-    #[must_use]
-    pub fn sorted(&self) -> Vec<&Finding> {
-        let mut v: Vec<&Finding> = self.findings.iter().collect();
-        v.sort_by(|a, b| {
-            b.severity
-                .cmp(&a.severity)
-                .then_with(|| a.pass.id().cmp(b.pass.id()))
-                .then_with(|| a.path.cmp(&b.path))
-                .then_with(|| a.message.cmp(&b.message))
-        });
-        v
-    }
-
-    /// The most severe finding level, if any.
-    #[must_use]
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
-    /// Whether any finding is at [`Severity::Error`] (the exit-code
-    /// contract of `bfvr lint`: nonzero iff this is true).
-    #[must_use]
-    pub fn has_errors(&self) -> bool {
-        self.max_severity() == Some(Severity::Error)
-    }
-
-    /// Count of findings at exactly `severity`.
-    #[must_use]
-    pub fn count_at(&self, severity: Severity) -> usize {
-        self.findings
-            .iter()
-            .filter(|f| f.severity == severity)
-            .count()
-    }
-
-    /// All findings produced by `pass`, unsorted.
-    pub fn by_pass(&self, pass: Pass) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(move |f| f.pass == pass)
-    }
-
-    /// Renders every finding in sorted order, one compiler-style block
-    /// per finding, separated by blank lines.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let blocks: Vec<String> = self.sorted().iter().map(|f| f.to_string()).collect();
-        blocks.join("\n\n")
-    }
-
-    /// The compact `2e/3w/5i` summary recorded in trace meta headers.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        format!(
-            "{}e/{}w/{}i",
-            self.count_at(Severity::Error),
-            self.count_at(Severity::Warning),
-            self.count_at(Severity::Info)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn finding(pass: Pass, severity: Severity, path: &str) -> Finding {
-        Finding {
-            pass,
-            severity,
-            path: path.to_string(),
-            message: "m".to_string(),
-            witness: None,
-        }
-    }
-
-    #[test]
-    fn report_sorts_by_severity_then_pass_then_path() {
-        let mut r = Report::new();
-        r.push(finding(Pass::DupGate, Severity::Warning, "b"));
-        r.push(finding(Pass::Undriven, Severity::Error, "z"));
-        r.push(finding(Pass::CombCycle, Severity::Error, "a"));
-        r.push(finding(Pass::DupGate, Severity::Warning, "a"));
-        let order: Vec<(&str, &str)> = r
-            .sorted()
-            .iter()
-            .map(|f| (f.pass.id(), f.path.as_str()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ("comb-cycle", "a"),
-                ("undriven", "z"),
-                ("dup-gate", "a"),
-                ("dup-gate", "b"),
-            ]
-        );
-        assert!(r.has_errors());
-        assert_eq!(r.max_severity(), Some(Severity::Error));
-        assert_eq!(r.count_at(Severity::Warning), 2);
-        assert_eq!(r.summary(), "2e/2w/0i");
-    }
 
     #[test]
     fn finding_renders_compiler_style() {

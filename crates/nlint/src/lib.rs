@@ -1,9 +1,12 @@
 //! # bfvr-nlint — static netlist analysis
 //!
 //! A pass-based linter over [`bfvr_netlist::Netlist`], one layer below
-//! `bfvr-audit`'s BDD-graph passes and sharing its diagnostic shape:
-//! [`Finding`]s with a pass id, severity, signal path and witness,
-//! collected into a sorted [`Report`] with rustc-like rendering.
+//! `bfvr-audit`'s BDD-graph passes. Both report through the diagnostics
+//! vocabulary of [`bfvr_obs::diag`]: [`Finding`]s with a pass id,
+//! severity, signal path and witness, collected into a sorted [`Report`]
+//! with rustc-like rendering. This crate owns only its [`Pass`] enum and
+//! its [`Witness`]; `Finding`, `Report` and `MutationOutcome` are type
+//! aliases over them.
 //!
 //! The passes ([`Pass`]):
 //!
@@ -27,7 +30,8 @@
 //!
 //! [`run_mutations`] is the self-test harness behind
 //! `bfvr lint --selftest`: nine seeded corruptions, each of which must
-//! be caught by its intended pass.
+//! be caught by its intended pass. A netlist without a latch or without
+//! a gate with a fan-in gives a [`SelftestError`] instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +46,6 @@ pub mod support;
 pub mod ternary;
 
 pub use analyze::run_passes;
-pub use finding::{Finding, Pass, Report, Severity, Witness};
-pub use mutation::{run_mutations, MutationOutcome};
+pub use finding::{Finding, MutationOutcome, Pass, Report, Severity, Witness};
+pub use mutation::{run_mutations, SelftestError};
 pub use simplify::{simplify, simplify_with, Simplified, SimplifyOptions};

@@ -1,55 +1,50 @@
 //! The lint self-test: seeded netlist corruptions that the passes must
-//! catch — the netlist-level mirror of `bfvr-audit`'s mutation harness.
+//! catch.
 //!
 //! Each mutation plants one specific defect in an otherwise healthy
 //! netlist (a combinational splice, a held latch, a ghost signal…) and
 //! records whether the *intended* pass diagnosed the planted object.
 //! `bfvr lint --selftest` fails unless every mutation is caught.
 
+use std::error::Error;
+use std::fmt;
+
 use bfvr_netlist::{GateKind, Netlist, NetlistBuilder, NetlistError};
 
 use crate::analyze::run_passes;
-use crate::finding::{Pass, Report, Witness};
+use crate::finding::{MutationOutcome, Pass, Report, Witness};
 
-/// The outcome of one seeded corruption.
-#[derive(Clone, Debug)]
-pub struct MutationOutcome {
-    /// Which corruption was applied, e.g. `cycle/splice`.
-    pub label: &'static str,
-    /// The pass that must catch it.
-    pub expected: Pass,
-    /// Whether the expected pass produced a finding naming the planted
-    /// object.
-    pub fired: bool,
-    /// Whether that finding carried a witness.
-    pub with_witness: bool,
-    /// Total findings from the expected pass.
-    pub findings: usize,
+/// Why the lint self-test could not run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SelftestError {
+    /// The netlist lacks a structure the seeded corruptions act on.
+    Needs(&'static str),
+    /// A rebuild of the netlist failed.
+    Netlist(NetlistError),
 }
 
-/// Re-emits `net` into a fresh builder so a mutation can splice in its
-/// corruption before (or during) reconstruction.
-fn rebuild(net: &Netlist) -> Result<NetlistBuilder, NetlistError> {
-    let mut b = NetlistBuilder::new(net.name().to_string());
-    for &i in net.inputs() {
-        b.input(net.signal_name(i))?;
+impl From<NetlistError> for SelftestError {
+    fn from(e: NetlistError) -> Self {
+        SelftestError::Netlist(e)
     }
-    for l in net.latches() {
-        b.latch(net.signal_name(l.output), net.signal_name(l.input), l.init)?;
-    }
-    for g in net.gates() {
-        let ins: Vec<&str> = g.inputs.iter().map(|&s| net.signal_name(s)).collect();
-        b.gate(net.signal_name(g.output), g.kind.clone(), &ins)?;
-    }
-    for &o in net.outputs() {
-        b.output(net.signal_name(o));
-    }
-    Ok(b)
 }
 
-/// Like [`rebuild`] but rewires the first fan-in of gate `target` to the
-/// gate's own output — a combinational self-loop.
-fn rebuild_spliced(net: &Netlist, target: usize) -> Result<NetlistBuilder, NetlistError> {
+impl fmt::Display for SelftestError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SelftestError::Needs(what) => write!(f, "lint self-test needs {what}"),
+            SelftestError::Netlist(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for SelftestError {}
+
+/// Re-emits `net` into a fresh builder so a mutation can add its
+/// corruption before finishing. With `splice = Some(g)`, the first fan-in
+/// of gate `g` is rewired to the gate's own output — a combinational
+/// self-loop; gate `g` must have a fan-in.
+fn rebuild(net: &Netlist, splice: Option<usize>) -> Result<NetlistBuilder, NetlistError> {
     let mut b = NetlistBuilder::new(net.name().to_string());
     for &i in net.inputs() {
         b.input(net.signal_name(i))?;
@@ -60,7 +55,7 @@ fn rebuild_spliced(net: &Netlist, target: usize) -> Result<NetlistBuilder, Netli
     for (gi, g) in net.gates().iter().enumerate() {
         let out = net.signal_name(g.output);
         let mut ins: Vec<&str> = g.inputs.iter().map(|&s| net.signal_name(s)).collect();
-        if gi == target {
+        if splice == Some(gi) {
             ins[0] = out;
         }
         b.gate(out, g.kind.clone(), &ins)?;
@@ -97,21 +92,25 @@ fn finding_mentions(report: &Report, pass: Pass, target: &str) -> (bool, bool, u
 /// per mutation, whether its intended pass caught the planted object.
 ///
 /// `net` must be a healthy sequential netlist with at least one latch
-/// and one gate (any generator circuit qualifies).
+/// and one gate with a fan-in (any generator circuit qualifies).
 ///
 /// # Errors
 ///
-/// Propagates builder errors from the rebuilds — impossible for a
-/// well-formed input netlist.
-pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError> {
+/// [`SelftestError::Needs`] when `net` lacks the latch or the fanned-in
+/// gate; otherwise propagates builder errors from the rebuilds —
+/// impossible for a well-formed input netlist.
+pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, SelftestError> {
     let first_latch = net
         .latches()
         .first()
         .map(|l| net.signal_name(l.output).to_string())
-        .ok_or(NetlistError::Undriven {
-            name: "(selftest needs a latch)".to_string(),
-        })?;
+        .ok_or(SelftestError::Needs("a latch"))?;
     let x = first_latch.as_str();
+    let splice = net
+        .gates()
+        .iter()
+        .position(|g| !g.inputs.is_empty())
+        .ok_or(SelftestError::Needs("a gate with at least one fan-in"))?;
     let mut outcomes = Vec::new();
     let mut run = |label: &'static str, expected: Pass, target: &str, mutated: Netlist| {
         let report = run_passes(&mutated);
@@ -128,8 +127,8 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
     // 1. Splice a gate's fan-in onto its own output: a combinational
     //    cycle the builder would normally reject.
     {
-        let target = net.gates()[0].output;
-        let b = rebuild_spliced(net, 0)?;
+        let target = net.gates()[splice].output;
+        let b = rebuild(net, Some(splice))?;
         run(
             "cycle/splice",
             Pass::CombCycle,
@@ -140,7 +139,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 2. Read a signal nothing ever drives.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.gate("mut_ghost_t", GateKind::Buf, &["mut_ghost"])?;
         b.output("mut_ghost_t");
         run(
@@ -153,7 +152,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 3. Drive a signal nothing ever reads.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.gate("mut_orphan", GateKind::Not, &[x])?;
         run(
             "unread/orphan",
@@ -165,14 +164,14 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 4. An unread primary input (distinct diagnosis from 3).
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.input("mut_nc")?;
         run("unread/input", Pass::Unread, "mut_nc", b.finish_unchecked());
     }
 
     // 5. A gate forced to 0 by a constant: stuck-at-0.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.gate("mut_zero", GateKind::Const0, &[] as &[&str])?;
         b.gate("mut_blocked", GateKind::And, &[x, "mut_zero"])?;
         b.output("mut_blocked");
@@ -186,7 +185,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 6. A gate forced to 1 by a constant: stuck-at-1.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.gate("mut_one", GateKind::Const1, &[] as &[&str])?;
         b.gate("mut_forced", GateKind::Or, &[x, "mut_one"])?;
         b.output("mut_forced");
@@ -200,7 +199,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 7. A latch feeding itself: constant at its reset value forever.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.latch("mut_hold", "mut_hold", false)?;
         b.output("mut_hold");
         run(
@@ -213,7 +212,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
 
     // 8. A toggling latch no output can observe: dead state.
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.latch("mut_dead", "mut_dead_n", false)?;
         b.gate("mut_dead_n", GateKind::Not, &["mut_dead"])?;
         run(
@@ -228,7 +227,7 @@ pub fn run_mutations(net: &Netlist) -> Result<Vec<MutationOutcome>, NetlistError
     //    rather than a copy of an existing gate: some families are
     //    all-`Buf`, and buffers collapse instead of reporting.)
     {
-        let mut b = rebuild(net)?;
+        let mut b = rebuild(net, None)?;
         b.gate("mut_twin_a", GateKind::Nand, &[x, x])?;
         b.gate("mut_twin_b", GateKind::Nand, &[x, x])?;
         b.output("mut_twin_a");

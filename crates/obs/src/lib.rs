@@ -6,6 +6,10 @@
 //! append-only **JSONL event stream** that `bfvr report` renders back
 //! into per-engine timelines.
 //!
+//! It also holds [`diag`], the diagnostics vocabulary (severities,
+//! findings, the sorted report, mutation self-test outcomes) shared by
+//! the `bfvr-audit` and `bfvr-nlint` analysis passes.
+//!
 //! ## Design constraints
 //!
 //! * **Non-perturbing.** Everything a tracer records comes from `&self`
@@ -50,6 +54,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod diag;
 pub mod event;
 pub mod json;
 pub mod report;

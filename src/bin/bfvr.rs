@@ -29,8 +29,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bfvr::audit::{run_mutations, run_passes, AuditTargets, Report, Severity};
+use bfvr::bdd::BddManager;
 use bfvr::bfv::StateSet;
 use bfvr::netlist::{bench, blif, generators, Netlist};
+use bfvr::obs::diag::{self, MutationOutcome, PassId};
 use bfvr::obs::json::{obj, Value};
 use bfvr::obs::{Counters, Format, JsonlSink, SpanKind, Tracer};
 use bfvr::reach::portfolio::{run_escalating_repr, run_racing, EscalationPolicy, Lane, RaceConfig};
@@ -262,6 +264,26 @@ fn load(path: &str) -> Result<Netlist, String> {
     } else {
         bench::parse_named(&text, path).map_err(|e| format!("{path}: {e}"))
     }
+}
+
+/// Errors unless `net` has a latch: a purely combinational circuit has
+/// no state to traverse.
+fn stateful(net: &Netlist) -> Result<(), String> {
+    if net.latches().is_empty() {
+        return Err(format!(
+            "`{}` has no latches: state traversal needs at least one \
+             (combinational circuit?)",
+            net.name()
+        ));
+    }
+    Ok(())
+}
+
+/// Encodes `net` for state traversal under `order`, rejecting a
+/// latch-free netlist with an error instead of the encoder's panic.
+fn encode(net: &Netlist, order: OrderHeuristic) -> Result<(BddManager, EncodedFsm), String> {
+    stateful(net)?;
+    EncodedFsm::encode(net, order).map_err(|e| e.to_string())
 }
 
 fn cmd_stats(net: &Netlist) -> Result<(), String> {
@@ -770,6 +792,8 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     )?;
     let circuit = args.get(1).ok_or("reach needs a file")?.clone();
     let net = load(&circuit)?;
+    // Checked up front: the race lanes encode inside their own threads.
+    stateful(&net)?;
     let orders = parse_order_list(args)?;
     let order = orders[0];
     let mut opts = parse_opts(args)?;
@@ -920,7 +944,7 @@ fn reach_plain(
                 return Err("interrupted before completion (remaining lanes skipped)".into());
             }
             let lane_order = lane.order.unwrap_or(order);
-            let (mut m, fsm) = EncodedFsm::encode(net, lane_order).map_err(|e| e.to_string())?;
+            let (mut m, fsm) = encode(net, lane_order)?;
             m.set_cancel_token(Some(Arc::clone(cancel)));
             let mut lane_opts = opts.clone();
             if let Some(d) = durable {
@@ -1167,7 +1191,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let durable = parse_durable(args, &net, order, &meta.circuit, Some(from_path.clone()))?;
     let trace = parse_trace(args, &format!("bfvr resume {}", net.name()))?;
     opts.trace.clone_from(&trace);
-    let (mut m, fsm) = EncodedFsm::encode(&net, order).map_err(|e| e.to_string())?;
+    let (mut m, fsm) = encode(&net, order)?;
     let (_, cp) = read_checkpoint(&from_path, &mut m).map_err(|e| format!("{from}: {e}"))?;
     println!(
         "resuming {} on {} from iteration {}",
@@ -1394,7 +1418,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let inconclusive = Rc::new(RefCell::new(0usize));
 
     for lane in lanes {
-        let (mut m, fsm) = EncodedFsm::encode(&net, order).map_err(|e| e.to_string())?;
+        let (mut m, fsm) = encode(&net, order)?;
         let mut opts = base_opts.clone();
         let sink = Rc::clone(&report);
         let skipped = Rc::clone(&inconclusive);
@@ -1485,7 +1509,22 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     }
 
     if args.iter().any(|a| a == "--selftest") {
-        run_selftest(&net, order)?;
+        // The mutation harness, seeded with the circuit's own reached set
+        // (converted to a canonical vector) so the corruptions act on
+        // realistic structure.
+        let (mut m, fsm) = encode(&net, order)?;
+        let r = run_engine(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
+        let chi = r
+            .reached_chi
+            .as_ref()
+            .ok_or("self-test: reachability produced no reached set")?;
+        let space = fsm.space();
+        let clean = bfvr::bfv::convert::from_characteristic(&mut m, &space, chi.bdd())
+            .map_err(|e| e.to_string())?
+            .ok_or("self-test: empty reached set")?;
+        let outcomes = run_mutations(&mut m, &space, &clean).map_err(|e| e.to_string())?;
+        let heading = format!("mutation self-test over {}'s reached set:", net.name());
+        print_selftest(&heading, 22, "self-test", &outcomes)?;
     }
 
     let report = report.borrow();
@@ -1496,52 +1535,48 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     if inconclusive > 0 {
         println!("note: {inconclusive} iteration audit(s) were inconclusive (resource-limited)");
     }
-    println!(
-        "audit: {} finding(s) — {} error(s), {} warning(s), {} note(s)",
-        report.len(),
-        report.count_at(Severity::Error),
-        report.count_at(Severity::Warning),
-        report.count_at(Severity::Info),
-    );
+    print_tally("audit", &report);
     if report.has_errors() {
         return Err("audit found error-severity findings".into());
     }
     Ok(())
 }
 
-/// `bfvr audit --selftest`: the mutation harness, seeded with the
-/// circuit's own reached set (converted to a canonical vector) so the
-/// corruptions act on realistic structure.
-fn run_selftest(net: &Netlist, order: OrderHeuristic) -> Result<(), String> {
-    let (mut m, fsm) = EncodedFsm::encode(net, order).map_err(|e| e.to_string())?;
-    let r = run_engine(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
-    let chi = r
-        .reached_chi
-        .as_ref()
-        .ok_or("self-test: reachability produced no reached set")?;
-    let space = fsm.space();
-    let clean = bfvr::bfv::convert::from_characteristic(&mut m, &space, chi.bdd())
-        .map_err(|e| e.to_string())?
-        .ok_or("self-test: empty reached set")?;
-    let outcomes = run_mutations(&mut m, &space, &clean).map_err(|e| e.to_string())?;
-    println!("mutation self-test over {}'s reached set:", net.name());
-    let mut undetected = 0usize;
-    for o in &outcomes {
+/// Prints the closing `<tool>: N finding(s) — …` tally of a report.
+fn print_tally<P: PassId, W>(tool: &str, report: &diag::Report<P, W>) {
+    println!(
+        "{tool}: {} finding(s) — {} error(s), {} warning(s), {} note(s)",
+        report.len(),
+        report.count_at(Severity::Error),
+        report.count_at(Severity::Warning),
+        report.count_at(Severity::Info),
+    );
+}
+
+/// Prints a mutation self-test table (`--selftest` of `bfvr audit` and
+/// `bfvr lint`) with labels padded to `width`, and fails with
+/// `err_prefix` unless every seeded corruption was detected.
+fn print_selftest<P: PassId>(
+    heading: &str,
+    width: usize,
+    err_prefix: &str,
+    outcomes: &[MutationOutcome<P>],
+) -> Result<(), String> {
+    println!("{heading}");
+    for o in outcomes {
         println!(
-            "  {:22} -> {} by {}{} ({} finding(s))",
+            "  {:width$} -> {} by {}{} ({} finding(s))",
             o.label,
             if o.fired { "detected" } else { "NOT DETECTED" },
             o.expected.id(),
             if o.with_witness { ", with witness" } else { "" },
             o.findings,
         );
-        if !o.fired {
-            undetected += 1;
-        }
     }
+    let undetected = outcomes.iter().filter(|o| !o.fired).count();
     if undetected > 0 {
         return Err(format!(
-            "self-test: {undetected} corruption(s) went undetected"
+            "{err_prefix}: {undetected} corruption(s) went undetected"
         ));
     }
     Ok(())
@@ -1553,18 +1588,13 @@ fn run_selftest(net: &Netlist, order: OrderHeuristic) -> Result<(), String> {
 /// runs the netlist mutation harness. Exits nonzero iff any
 /// error-severity finding (mirroring `bfvr audit`).
 fn cmd_lint(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("lint", args, &[&["--fix", "--prune", "--selftest"]])?;
     let net = load(args.get(1).ok_or("lint needs a file")?)?;
     let report = bfvr::nlint::run_passes(&net);
     for f in report.sorted() {
         println!("{f}");
     }
-    println!(
-        "lint: {} finding(s) — {} error(s), {} warning(s), {} note(s)",
-        report.len(),
-        report.count_at(bfvr::nlint::Severity::Error),
-        report.count_at(bfvr::nlint::Severity::Warning),
-        report.count_at(bfvr::nlint::Severity::Info),
-    );
+    print_tally("lint", &report);
     let prune = args.iter().any(|a| a == "--prune");
     match flag_value(args, "--fix") {
         None if prune => return Err("--prune requires --fix".into()),
@@ -1599,38 +1629,12 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
         }
     }
     if args.iter().any(|a| a == "--selftest") {
-        lint_selftest(&net)?;
+        let outcomes = bfvr::nlint::run_mutations(&net).map_err(|e| e.to_string())?;
+        let heading = format!("netlist mutation self-test on {}:", net.name());
+        print_selftest(&heading, 16, "lint self-test", &outcomes)?;
     }
     if report.has_errors() {
         return Err("lint found error-severity findings".into());
-    }
-    Ok(())
-}
-
-/// `bfvr lint --selftest`: nine seeded netlist corruptions, each of
-/// which must be diagnosed by its intended pass (the netlist-level
-/// mirror of `bfvr audit --selftest`).
-fn lint_selftest(net: &Netlist) -> Result<(), String> {
-    let outcomes = bfvr::nlint::run_mutations(net).map_err(|e| e.to_string())?;
-    println!("netlist mutation self-test on {}:", net.name());
-    let mut undetected = 0usize;
-    for o in &outcomes {
-        println!(
-            "  {:16} -> {} by {}{} ({} finding(s))",
-            o.label,
-            if o.fired { "detected" } else { "NOT DETECTED" },
-            o.expected.id(),
-            if o.with_witness { ", with witness" } else { "" },
-            o.findings,
-        );
-        if !o.fired {
-            undetected += 1;
-        }
-    }
-    if undetected > 0 {
-        return Err(format!(
-            "lint self-test: {undetected} corruption(s) went undetected"
-        ));
     }
     Ok(())
 }
@@ -1663,8 +1667,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let net = load(args.get(1).ok_or("check needs a file")?)?;
     let cube = flag_value(args, "--bad").ok_or("check needs --bad <cube>")?;
     let opts = parse_opts(args)?;
-    let (mut m, fsm) =
-        EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).map_err(|e| e.to_string())?;
+    let (mut m, fsm) = encode(&net, OrderHeuristic::DfsFanin)?;
     let pattern = parse_cube(&cube, &fsm)?;
     let space = fsm.space();
     let bad = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;
@@ -1685,8 +1688,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let net = load(args.get(1).ok_or("trace needs a file")?)?;
     let cube = flag_value(args, "--to").ok_or("trace needs --to <cube>")?;
     let opts = parse_opts(args)?;
-    let (mut m, fsm) =
-        EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).map_err(|e| e.to_string())?;
+    let (mut m, fsm) = encode(&net, OrderHeuristic::DfsFanin)?;
     let pattern = parse_cube(&cube, &fsm)?;
     let space = fsm.space();
     let target = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;

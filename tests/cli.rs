@@ -42,6 +42,7 @@ fn unknown_flags_are_usage_errors() {
             "--jobz",
         ),
         (&["audit", "gen:s27", "--jobs", "2"], "--jobs"),
+        (&["lint", "gen:s27", "--bogus-flag"], "--bogus-flag"),
         (
             &["resume", "--from", "missing.ckpt", "--engine", "bfv"],
             "--engine",
@@ -51,6 +52,30 @@ fn unknown_flags_are_usage_errors() {
         assert!(!o.status.success(), "{args:?} must fail");
         let want = format!("unknown flag `{flag}`");
         assert!(stderr(&o).contains(&want), "{args:?}: {}", stderr(&o));
+    }
+}
+
+/// A purely combinational circuit has no state to traverse: every
+/// traversal command exits nonzero with an error, never a panic.
+#[test]
+fn latch_free_circuit_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_latchfree_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("comb.bench");
+    std::fs::write(&path, "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n").unwrap();
+    let file = path.to_str().unwrap();
+    for args in [
+        &["reach", file][..],
+        &["reach", file, "--race"],
+        &["audit", file],
+        &["check", file, "--bad", "1"],
+        &["trace", file, "--to", "1"],
+    ] {
+        let o = bfvr(args);
+        assert!(!o.status.success(), "{args:?} must fail");
+        let err = stderr(&o);
+        assert!(err.contains("has no latches"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
     }
 }
 

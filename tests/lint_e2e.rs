@@ -166,6 +166,40 @@ fn lint_cli_contract() {
     assert!(!bad.status.success());
 }
 
+/// `--selftest` on a netlist the seeded corruptions cannot act on (no
+/// gate to splice, no latch to hold) is an error naming the requirement,
+/// never a panic.
+#[test]
+fn lint_selftest_on_degenerate_netlists_is_an_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("bfvr_lint_degenerate_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, text, want) in [
+        (
+            "nogate.bench",
+            "INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n",
+            "lint self-test needs a gate with at least one fan-in",
+        ),
+        (
+            "constgate.bench",
+            "OUTPUT(q)\nq = DFF(one)\none = CONST1()\n",
+            "lint self-test needs a gate with at least one fan-in",
+        ),
+        (
+            "nolatch.bench",
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n",
+            "lint self-test needs a latch",
+        ),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        let o = bfvr(&["lint", path.to_str().unwrap(), "--selftest"]);
+        assert!(!o.status.success(), "{name} must fail");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.contains(want), "{name}: {err}");
+        assert!(!err.contains("panicked"), "{name}: {err}");
+    }
+}
+
 /// `--order coi|force` preserves reached-state counts through the CLI on
 /// s27 and queue4 (the acceptance circuits).
 #[test]
