@@ -381,19 +381,26 @@ impl BddManager {
     pub fn audit_cache_residue(&self) -> Vec<GraphIssue> {
         let mut issues = Vec::new();
         for (name, cache) in self.caches.named() {
-            for ((a, b, c), r) in cache.entries() {
-                for edge in [a, b, c, r] {
-                    let slot = edge >> 1;
-                    if !self.arena.is_live_slot(slot) {
-                        issues.push(GraphIssue {
-                            kind: GraphIssueKind::CacheResidue,
-                            slot,
-                            detail: format!(
-                                "{name} cache entry ({a}, {b}, {c}) → {r} references a freed slot"
-                            ),
-                        });
-                        break; // one issue per entry is enough
-                    }
+            for (key, result) in cache.entries() {
+                let mut slots = key.iter().chain(result).map(|&edge| edge >> 1);
+                // One issue per entry is enough.
+                if let Some(slot) = slots.find(|&s| !self.arena.is_live_slot(s)) {
+                    let words = |w: &[u32]| {
+                        let list: Vec<String> = w.iter().map(u32::to_string).collect();
+                        list.join(", ")
+                    };
+                    let result = match result {
+                        [r] => r.to_string(),
+                        _ => format!("({})", words(result)),
+                    };
+                    issues.push(GraphIssue {
+                        kind: GraphIssueKind::CacheResidue,
+                        slot,
+                        detail: format!(
+                            "{name} cache entry ({}) → {result} references a freed slot",
+                            words(key)
+                        ),
+                    });
                 }
             }
         }

@@ -21,6 +21,12 @@
 //! is not cold after a resize. Keys are raw edge words — a function and
 //! its complement hash to different keys, which is exactly right because
 //! their results differ.
+//!
+//! One generic table, [`OpCache<K, R>`], serves every operation: `K` key
+//! words and `R` result words per slot. The stock operations use three
+//! and one; the §2.3 union step uses five and three. The width-free
+//! [`Table`] face lets [`Caches`] flush, cap, count and audit them all
+//! as one list.
 
 use crate::node::Bdd;
 
@@ -35,33 +41,33 @@ const MIN_SLOTS: usize = 1 << 8;
 /// [`crate::BddManager::set_cache_limit`]).
 pub(crate) const DEFAULT_CACHE_LIMIT: usize = 1 << 22;
 
-/// One direct-mapped slot: the three key words, the memoized result and
+/// One direct-mapped slot: the `K` key words, the `R` result words and
 /// the generation stamp that says which `clear` epoch wrote it.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    a: u32,
-    b: u32,
-    c: u32,
-    result: u32,
+struct Slot<const K: usize, const R: usize> {
+    key: [u32; K],
+    result: [u32; R],
     stamp: u32,
 }
 
-const EMPTY_SLOT: Slot = Slot {
-    a: 0,
-    b: 0,
-    c: 0,
-    result: 0,
-    stamp: 0,
-};
+impl<const K: usize, const R: usize> Slot<K, R> {
+    const EMPTY: Self = Slot {
+        key: [0; K],
+        result: [0; R],
+        stamp: 0,
+    };
+}
 
-/// Mixes a key triple into a slot hash (Fx multiply-rotate over the three
+/// Mixes the key words into a slot hash (Fx multiply-rotate over the
 /// words; the *high* bits of the product are the well-mixed ones, so slot
 /// selection shifts from the top).
 #[inline]
-fn mix(a: u32, b: u32, c: u32) -> u64 {
-    let mut h = u64::from(a).wrapping_mul(SEED);
-    h = (h.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED)
+fn mix<const K: usize>(key: &[u32; K]) -> u64 {
+    let mut h = u64::from(key[0]).wrapping_mul(SEED);
+    for &w in &key[1..] {
+        h = (h.rotate_left(5) ^ u64::from(w)).wrapping_mul(SEED);
+    }
+    h
 }
 
 /// Per-operation cache counters, as reported by
@@ -82,10 +88,13 @@ pub struct CacheStats {
     pub bytes: usize,
 }
 
-/// One operation's lossy direct-mapped memo table plus lifetime counters.
+/// One operation's lossy direct-mapped memo table plus lifetime counters,
+/// keyed on `K` edge words and memoizing `R` result edges. The stock
+/// operations are three-operand, one-result (the default widths); the
+/// §2.3 union step is five-operand, three-result.
 #[derive(Debug, Default)]
-pub(crate) struct OpCache {
-    slots: Vec<Slot>,
+pub(crate) struct OpCache<const K: usize = 3, const R: usize = 1> {
+    slots: Vec<Slot<K, R>>,
     /// `log2(slots.len())`, cached for top-bit slot selection.
     shift: u32,
     /// The current generation; a slot is live iff `stamp == generation`.
@@ -97,22 +106,23 @@ pub(crate) struct OpCache {
     hits: u64,
 }
 
-impl OpCache {
+impl<const K: usize, const R: usize> OpCache<K, R> {
     #[inline]
-    fn slot_of(&self, a: u32, b: u32, c: u32) -> usize {
-        (mix(a, b, c) >> (64 - self.shift)) as usize
+    fn slot_of(&self, key: &[u32; K]) -> usize {
+        (mix(key) >> (64 - self.shift)) as usize
     }
 
+    /// The memoized result words for `key`, if resident.
     #[inline]
-    pub fn get(&mut self, key: (u32, u32, u32)) -> Option<Bdd> {
+    pub fn lookup(&mut self, key: [u32; K]) -> Option<[u32; R]> {
         self.lookups += 1;
         if self.slots.is_empty() {
             return None;
         }
-        let s = self.slots[self.slot_of(key.0, key.1, key.2)];
-        if s.stamp == self.generation && (s.a, s.b, s.c) == key {
+        let s = &self.slots[self.slot_of(&key)];
+        if s.stamp == self.generation && s.key == key {
             self.hits += 1;
-            Some(Bdd(s.result))
+            Some(s.result)
         } else {
             None
         }
@@ -123,20 +133,18 @@ impl OpCache {
     /// rehashing its live entries — once resident entries pass 3/4 of the
     /// slots, until `limit` slots.
     #[inline]
-    pub fn put(&mut self, key: (u32, u32, u32), val: Bdd, limit: usize) {
+    pub fn insert(&mut self, key: [u32; K], result: [u32; R], limit: usize) {
         if self.slots.is_empty() || (self.live * 4 >= self.slots.len() * 3 && !self.at_cap(limit)) {
             self.grow(limit);
         }
-        let i = self.slot_of(key.0, key.1, key.2);
+        let i = self.slot_of(&key);
         let s = &mut self.slots[i];
         if s.stamp != self.generation {
             self.live += 1;
         }
         *s = Slot {
-            a: key.0,
-            b: key.1,
-            c: key.2,
-            result: val.0,
+            key,
+            result,
             stamp: self.generation,
         };
     }
@@ -157,14 +165,14 @@ impl OpCache {
         if new_len <= self.slots.len() {
             return;
         }
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; new_len]);
+        let old = std::mem::replace(&mut self.slots, vec![Slot::EMPTY; new_len]);
         let generation = self.generation.max(1);
         self.generation = generation;
         self.shift = new_len.trailing_zeros();
         self.live = 0;
         for s in old {
             if s.stamp == generation {
-                let i = self.slot_of(s.a, s.b, s.c);
+                let i = self.slot_of(&s.key);
                 if self.slots[i].stamp != generation {
                     self.live += 1;
                 }
@@ -172,25 +180,61 @@ impl OpCache {
             }
         }
     }
+}
 
+impl OpCache {
+    /// [`Self::lookup`] for the stock three-operand, one-result shape.
+    #[inline]
+    pub fn get(&mut self, key: (u32, u32, u32)) -> Option<Bdd> {
+        self.lookup([key.0, key.1, key.2]).map(|[r]| Bdd(r))
+    }
+
+    /// [`Self::insert`] for the stock three-operand, one-result shape.
+    #[inline]
+    pub fn put(&mut self, key: (u32, u32, u32), val: Bdd, limit: usize) {
+        self.insert([key.0, key.1, key.2], [val.0], limit);
+    }
+}
+
+/// The width-independent face of an [`OpCache`]: what flushing, capping,
+/// statistics and the cache-residue audit need, so [`Caches`] can list
+/// tables of every width together.
+pub(crate) trait Table {
     /// Shrinks (or re-caps) the slot array when the limit drops below the
     /// current allocation; entries are discarded (it is a cache).
-    pub fn apply_limit(&mut self, limit: usize) {
+    fn apply_limit(&mut self, limit: usize);
+
+    /// Drops all memoized results: an O(1) generation bump (slot storage
+    /// is retained; stale stamps read as empty).
+    fn clear(&mut self);
+
+    /// Resident entries, for the cache-residue audit: `(key, result)`
+    /// word slices where every word is a raw edge (or a literal 0, which
+    /// reads as the always-live terminal edge).
+    fn entries(&self) -> Box<dyn Iterator<Item = (&[u32], &[u32])> + '_>;
+
+    /// Resident bytes behind the slot array.
+    fn bytes(&self) -> usize;
+
+    /// Counter snapshot under the operation name `name`.
+    fn stats(&self, name: &'static str) -> CacheStats;
+}
+
+impl<const K: usize, const R: usize> Table for OpCache<K, R> {
+    fn apply_limit(&mut self, limit: usize) {
         let cap = limit.next_power_of_two().max(MIN_SLOTS);
         if self.slots.len() > cap {
-            self.slots = vec![EMPTY_SLOT; cap];
+            self.slots = vec![Slot::EMPTY; cap];
             self.shift = cap.trailing_zeros();
             self.generation = 1;
             self.live = 0;
         }
     }
 
-    /// Drops all memoized results: an O(1) generation bump (slot storage
-    /// is retained; stale stamps read as empty).
-    pub fn clear(&mut self) {
+    fn clear(&mut self) {
         if self.generation == u32::MAX {
             // Stamp wrap: do the one-in-4-billion full wipe.
-            self.slots.fill(EMPTY_SLOT);
+            self.slots.fill(Slot::EMPTY);
             self.generation = 1;
         } else {
             self.generation += 1;
@@ -198,19 +242,17 @@ impl OpCache {
         self.live = 0;
     }
 
-    /// Resident entries, for the cache-residue audit: `(key, result)`
-    /// pairs where every component is a raw edge word (or a literal 0,
-    /// which reads as the always-live terminal edge).
-    pub fn entries(&self) -> impl Iterator<Item = ((u32, u32, u32), u32)> + '_ {
-        self.slots
-            .iter()
-            .filter(|s| s.stamp == self.generation && self.generation != 0)
-            .map(|s| ((s.a, s.b, s.c), s.result))
+    fn entries(&self) -> Box<dyn Iterator<Item = (&[u32], &[u32])> + '_> {
+        Box::new(
+            self.slots
+                .iter()
+                .filter(|s| s.stamp == self.generation && self.generation != 0)
+                .map(|s| (&s.key[..], &s.result[..])),
+        )
     }
 
-    /// Resident bytes behind the slot array.
-    pub fn bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
+    fn bytes(&self) -> usize {
+        self.slots.len() * std::mem::size_of::<Slot<K, R>>()
     }
 
     fn stats(&self, name: &'static str) -> CacheStats {
@@ -242,6 +284,11 @@ pub(crate) struct Caches {
     /// fresh scope with an O(1) `clear`, because memoized results are
     /// valid only for that call's map.
     pub subst: OpCache,
+    /// The §2.3 union step `(f, g, fˣ, gˣ, v) ↦ (h, fˣ', gˣ')`, keyed on
+    /// all five edges with `v` named by its literal edge (or the constant
+    /// it has become below its level). Like `cofactor`, it persists
+    /// across calls until a sweep or reorder flushes it.
+    pub union: OpCache<5, 3>,
     /// Per-cache slot cap (rounded up to a power of two on use).
     pub limit: usize,
 }
@@ -256,11 +303,12 @@ impl Caches {
             restrict: OpCache::default(),
             cofactor: OpCache::default(),
             subst: OpCache::default(),
+            union: OpCache::default(),
             limit: DEFAULT_CACHE_LIMIT,
         }
     }
 
-    fn all_mut(&mut self) -> [&mut OpCache; 7] {
+    fn all_mut(&mut self) -> [&mut dyn Table; 8] {
         [
             &mut self.ite,
             &mut self.exists,
@@ -269,6 +317,7 @@ impl Caches {
             &mut self.restrict,
             &mut self.cofactor,
             &mut self.subst,
+            &mut self.union,
         ]
     }
 
@@ -290,9 +339,9 @@ impl Caches {
 
     /// Lifetime totals across all operations: `(lookups, hits)`.
     pub fn totals(&self) -> (u64, u64) {
-        let all = self.named();
-        let lookups = all.iter().map(|(_, c)| c.lookups).sum();
-        let hits = all.iter().map(|(_, c)| c.hits).sum();
+        let all = self.stats();
+        let lookups = all.iter().map(|c| c.lookups).sum();
+        let hits = all.iter().map(|c| c.hits).sum();
         (lookups, hits)
     }
 
@@ -304,7 +353,7 @@ impl Caches {
     /// All caches with their operation names: the one list that
     /// [`Self::totals`], [`Self::bytes`], [`Self::stats`] and the
     /// cache-residue audit read.
-    pub fn named(&self) -> [(&'static str, &OpCache); 7] {
+    pub fn named(&self) -> [(&'static str, &dyn Table); 8] {
         [
             ("ite", &self.ite),
             ("exists", &self.exists),
@@ -313,6 +362,7 @@ impl Caches {
             ("restrict", &self.restrict),
             ("cofactor", &self.cofactor),
             ("subst", &self.subst),
+            ("union", &self.union),
         ]
     }
 
@@ -328,19 +378,19 @@ mod tests {
 
     #[test]
     fn get_put_and_counters() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         assert_eq!(c.get((1, 2, 3)), None);
         c.put((1, 2, 3), Bdd(8), 16);
         assert_eq!(c.get((1, 2, 3)), Some(Bdd(8)));
         let s = c.stats("t");
         assert_eq!((s.lookups, s.hits, s.entries), (2, 1, 1));
         assert!(s.capacity >= MIN_SLOTS);
-        assert_eq!(s.bytes, s.capacity * std::mem::size_of::<Slot>());
+        assert_eq!(s.bytes, s.capacity * std::mem::size_of::<Slot<3, 1>>());
     }
 
     #[test]
     fn clear_is_a_generation_bump_that_keeps_counters() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         c.put((1, 0, 0), Bdd(2), 16);
         c.put((2, 0, 0), Bdd(4), 16);
         let cap = c.stats("t").capacity;
@@ -362,7 +412,7 @@ mod tests {
         // Direct-mapped with a minimum-size table: by pigeonhole, some of
         // these keys collide. Whatever happens, a lookup must return
         // either the exact value stored for that key or a miss.
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         let n = (MIN_SLOTS * 4) as u32;
         for k in 0..n {
             c.put((k, k ^ 7, 3), Bdd(k << 1), MIN_SLOTS);
@@ -385,7 +435,7 @@ mod tests {
 
     #[test]
     fn growth_rehashes_live_entries() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         let n = (MIN_SLOTS * 2) as u32;
         for k in 0..n {
             c.put((k, 1, 2), Bdd(k << 1), DEFAULT_CACHE_LIMIT);
@@ -398,23 +448,49 @@ mod tests {
         assert!(retained as u32 > n / 2, "retained only {retained}/{n}");
     }
 
+    /// Resident entries as owned `(key, result)` word vectors.
+    fn resident(c: &dyn Table) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut got: Vec<_> = c.entries().map(|(k, r)| (k.to_vec(), r.to_vec())).collect();
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn entries_enumerates_exactly_the_resident_generation() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         c.put((1, 2, 3), Bdd(8), 64);
         c.put((4, 5, 6), Bdd(10), 64);
-        let mut got: Vec<_> = c.entries().collect();
-        got.sort_unstable();
-        assert_eq!(got, vec![((1, 2, 3), 8), ((4, 5, 6), 10)]);
+        assert_eq!(
+            resident(&c),
+            vec![(vec![1, 2, 3], vec![8]), (vec![4, 5, 6], vec![10])]
+        );
         c.clear();
         c.put((7, 8, 9), Bdd(12), 64);
-        let got: Vec<_> = c.entries().collect();
-        assert_eq!(got, vec![((7, 8, 9), 12)]);
+        assert_eq!(resident(&c), vec![(vec![7, 8, 9], vec![12])]);
+    }
+
+    #[test]
+    fn wide_slots_key_on_every_word_and_return_every_result() {
+        let mut c: OpCache<5, 3> = OpCache::default();
+        c.insert([1, 2, 3, 4, 5], [6, 7, 8], 64);
+        assert_eq!(c.lookup([1, 2, 3, 4, 5]), Some([6, 7, 8]));
+        // A key differing in any one word is a different entry.
+        for i in 0..5 {
+            let mut k = [1, 2, 3, 4, 5];
+            k[i] ^= 2;
+            assert_eq!(c.lookup(k), None, "word {i} is not part of the key");
+        }
+        assert_eq!(resident(&c), vec![(vec![1, 2, 3, 4, 5], vec![6, 7, 8])]);
+        let s = c.stats("t");
+        assert_eq!((s.lookups, s.hits, s.entries), (6, 1, 1));
+        assert_eq!(s.bytes, s.capacity * std::mem::size_of::<Slot<5, 3>>());
+        c.clear();
+        assert_eq!(c.lookup([1, 2, 3, 4, 5]), None);
     }
 
     #[test]
     fn fresh_cache_has_no_entries_and_no_bytes() {
-        let c = OpCache::default();
+        let c: OpCache = OpCache::default();
         assert_eq!(c.entries().count(), 0);
         assert_eq!(c.bytes(), 0);
         assert_eq!(c.stats("t").capacity, 0);
@@ -422,7 +498,7 @@ mod tests {
 
     #[test]
     fn apply_limit_shrinks_an_oversized_table() {
-        let mut c = OpCache::default();
+        let mut c: OpCache = OpCache::default();
         for k in 0..(MIN_SLOTS * 4) as u32 {
             c.put((k, 0, 0), Bdd(2), DEFAULT_CACHE_LIMIT);
         }
@@ -441,7 +517,7 @@ mod tests {
         let _ = cs.ite.get((0, 0, 0));
         let _ = cs.exists.get((9, 9, 9));
         assert_eq!(cs.totals(), (2, 1));
-        assert_eq!(cs.stats().len(), 7);
+        assert_eq!(cs.stats().len(), 8);
         assert!(cs.bytes() > 0);
         cs.clear_all();
         assert_eq!(cs.stats()[0].entries, 0);
@@ -450,15 +526,26 @@ mod tests {
 
     #[test]
     fn totals_sum_the_per_operation_stats() {
-        // Give every cache a distinct lookup count through `all_mut`, so
-        // the stats also show `named` lists the same caches.
+        // Give every cache a distinct lookup count.
         let mut cs = Caches::new();
-        let limit = cs.limit;
-        for (i, c) in cs.all_mut().into_iter().enumerate() {
-            c.put((i as u32, 0, 0), Bdd(2), limit);
+        let narrow = [
+            &mut cs.ite,
+            &mut cs.exists,
+            &mut cs.and_exists,
+            &mut cs.constrain,
+            &mut cs.restrict,
+            &mut cs.cofactor,
+            &mut cs.subst,
+        ];
+        for (i, c) in narrow.into_iter().enumerate() {
+            c.put((i as u32, 0, 0), Bdd(2), DEFAULT_CACHE_LIMIT);
             for _ in 0..=i {
                 let _ = c.get((i as u32, 0, 0));
             }
+        }
+        cs.union.insert([0; 5], [2; 3], DEFAULT_CACHE_LIMIT);
+        for _ in 0..8 {
+            let _ = cs.union.lookup([0; 5]);
         }
         let stats = cs.stats();
         let lookups: u64 = stats.iter().map(|s| s.lookups).sum();
@@ -467,10 +554,20 @@ mod tests {
         let mut per_cache: Vec<u64> = stats.iter().map(|s| s.lookups).collect();
         per_cache.sort_unstable();
         let expect: Vec<u64> = (1..=stats.len() as u64).collect();
-        assert_eq!(
-            per_cache, expect,
-            "named() and all_mut() list the same caches"
-        );
+        assert_eq!(per_cache, expect, "named() lists every cache once");
+    }
+
+    #[test]
+    fn named_and_all_mut_list_the_same_caches() {
+        let mut cs = Caches::new();
+        let addr = |c: &dyn Table| std::ptr::from_ref(c).cast::<()>() as usize;
+        let mut muts: Vec<usize> = cs.all_mut().into_iter().map(|c| addr(c)).collect();
+        let mut named: Vec<usize> = cs.named().into_iter().map(|(_, c)| addr(c)).collect();
+        muts.sort_unstable();
+        named.sort_unstable();
+        assert_eq!(muts, named);
+        named.dedup();
+        assert_eq!(named.len(), muts.len(), "no cache is listed twice");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! because cofactoring and substitution commute with complement:
 //! `(¬f)[v ← g] = ¬(f[v ← g])`.
 
+use crate::cache::Table;
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
 use crate::Result;

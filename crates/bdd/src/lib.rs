@@ -20,6 +20,9 @@
 //! * the generalized cofactor (`constrain`) and `restrict` operators of
 //!   Coudert/Berthet/Madre ([`BddManager::constrain`],
 //!   [`BddManager::restrict`]),
+//! * the per-component step of the Boolean functional vector union
+//!   (paper §2.3) as one memoized five-operand kernel
+//!   ([`BddManager::union_step`]),
 //! * structural exploration: support, DAG sizes, satisfying-assignment
 //!   counts, minterm extraction and DOT export,
 //! * irredundant sum-of-products extraction (Minato–Morreale ISOP,
@@ -100,6 +103,7 @@ mod node;
 mod quant;
 mod sift;
 mod transfer;
+mod union;
 mod unique;
 pub mod zdd;
 

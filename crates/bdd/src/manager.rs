@@ -32,6 +32,24 @@ use crate::Result;
 /// How often (in node allocations) the deadline is polled.
 pub(crate) const DEADLINE_POLL_MASK: u64 = 0x1FFF;
 
+/// The result shape of an operation run under [`BddManager::recover`]:
+/// the edges it pins once an outermost call succeeds.
+pub(crate) trait Edges {
+    fn edges(&self) -> &[Bdd];
+}
+
+impl Edges for Bdd {
+    fn edges(&self) -> &[Bdd] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl<const N: usize> Edges for [Bdd; N] {
+    fn edges(&self) -> &[Bdd] {
+        self
+    }
+}
+
 /// Counters describing the current state of a [`BddManager`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ManagerStats {
@@ -589,12 +607,13 @@ impl BddManager {
     /// until the next explicit [`Self::collect_garbage`], which is what
     /// makes the mid-workload reclaim sound: any edge a caller can hold is
     /// a constant, a literal, `Func`-pinned, or the pinned result of a
-    /// completed operation.
-    pub(crate) fn recover(
+    /// completed operation. An operation with several results (the §2.3
+    /// union step returns three edges) pins each of them.
+    pub(crate) fn recover<T: Edges>(
         &mut self,
         roots: &[Bdd],
-        mut op: impl FnMut(&mut Self) -> Result<Bdd>,
-    ) -> Result<Bdd> {
+        mut op: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<T> {
         let outermost = self.op_depth == 0;
         self.op_depth += 1;
         let mut r = op(self);
@@ -602,10 +621,9 @@ impl BddManager {
             if matches!(r, Err(BddError::NodeLimit { .. })) && self.reclaim(roots) > 0 {
                 r = op(self);
             }
-            if let Ok(b) = &r {
-                if !b.is_const() {
-                    self.result_pins.push(b.node());
-                }
+            if let Ok(t) = &r {
+                let results = t.edges().iter().filter(|b| !b.is_const());
+                self.result_pins.extend(results.map(|b| b.node()));
             }
         }
         self.op_depth -= 1;

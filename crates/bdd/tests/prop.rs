@@ -498,3 +498,223 @@ fn persistent_cofactor_memo_survives_sweeps_and_reorders() {
         }
     }
 }
+
+/// The closed forms of one §2.3 union step, on one point:
+/// `(f, g, fˣ, gˣ, v) ↦ (h, fˣ', gˣ')`.
+fn union_closed_forms([f, g, fx, gx, v]: [bool; 5]) -> [bool; 3] {
+    let maj = (f && g) || (v && (f || g));
+    let h = if gx {
+        f
+    } else if fx {
+        g
+    } else {
+        maj
+    };
+    let fx1 = fx || (!gx && f != g && v == g);
+    let gx1 = gx || (!fx && f != g && v == f);
+    [h, fx1, gx1]
+}
+
+/// Random operands of one union step that satisfy the kernel's
+/// invariants, as formulas. With `v` the choice variable and every part
+/// read at `v = 0` (so no part depends on `v`):
+///
+/// * `f = a ∨ (v ∧ b)` and `g = c ∨ (v ∧ d)` are monotone in `v`;
+/// * `fˣ = x ∧ y` and `gˣ = ¬x ∧ z` are disjoint, or one of them is `⊤`
+///   and the other `⊥`, or both are `⊥`.
+///
+/// `g` often shares a part with `f`, so the walk meets identical
+/// sub-operands (and sometimes `f = g` outright).
+struct UnionCase {
+    v: u32,
+    /// `a, b, c, d, x, y, z`.
+    parts: [Expr; 7],
+    /// 0–1: general exclusions; 2: `fˣ = ⊤`; 3: `gˣ = ⊤`; 4: both `⊥`.
+    shape: u64,
+}
+
+impl UnionCase {
+    fn random(rng: &mut Rng, nvars: u32) -> UnionCase {
+        let mut parts: [Expr; 7] = std::array::from_fn(|_| Expr::random(rng, nvars, 4));
+        if rng.flip() {
+            parts[2] = parts[0].clone();
+        }
+        if rng.flip() {
+            parts[3] = parts[1].clone();
+        }
+        UnionCase {
+            v: rng.below(u64::from(nvars)) as u32,
+            parts,
+            shape: rng.below(5),
+        }
+    }
+
+    /// `[f, g, fˣ, gˣ, v]` on one point.
+    fn eval(&self, asg: &[bool]) -> [bool; 5] {
+        let mut at0 = asg.to_vec();
+        at0[self.v as usize] = false;
+        let [a, b, c, d, x, y, z] = self.parts.each_ref().map(|e| e.eval(&at0));
+        let v = asg[self.v as usize];
+        let (fx, gx) = match self.shape {
+            2 => (true, false),
+            3 => (false, true),
+            4 => (false, false),
+            _ => (x && y, !x && z),
+        };
+        [a || (v && b), c || (v && d), fx, gx, v]
+    }
+
+    /// `[f, g, fˣ, gˣ]` as BDDs.
+    fn build(&self, m: &mut BddManager) -> [Bdd; 4] {
+        let v = Var(self.v);
+        let [a, b, c, d, x, y, z] = self.parts.each_ref().map(|e| {
+            let p = e.build(m);
+            m.cofactor(p, v, false).unwrap()
+        });
+        let lit = m.var(v);
+        let vb = m.and(lit, b).unwrap();
+        let f = m.or(a, vb).unwrap();
+        let vd = m.and(lit, d).unwrap();
+        let g = m.or(c, vd).unwrap();
+        let (fx, gx) = match self.shape {
+            2 => (Bdd::TRUE, Bdd::FALSE),
+            3 => (Bdd::FALSE, Bdd::TRUE),
+            4 => (Bdd::FALSE, Bdd::FALSE),
+            _ => {
+                let nx = m.not(x);
+                (m.and(x, y).unwrap(), m.and(nx, z).unwrap())
+            }
+        };
+        [f, g, fx, gx]
+    }
+}
+
+/// Checks every result of `union_step` on `ops` against the closed forms
+/// over all assignments.
+fn check_union_step(m: &mut BddManager, case: &UnionCase, ops: [Bdd; 4], what: &str) {
+    let [f, g, fx, gx] = ops;
+    let (h, fx1, gx1) = m.union_step(f, g, fx, gx, Var(case.v)).unwrap();
+    let overlap = m.and(fx1, gx1).unwrap();
+    assert!(overlap.is_false(), "{what}: updated exclusions overlap");
+    for asg in assignments_over(MEMO_VARS) {
+        let got = [h, fx1, gx1].map(|r| m.eval(r, &asg));
+        let expect = union_closed_forms(case.eval(&asg));
+        assert_eq!(got, expect, "{what}: (h, fˣ', gˣ') at {asg:?}");
+    }
+}
+
+#[test]
+fn union_step_matches_closed_forms_across_sweeps_and_reorders() {
+    // The persistent union memo meets every cache flush point: partial-
+    // root collection, sifting, explicit reorders and cache resizing. An
+    // entry surviving a flush it should not would either reference a
+    // freed slot (residue audit) or serve a recycled slot's function
+    // (truth-table oracle).
+    let mut rng = Rng::new(0x0B1F);
+    let mut memo_hits = 0;
+    for case in 0..24 {
+        let mut m = BddManager::new(MEMO_VARS);
+        let cases: Vec<UnionCase> = (0..4)
+            .map(|_| UnionCase::random(&mut rng, MEMO_VARS))
+            .collect();
+        let mut ops: Vec<[Bdd; 4]> = cases.iter().map(|c| c.build(&mut m)).collect();
+        for step in 0..30 {
+            let live: Vec<Bdd> = ops.iter().flatten().copied().collect();
+            match rng.below(5) {
+                0 => {
+                    let keep: Vec<bool> = ops.iter().map(|_| rng.flip()).collect();
+                    let roots: Vec<Bdd> = (0..ops.len())
+                        .filter(|&i| keep[i])
+                        .flat_map(|i| ops[i])
+                        .collect();
+                    m.collect_garbage(&roots);
+                    for i in (0..ops.len()).filter(|&i| !keep[i]) {
+                        ops[i] = cases[i].build(&mut m);
+                    }
+                }
+                1 => {
+                    m.sift(&live, &SiftConfig::default());
+                }
+                2 => {
+                    let mut order: Vec<u32> = (0..MEMO_VARS).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    m.reorder_to(&order, &live).unwrap();
+                }
+                3 => m.set_cache_limit(if rng.flip() { 1 } else { 1 << 12 }),
+                _ => {}
+            }
+            for (i, c) in cases.iter().enumerate() {
+                check_union_step(
+                    &mut m,
+                    c,
+                    ops[i],
+                    &format!("case {case} step {step} op {i}"),
+                );
+            }
+            let residue = m.audit_cache_residue();
+            assert!(residue.is_empty(), "case {case} step {step}: {residue:?}");
+        }
+        let stats = m.cache_stats();
+        memo_hits += stats.iter().find(|s| s.name == "union").unwrap().hits;
+    }
+    assert!(memo_hits > 0, "the union memo never hit");
+}
+
+#[test]
+fn union_step_memo_keys_on_the_variable_and_both_exclusions() {
+    // Each call differs from the one before it in exactly one of v, fˣ
+    // and gˣ, and its results differ too. A memo key missing that operand
+    // would serve the previous call's entry.
+    let mut m = BddManager::new(3);
+    let x2 = m.var(Var(2));
+    let (f, g) = (Bdd::FALSE, Bdd::TRUE);
+    let calls = [
+        (Bdd::FALSE, Bdd::FALSE, 0),
+        (Bdd::FALSE, Bdd::FALSE, 1), // v changed
+        (x2, Bdd::FALSE, 1),         // fˣ changed
+        (Bdd::FALSE, x2, 1),         // gˣ changed
+    ];
+    for (fx, gx, v) in calls {
+        let (h, fx1, gx1) = m.union_step(f, g, fx, gx, Var(v)).unwrap();
+        for asg in assignments_over(3) {
+            let point = [
+                false,
+                true,
+                m.eval(fx, &asg),
+                m.eval(gx, &asg),
+                asg[v as usize],
+            ];
+            let got = [h, fx1, gx1].map(|r| m.eval(r, &asg));
+            assert_eq!(
+                got,
+                union_closed_forms(point),
+                "v{v}, fˣ {fx:?}, gˣ {gx:?} at {asg:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn union_step_on_constant_operands_matches_closed_forms() {
+    // Every constant operand tuple with disjoint exclusions, v the
+    // literal: the kernel's terminal cases and its split on v alone.
+    let mut m = BddManager::new(1);
+    let c = |b: bool| if b { Bdd::TRUE } else { Bdd::FALSE };
+    for bits in 0..16u32 {
+        let [f, g, fx, gx] = [0, 1, 2, 3].map(|i| bits & (1 << i) != 0);
+        if fx && gx {
+            continue;
+        }
+        let (h, fx1, gx1) = m.union_step(c(f), c(g), c(fx), c(gx), Var(0)).unwrap();
+        for v in [false, true] {
+            let got = [h, fx1, gx1].map(|r| m.eval(r, &[v]));
+            assert_eq!(
+                got,
+                union_closed_forms([f, g, fx, gx, v]),
+                "{bits:04b} v={v}"
+            );
+        }
+    }
+}

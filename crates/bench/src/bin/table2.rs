@@ -2,8 +2,15 @@
 //! benchmark suite and fixed variable orders, comparing the
 //! characteristic-function baseline (IWLS95 partitioned transition
 //! relations — the paper's "VIS-IWLS" column) with the Boolean functional
-//! vector engine, reporting run time, peak live BDD nodes and the
+//! vector engine, reporting run time, peak BDD nodes and the
 //! `T.O.`/`M.O.` outcomes.
+//!
+//! The peak column is the manager's arena high-water mark
+//! (`BddManager::peak_nodes`), not a count of live nodes: it includes
+//! garbage the per-iteration collection has not yet swept, and that
+//! collection is deferred while the arena is below
+//! `BddManager::GC_DEFER_FLOOR` nodes (or half the node limit). A run
+//! whose live graph stays small therefore reports roughly the floor.
 //!
 //! ```sh
 //! cargo run --release -p bfvr-bench --bin table2 \

@@ -35,82 +35,63 @@ use crate::{Result, Space};
 /// ```
 ///
 /// Walks the components in weight order, maintaining the *exclusion
-/// conditions* `f^x, g^x`: once a selection step commits to a bit value
+/// conditions* `fˣ, gˣ`: once a selection step commits to a bit value
 /// that one operand cannot produce, that operand is excluded and the
 /// remaining selection tracks the other. A bit is forced in the union only
 /// if it is forced to that value in both operands, or in the only operand
 /// not yet excluded.
 ///
-/// Two facts about canonical operands keep the walk short:
+/// Each component is one call of the five-operand kernel
+/// [`BddManager::union_step`], which computes the paper's recurrence
+/// through its pointwise closed forms in one Shannon expansion, with no
+/// cofactors and no intermediate BDDs:
 ///
-/// * Each component is monotone in its own choice variable
-///   (`f_i|v_i=0 ≤ f_i|v_i=1`), so its forced conditions are disjoint. An
-///   identical pair `f_i = g_i` therefore yields `h_i = f_i` and leaves
-///   both exclusions unchanged, whatever they are: the component is
-///   carried through without a BDD operation. Raw simulation components
-///   under re-parameterization (§2.6) do not depend on the output space's
-///   choice variables at all, so this holds for them too.
-/// * The exclusions are disjoint (`f^x ∧ g^x = ⊥`), which makes the
-///   union's forced conditions disjoint, so the component is assembled
-///   with a single `ite` on its choice variable.
+/// ```text
+/// h_i  = ite(gˣ, f_i, ite(fˣ, g_i, MAJ(f_i, g_i, v_i)))
+/// fˣ' = fˣ ∨ (¬gˣ ∧ (f_i ⊕ g_i) ∧ (v_i ↔ g_i))
+/// gˣ' = gˣ ∨ (¬fˣ ∧ (f_i ⊕ g_i) ∧ (v_i ↔ f_i))
+/// ```
+///
+/// The closed forms equal the forced-condition recurrence under three
+/// invariants, all of which the walk keeps:
+///
+/// * each component is monotone in its own choice variable
+///   (`f_i|v_i=0 ≤ f_i|v_i=1`), as in every canonical vector. Raw
+///   simulation components under re-parameterization (§2.6) do not
+///   depend on the output space's choice variables at all, so this holds
+///   for them too;
+/// * the exclusions entering component `i` read only earlier choice
+///   variables (and parameters), never `v_i`;
+/// * the exclusions are disjoint (`fˣ ∧ gˣ = ⊥`).
+///
+/// Where the operands agree — `f_i = g_i`, or any pair of sub-nodes the
+/// kernel reaches — the component is carried through and the exclusions
+/// are left as they are, without further work. The union of the two
+/// cofactors `N|p=0, N|p=1` that §2.6 takes per eliminated parameter
+/// shares most of its subgraphs, so most of each walk ends there.
 ///
 /// # Errors
 ///
 /// Fails on BDD resource-limit exhaustion.
 pub fn union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv> {
-    let n = space.len();
     let mut fx = Bdd::FALSE; // F excluded
     let mut gx = Bdd::FALSE; // G excluded
-    let mut comps = Vec::with_capacity(n);
-    for i in 0..n {
-        let (fi, gi) = (f.component(i), g.component(i));
-        // Identical components: h¹ = f¹ and h⁰ = f⁰, so h = f_i, and
-        // neither exclusion changes (see above).
-        if fi == gi {
-            comps.push(fi);
-            continue;
-        }
-        let v = space.var(i);
-        let (f1, f0) = forced(m, fi, v)?;
-        let (g1, g0) = forced(m, gi, v)?;
-        // h¹ = f¹g¹ ∨ f¹gˣ ∨ fˣg¹ ;  h⁰ symmetrically.
-        let h1 = three_way(m, f1, g1, fx, gx)?;
-        let h0 = three_way(m, f0, g0, fx, gx)?;
-        // h = h¹ ∨ (¬h¹ ∧ ¬h⁰ ∧ v) = ite(v, ¬h⁰, h¹), as h¹ ∧ h⁰ = ⊥.
-        let vv = m.var(v);
-        let nh0 = m.not(h0);
-        let h = m.ite(vv, nh0, h1)?;
-        // Exclusion update: an operand drops out when the selected bit
-        // contradicts its forced value.
-        fx = exclude(m, fx, f1, f0, h)?;
-        gx = exclude(m, gx, g1, g0, h)?;
+    let mut comps = Vec::with_capacity(space.len());
+    for i in 0..space.len() {
+        let (h, fx1, gx1) = m.union_step(f.component(i), g.component(i), fx, gx, space.var(i))?;
+        (fx, gx) = (fx1, gx1);
         comps.push(h);
     }
     Bfv::from_components(space, comps)
 }
 
 /// The forced conditions `(f¹, f⁰) = (f|v=0, ¬f|v=1)` of a component —
-/// all that union and intersection read of [`Conditions`], without the
+/// all that intersection reads of [`Conditions`], without the
 /// free-choice conjunction.
 fn forced(m: &mut BddManager, f: Bdd, v: Var) -> Result<(Bdd, Bdd)> {
     let lo = m.cofactor(f, v, false)?;
     let hi = m.cofactor(f, v, true)?;
     Ok((lo, m.not(hi)))
-}
-
-/// `a·b ∨ a·(other excluded) ∨ (own excluded)·b = ite(a, b ∨ bˣ, aˣ·b)`
-/// for the union's forced conditions.
-fn three_way(m: &mut BddManager, a: Bdd, b: Bdd, ax: Bdd, bx: Bdd) -> Result<Bdd> {
-    let hi = m.or(b, bx)?;
-    let lo = m.and(ax, b)?;
-    m.ite(a, hi, lo).map_err(Into::into)
-}
-
-/// `x' = x ∨ (forced0 ∧ h) ∨ (forced1 ∧ ¬h) = ite(h, x ∨ forced0, x ∨ forced1)`.
-fn exclude(m: &mut BddManager, x: Bdd, one: Bdd, zero: Bdd, h: Bdd) -> Result<Bdd> {
-    let hi = m.or(x, zero)?;
-    let lo = m.or(x, one)?;
-    m.ite(h, hi, lo).map_err(Into::into)
 }
 
 /// Set intersection `F ∩ G` (paper §2.4); `None` when empty.

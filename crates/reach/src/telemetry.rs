@@ -115,6 +115,11 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
             "cache.subst.hits",
             "cache.subst.entries",
         ),
+        "union" => (
+            "cache.union.lookups",
+            "cache.union.hits",
+            "cache.union.entries",
+        ),
         _ => return None,
     })
 }
