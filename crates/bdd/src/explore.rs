@@ -84,17 +84,19 @@ impl BddManager {
     /// The set of variables `f` depends on.
     pub fn support(&self, f: Bdd) -> Support {
         let mut sup = Support::empty(self.num_vars());
-        let mut seen = crate::hash::FxHashSet::default();
-        let mut stack = vec![f];
-        while let Some(g) = stack.pop() {
-            // Deduplicate by node, not edge: f and ¬f have identical support.
-            if g.is_const() || !seen.insert(g.node()) {
-                continue;
+        self.walk(|w| {
+            // By node, not edge: f and ¬f have identical support.
+            w.stack.push(f.node());
+            while let Some(i) = w.stack.pop() {
+                if i == 0 || !w.insert(i) {
+                    continue;
+                }
+                let n = self.arena.get(i);
+                sup.set(self.level2var[n.var as usize]);
+                w.stack.push(n.lo >> 1);
+                w.stack.push(n.hi >> 1);
             }
-            sup.set(self.top_var(g).0);
-            stack.push(self.low(g));
-            stack.push(self.high(g));
-        }
+        });
         sup
     }
 

@@ -166,6 +166,45 @@ pub struct BddManager {
     /// (see [`BddManager::set_cancel_token`]). The manager itself stays
     /// `!Send`; only this flag is shared across threads.
     cancel: Option<Arc<AtomicBool>>,
+    /// Visited-set of the read-only walks ([`Self::live_from`],
+    /// [`Self::support`]); a `RefCell` because those walks take `&self`.
+    /// They never nest, so the borrow cannot fail.
+    walk: RefCell<WalkMarks>,
+}
+
+/// An epoch-stamped visited-set over arena slots, plus the walk's stack.
+/// Starting a walk bumps the epoch instead of clearing the stamps, so a
+/// walk costs O(nodes visited), not O(arena).
+#[derive(Debug, Default)]
+pub(crate) struct WalkMarks {
+    epoch: u32,
+    stamps: Vec<u32>,
+    /// Pending node indices; empty between walks.
+    pub(crate) stack: Vec<u32>,
+}
+
+impl WalkMarks {
+    /// Forgets every mark and sizes the stamps for `slots` arena slots.
+    fn begin(&mut self, slots: usize) {
+        if self.stamps.len() < slots {
+            self.stamps.resize(slots, 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.stack.clear();
+    }
+
+    /// Marks slot `i`; `false` if this walk had already marked it.
+    #[inline]
+    pub(crate) fn insert(&mut self, i: u32) -> bool {
+        let stamp = &mut self.stamps[i as usize];
+        let fresh = *stamp != self.epoch;
+        *stamp = self.epoch;
+        fresh
+    }
 }
 
 impl BddManager {
@@ -197,6 +236,7 @@ impl BddManager {
             alloc_seq: 0,
             deadline_checks: Cell::new(0),
             cancel: None,
+            walk: RefCell::default(),
         };
         for v in 0..num_vars {
             // A fresh manager has no limits or faults armed and the index
@@ -793,22 +833,30 @@ impl BddManager {
     /// counting is by node, not by edge — `f` and `¬f` contribute the same
     /// shared structure.
     pub fn live_from(&self, roots: &[Bdd]) -> usize {
-        let mut mark = vec![false; self.arena.len()];
-        let mut stack: Vec<u32> = roots.iter().map(|b| b.node()).collect();
-        let mut count = 0;
-        while let Some(i) = stack.pop() {
-            if mark[i as usize] {
-                continue;
+        self.walk(|w| {
+            w.stack.extend(roots.iter().map(|b| b.node()));
+            let mut count = 0;
+            while let Some(i) = w.stack.pop() {
+                if !w.insert(i) {
+                    continue;
+                }
+                let n = self.arena.get(i);
+                if n.var < self.num_vars {
+                    count += 1;
+                    w.stack.push(n.lo >> 1);
+                    w.stack.push(n.hi >> 1);
+                }
             }
-            mark[i as usize] = true;
-            let n = self.arena.get(i);
-            if n.var < self.num_vars {
-                count += 1;
-                stack.push(n.lo >> 1);
-                stack.push(n.hi >> 1);
-            }
-        }
-        count
+            count
+        })
+    }
+
+    /// Runs a read-only walk with the manager's visited-set, emptied.
+    /// Walks must not nest (none calls another).
+    pub(crate) fn walk<R>(&self, f: impl FnOnce(&mut WalkMarks) -> R) -> R {
+        let mut w = self.walk.borrow_mut();
+        w.begin(self.arena.len());
+        f(&mut w)
     }
 
     /// Checks whether the node slot behind `f` is live (not freed).
@@ -979,6 +1027,30 @@ mod tests {
         assert_eq!(m.live_from(&[Bdd::TRUE]), 0);
         // f and ¬f are one subgraph under complement edges.
         assert_eq!(m.live_from(&[f, m.not(f)]), 2);
+    }
+
+    #[test]
+    fn walks_stay_exact_across_arena_growth_and_epoch_wrap() {
+        let mut m = BddManager::new(6);
+        let lits: Vec<Bdd> = (0..6).map(|v| m.var(Var(v))).collect();
+        let mut f = lits[0];
+        for (i, &l) in lits.iter().enumerate().skip(1) {
+            f = if i % 2 == 0 {
+                m.and(f, l).unwrap()
+            } else {
+                m.xor(f, l).unwrap()
+            };
+            // Each walk sees the arena as it is now, garbage included.
+            assert_eq!(m.size(f), m.export_dag(&[f]).nodes.len());
+            assert_eq!(m.support(f).len(), i + 1);
+        }
+        let size = m.size(f);
+        m.walk.borrow_mut().epoch = u32::MAX - 1;
+        for _ in 0..4 {
+            assert_eq!(m.size(f), size);
+            assert_eq!(m.shared_size(&[f, m.not(f)]), size);
+            assert_eq!(m.support(f).len(), 6);
+        }
     }
 
     #[test]

@@ -19,10 +19,12 @@
 //! Swapping levels `x` and `y = x + 1` therefore means: after the swap,
 //! label `x` tests the variable formerly at `y` and vice versa.
 //!
+//! * The two levels' unique subtables trade places in O(1): a subtable
+//!   is keyed on `(lo, hi)` only, so it travels with its variable.
 //! * Nodes at `y` keep their children (all below `y`) and are relabeled
-//!   `x` — same slot, same function.
+//!   `x` — same slot, same key, same function.
 //! * Nodes at `x` with **no** child at `y` are relabeled `y` — same
-//!   slot, same function.
+//!   slot, same key, same function.
 //! * Nodes at `x` with a child at `y` ("interacting") are rewritten in
 //!   place: with `F = ite(v_x, H, L)` and cofactors taken against the
 //!   old level `y`, the slot becomes `ite(v_y, A, B)` where
@@ -31,11 +33,30 @@
 //!   therefore `A` are regular — the rewritten slot never needs a
 //!   complement flip its parents could not see.
 //!
+//! So a swap costs one sequential walk over the two levels' entries
+//! (relabels) plus hashing for the interacting nodes only: each leaves
+//! the `y` subtable, probes for its two new children in one
+//! find-or-insert each, and is reinserted at `x`. After the swap both
+//! touched subtables are compacted by the unique table's `< 1/8` rule,
+//! so the next walk over them costs O(population).
+//!
 //! All functions are preserved, so the distinct-function invariant keeps
 //! every per-level unique subtable collision-free. Nodes of the old `y`
 //! level whose only parents were rewritten away are freed through a
 //! sift-local reference counter (external roots — `Func` handles, result
 //! pins, literals, caller roots — hold one permanent count each).
+//!
+//! **Frees come before allocations.** The kernel first holds every
+//! cofactor of every interacting node with a temporary count, then
+//! releases all their old child edges (freeing the old `y` nodes that
+//! lost their last parent), then builds the new level-`y` nodes, and
+//! only then drops the temporary counts. Every cofactor ends up a child
+//! of a new node (or the new child itself), so that last step frees
+//! nothing, and a swap never holds more than `max(before, after)` nodes.
+//! The live size between swaps is canonical — exactly the nodes
+//! reachable from the external roots under the current order — so the
+//! order of frees and allocations inside a swap moves only the arena's
+//! high-water mark, never a sift decision.
 //!
 //! The computed caches key on node indices whose labels and liveness
 //! change across a pass, so the manager invalidates them wholesale when
@@ -43,14 +64,16 @@
 //!
 //! # The sifting pass
 //!
-//! [`BddManager::sift`] is Rudell's algorithm: visit variables in
-//! descending order of their level population; move each through the
-//! whole order by adjacent swaps (toward the nearer end first),
-//! remembering the position with the fewest total live nodes and
-//! aborting a direction once the graph grows past
-//! `max_growth ×` the size at the variable's start; finally return the
-//! variable to its best position. `converge` repeats whole passes until
-//! a pass stops improving.
+//! [`BddManager::sift`] is Rudell's algorithm (ICCAD 1993): visit
+//! variables in descending order of their level population; move each
+//! through the whole order by adjacent swaps (toward the nearer end
+//! first), remembering the position with the fewest total live nodes and
+//! aborting a direction once the graph grows past `max_growth ×` the size
+//! at the variable's start; finally return the variable to its best
+//! position. `converge` repeats whole passes until a pass stops
+//! improving.
+//!
+//! [`BddManager::reorder_to`] uses the same kernel.
 
 use std::cmp::Reverse;
 
@@ -128,7 +151,7 @@ impl BddManager {
         if n < 2 {
             return stats;
         }
-        let mut refs = self.build_sift_refs(roots);
+        let mut st = SiftState::new(self, roots);
         loop {
             stats.passes += 1;
             let pass_start = self.allocated();
@@ -142,7 +165,7 @@ impl BddManager {
                     deadline_hit = true;
                     break;
                 }
-                self.sift_one(v, cfg.max_growth, &mut refs, &mut stats);
+                self.sift_one(v, cfg.max_growth, &mut st, &mut stats);
             }
             let pass_end = self.allocated();
             if deadline_hit || !cfg.converge || pass_end >= pass_start || stats.passes >= 8 {
@@ -196,7 +219,7 @@ impl BddManager {
         }
         let mark = self.mark_from(self.root_indices(roots, true));
         self.sweep(&mark);
-        let mut refs = self.build_sift_refs(roots);
+        let mut st = SiftState::new(self, roots);
         // Selection sort by adjacent swaps: bubble each target variable
         // up to its level, top down. O(n²) swaps worst case, which is
         // fine for checkpoint restore (it runs once per resume).
@@ -209,7 +232,7 @@ impl BddManager {
                 if !self.swap_has_headroom(cur - 1) {
                     return Err(BddError::Capacity);
                 }
-                self.swap_levels(cur - 1, &mut refs);
+                self.swap_levels(cur - 1, &mut st);
                 moved = true;
                 cur -= 1;
             }
@@ -225,7 +248,7 @@ impl BddManager {
 
     /// Sifts variable `v` through the order and leaves it at the best
     /// position seen. Updates swap/abort counters in `stats`.
-    fn sift_one(&mut self, v: u32, max_growth: f64, refs: &mut Vec<u32>, stats: &mut SiftStats) {
+    fn sift_one(&mut self, v: u32, max_growth: f64, st: &mut SiftState, stats: &mut SiftStats) {
         let n = self.num_vars();
         let start = self.var2level[v as usize];
         let mut best = self.allocated();
@@ -247,7 +270,7 @@ impl BddManager {
                     stats.aborted += 1;
                     break;
                 }
-                self.swap_levels(x, refs);
+                self.swap_levels(x, st);
                 stats.swaps += 1;
                 cur = if down { cur + 1 } else { cur - 1 };
                 let size = self.allocated();
@@ -270,7 +293,7 @@ impl BddManager {
                 stats.aborted += 1;
                 return;
             }
-            self.swap_levels(x, refs);
+            self.swap_levels(x, st);
             stats.swaps += 1;
             cur = if cur < best_level { cur + 1 } else { cur - 1 };
         }
@@ -289,91 +312,76 @@ impl BddManager {
         self.arena.headroom() >= 2 * self.level_population(x) + 2
     }
 
-    /// Sift-local reference counts: one per parent edge over the live
-    /// graph, plus one permanent count per external root (caller roots,
-    /// `Func` handles, result pins, literals). External counts are never
-    /// decremented, so externally visible nodes can never be freed by a
-    /// swap.
-    fn build_sift_refs(&self, roots: &[Bdd]) -> Vec<u32> {
-        let mut refs = vec![0u32; self.arena.len()];
-        for i in 1..self.arena.len() as u32 {
-            if !self.arena.is_live_slot(i) {
-                continue;
-            }
-            let n = self.arena.get(i);
-            if n.var < self.num_vars() {
-                refs[(n.lo >> 1) as usize] += 1;
-                refs[(n.hi >> 1) as usize] += 1;
-            }
-        }
-        for idx in self.root_indices(roots, true) {
-            refs[idx as usize] = refs[idx as usize].saturating_add(1);
-        }
-        refs
-    }
-
-    /// Exchanges adjacent levels `x` and `y = x + 1` in place. Caller
-    /// guarantees headroom via [`Self::swap_has_headroom`].
-    pub(crate) fn swap_levels(&mut self, x: u32, refs: &mut Vec<u32>) {
+    /// Exchanges adjacent levels `x` and `y = x + 1` in place (see the
+    /// module docs). Caller guarantees headroom via
+    /// [`Self::swap_has_headroom`].
+    pub(crate) fn swap_levels(&mut self, x: u32, st: &mut SiftState) {
         let y = x + 1;
         debug_assert!(y < self.num_vars());
-        let nx = self.unique.take_level(x);
-        let ny = self.unique.take_level(y);
-        // Classify level-x nodes *before* any relabeling: which children
-        // currently live at level y?
-        let mut plain: Vec<(u32, u32, u32)> = Vec::new();
-        let mut interacting: Vec<(u32, u32, u32, bool, bool)> = Vec::new();
-        for (lo, hi, idx) in nx {
-            let lo_y = self.arena.get(lo >> 1).var == y;
-            let hi_y = self.arena.get(hi >> 1).var == y;
-            if lo_y || hi_y {
-                interacting.push((lo, hi, idx, lo_y, hi_y));
-            } else {
-                plain.push((lo, hi, idx));
+        // From here on table `x` holds the old level-y nodes and table `y`
+        // the old level-x nodes, all under their unchanged keys.
+        self.unique.swap_levels(x, y);
+        // Old level-x nodes move down: relabel the non-interacting ones,
+        // and record the interacting ones with their cofactors. Their
+        // children still carry old labels (no child is an old-x node).
+        st.rewrites.clear();
+        for (lo, hi, idx) in self.unique.level_entries(y) {
+            let (l, h) = (Bdd(lo), Bdd(hi));
+            let ln = self.arena.get(l.node());
+            let hn = self.arena.get(h.node());
+            if ln.var != y && hn.var != y {
+                self.arena.set(idx, Node { var: y, lo, hi });
+                continue;
             }
-        }
-        // Old level-y nodes move up: relabel to x in place (children all
-        // below y, so the order invariant holds; functions unchanged).
-        for &(lo, hi, idx) in &ny {
-            let mut n = self.arena.get(idx);
-            n.var = x;
-            self.arena.set(idx, n);
-            self.unique.insert(x, lo, hi, idx);
-        }
-        // Non-interacting level-x nodes move down: relabel to y.
-        for &(lo, hi, idx) in &plain {
-            let mut n = self.arena.get(idx);
-            n.var = y;
-            self.arena.set(idx, n);
-            self.unique.insert(y, lo, hi, idx);
-        }
-        // Interacting nodes are rewritten in place (see module docs).
-        for &(lo, hi, idx, lo_y, hi_y) in &interacting {
-            let l = Bdd(lo);
-            let h = Bdd(hi);
-            let (l0, l1) = if lo_y {
+            let (l0, l1) = if ln.var == y {
                 let c = lo & 1;
-                let ln = self.arena.get(l.node());
                 (Bdd(ln.lo ^ c), Bdd(ln.hi ^ c))
             } else {
                 (l, l)
             };
-            let (h0, h1) = if hi_y {
-                // Canonical form: the stored hi edge is regular.
-                let hn = self.arena.get(h.node());
+            // Canonical form: the stored hi edge is regular.
+            let (h0, h1) = if hn.var == y {
                 (Bdd(hn.lo), Bdd(hn.hi))
             } else {
                 (h, h)
             };
-            let a = self.swap_mk(y, l1, h1, refs);
-            let b = self.swap_mk(y, l0, h0, refs);
+            st.rewrites.push(Rewrite {
+                idx,
+                old: [l, h],
+                cofactors: [l0, l1, h0, h1],
+            });
+        }
+        for r in &st.rewrites {
+            self.unique.remove(y, r.old[0].0, r.old[1].0);
+        }
+        // Old level-y nodes move up (children all below y, so the order
+        // invariant holds; functions unchanged).
+        for (lo, hi, idx) in self.unique.level_entries(x) {
+            self.arena.set(idx, Node { var: x, lo, hi });
+        }
+        // Rewrite the interacting nodes, freeing before allocating.
+        for i in 0..st.rewrites.len() {
+            for c in st.rewrites[i].cofactors {
+                st.hold(c);
+            }
+        }
+        for i in 0..st.rewrites.len() {
+            for e in st.rewrites[i].old {
+                self.sift_release(e, st);
+            }
+        }
+        for i in 0..st.rewrites.len() {
+            let Rewrite { idx, cofactors, .. } = st.rewrites[i];
+            let [l0, l1, h0, h1] = cofactors;
+            let a = self.swap_mk(y, l1, h1, st);
+            let b = self.swap_mk(y, l0, h0, st);
             debug_assert!(
                 !a.is_complemented(),
                 "hi cofactor of a regular hi edge must stay regular"
             );
             debug_assert_ne!(a, b, "interacting node reduced to redundancy");
-            refs[a.node() as usize] += 1;
-            refs[b.node() as usize] += 1;
+            st.hold(a);
+            st.hold(b);
             self.arena.set(
                 idx,
                 Node {
@@ -383,10 +391,14 @@ impl BddManager {
                 },
             );
             self.unique.insert(x, b.0, a.0, idx);
-            // The slot's old edges are gone; release them (possibly
-            // freeing old level-y nodes whose only parents were here).
-            self.sift_deref(l.node(), refs);
-            self.sift_deref(h.node(), refs);
+        }
+        // Every cofactor is now a child of a new node, or one itself, so
+        // dropping the temporary counts frees nothing.
+        for r in &st.rewrites {
+            for c in r.cofactors.iter().filter(|c| !c.is_const()) {
+                st.refs[c.node() as usize] -= 1;
+                debug_assert!(st.refs[c.node() as usize] > 0, "cofactor lost");
+            }
         }
         // Finally flip the level↔variable maps.
         let vx = self.level2var[x as usize];
@@ -395,13 +407,16 @@ impl BddManager {
         self.level2var[y as usize] = vx;
         self.var2level[vx as usize] = y;
         self.var2level[vy as usize] = x;
+        self.unique.compact_level(x);
+        self.unique.compact_level(y);
     }
 
     /// Hash-consing `mk` used inside a swap: same reduction and
-    /// complement canonicalization as [`Self::mk`], but maintains the
-    /// sift-local refcounts, never consults the computed caches, and is
-    /// infallible (the caller pre-checked arena headroom).
-    fn swap_mk(&mut self, lvl: u32, lo: Bdd, hi: Bdd, refs: &mut Vec<u32>) -> Bdd {
+    /// complement canonicalization as [`Self::mk`], but it probes the
+    /// unique table once (find-or-insert), maintains the sift-local
+    /// refcounts, never consults the computed caches, and is infallible
+    /// (the caller pre-checked arena headroom).
+    fn swap_mk(&mut self, lvl: u32, lo: Bdd, hi: Bdd, st: &mut SiftState) -> Bdd {
         if lo == hi {
             return lo;
         }
@@ -412,10 +427,9 @@ impl BddManager {
         };
         debug_assert!(self.arena.get(lo.node()).var > lvl);
         debug_assert!(self.arena.get(hi.node()).var > lvl);
-        let r = if let Some(idx) = self.unique.get(lvl, lo.0, hi.0) {
-            Bdd(idx << 1)
-        } else {
-            let idx = match self.arena.alloc(Node {
+        let arena = &mut self.arena;
+        let (idx, made) = self.unique.find_or_insert(lvl, lo.0, hi.0, || {
+            match arena.alloc(Node {
                 var: lvl,
                 lo: lo.0,
                 hi: hi.0,
@@ -424,17 +438,18 @@ impl BddManager {
                 // swap_has_headroom reserved space for every allocation
                 // this swap can make.
                 Err(_) => unreachable!("swap headroom pre-checked"),
-            };
-            if idx as usize >= refs.len() {
-                refs.resize(idx as usize + 1, 0);
+            }
+        });
+        if made {
+            if idx as usize >= st.refs.len() {
+                st.refs.resize(idx as usize + 1, 0);
             }
             // The slot may be recycled: reset before counting children.
-            refs[idx as usize] = 0;
-            refs[(lo.0 >> 1) as usize] += 1;
-            refs[(hi.0 >> 1) as usize] += 1;
-            self.unique.insert(lvl, lo.0, hi.0, idx);
-            Bdd(idx << 1)
-        };
+            st.refs[idx as usize] = 0;
+            st.hold(lo);
+            st.hold(hi);
+        }
+        let r = Bdd(idx << 1);
         if neg {
             r.complement()
         } else {
@@ -442,23 +457,85 @@ impl BddManager {
         }
     }
 
-    /// Releases one reference to the node at `idx`, freeing it (and
+    /// Releases one reference to the node behind `e`, freeing it (and
     /// cascading into its children) when the count reaches zero.
-    fn sift_deref(&mut self, idx: u32, refs: &mut [u32]) {
-        let mut stack = vec![idx];
-        while let Some(i) = stack.pop() {
+    fn sift_release(&mut self, e: Bdd, st: &mut SiftState) {
+        st.stack.push(e.node());
+        while let Some(i) = st.stack.pop() {
             if i == 0 {
                 continue; // the terminal is never counted or freed
             }
-            debug_assert!(refs[i as usize] > 0, "sift refcount underflow");
-            refs[i as usize] -= 1;
-            if refs[i as usize] == 0 {
+            debug_assert!(st.refs[i as usize] > 0, "sift refcount underflow");
+            st.refs[i as usize] -= 1;
+            if st.refs[i as usize] == 0 {
                 let n = self.arena.get(i);
                 self.unique.remove(n.var, n.lo, n.hi);
                 self.arena.free(i);
-                stack.push(n.lo >> 1);
-                stack.push(n.hi >> 1);
+                st.stack.push(n.lo >> 1);
+                st.stack.push(n.hi >> 1);
             }
+        }
+    }
+}
+
+/// Sift-local state of one reorder: the reference counts and the swap
+/// kernel's reusable buffers, so that once the buffers have grown a swap
+/// makes no heap allocation.
+pub(crate) struct SiftState {
+    /// One count per parent edge over the live graph, plus one permanent
+    /// count per external root (caller roots, `Func` handles, result
+    /// pins, literals). External counts are never released, so externally
+    /// visible nodes can never be freed by a swap. The terminal is never
+    /// counted.
+    refs: Vec<u32>,
+    /// Pending nodes of a release cascade.
+    stack: Vec<u32>,
+    /// The current swap's interacting nodes.
+    rewrites: Vec<Rewrite>,
+}
+
+/// One interacting node of a swap.
+#[derive(Clone, Copy)]
+struct Rewrite {
+    /// Its slot.
+    idx: u32,
+    /// Its old `[lo, hi]` edges.
+    old: [Bdd; 2],
+    /// `[L₀, L₁, H₀, H₁]`: its old children's cofactors against the old
+    /// level `y`.
+    cofactors: [Bdd; 4],
+}
+
+impl SiftState {
+    /// Counts the live graph of `m` after its entry collection; `roots`
+    /// as for [`BddManager::sift`].
+    pub(crate) fn new(m: &BddManager, roots: &[Bdd]) -> Self {
+        let mut st = SiftState {
+            refs: vec![0u32; m.arena.len()],
+            stack: Vec::new(),
+            rewrites: Vec::new(),
+        };
+        for i in 1..m.arena.len() as u32 {
+            if !m.arena.is_live_slot(i) {
+                continue;
+            }
+            let n = m.arena.get(i);
+            if n.var < m.num_vars() {
+                st.hold(Bdd(n.lo));
+                st.hold(Bdd(n.hi));
+            }
+        }
+        for idx in m.root_indices(roots, true) {
+            st.hold(Bdd(idx << 1));
+        }
+        st
+    }
+
+    /// Adds one reference to the node behind `e` (none for constants).
+    #[inline]
+    fn hold(&mut self, e: Bdd) {
+        if !e.is_const() {
+            self.refs[e.node() as usize] += 1;
         }
     }
 }
@@ -527,14 +604,14 @@ mod tests {
             let before_g = truth_table(&m, g, n);
             let x = (rng.next() % u64::from(n - 1)) as u32;
             m.collect_garbage(&[f, g]);
-            let mut refs = m.build_sift_refs(&[f, g]);
-            m.swap_levels(x, &mut refs);
+            let mut st = SiftState::new(&m, &[f, g]);
+            m.swap_levels(x, &mut st);
             m.clear_cache();
             assert_eq!(truth_table(&m, f, n), before_f, "case {case} f at x={x}");
             assert_eq!(truth_table(&m, g, n), before_g, "case {case} g at x={x}");
             m.check_invariants().unwrap();
             // Swapping back restores the identity order.
-            m.swap_levels(x, &mut refs);
+            m.swap_levels(x, &mut st);
             m.clear_cache();
             assert!(!m.order_is_permuted());
             assert_eq!(truth_table(&m, f, n), before_f);
@@ -551,11 +628,11 @@ mod tests {
             let roots: Vec<Bdd> = (0..4).map(|_| random_fn(&mut m, n, &mut rng)).collect();
             let tables: Vec<Vec<bool>> = roots.iter().map(|&f| truth_table(&m, f, n)).collect();
             m.collect_garbage(&roots);
-            let mut refs = m.build_sift_refs(&roots);
+            let mut st = SiftState::new(&m, &roots);
             for _ in 0..30 {
                 let x = (rng.next() % u64::from(n - 1)) as u32;
                 assert!(m.swap_has_headroom(x));
-                m.swap_levels(x, &mut refs);
+                m.swap_levels(x, &mut st);
             }
             m.clear_cache();
             for (i, (&f, want)) in roots.iter().zip(tables.iter()).enumerate() {
@@ -735,5 +812,234 @@ mod tests {
         let back = m2.import_dag(&dag).unwrap();
         assert_eq!(truth_table(&m2, back[0], n), table);
         m2.check_invariants().unwrap();
+    }
+
+    /// Random roots over `n` vars: a few random functions plus one
+    /// conjunction of pairs over a shuffled pairing, so that the order
+    /// matters and sifting has real work to do.
+    fn random_roots(m: &mut BddManager, n: u32, rng: &mut XorShift) -> Vec<Bdd> {
+        let mut roots: Vec<Bdd> = (0..1 + rng.next() % 3)
+            .map(|_| random_fn(m, n, rng))
+            .collect();
+        let mut vars: Vec<u32> = (0..n).collect();
+        for i in (1..vars.len()).rev() {
+            vars.swap(i, (rng.next() % (i as u64 + 1)) as usize);
+        }
+        let mut f = Bdd::FALSE;
+        for pair in vars.chunks(2) {
+            let mut t = Bdd::TRUE;
+            for &v in pair {
+                let lit = m.var(Var(v));
+                t = m.and(t, lit).unwrap();
+            }
+            f = m.or(f, t).unwrap();
+        }
+        roots.push(f);
+        // A random truth table over five of the variables: wide levels
+        // whose populations move a lot as a variable passes them.
+        let tt = rng.next();
+        let mut g = Bdd::FALSE;
+        for row in 0..32u32 {
+            if tt & (1 << row) == 0 {
+                continue;
+            }
+            let mut cube = Bdd::TRUE;
+            for (b, &v) in vars.iter().take(5).enumerate() {
+                let lit = if row & (1 << b) != 0 {
+                    m.var(Var(v))
+                } else {
+                    m.nvar(Var(v))
+                };
+                cube = m.and(cube, lit).unwrap();
+            }
+            g = m.or(g, cube).unwrap();
+        }
+        roots.push(g);
+        roots
+    }
+
+    /// Asserts every level's slot array is within 8× its population plus
+    /// the minimum allocation.
+    fn assert_tables_tight(m: &BddManager, ctx: &str) {
+        for lvl in 0..m.num_vars() {
+            let (slots, pop) = (m.unique.level_slots(lvl), m.unique.level_len(lvl));
+            assert!(
+                slots <= 8 * pop + crate::unique::MIN_SLOTS,
+                "{ctx}: level {lvl} holds {pop} entries in {slots} slots"
+            );
+        }
+    }
+
+    #[test]
+    fn swap_frees_before_allocating_and_leaves_no_garbage() {
+        let n = 8u32;
+        let mut rng = XorShift(0x5A1F_0017);
+        let mut grew = 0;
+        for case in 0..20 {
+            let mut m = BddManager::new(n);
+            let roots = random_roots(&mut m, n, &mut rng);
+            let tables: Vec<Vec<bool>> = roots.iter().map(|&f| truth_table(&m, f, n)).collect();
+            m.collect_garbage(&roots);
+            let mut st = SiftState::new(&m, &roots);
+            for step in 0..40 {
+                let x = (rng.next() % u64::from(n - 1)) as u32;
+                m.reset_peak_nodes();
+                let before = m.allocated();
+                m.swap_levels(x, &mut st);
+                let after = m.allocated();
+                grew += usize::from(after > before);
+                assert!(
+                    m.peak_nodes() <= before.max(after),
+                    "case {case} step {step}: peak {} over {before} -> {after}",
+                    m.peak_nodes()
+                );
+                let gc = m.collect_garbage(&roots);
+                assert_eq!(
+                    gc.collected, 0,
+                    "case {case} step {step}: swap left garbage"
+                );
+                assert_tables_tight(&m, &format!("case {case} step {step}"));
+            }
+            m.clear_cache();
+            for (&f, want) in roots.iter().zip(tables.iter()) {
+                assert_eq!(&truth_table(&m, f, n), want, "case {case}");
+            }
+            m.check_invariants().unwrap();
+        }
+        assert!(grew > 0, "some swap must grow the graph");
+    }
+
+    /// Live size and level populations of a fixed set of functions under
+    /// any order, measured without the swap kernel: the roots are
+    /// exported and imported into a fresh manager (its variable `i` is the
+    /// source's level `i`), then rebuilt by `ite` into a fresh identity
+    /// order manager whose variable `l` stands for the candidate order's
+    /// level `l`.
+    struct Reference {
+        src: BddManager,
+        roots: Vec<Bdd>,
+        /// The source's level→variable map at export.
+        level2var: Vec<u32>,
+    }
+
+    impl Reference {
+        fn new(m: &BddManager, roots: &[Bdd]) -> Self {
+            let dag = m.export_dag(roots);
+            let mut src = BddManager::new(m.num_vars());
+            let roots = src.import_dag(&dag).unwrap();
+            Reference {
+                src,
+                roots,
+                level2var: m.level2var.clone(),
+            }
+        }
+
+        /// `(allocated, population per level)` under `order` (level→var).
+        fn measure(&self, order: &[u32]) -> (usize, Vec<usize>) {
+            let n = order.len() as u32;
+            let mut level_of = vec![0u32; order.len()];
+            for (lvl, &v) in order.iter().enumerate() {
+                level_of[v as usize] = lvl as u32;
+            }
+            let map: Vec<Var> = self
+                .level2var
+                .iter()
+                .map(|&v| Var(level_of[v as usize]))
+                .collect();
+            let mut dst = BddManager::new(n);
+            let roots: Vec<Bdd> = self
+                .roots
+                .iter()
+                .map(|&r| dst.transfer_from(&self.src, r, &map).unwrap())
+                .collect();
+            dst.collect_garbage(&roots);
+            let pops = (0..n).map(|lvl| dst.unique.level_len(lvl)).collect();
+            (dst.allocated(), pops)
+        }
+
+        /// Rudell's pass as [`BddManager::sift`] specifies it — same visit
+        /// order, growth limit and strict `<` — over sizes
+        /// from [`Self::measure`]. Returns the final order, its size and
+        /// the swaps the pass makes.
+        fn sift(&self, start: &[u32], cfg: &SiftConfig) -> (Vec<u32>, usize, u64) {
+            let n = start.len() as u32;
+            let mut order = start.to_vec();
+            let mut swaps = 0u64;
+            let mut passes = 0;
+            loop {
+                passes += 1;
+                let (pass_start, pops) = self.measure(&order);
+                let mut visit: Vec<u32> = (0..n).collect();
+                let level_pop = |v: u32| pops[order.iter().position(|&u| u == v).unwrap()];
+                visit.sort_by_key(|&v| Reverse(level_pop(v)));
+                for v in visit {
+                    let start = order.iter().position(|&u| u == v).unwrap() as u32;
+                    let moved = |to: u32| {
+                        let mut o = order.clone();
+                        o.remove(start as usize);
+                        o.insert(to as usize, v);
+                        o
+                    };
+                    let mut best = self.measure(&order).0;
+                    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                    let limit = ((best as f64) * cfg.max_growth.max(1.0)) as usize + 2;
+                    let (mut best_level, mut cur) = (start, start);
+                    let down_first = u64::from(start) * 2 >= u64::from(n - 1);
+                    for phase in 0..2 {
+                        let down = down_first == (phase == 0);
+                        while if down { cur + 1 < n } else { cur > 0 } {
+                            cur = if down { cur + 1 } else { cur - 1 };
+                            swaps += 1;
+                            let size = self.measure(&moved(cur)).0;
+                            if size < best {
+                                best = size;
+                                best_level = cur;
+                            }
+                            if size > limit {
+                                break;
+                            }
+                        }
+                    }
+                    swaps += u64::from(cur.abs_diff(best_level));
+                    order = moved(best_level);
+                }
+                let pass_end = self.measure(&order).0;
+                if !cfg.converge || pass_end >= pass_start || passes >= 8 {
+                    return (order, pass_end, swaps);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sift_matches_the_reference_sifter() {
+        let n = 8u32;
+        let mut rng = XorShift(0x0AC1_E5EE);
+        let mut moved = 0;
+        for case in 0..24 {
+            let mut m = BddManager::new(n);
+            let roots = random_roots(&mut m, n, &mut rng);
+            let tables: Vec<Vec<bool>> = roots.iter().map(|&f| truth_table(&m, f, n)).collect();
+            m.collect_garbage(&roots);
+            let cfg = SiftConfig {
+                max_growth: [1.0, 1.2, 2.0][case % 3],
+                converge: case % 2 == 1,
+            };
+            let reference = Reference::new(&m, &roots);
+            let start = m.level2var.clone();
+            assert_eq!(reference.measure(&start).0, m.allocated(), "case {case}");
+            let (order, after, swaps) = reference.sift(&start, &cfg);
+            let stats = m.sift(&roots, &cfg);
+            assert_eq!(m.level2var, order, "case {case}: final order");
+            assert_eq!(stats.after, after, "case {case}: final size");
+            assert_eq!(stats.swaps, swaps, "case {case}: swaps");
+            moved += usize::from(order != start);
+            m.clear_cache();
+            for (&f, want) in roots.iter().zip(tables.iter()) {
+                assert_eq!(&truth_table(&m, f, n), want, "case {case}");
+            }
+            m.check_invariants().unwrap();
+        }
+        assert!(moved > 0, "no case changed its order");
     }
 }

@@ -4,9 +4,11 @@
 //! `(lo, hi, idx)` entries probed robin-hood style, so `mk`'s hot lookup
 //! is one hash plus a short linear scan over 12-byte entries in one or
 //! two cache lines — no hash-map buckets, no per-entry allocation. The
-//! level never needs to be part of the key, and whole levels can be
-//! enumerated or dropped independently (the hook future dynamic
-//! reordering builds on).
+//! level never needs to be part of the key, so a whole subtable can
+//! change level without rehashing: the dynamic-reordering swap kernel
+//! ([`UniqueTable::swap_levels`]) exchanges two adjacent levels'
+//! subtables in O(1), walks them in place ([`UniqueTable::level_entries`])
+//! and rehashes only the nodes it actually rewrites.
 //!
 //! Robin-hood probing keeps the *variance* of probe lengths small by
 //! letting an inserting entry displace any resident whose own probe
@@ -14,9 +16,11 @@
 //! successors that are out of place slide one slot toward home — so the
 //! table needs no tombstones and garbage collection's many `remove`
 //! calls leave no residue to skip over. After a sweep the manager calls
-//! [`UniqueTable::compact`], which shrinks levels whose occupancy
-//! collapsed, returning the freed memory instead of carrying peak-sized
-//! arrays forever.
+//! [`UniqueTable::compact`], and after every adjacent swap
+//! [`UniqueTable::compact_level`] on the two touched levels; both shrink
+//! a level whose occupancy fell below 1/8, so a level's slot array stays
+//! within 8× its population (plus the minimum allocation) and a walk
+//! over it costs O(population).
 //!
 //! The table stores *node indices*; canonicality of edges (no
 //! complemented `hi`) is the caller's invariant, enforced in
@@ -31,7 +35,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 const EMPTY: u32 = u32::MAX;
 
 /// Slots allocated when a level receives its first entry.
-const MIN_SLOTS: usize = 8;
+pub(crate) const MIN_SLOTS: usize = 8;
 
 /// One stored node: the `(lo, hi)` edge pair and the arena slot holding
 /// the canonical node for it.
@@ -118,14 +122,51 @@ impl LevelTable {
         }
     }
 
+    /// Whether one more entry would push the load past 7/8.
+    #[inline]
+    fn needs_growth(&self) -> bool {
+        self.entries.is_empty() || self.len * 8 >= self.entries.len() * 7
+    }
+
     fn insert(&mut self, lo: u32, hi: u32, idx: u32) {
-        if self.entries.is_empty() || self.len * 8 >= self.entries.len() * 7 {
+        if self.needs_growth() {
+            self.grow();
+        }
+        let home = self.slot_of(lo, hi);
+        self.place(Entry { lo, hi, idx }, home, 0);
+    }
+
+    /// Returns the node stored for `(lo, hi)`, or stores `make()` for it
+    /// and returns that, in one robin-hood probe; the flag says whether
+    /// `make` ran.
+    fn find_or_insert(&mut self, lo: u32, hi: u32, make: impl FnOnce() -> u32) -> (u32, bool) {
+        if self.needs_growth() {
             self.grow();
         }
         let mask = self.entries.len() - 1;
         let mut pos = self.slot_of(lo, hi);
         let mut dist = 0usize;
-        let mut cur = Entry { lo, hi, idx };
+        loop {
+            let e = self.entries[pos];
+            if e.idx != EMPTY && e.lo == lo && e.hi == hi {
+                return (e.idx, false);
+            }
+            if e.idx == EMPTY || self.displacement(pos) < dist {
+                // Absent (see `get`): this slot is where it belongs.
+                let idx = make();
+                self.place(Entry { lo, hi, idx }, pos, dist);
+                return (idx, true);
+            }
+            pos = (pos + 1) & mask;
+            dist += 1;
+        }
+    }
+
+    /// Robin-hood placement of `cur`, which sits `dist` slots from home
+    /// when probing reaches `pos`.
+    #[inline]
+    fn place(&mut self, mut cur: Entry, mut pos: usize, mut dist: usize) {
+        let mask = self.entries.len() - 1;
         loop {
             let e = self.entries[pos];
             if e.idx == EMPTY {
@@ -191,8 +232,9 @@ impl LevelTable {
         self.rebuild(new_len);
     }
 
-    /// Shrinks the slot array after mass deletion (GC sweeps) once the
-    /// occupancy drops below 1/8, keeping headroom for reinsertion.
+    /// Shrinks the slot array after mass deletion (GC sweeps, adjacent
+    /// swaps) once the occupancy drops below 1/8, keeping headroom for
+    /// reinsertion.
     fn compact(&mut self) {
         if self.entries.len() > MIN_SLOTS && self.len * 8 < self.entries.len() {
             let target = (self.len * 2).next_power_of_two().max(MIN_SLOTS);
@@ -212,20 +254,6 @@ impl LevelTable {
                 self.insert(e.lo, e.hi, e.idx);
             }
         }
-    }
-
-    /// Drains every entry, keeping the slot array allocated (the level is
-    /// about to be refilled with a similar population).
-    fn take(&mut self) -> Vec<(u32, u32, u32)> {
-        let mut out = Vec::with_capacity(self.len);
-        for e in &mut self.entries {
-            if e.idx != EMPTY {
-                out.push((e.lo, e.hi, e.idx));
-                *e = EMPTY_ENTRY;
-            }
-        }
-        self.len = 0;
-        out
     }
 }
 
@@ -262,13 +290,34 @@ impl UniqueTable {
         self.levels[var as usize].remove(lo, hi);
     }
 
-    /// Drains one level's entries as `(lo, hi, idx)`, leaving the level
-    /// empty but its slot array allocated. This is the level-granular
-    /// hook the dynamic-reordering swap kernel builds on: an adjacent
-    /// swap takes both levels out, relabels or rewrites their nodes, and
-    /// reinserts the survivors.
-    pub fn take_level(&mut self, var: u32) -> Vec<(u32, u32, u32)> {
-        self.levels[var as usize].take()
+    /// Looks up `(var, lo, hi)` and, if absent, stores `make()` for it —
+    /// one probe either way. Returns the node index and whether `make`
+    /// ran.
+    #[inline]
+    pub fn find_or_insert(
+        &mut self,
+        var: u32,
+        lo: u32,
+        hi: u32,
+        make: impl FnOnce() -> u32,
+    ) -> (u32, bool) {
+        self.levels[var as usize].find_or_insert(lo, hi, make)
+    }
+
+    /// Exchanges the subtables of levels `a` and `b` in O(1). Entries keep
+    /// their `(lo, hi)` keys, so the swap kernel moves a level's nodes to
+    /// the other level without rehashing them.
+    pub fn swap_levels(&mut self, a: u32, b: u32) {
+        self.levels.swap(a as usize, b as usize);
+    }
+
+    /// Every entry at one level as `(lo, hi, idx)`, in slot order.
+    pub fn level_entries(&self, var: u32) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+        self.levels[var as usize]
+            .entries
+            .iter()
+            .filter(|e| e.idx != EMPTY)
+            .map(|e| (e.lo, e.hi, e.idx))
     }
 
     /// Live entries at one level (diagnostics and sift sizing).
@@ -282,6 +331,18 @@ impl UniqueTable {
         for level in &mut self.levels {
             level.compact();
         }
+    }
+
+    /// Shrinks one level if its occupancy collapsed (called by the swap
+    /// kernel on the two levels it touched).
+    pub fn compact_level(&mut self, var: u32) {
+        self.levels[var as usize].compact();
+    }
+
+    /// Slots in one level's array (the swap-kernel tests bound it).
+    #[cfg(test)]
+    pub fn level_slots(&self, var: u32) -> usize {
+        self.levels[var as usize].entries.len()
     }
 
     /// Total entries across all levels (diagnostics only).
@@ -318,12 +379,9 @@ impl UniqueTable {
 
     /// Iterates every entry as `(var, lo, hi, idx)` (diagnostics only).
     pub fn iter(&self) -> impl Iterator<Item = (u32, u32, u32, u32)> + '_ {
-        self.levels.iter().enumerate().flat_map(|(var, table)| {
-            table
-                .entries
-                .iter()
-                .filter(|e| e.idx != EMPTY)
-                .map(move |e| (var as u32, e.lo, e.hi, e.idx))
+        (0..self.levels.len() as u32).flat_map(move |var| {
+            self.level_entries(var)
+                .map(move |(lo, hi, idx)| (var, lo, hi, idx))
         })
     }
 }
@@ -419,5 +477,53 @@ mod tests {
         let mut got: Vec<_> = u.iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![(0, 1, 2, 3), (1, 8, 10, 7)]);
+    }
+
+    #[test]
+    fn find_or_insert_agrees_with_get_then_insert() {
+        let mut u = UniqueTable::new(1);
+        let mut next = 1u32;
+        // Keys drawn from a small range so many lookups hit.
+        let mut x = 0x9E37_79B9u32;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let (lo, hi) = (x % 300, (x >> 9) % 300 + 1000);
+            let expect = u.get(0, lo, hi);
+            let (idx, made) = u.find_or_insert(0, lo, hi, || {
+                next += 1;
+                next
+            });
+            assert_eq!(made, expect.is_none());
+            assert_eq!(idx, expect.unwrap_or(next));
+            assert_eq!(u.get(0, lo, hi), Some(idx));
+        }
+        assert_eq!(u.len(), u.iter().count());
+    }
+
+    #[test]
+    fn swapped_levels_keep_their_keys() {
+        let mut u = UniqueTable::new(2);
+        for i in 0..100u32 {
+            u.insert(0, i, i + 500, i + 1);
+        }
+        u.insert(1, 7, 9, 1000);
+        u.swap_levels(0, 1);
+        assert_eq!(u.level_len(1), 100);
+        assert_eq!(u.level_len(0), 1);
+        assert_eq!(u.get(1, 42, 542), Some(43));
+        assert_eq!(u.get(0, 7, 9), Some(1000));
+        for i in 10..100u32 {
+            u.remove(1, i, i + 500);
+        }
+        u.compact_level(1);
+        assert!(u.level_slots(1) <= 8 * u.level_len(1) + MIN_SLOTS);
+        let mut got: Vec<_> = u.level_entries(1).collect();
+        got.sort_unstable();
+        assert_eq!(
+            got,
+            (0..10).map(|i| (i, i + 500, i + 1)).collect::<Vec<_>>()
+        );
     }
 }

@@ -110,6 +110,14 @@ fn eliminate(
     let mut supports: Vec<Support> = current.components().iter().map(|&c| m.support(c)).collect();
     let mut remaining: Vec<Var> = params.to_vec();
     while !remaining.is_empty() {
+        if supports.iter().all(Support::is_empty) {
+            // A constant vector: nothing left to eliminate. Both schedules
+            // would take the first remaining parameter every time.
+            while !remaining.is_empty() {
+                picked(remaining.swap_remove(0));
+            }
+            break;
+        }
         let idx = match schedule {
             Schedule::Fixed => 0,
             Schedule::DynamicSupport => cheapest_param(m, &current, &supports, &remaining),
@@ -394,6 +402,26 @@ mod tests {
             zero_picks > 0 && ties > 0,
             "{zero_picks} zero picks, {ties} ties"
         );
+    }
+
+    #[test]
+    fn constant_vector_takes_parameters_in_schedule_order() {
+        let space = Space::contiguous(3);
+        let params: Vec<Var> = (3..8).map(Var).collect();
+        let mut m = BddManager::new(8);
+        let n = Bfv::from_components(&space, vec![Bdd::TRUE, Bdd::FALSE, Bdd::TRUE]).unwrap();
+        for schedule in [Schedule::Fixed, Schedule::DynamicSupport] {
+            let mut got = Vec::new();
+            let r = eliminate(&mut m, &space, &n, &params, schedule, |p| got.push(p)).unwrap();
+            let mut expect = Vec::new();
+            let mut remaining = params.clone();
+            while !remaining.is_empty() {
+                let (idx, _) = cheapest_param_from_scratch(&m, &n, &remaining);
+                expect.push(remaining.swap_remove(idx));
+            }
+            assert_eq!(got, expect, "{schedule:?}");
+            assert_eq!(r.components(), n.components());
+        }
     }
 
     #[test]
