@@ -644,11 +644,14 @@ impl BddManager {
     /// second identically.
     ///
     /// A successful outermost result is pinned in [`Self::result_pins`]
-    /// until the next explicit [`Self::collect_garbage`], which is what
-    /// makes the mid-workload reclaim sound: any edge a caller can hold is
-    /// a constant, a literal, `Func`-pinned, or the pinned result of a
-    /// completed operation. An operation with several results (the §2.3
-    /// union step returns three edges) pins each of them.
+    /// until the next collection safepoint — a call to
+    /// [`Self::collect_garbage`] or [`Self::maybe_collect_garbage`],
+    /// whether or not the latter sweeps — which is what makes the
+    /// mid-workload reclaim sound: any edge a caller can hold is a
+    /// constant, a literal, `Func`-pinned, a root listed at the last
+    /// safepoint, or the pinned result of an operation completed since.
+    /// An operation with several results (the §2.3 union step returns
+    /// three edges) pins each of them.
     pub(crate) fn recover<T: Edges>(
         &mut self,
         roots: &[Bdd],
@@ -782,18 +785,25 @@ impl BddManager {
     /// reports `collected: 0` and the garbage-inclusive allocation as
     /// `live`.
     ///
+    /// Every call is a pin safepoint, skipped or not: `roots` lists every
+    /// edge the caller keeps, exactly as for [`Self::collect_garbage`], so
+    /// the result pins of completed operations are dropped either way.
+    /// Deferred garbage therefore stays in the arena only until something
+    /// sweeps — the next collection, a node-limit reclaim, or a
+    /// [`Self::sift`] entry sweep, which then sifts the live graph alone.
+    ///
     /// Purely a memory/performance knob: deferral never changes any
     /// operation's result, and the reclaim-before-fail path still sweeps
     /// on node-limit pressure regardless of this policy.
     ///
     /// An armed [`Self::set_node_limit`] caps the deferral: once the
     /// allocation fills half the budget, collection happens regardless of
-    /// the floor, so deferred garbage (and the result pins only a full
-    /// collection clears) never squeezes a tight budget that per-iteration
-    /// collection would have honored.
+    /// the floor, so deferred garbage never squeezes a tight budget that
+    /// per-iteration collection would have honored.
     pub fn maybe_collect_garbage(&mut self, roots: &[Bdd]) -> GcStats {
         let allocated = self.allocated();
         if allocated < Self::GC_DEFER_FLOOR.min(self.node_limit / 2) {
+            self.result_pins.clear();
             return GcStats {
                 collected: 0,
                 live: allocated,
@@ -1106,6 +1116,34 @@ mod tests {
         assert_eq!(stats.reclaim_attempts, 1);
         assert!(stats.reclaimed_nodes >= 1);
         assert_eq!(stats.gc_runs, 1, "reclaim is not an explicit collection");
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn deferred_gc_lets_a_node_limit_reclaim_free_dropped_results() {
+        let mut m = BddManager::new(8);
+        let a = m.var(Var(0));
+        let b = m.var(Var(1));
+        let c = m.var(Var(2));
+        let d = m.var(Var(3));
+        // Completed results the caller does not list at the safepoint.
+        let base = m.allocated();
+        let ab = m.xor(a, b).unwrap();
+        let cd = m.xor(c, d).unwrap();
+        let dropped = m.allocated() - base;
+        let gc = m.maybe_collect_garbage(&[]);
+        assert_eq!(gc.collected, 0, "below the floor the sweep defers");
+        assert!(m.is_live(ab) && m.is_live(cd));
+        // No headroom: and(a, c) fits only once the reclaim pass frees
+        // the results the deferred safepoint unpinned.
+        let limit = m.allocated();
+        m.set_node_limit(limit);
+        let r = m.and(a, c).unwrap();
+        assert_eq!(m.low(r), Bdd::FALSE);
+        let stats = m.stats();
+        assert_eq!(stats.reclaim_attempts, 1);
+        assert_eq!(stats.reclaimed_nodes, dropped as u64);
+        assert_eq!(stats.gc_runs, 0, "the safepoint itself never swept");
         m.check_invariants().unwrap();
     }
 

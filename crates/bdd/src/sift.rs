@@ -133,8 +133,12 @@ impl BddManager {
     /// caller-held edges remain valid and denote the same functions —
     /// only the order (and therefore node count) changes.
     ///
-    /// Runs a full collection first so sizes reflect live nodes, and
-    /// invalidates the computed caches at the end. Resource limits are
+    /// Sweeps first, so the sizes it reports and minimises count only
+    /// the nodes reachable from `roots`, `Func` handles, literals and the
+    /// results of operations completed since the last collection
+    /// safepoint ([`maybe_collect_garbage`](Self::maybe_collect_garbage)
+    /// drops those pins even when it defers its sweep). It invalidates
+    /// the computed caches at the end. Resource limits are
     /// *not* consulted (callers suspend/restore them around the call,
     /// like the driver's checkpoint hook); the armed deadline is polled
     /// between variables and ends the pass early but cleanly.
@@ -730,6 +734,39 @@ mod tests {
         let _ = m.sift(&[g], &SiftConfig::default());
         assert!(m.is_live(f), "Func handle must protect its node");
         assert_eq!(truth_table(&m, f, n), table_f);
+        drop(h);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sift_after_a_deferred_gc_sizes_only_the_live_graph() {
+        let n = 12u32;
+        let mut rng = XorShift(0x5AFE_0001);
+        let mut m = BddManager::new(n);
+        let keep = random_fn(&mut m, n, &mut rng);
+        let held = random_fn(&mut m, n, &mut rng);
+        let h = m.func(held);
+        // Results of completed operations the caller drops at the
+        // safepoint below: garbage, but each one result-pinned.
+        for _ in 0..8 {
+            let _ = random_fn(&mut m, n, &mut rng);
+        }
+        let gc = m.maybe_collect_garbage(&[keep]);
+        assert_eq!(gc.collected, 0, "a graph this small defers the sweep");
+        // Reachable from `keep`, the `Func` handle and the literals, plus
+        // the terminal slot `allocated` counts.
+        let literals: Vec<Bdd> = (0..n).map(|v| m.var(Var(v))).collect();
+        let want = m.live_from(&[&[keep, held][..], &literals].concat()) + 1;
+        assert!(
+            gc.live > want,
+            "no dropped results to exercise: {} allocated, {want} live",
+            gc.live
+        );
+        let stats = m.sift(&[keep], &SiftConfig::default());
+        assert_eq!(
+            stats.before, want,
+            "the sift sized pinned results the deferred safepoint dropped"
+        );
         drop(h);
         m.check_invariants().unwrap();
     }

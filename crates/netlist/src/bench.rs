@@ -18,7 +18,7 @@
 
 use std::fmt::Write as _;
 
-use crate::model::{GateKind, Netlist, NetlistBuilder, NetlistError};
+use crate::model::{GateKind, Netlist, NetlistBuilder, NetlistError, SignalId};
 use crate::Result;
 
 /// Parses `.bench` text into a netlist.
@@ -121,8 +121,20 @@ fn strip_call<'a>(line: &'a str, keyword: &str) -> Option<&'a str> {
 ///
 /// # Errors
 ///
-/// Currently infallible; the `Result` is kept for future strictness.
+/// Returns [`NetlistError::Unwritable`] for a signal name [`parse`] would
+/// not read back as one name: empty, padded with whitespace, or holding
+/// a line break or one of `,()=#` (a BLIF name may hold any of `,()=`).
 pub fn write(net: &Netlist) -> Result<String> {
+    let unwritable =
+        |n: &str| n.is_empty() || n.trim() != n || n.contains([',', '(', ')', '=', '#', '\n']);
+    if let Some(name) = (0..net.num_signals())
+        .map(|i| net.signal_name(SignalId::from_index(i)))
+        .find(|n| unwritable(n))
+    {
+        return Err(NetlistError::Unwritable {
+            name: name.to_string(),
+        });
+    }
     let mut out = String::new();
     let _ = writeln!(out, "# {} : {}", net.name(), net.stats());
     for &i in net.inputs() {

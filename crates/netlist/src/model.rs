@@ -320,6 +320,12 @@ pub enum NetlistError {
         /// Fan-ins supplied.
         got: usize,
     },
+    /// A signal name `.bench` text cannot express, so writing it would
+    /// describe a different circuit.
+    Unwritable {
+        /// The signal's name.
+        name: String,
+    },
     /// A syntax error in a parsed description.
     Parse {
         /// 1-based line number.
@@ -341,6 +347,9 @@ impl fmt::Display for NetlistError {
             }
             NetlistError::BadArity { name, got } => {
                 write!(f, "gate driving `{name}` has invalid fan-in count {got}")
+            }
+            NetlistError::Unwritable { name } => {
+                write!(f, "signal name `{name}` cannot be written as .bench")
             }
             NetlistError::Parse { line, message } => write!(f, "line {line}: {message}"),
         }

@@ -105,6 +105,35 @@ fn sift_matches_static_for_every_exact_lane() {
 }
 
 #[test]
+fn sift_reorders_the_live_graph_not_pinned_results() {
+    // lfsr10 keeps ~250 live nodes per iteration, far below the
+    // collector's deferral floor. Each iteration's collection safepoint
+    // drops the result pins of the images and unions before it, so a
+    // sift sizes and swaps the live graph only; a sift that also kept
+    // every result pinned since the run began would peak near 14.7K.
+    let net = generators::lfsr(10);
+    let lane = Lane::new(bfvr_reach::EngineKind::Monolithic, ReprKind::Chi);
+    let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+    let opts = ReachOptions {
+        sift: true,
+        ..ReachOptions::default()
+    };
+    let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+    assert_eq!(r.outcome, Outcome::FixedPoint);
+    assert_eq!(r.reached_states, Some(1023.0));
+    // The audit build collects every iteration, and its self-check
+    // passes build BDDs of their own, so there the peak measures the
+    // audit rather than the sift.
+    if cfg!(not(feature = "audit")) {
+        assert!(
+            r.peak_nodes <= 2_100,
+            "sifted lfsr10 peaked at {} nodes",
+            r.peak_nodes
+        );
+    }
+}
+
+#[test]
 fn sift_fires_and_shrinks_the_live_graph() {
     // paired_registers under the reversed order is the classic
     // interleaving pathology: current/next halves end up maximally far

@@ -149,13 +149,17 @@ fn every_lane_roundtrips_through_a_fresh_manager() {
 /// never-sifted run. The container's `level2var` map is what carries the
 /// permutation across: `read_checkpoint` replays it onto the fresh
 /// manager before re-interning the level-labeled DAG.
+///
+/// pair6 under the reversed order separates every register from its
+/// twin, so its live graph outgrows the sift trigger whether or not the
+/// collector defers (the audit build collects every iteration).
 #[test]
 fn permuted_order_checkpoint_resumes_to_the_static_count() {
-    let net = generators::queue_controller(4);
-    let circuit = "gen:queue:4".to_string();
+    let net = generators::paired_registers(6);
+    let circuit = "gen:pair:6".to_string();
     let bench = bfvr_netlist::bench::write(&net).unwrap();
     let fingerprint = fnv1a64(bench.as_bytes());
-    let order = OrderHeuristic::Declaration;
+    let order = OrderHeuristic::Reversed;
 
     // Plain, never-sifted baseline.
     let (mut m0, fsm0) = EncodedFsm::encode(&net, order).unwrap();
@@ -190,7 +194,7 @@ fn permuted_order_checkpoint_resumes_to_the_static_count() {
             let meta = CkptMeta {
                 engine: cp.engine,
                 repr: cp.repr,
-                order: "decl".to_string(),
+                order: "d".to_string(),
                 circuit: hook_circuit.clone(),
                 fingerprint,
                 num_vars: m.num_vars(),
