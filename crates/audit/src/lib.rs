@@ -35,8 +35,7 @@
 //! 7. **`cross-equiv`** — χ, the BFV range and the CDec conjunction
 //!    describe the same set; missing representations are derived through
 //!    the converters, so those are audited too. The same χ is also
-//!    round-tripped through the two non-BDD backends' production
-//!    converters: `χ → ZDD → χ` must be the identity, and the
+//!    passed through the zonotope backend's production converter: the
 //!    logical-zonotope affine hull of χ must contain χ (zonotopes
 //!    over-approximate, so the contract is containment, not equality).
 //!

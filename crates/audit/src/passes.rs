@@ -1,10 +1,10 @@
 //! The analysis passes and their driver, [`run_passes`].
 
-use bfvr_bdd::{bdd_from_zdd, zdd_from_bdd, Bdd, BddManager, GraphIssueKind, Var, ZddStore};
+use bfvr_bdd::{Bdd, BddManager, GraphIssueKind, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::convert::{from_characteristic, to_characteristic};
 use bfvr_bfv::{Bfv, Result, Space};
-use bfvr_setrepr::Zonotope;
+use bfvr_setrepr::{SetView, Zonotope};
 
 use crate::finding::{Finding, Pass, Report, Severity, Witness};
 
@@ -63,6 +63,20 @@ impl<'a> AuditTargets<'a> {
             cdec: Some(cdec),
             chi: None,
             leak_roots: None,
+        }
+    }
+
+    /// Targets for the reached set of one engine iteration, in the
+    /// representation the backend iterates on. `None` for zonotope
+    /// views: they over-approximate by design, so the exactness
+    /// invariants the passes check do not apply to them.
+    #[must_use]
+    pub fn for_view(space: &'a Space, view: &SetView<'a>) -> Option<Self> {
+        match *view {
+            SetView::Chi { reached, .. } => Some(Self::for_chi(space, reached)),
+            SetView::Vector { reached, .. } => Some(Self::for_bfv(space, reached)),
+            SetView::Cdec { reached, .. } => Some(Self::for_cdec(space, reached)),
+            SetView::Zonotope { .. } => None,
         }
     }
 
@@ -429,11 +443,10 @@ const HULL_CUBE_CAP: usize = 1024;
 /// Pass 7 — cross-representation equivalence: every representation the
 /// caller holds (or that was derived) must describe the same set of
 /// states; any disagreement yields a witness state in the symmetric
-/// difference. The same χ is also round-tripped through the two
-/// non-BDD backends' production converters: `χ → ZDD → χ` must be the
-/// identity, and the logical-zonotope affine hull of χ must *contain*
-/// χ (zonotopes over-approximate, so containment is the contract, not
-/// equality).
+/// difference. The same χ is also passed through the zonotope backend's
+/// production converter: the logical-zonotope affine hull of χ must
+/// *contain* χ (zonotopes over-approximate, so containment is the
+/// contract, not equality).
 fn cross_equiv_pass(
     m: &mut BddManager,
     space: &Space,
@@ -468,14 +481,14 @@ fn cross_equiv_pass(
         }
     }
     if let Some(&(name, chi)) = reps.first() {
-        roundtrip_pass(m, space, name, chi, scope, report)?;
+        hull_pass(m, space, name, chi, scope, report)?;
     }
     Ok(())
 }
 
-/// Pass 7b — new-backend round-trips of a χ through the production
-/// converters (see [`cross_equiv_pass`]).
-fn roundtrip_pass(
+/// Pass 7b — the zonotope hull round-trip of a χ through the production
+/// converter (see [`cross_equiv_pass`]).
+fn hull_pass(
     m: &mut BddManager,
     space: &Space,
     name: &str,
@@ -483,30 +496,6 @@ fn roundtrip_pass(
     scope: &str,
     report: &mut Report,
 ) -> Result<()> {
-    // χ → ZDD → χ: the zero-suppressed reduction is a bijection on
-    // families over the state variables, so the round-trip is exact.
-    // `zdd_from_bdd` walks the χ top-down, so its variable list must
-    // ascend in the manager's *current* order — which a dynamic reorder
-    // may have permuted away from the space's component order. Sorting
-    // by level keeps the pass valid after `--sift`; the ZDD level ↔
-    // variable assignment is private to this round-trip, so any
-    // consistent order is correct.
-    let mut zvars = space.vars().to_vec();
-    zvars.sort_unstable_by_key(|&v| m.var_to_level(v));
-    let mut store = ZddStore::new(space.len() as u32);
-    let z = zdd_from_bdd(m, &mut store, chi, &zvars)?;
-    let back = bdd_from_zdd(m, &store, z, &zvars)?;
-    if back != chi {
-        let diff = m.xor(back, chi)?;
-        report.push(scoped(
-            scope,
-            Pass::CrossEquiv,
-            Severity::Error,
-            &format!("equiv/{name}<->zdd-roundtrip"),
-            format!("{name} does not survive the χ → ZDD → χ round-trip"),
-            Witness::from_violation(m, diff),
-        ));
-    }
     // χ → zonotope hull → χ: the affine hull must contain every state
     // of χ. (`hull_of_chi` is `None` only for χ = ⊥, which is trivially
     // contained in anything.)

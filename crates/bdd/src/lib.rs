@@ -105,7 +105,6 @@ mod sift;
 mod transfer;
 mod union;
 mod unique;
-pub mod zdd;
 
 pub use audit::{Corruption, GraphIssue, GraphIssueKind};
 pub use cache::CacheStats;
@@ -118,7 +117,6 @@ pub use isop::Cube;
 pub use manager::{BddManager, GcStats, ManagerStats, UniqueTableStats};
 pub use node::{Bdd, Var};
 pub use sift::{SiftConfig, SiftStats, SIFT_SIZE_FLOOR};
-pub use zdd::{bdd_from_zdd, zdd_from_bdd, Zdd, ZddStore};
 
 /// Convenient result alias for fallible BDD operations.
 ///

@@ -1,9 +1,9 @@
 //! The concrete [`SetRepr`] backends the fixed-point driver runs on.
 //!
 //! Each backend packages one set representation — the transition
-//! structure it needs for image computation, any lane-private stores,
-//! and the conversion bridges — behind the [`bfvr_setrepr::SetRepr`]
-//! trait, so the driver's loop (`driver.rs`) is written once:
+//! structure it needs for image computation and the conversion bridges
+//! — behind the [`bfvr_setrepr::SetRepr`] trait, so the driver's loop
+//! (`driver.rs`) is written once:
 //!
 //! * [`ChiBackend`] — characteristic functions, in three image flavors
 //!   (monolithic relational product, CBM constrain + range-splitting,
@@ -12,16 +12,12 @@
 //!   functional vectors;
 //! * [`CdecBackend`] — Figure 2 over McMillan's conjunctive
 //!   decomposition (§2.7), carrying a companion vector for simulation;
-//! * [`ZddBackend`] — zero-suppressed decision diagrams in a
-//!   lane-private [`ZddStore`], bridged to any χ image flavor through
-//!   the [`zdd_from_bdd`]/[`bdd_from_zdd`] converters;
 //! * [`ZonotopeBackend`] — logical zonotopes (GF(2) affine subspaces),
 //!   an over-approximating lane driven by affine symbolic simulation of
 //!   the next-state functions.
 
 use std::time::{Duration, Instant};
 
-use bfvr_bdd::{bdd_from_zdd, zdd_from_bdd, Zdd, ZddStore};
 use bfvr_bdd::{Bdd, BddManager, Func, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::reparam::Schedule;
@@ -32,9 +28,9 @@ use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch};
 
 use crate::cf::{count_states, initial_chi};
 
-/// Which χ image computation a [`ChiBackend`] (or the inner χ step of a
-/// [`ZddBackend`]) runs. Built by [`ChiBackend::prepare`]; the `Func`
-/// guards pinning the relations live in the backend.
+/// Which χ image computation a [`ChiBackend`] runs. Built by
+/// [`ChiBackend::prepare`]; the `Func` guards pinning the relations live
+/// in the backend.
 enum ChiOp {
     /// One conjoined relation, one relational product per step.
     Monolithic {
@@ -111,49 +107,6 @@ impl<'a> ChiBackend<'a> {
             guards: Vec::new(),
             conversion: Duration::ZERO,
         }
-    }
-
-    /// One χ image step with whatever flavor `prepare` built. Shared
-    /// with [`ZddBackend`], whose image round-trips through χ.
-    fn chi_image(&mut self, m: &mut BddManager, from: Bdd) -> Result<Bdd, BfvError> {
-        let Some(op) = &self.op else {
-            // `prepare` not run: no engine of this crate does that.
-            return Err(BfvError::EmptySpace);
-        };
-        // Image of the empty set is empty for every flavor; the CBM
-        // bridge in particular cannot constrain by an empty care set.
-        if from.is_false() {
-            return Ok(Bdd::FALSE);
-        }
-        let img = match op {
-            ChiOp::Monolithic { t, cube } => {
-                let img_u = m.and_exists(*t, from, *cube)?;
-                m.swap_vars(img_u, &self.pairs)?
-            }
-            ChiOp::Cbm { deltas, next_vars } => {
-                // χ → functional vector bridge: constrain δ by the care
-                // set; vector → χ bridge: range by recursive splitting.
-                let conv_start = Instant::now();
-                let mut constrained = Vec::with_capacity(deltas.len());
-                for &d in deltas {
-                    constrained.push(m.constrain(d, from)?);
-                }
-                let img_u = crate::cbm::range_by_splitting(m, &constrained, next_vars)?;
-                self.conversion += conv_start.elapsed();
-                m.swap_vars(img_u, &self.pairs)?
-            }
-            ChiOp::Iwls {
-                clusters,
-                presmooth,
-            } => {
-                let mut acc = m.exists(from, *presmooth)?;
-                for c in clusters {
-                    acc = m.and_exists(acc, c.relation, c.retire_cube)?;
-                }
-                m.swap_vars(acc, &self.pairs)?
-            }
-        };
-        Ok(img)
     }
 }
 
@@ -235,7 +188,45 @@ impl SetRepr for ChiBackend<'_> {
     }
 
     fn image(&mut self, m: &mut BddManager, from: &Bdd) -> Result<Bdd, BfvError> {
-        self.chi_image(m, *from)
+        let from = *from;
+        let Some(op) = &self.op else {
+            // `prepare` not run: no engine of this crate does that.
+            return Err(BfvError::EmptySpace);
+        };
+        // Image of the empty set is empty for every flavor; the CBM
+        // bridge in particular cannot constrain by an empty care set.
+        if from.is_false() {
+            return Ok(Bdd::FALSE);
+        }
+        let img = match op {
+            ChiOp::Monolithic { t, cube } => {
+                let img_u = m.and_exists(*t, from, *cube)?;
+                m.swap_vars(img_u, &self.pairs)?
+            }
+            ChiOp::Cbm { deltas, next_vars } => {
+                // χ → functional vector bridge: constrain δ by the care
+                // set; vector → χ bridge: range by recursive splitting.
+                let conv_start = Instant::now();
+                let mut constrained = Vec::with_capacity(deltas.len());
+                for &d in deltas {
+                    constrained.push(m.constrain(d, from)?);
+                }
+                let img_u = crate::cbm::range_by_splitting(m, &constrained, next_vars)?;
+                self.conversion += conv_start.elapsed();
+                m.swap_vars(img_u, &self.pairs)?
+            }
+            ChiOp::Iwls {
+                clusters,
+                presmooth,
+            } => {
+                let mut acc = m.exists(from, *presmooth)?;
+                for c in clusters {
+                    acc = m.and_exists(acc, c.relation, c.retire_cube)?;
+                }
+                m.swap_vars(acc, &self.pairs)?
+            }
+        };
+        Ok(img)
     }
 
     fn union(&mut self, m: &mut BddManager, a: &Bdd, b: &Bdd) -> Result<Bdd, BfvError> {
@@ -590,174 +581,6 @@ impl SetRepr for CdecBackend<'_> {
 
     fn take_conversion(&mut self) -> Duration {
         std::mem::take(&mut self.conversion)
-    }
-}
-
-/// Zero-suppressed decision diagrams in a lane-private [`ZddStore`],
-/// with the image step round-tripping through an inner χ flavor: the
-/// set algebra (union, fixpoint test, counting) runs zero-suppressed;
-/// each image converts ZDD → χ, applies the χ image, and converts back.
-/// Both conversions are timed as conversion cost — this lane exists to
-/// measure exactly that trade.
-pub struct ZddBackend<'a> {
-    inner: ChiBackend<'a>,
-    store: ZddStore,
-    vars: Vec<Var>,
-    conversion: Duration,
-}
-
-impl<'a> ZddBackend<'a> {
-    /// A ZDD backend over the monolithic χ image.
-    #[must_use]
-    pub fn monolithic(fsm: &'a EncodedFsm) -> Self {
-        ZddBackend::over(ChiBackend::monolithic(fsm))
-    }
-
-    /// A ZDD backend over the CBM χ image.
-    #[must_use]
-    pub fn cbm(fsm: &'a EncodedFsm) -> Self {
-        ZddBackend::over(ChiBackend::cbm(fsm))
-    }
-
-    /// A ZDD backend over the IWLS95 χ image.
-    #[must_use]
-    pub fn iwls95(fsm: &'a EncodedFsm, cluster_threshold: usize) -> Self {
-        ZddBackend::over(ChiBackend::iwls95(fsm, cluster_threshold))
-    }
-
-    fn over(inner: ChiBackend<'a>) -> Self {
-        let vars: Vec<Var> = inner.fsm.space().vars().to_vec();
-        let store = ZddStore::new(vars.len() as u32);
-        ZddBackend {
-            inner,
-            store,
-            vars,
-            conversion: Duration::ZERO,
-        }
-    }
-
-    /// Borrow of the lane-private store (tests and audits).
-    #[must_use]
-    pub fn store(&self) -> &ZddStore {
-        &self.store
-    }
-}
-
-impl SetRepr for ZddBackend<'_> {
-    type Set = Zdd;
-
-    fn kind(&self) -> ReprKind {
-        ReprKind::Zdd
-    }
-
-    fn prepare(&mut self, m: &mut BddManager) -> Result<(), BfvError> {
-        self.inner.prepare(m)
-    }
-
-    fn initial(&mut self, m: &mut BddManager) -> Result<Zdd, BfvError> {
-        let chi = initial_chi(m, self.inner.fsm)?;
-        Ok(zdd_from_bdd(m, &mut self.store, chi, &self.vars)?)
-    }
-
-    fn image(&mut self, m: &mut BddManager, from: &Zdd) -> Result<Zdd, BfvError> {
-        let conv = Instant::now();
-        let from_chi = bdd_from_zdd(m, &self.store, *from, &self.vars)?;
-        self.conversion += conv.elapsed();
-        // Pin the χ across the image step: a mid-operation reclaim pass
-        // must not free it (the ZDD store roots nothing in the manager).
-        let _from_guard = m.func(from_chi);
-        let img_chi = self.inner.chi_image(m, from_chi)?;
-        let _img_guard = m.func(img_chi);
-        let conv = Instant::now();
-        let img = zdd_from_bdd(m, &mut self.store, img_chi, &self.vars)?;
-        self.conversion += conv.elapsed();
-        Ok(img)
-    }
-
-    fn union(&mut self, _m: &mut BddManager, a: &Zdd, b: &Zdd) -> Result<Zdd, BfvError> {
-        self.store.union(*a, *b).map_err(BfvError::Bdd)
-    }
-
-    fn set_eq(&self, _m: &BddManager, a: &Zdd, b: &Zdd) -> bool {
-        // Zero-suppressed reduction is canonical: handle equality.
-        a == b
-    }
-
-    fn size(&self, _m: &BddManager, s: &Zdd) -> usize {
-        self.store.size(*s)
-    }
-
-    fn append_roots(&self, _s: &Zdd, _out: &mut Vec<Bdd>) {
-        // ZDD sets live outside the manager; χ scratch from the image
-        // bridge is garbage the moment the step ends, by design.
-    }
-
-    fn persistent_roots(&self, out: &mut Vec<Bdd>) {
-        self.inner.persistent_roots(out);
-    }
-
-    fn pin(&self, _m: &BddManager, _s: &Zdd) -> Vec<Func> {
-        Vec::new()
-    }
-
-    fn view<'b>(&'b self, reached: &'b Zdd, from: &'b Zdd) -> SetView<'b> {
-        SetView::Zdd {
-            store: &self.store,
-            reached: *reached,
-            from: *from,
-        }
-    }
-
-    fn count_states(&self, _m: &BddManager, s: &Zdd) -> Option<f64> {
-        Some(self.store.count(*s))
-    }
-
-    fn to_chi(&mut self, m: &mut BddManager, s: &Zdd) -> Result<Bdd, BfvError> {
-        Ok(bdd_from_zdd(m, &self.store, *s, &self.vars)?)
-    }
-
-    fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<Zdd>, BfvError> {
-        Ok(Some(zdd_from_bdd(m, &mut self.store, chi, &self.vars)?))
-    }
-
-    fn checkpoint(
-        &mut self,
-        m: &mut BddManager,
-        reached: &Zdd,
-        from: &Zdd,
-    ) -> Result<ReprCheckpoint, BfvError> {
-        // ZDD node indexes are private to this lane's store; the
-        // manager-stable canonical form is χ, shared with the χ lanes.
-        let r = bdd_from_zdd(m, &self.store, *reached, &self.vars)?;
-        let r_guard = m.func(r);
-        let f = bdd_from_zdd(m, &self.store, *from, &self.vars)?;
-        Ok(ReprCheckpoint::Chi {
-            reached: r_guard,
-            from: m.func(f),
-        })
-    }
-
-    fn restore(
-        &mut self,
-        m: &mut BddManager,
-        cp: &ReprCheckpoint,
-    ) -> Result<Option<(Zdd, Zdd)>, BfvError> {
-        let ReprCheckpoint::Chi { reached, from } = cp else {
-            return Ok(None);
-        };
-        let r = zdd_from_bdd(m, &mut self.store, reached.bdd(), &self.vars)?;
-        let f = zdd_from_bdd(m, &mut self.store, from.bdd(), &self.vars)?;
-        Ok(Some((r, f)))
-    }
-
-    fn end_of_iteration(&mut self, reached: &Zdd, from: &Zdd) {
-        // Lane-private housekeeping: mark-sweep the store so dead
-        // intermediate families do not accumulate across iterations.
-        self.store.collect(&[*reached, *from]);
-    }
-
-    fn take_conversion(&mut self) -> Duration {
-        std::mem::take(&mut self.conversion) + self.inner.take_conversion()
     }
 }
 

@@ -72,16 +72,14 @@ impl EngineKind {
     }
 
     /// The representations this engine's image computation can drive
-    /// (native first). The χ engines additionally iterate on ZDDs
-    /// through the χ↔ZDD converters; the BFV engine's functional image
-    /// additionally drives the over-approximating zonotope lane.
+    /// (native first). The BFV engine's functional image additionally
+    /// drives the over-approximating zonotope lane; every other engine
+    /// iterates on its native representation only.
     #[must_use]
     pub fn supported_reprs(self) -> &'static [ReprKind] {
         match self {
             EngineKind::Bfv => &[ReprKind::Bfv, ReprKind::Zonotope],
-            EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => {
-                &[ReprKind::Chi, ReprKind::Zdd]
-            }
+            EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => &[ReprKind::Chi],
             EngineKind::Cdec => &[ReprKind::Cdec],
         }
     }
@@ -96,9 +94,6 @@ pub fn lane_label(engine: EngineKind, repr: ReprKind) -> &'static str {
         return engine.label();
     }
     match (engine, repr) {
-        (EngineKind::Cbm, ReprKind::Zdd) => "CBM+ZDD",
-        (EngineKind::Monolithic, ReprKind::Zdd) => "MONO+ZDD",
-        (EngineKind::Iwls95, ReprKind::Zdd) => "IWLS95+ZDD",
         (EngineKind::Bfv, ReprKind::Zonotope) => "BFV+ZONO",
         _ => "UNSUPPORTED",
     }
@@ -170,7 +165,7 @@ pub struct ReachOptions {
     /// [`BddManager::sift`] over the loop roots with resource limits
     /// suspended. Only backends whose loop state survives a permuted
     /// order honor the flag ([`bfvr_setrepr::SetRepr::supports_reorder`]);
-    /// the BFV/CDEC/ZDD/zonotope lanes silently decline — their
+    /// the BFV/CDEC/zonotope lanes silently decline — their
     /// representations hard-code the component-order-equals-variable-
     /// order constraint of the paper's §3.
     pub sift: bool,
@@ -584,12 +579,6 @@ mod tests {
             assert_eq!(lane_label(e, e.native_repr()), e.label());
             assert_eq!(e.supported_reprs()[0], e.native_repr());
         }
-        assert_eq!(
-            lane_label(EngineKind::Monolithic, ReprKind::Zdd),
-            "MONO+ZDD"
-        );
-        assert_eq!(lane_label(EngineKind::Cbm, ReprKind::Zdd), "CBM+ZDD");
-        assert_eq!(lane_label(EngineKind::Iwls95, ReprKind::Zdd), "IWLS95+ZDD");
         assert_eq!(lane_label(EngineKind::Bfv, ReprKind::Zonotope), "BFV+ZONO");
         assert_eq!(
             lane_label(EngineKind::Cdec, ReprKind::Zonotope),

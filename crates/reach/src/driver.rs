@@ -38,7 +38,7 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     let mut conversion_time = Duration::ZERO;
     // Dynamic reordering: on only when asked for *and* the backend's
     // representation survives a permuted order (see
-    // `SetRepr::supports_reorder` — the BFV/CDEC/ZDD/zonotope lanes
+    // `SetRepr::supports_reorder` — the BFV/CDEC/zonotope lanes
     // decline). The baseline is the live count right after the last
     // reorder; growth past `sift_trigger` × baseline re-triggers.
     let sift_enabled = opts.sift && backend.supports_reorder();

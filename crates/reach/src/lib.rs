@@ -23,9 +23,8 @@
 //!
 //! All five run through one shared fixed-point driver written against the
 //! [`SetRepr`] trait, so an engine's image computation can also drive a
-//! non-native set representation: [`run_repr`] pairs the χ engines with a
-//! zero-suppressed (ZDD) lane and the BFV engine with an
-//! over-approximating logical-zonotope lane (see [`backends`] and
+//! non-native set representation: [`run_repr`] pairs the BFV engine with
+//! an over-approximating logical-zonotope lane (see [`backends`] and
 //! [`EngineKind::supported_reprs`]).
 //!
 //! [`check_invariant`] layers a simple safety checker on the BFV engine —
@@ -97,18 +96,6 @@ fn dispatch(
         }
         (EngineKind::Iwls95, ReprKind::Chi) => {
             let mut b = backends::ChiBackend::iwls95(fsm, opts.cluster_threshold);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        (EngineKind::Monolithic, ReprKind::Zdd) => {
-            let mut b = backends::ZddBackend::monolithic(fsm);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        (EngineKind::Cbm, ReprKind::Zdd) => {
-            let mut b = backends::ZddBackend::cbm(fsm);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        (EngineKind::Iwls95, ReprKind::Zdd) => {
-            let mut b = backends::ZddBackend::iwls95(fsm, opts.cluster_threshold);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
         (EngineKind::Bfv, ReprKind::Bfv) => {

@@ -82,7 +82,7 @@ impl Lane {
         self
     }
 
-    /// The lane's display label (`BFV`, `MONO+ZDD`, `BFV+ZONO`, …).
+    /// The lane's display label (`BFV`, `MONO`, `BFV+ZONO`, …).
     /// Ordering overrides do not change the label (the trace schema keys
     /// race events by static engine labels); use [`Lane::display`] where
     /// the override matters.
@@ -92,7 +92,7 @@ impl Lane {
     }
 
     /// The lane's full display name: the label, tagged `@ORDER` when the
-    /// lane overrides the race's base order (`MONO+ZDD@COI`, `BFV@FORCE`).
+    /// lane overrides the race's base order (`MONO@COI`, `BFV@FORCE`).
     #[must_use]
     pub fn display(self) -> String {
         match self.order {

@@ -20,54 +20,21 @@ use bfvr_bdd::BddManager;
 use bfvr_sim::EncodedFsm;
 
 use crate::common::IterationView;
-use bfvr_setrepr::SetView;
 
 /// Audits one iteration's set representation, panicking on any
 /// `Severity::Error` finding. See the module docs for the
 /// suspend/restore and inconclusive-skip semantics.
 pub(crate) fn selfcheck_iteration(m: &mut BddManager, fsm: &EncodedFsm, view: &IterationView<'_>) {
-    // Zonotope lanes over-approximate by design: the exactness invariants
-    // the pass battery checks do not apply to them.
-    if matches!(view.set, SetView::Zonotope { .. }) {
-        return;
-    }
     let space = fsm.space();
+    let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
+        return;
+    };
+    let targets = targets.with_leak_roots(view.roots);
 
     let node_limit = m.node_limit();
     let deadline = m.deadline();
     m.clear_node_limit();
     m.set_deadline(None);
-
-    // Pin for a χ derived from a lane-private representation (ZDD): keeps
-    // it alive — and leak-pass-exempt — across the passes' collections.
-    let _chi_guard;
-    let targets = match view.set {
-        SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
-        SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
-        SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
-        SetView::Zdd { store, reached, .. } => {
-            // Audit the lane through the production ZDD → χ converter.
-            // A conversion failure is possible only under injected
-            // faults: inconclusive, skip.
-            let Ok(chi) = bfvr_bdd::bdd_from_zdd(m, store, reached, space.vars()) else {
-                match node_limit {
-                    Some(n) => m.set_node_limit(n),
-                    None => m.clear_node_limit(),
-                }
-                m.set_deadline(deadline);
-                return;
-            };
-            _chi_guard = m.func(chi);
-            // Sweep the conversion's scratch so the leak pass sees only
-            // what the engine itself left live.
-            let mut roots = view.roots.to_vec();
-            roots.push(chi);
-            m.collect_garbage(&roots);
-            AuditTargets::for_chi(&space, chi)
-        }
-        SetView::Zonotope { .. } => unreachable!("handled above"),
-    }
-    .with_leak_roots(view.roots);
 
     let scope = format!(
         "{}/iter[{}]",

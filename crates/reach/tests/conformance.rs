@@ -10,7 +10,7 @@
 
 use bfvr_bdd::{Bdd, BddManager};
 use bfvr_netlist::{circuits, generators, Netlist};
-use bfvr_reach::backends::{BfvBackend, CdecBackend, ChiBackend, ZddBackend, ZonotopeBackend};
+use bfvr_reach::backends::{BfvBackend, CdecBackend, ChiBackend, ZonotopeBackend};
 use bfvr_reach::{ReprCheckpoint, ReprKind, SetRepr};
 use bfvr_setrepr::Zonotope;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
@@ -141,18 +141,6 @@ fn every_backend_satisfies_the_setrepr_laws() {
         {
             let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
             check_laws(ChiBackend::iwls95(&fsm, 100), &mut m, &fsm, "chi/iwls95");
-        }
-        {
-            let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-            check_laws(ZddBackend::monolithic(&fsm), &mut m, &fsm, "zdd/mono");
-        }
-        {
-            let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-            check_laws(ZddBackend::cbm(&fsm), &mut m, &fsm, "zdd/cbm");
-        }
-        {
-            let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-            check_laws(ZddBackend::iwls95(&fsm, 100), &mut m, &fsm, "zdd/iwls95");
         }
         {
             let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();

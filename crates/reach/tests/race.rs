@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use bfvr_netlist::{circuits, generators, Netlist};
 use bfvr_reach::portfolio::{run_racing, EscalationPolicy, Lane, RaceConfig};
-use bfvr_reach::{run, EngineKind, Outcome, ReachOptions, ReprKind};
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 const ORDER: OrderHeuristic = OrderHeuristic::DfsFanin;
@@ -100,19 +100,17 @@ fn losing_lanes_are_cancelled_not_errored() {
 
 #[test]
 fn full_lane_matrix_races_new_representations() {
-    // The widened portfolio: engine × representation, including the ZDD
-    // and zonotope lanes. The winner must be an exact lane with the exact
-    // count; zonotope lanes report a flagged upper bound.
+    // The full portfolio: every engine on its native representation,
+    // plus the zonotope lane the BFV image drives. The winner must be an
+    // exact lane with the exact count; the zonotope lane reports a
+    // flagged upper bound.
     let net = circuits::s27();
     let opts = ReachOptions::default();
     let lanes = Lane::all_lanes();
-    assert!(
-        lanes.iter().filter(|l| l.repr == ReprKind::Zdd).count() >= 3,
-        "expected ZDD lanes in the matrix"
-    );
-    assert!(
-        lanes.iter().any(|l| l.repr == ReprKind::Zonotope),
-        "expected a zonotope lane in the matrix"
+    assert_eq!(
+        lanes.iter().map(|l| l.label()).collect::<Vec<_>>(),
+        ["BFV", "BFV+ZONO", "CBM", "MONO", "IWLS95", "CDEC"],
+        "the lane matrix changed"
     );
     let exact = sequential_count(&net, EngineKind::Bfv, &opts);
     let report = run_racing(&lanes, &net, &opts, &RaceConfig::default());

@@ -1,6 +1,6 @@
 //! Representation parity: every engine × representation lane must agree
 //! on the reached-state count — exactly for the exact backends (χ, BFV,
-//! CDec, ZDD), by containment for the over-approximating zonotope lane.
+//! CDec), by containment for the over-approximating zonotope lane.
 //!
 //! This is the test-suite twin of the CI smoke job: the same circuits,
 //! the same lane matrix, the same exact/containment split.

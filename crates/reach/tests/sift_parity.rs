@@ -3,7 +3,7 @@
 //! report bit-identical results (reached states, iterations, outcome)
 //! with dynamic reordering armed or off — and the lanes whose
 //! representation is structurally tied to its variable order
-//! (BFV/CDEC/ZDD/zonotope) must decline the request entirely, running
+//! (BFV/CDEC/zonotope) must decline the request entirely, running
 //! zero reorder passes. The test-suite twin of the CI `reorder-smoke`
 //! job.
 
@@ -168,12 +168,7 @@ fn sift_declines_off_by_default_and_on_order_tied_lanes() {
     assert_eq!(r.reorder_nodes, (0, 0));
     // Kind-level capability matches the backend opt-in.
     assert!(ReprKind::Chi.supports_reorder());
-    for repr in [
-        ReprKind::Bfv,
-        ReprKind::Cdec,
-        ReprKind::Zdd,
-        ReprKind::Zonotope,
-    ] {
+    for repr in [ReprKind::Bfv, ReprKind::Cdec, ReprKind::Zonotope] {
         assert!(!repr.supports_reorder(), "{repr:?} must decline reorder");
     }
 }

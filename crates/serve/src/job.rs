@@ -14,7 +14,7 @@ pub struct JobSpec {
     pub circuit: String,
     /// Engine label (`BFV`/`CBM`/`MONO`/`IWLS95`/`CDEC`).
     pub engine: String,
-    /// Representation label (`bfv`/`chi`/`cdec`/`zdd`/`zono`).
+    /// Representation label (`bfv`/`chi`/`cdec`/`zono`).
     pub repr: String,
     /// Order token (`s1`/`s2`/`d`/`o:SEED`).
     pub order: String,
@@ -120,7 +120,7 @@ mod tests {
     fn spec_round_trips_through_json() {
         let mut spec = JobSpec::new("j1", "gen:queue:4");
         spec.engine = "MONO".into();
-        spec.repr = "zdd".into();
+        spec.repr = "chi".into();
         spec.priority = 7;
         spec.node_limit = Some(100_000);
         spec.fault = Some("kill@2".into());

@@ -5,10 +5,9 @@ use std::fmt;
 /// Which set representation a backend iterates on.
 ///
 /// The first three are the paper's own axis (χ vs. BFV vs. conjunctive
-/// decomposition); [`ReprKind::Zdd`] and [`ReprKind::Zonotope`] are the
-/// related-work lanes (Kojima's sets-of-sets argument for ZDDs, Alanwar
-/// et al.'s logical zonotopes). Labels double as the CLI `--repr`
-/// spelling.
+/// decomposition); [`ReprKind::Zonotope`] is the related-work lane
+/// (Alanwar et al.'s logical zonotopes). Labels double as the CLI
+/// `--repr` spelling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReprKind {
     /// Monolithic characteristic function over the state variables.
@@ -17,8 +16,6 @@ pub enum ReprKind {
     Bfv,
     /// McMillan's conjunctive decomposition of the characteristic function.
     Cdec,
-    /// Zero-suppressed decision diagram over the state variables.
-    Zdd,
     /// Logical zonotope: a GF(2) affine subspace (over-approximating).
     Zonotope,
 }
@@ -31,19 +28,17 @@ impl ReprKind {
             ReprKind::Chi => "chi",
             ReprKind::Bfv => "bfv",
             ReprKind::Cdec => "cdec",
-            ReprKind::Zdd => "zdd",
             ReprKind::Zonotope => "zono",
         }
     }
 
     /// All representations, for sweeps.
     #[must_use]
-    pub fn all() -> [ReprKind; 5] {
+    pub fn all() -> [ReprKind; 4] {
         [
             ReprKind::Chi,
             ReprKind::Bfv,
             ReprKind::Cdec,
-            ReprKind::Zdd,
             ReprKind::Zonotope,
         ]
     }
@@ -67,8 +62,8 @@ impl ReprKind {
     /// [`crate::SetRepr::supports_reorder`] at the kind level, for lane
     /// display: only the plain χ representation survives a mid-run
     /// level permutation — BFV/CDEC tie component order to variable
-    /// order (paper §3), ZDD label nodes freeze their creation levels,
-    /// and zonotope generators are bound to the encoding pass.
+    /// order (paper §3), and zonotope generators are bound to the
+    /// encoding pass.
     #[must_use]
     pub fn supports_reorder(self) -> bool {
         matches!(self, ReprKind::Chi)
@@ -96,7 +91,7 @@ mod tests {
     #[test]
     fn only_zonotopes_over_approximate() {
         assert!(ReprKind::Zonotope.over_approximates());
-        for k in [ReprKind::Chi, ReprKind::Bfv, ReprKind::Cdec, ReprKind::Zdd] {
+        for k in [ReprKind::Chi, ReprKind::Bfv, ReprKind::Cdec] {
             assert!(!k.over_approximates());
         }
     }
@@ -104,12 +99,7 @@ mod tests {
     #[test]
     fn only_chi_supports_reorder() {
         assert!(ReprKind::Chi.supports_reorder());
-        for k in [
-            ReprKind::Bfv,
-            ReprKind::Cdec,
-            ReprKind::Zdd,
-            ReprKind::Zonotope,
-        ] {
+        for k in [ReprKind::Bfv, ReprKind::Cdec, ReprKind::Zonotope] {
             assert!(!k.supports_reorder());
         }
     }

@@ -14,7 +14,7 @@
 //!   engine × representation lanes and the CLI can select them;
 //! * [`SetView`] is the borrowed per-iteration view observers see,
 //!   generalized from the original three engine-owned shapes to all
-//!   five representations;
+//!   four representations;
 //! * [`ReprCheckpoint`] is the representation half of a resumable
 //!   checkpoint (the engine half lives in `bfvr-reach`);
 //! * [`zonotope`] implements the logical-zonotope backend's algebra:

@@ -13,13 +13,10 @@ use std::time::Duration;
 ///
 /// The engine half (which engine, how many iterations) lives with the
 /// reachability driver; a backend only needs to reconstruct its own
-/// loop state. ZDD backends checkpoint through χ — ZDD node indexes are
-/// private to a lane's store, so the canonical escape hatch is the
-/// stable form — and therefore share the [`ReprCheckpoint::Chi`]
-/// variant with the χ backends.
+/// loop state. There is one variant per representation.
 #[derive(Clone, Debug)]
 pub enum ReprCheckpoint {
-    /// χ-shaped state (χ backends and the ZDD backend).
+    /// χ-shaped state (the MONO, CBM and IWLS95 backends).
     Chi {
         /// States reached so far.
         reached: Func,
@@ -58,9 +55,8 @@ pub type Restored<S> = Option<(S, S)>;
 /// written once against this trait instead of once per representation.
 ///
 /// A backend owns everything representation-specific — the transition
-/// relation or next-state functions it captured at construction, any
-/// lane-private stores (ZDD arenas), conversion memos — and hands the
-/// loop opaque `Set` values. All manager-allocating operations take
+/// relation or next-state functions it captured at construction,
+/// conversion memos — and hands the loop opaque `Set` values. All manager-allocating operations take
 /// `&mut BddManager` and return `Result`, because the manager enforces
 /// node-count and deadline limits (the paper's `M.O.`/`T.O.` outcomes).
 ///
@@ -163,7 +159,7 @@ pub trait SetRepr {
     fn view<'a>(&'a self, reached: &'a Self::Set, from: &'a Self::Set) -> SetView<'a>;
 
     /// Exact state count if the representation yields one for free
-    /// (χ/ZDD/zonotope); `None` when counting requires a conversion
+    /// (χ/zonotope); `None` when counting requires a conversion
     /// (the driver then counts through [`to_chi`](SetRepr::to_chi)).
     fn count_states(&self, m: &BddManager, s: &Self::Set) -> Option<f64>;
 
@@ -192,7 +188,7 @@ pub trait SetRepr {
     ///
     /// # Errors
     ///
-    /// Resource limits tripped while canonicalizing (ZDD → χ).
+    /// Resource limits tripped while canonicalizing.
     fn checkpoint(
         &mut self,
         m: &mut BddManager,
@@ -213,9 +209,9 @@ pub trait SetRepr {
         cp: &ReprCheckpoint,
     ) -> Result<Restored<Self::Set>, BfvError>;
 
-    /// End-of-iteration hook for lane-private housekeeping (the ZDD
-    /// backend collects its store here). The manager's own collection is
-    /// the driver's job.
+    /// End-of-iteration hook for lane-private housekeeping. No backend
+    /// overrides this no-op; the manager's own collection is the driver's
+    /// job.
     fn end_of_iteration(&mut self, reached: &Self::Set, from: &Self::Set) {
         let _ = (reached, from);
     }
@@ -232,8 +228,7 @@ pub trait SetRepr {
     /// because most representations carry order-dependent structure the
     /// manager cannot see: the BFV/CDEC vectors require component order
     /// = variable order (paper §3) for `space()` and the reparameterized
-    /// image, ZDD stores label nodes with fixed levels, and zonotope
-    /// generators are bound to an encoding pass. Backends whose loop
+    /// image, and zonotope generators are bound to an encoding pass. Backends whose loop
     /// state is plain χ BDDs (semantic `Var`s resolve levels at the API
     /// boundary) opt in by returning `true`.
     fn supports_reorder(&self) -> bool {

@@ -1,7 +1,6 @@
 //! Borrowed per-iteration views of a backend's live representation.
 
 use crate::zonotope::Zonotope;
-use bfvr_bdd::zdd::{Zdd, ZddStore};
 use bfvr_bdd::Bdd;
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::Bfv;
@@ -35,15 +34,6 @@ pub enum SetView<'a> {
         reached: &'a CDec,
         /// From-set vector.
         from: &'a Bfv,
-    },
-    /// The ZDD backend: zero-suppressed families in a lane-private store.
-    Zdd {
-        /// The store owning both families.
-        store: &'a ZddStore,
-        /// States reached so far.
-        reached: Zdd,
-        /// Start set of the next iteration.
-        from: Zdd,
     },
     /// The logical-zonotope backend: GF(2) affine subspaces
     /// (over-approximating).

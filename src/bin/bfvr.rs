@@ -40,7 +40,7 @@ use bfvr::reach::telemetry::trace_handle;
 use bfvr::reach::TraceHandle;
 use bfvr::reach::{
     check_invariant, find_trace, lane_label, run as run_engine, run_repr, CheckResult, Checkpoint,
-    CheckpointHook, EngineKind, Outcome, ReachOptions, ReachResult, ReprKind, SetView,
+    CheckpointHook, EngineKind, Outcome, ReachOptions, ReachResult, ReprKind,
 };
 use bfvr::serve::{
     fnv1a64, level_map_of, read_checkpoint, read_meta, replay, signal, write_checkpoint, CkptMeta,
@@ -58,7 +58,7 @@ USAGE:
   bfvr stats <file>
   bfvr convert <file> --to bench|blif|verilog
   bfvr reach <file> [--engine bfv|cbm|mono|iwls95|cdec|all]
-                    [--repr chi|bfv|cdec|zdd|zono|native|all]
+                    [--repr chi|bfv|cdec|zono|native|all]
                                          set representation each engine
                                          iterates on (default: native).
                                          Engine×repr pairs the engine
@@ -84,7 +84,7 @@ USAGE:
                                          pause the traversal and sift each
                                          level to its locally best position
                                          (Rudell). χ lanes only — BFV/CDEC/
-                                         ZDD/zono representations are
+                                         zono representations are
                                          structurally tied to their order
                                          (see docs/ordering.md); sifting
                                          lanes print as LANE~S
@@ -147,7 +147,7 @@ USAGE:
                     [--fault kill@K]     fault injection: crash the child at
                                          iteration K on its first attempt
   bfvr audit <file> [--engine bfv|cbm|mono|iwls95|cdec|all]  (default all)
-                    [--repr chi|bfv|cdec|zdd|zono|native|all]  (default native)
+                    [--repr chi|bfv|cdec|zono|native|all]  (default native)
                     [--order s1|decl|d|coi|force|o:<seed>]
                     [--sift] [--sift-maxgrowth <f>] [--sift-trigger <f>]
                     [--time-limit <sec>] [--node-limit <nodes>]
@@ -499,7 +499,7 @@ fn parse_reprs(args: &[String]) -> Result<Option<Vec<ReprKind>>, String> {
 }
 
 /// Crosses the selected engines with the selected representations,
-/// dropping pairs the engine cannot drive (e.g. `cdec × zdd`). Errors
+/// dropping pairs the engine cannot drive (e.g. `cdec × zono`). Errors
 /// when the cross leaves nothing to run.
 fn build_lanes(engines: &[EngineKind], reprs: Option<&[ReprKind]>) -> Result<Vec<Lane>, String> {
     let lanes: Vec<Lane> = match reprs {
@@ -1061,7 +1061,7 @@ fn reach_plain(
 
 /// The lane column: [`Lane::display`], tagged `~S` when dynamic sifting
 /// is armed for it. The tag applies only where sifting actually engages
-/// — a BFV/CDEC/ZDD/zono lane under `--sift` keeps its static order (the
+/// — a BFV/CDEC/zono lane under `--sift` keeps its static order (the
 /// representation is tied to it) — so the table shows what each lane
 /// really ran, e.g. `MONO@FORCE~S`.
 fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
@@ -1423,12 +1423,11 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         let sink = Rc::clone(&report);
         let skipped = Rc::clone(&inconclusive);
         opts.observer = Some(Rc::new(move |m, fsm, view| {
-            // Zonotope lanes over-approximate by design; the exactness
-            // invariants the pass battery checks do not apply.
-            if matches!(view.set, SetView::Zonotope { .. }) {
-                return;
-            }
             let space = fsm.space();
+            let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
+                return;
+            };
+            let targets = targets.with_leak_roots(view.roots);
             let scope = format!(
                 "{}/iter[{}]",
                 lane_label(view.engine, view.repr),
@@ -1442,44 +1441,14 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             let deadline = m.deadline();
             m.clear_node_limit();
             m.set_deadline(None);
-            let restore = |m: &mut bfvr::bdd::BddManager| {
-                match node_limit {
-                    Some(n) => m.set_node_limit(n),
-                    None => m.clear_node_limit(),
-                }
-                m.set_deadline(deadline);
-            };
-            // Pin for a χ derived from a lane-private representation
-            // (ZDD): keeps it alive across the passes' collections.
-            let _chi_guard;
-            let targets = match view.set {
-                SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
-                SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
-                SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
-                SetView::Zdd { store, reached, .. } => {
-                    // Audit the lane through the production ZDD → χ
-                    // converter. A conversion failure is possible only
-                    // under injected faults: inconclusive, skip.
-                    let Ok(chi) = bfvr::bdd::bdd_from_zdd(m, store, reached, space.vars()) else {
-                        *skipped.borrow_mut() += 1;
-                        restore(m);
-                        return;
-                    };
-                    _chi_guard = m.func(chi);
-                    // Sweep the conversion's scratch so the leak pass sees
-                    // only what the engine itself left live.
-                    let mut roots = view.roots.to_vec();
-                    roots.push(chi);
-                    m.collect_garbage(&roots);
-                    AuditTargets::for_chi(&space, chi)
-                }
-                SetView::Zonotope { .. } => unreachable!("handled above"),
-            }
-            .with_leak_roots(view.roots);
             if run_passes(m, &targets, &scope, &mut sink.borrow_mut()).is_err() {
                 *skipped.borrow_mut() += 1;
             }
-            restore(m);
+            match node_limit {
+                Some(n) => m.set_node_limit(n),
+                None => m.clear_node_limit(),
+            }
+            m.set_deadline(deadline);
         }));
         let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
         // Final audit of the engine's end state, through the χ the result

@@ -9,14 +9,13 @@ use std::rc::Rc;
 use bfvr::audit::{run_passes, AuditTargets, Report};
 use bfvr::netlist::{circuits, generators, Netlist};
 use bfvr::reach::portfolio::Lane;
-use bfvr::reach::{lane_label, run_repr, Outcome, ReachOptions, SetView};
+use bfvr::reach::{lane_label, run_repr, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
 /// Runs every engine × representation lane over `net` with an observer
 /// that audits each iteration's live set — graph, leaks, all semantic
 /// passes, and the cross-representation converters — then audits the
-/// final reached χ. ZDD lanes audit through the production ZDD → χ
-/// converter; zonotope lanes over-approximate by design, so the
+/// final reached χ. Zonotope lanes over-approximate by design, so the
 /// exactness passes skip them. Any finding anywhere fails the test.
 fn audit_all_engines(net: &Netlist) {
     audit_all_engines_under(net, OrderHeuristic::DfsFanin, &ReachOptions::default());
@@ -31,28 +30,11 @@ fn audit_all_engines_under(net: &Netlist, order: OrderHeuristic, base: &ReachOpt
         let sink = Rc::clone(&report);
         let opts = ReachOptions {
             observer: Some(Rc::new(move |m, fsm, view| {
-                if matches!(view.set, SetView::Zonotope { .. }) {
-                    return;
-                }
                 let space = fsm.space();
-                let _chi_guard;
-                let targets = match view.set {
-                    SetView::Chi { reached, .. } => AuditTargets::for_chi(&space, reached),
-                    SetView::Vector { reached, .. } => AuditTargets::for_bfv(&space, reached),
-                    SetView::Cdec { reached, .. } => AuditTargets::for_cdec(&space, reached),
-                    SetView::Zdd { store, reached, .. } => {
-                        let chi = bfvr::bdd::bdd_from_zdd(m, store, reached, space.vars()).unwrap();
-                        _chi_guard = m.func(chi);
-                        // Sweep the conversion's scratch so the leak pass
-                        // sees only what the engine itself left live.
-                        let mut roots = view.roots.to_vec();
-                        roots.push(chi);
-                        m.collect_garbage(&roots);
-                        AuditTargets::for_chi(&space, chi)
-                    }
-                    SetView::Zonotope { .. } => unreachable!("handled above"),
-                }
-                .with_leak_roots(view.roots);
+                let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
+                    return;
+                };
+                let targets = targets.with_leak_roots(view.roots);
                 let scope = format!(
                     "{}/iter[{}]",
                     lane_label(view.engine, view.repr),
@@ -111,9 +93,9 @@ fn sifted_traversal_audits_clean_on_all_engines() {
     // A deliberately bad static order (reversed declaration) over a
     // pair circuit large enough to cross the sifting floor: the χ
     // lanes reorder mid-run, and every intermediate and final set —
-    // audited across the reorder boundary, including the χ↔BFV and
-    // χ↔ZDD converters running against a permuted manager — must
-    // still pass the full battery.
+    // audited across the reorder boundary, including the χ↔BFV
+    // converters running against a permuted manager — must still pass
+    // the full battery.
     let opts = ReachOptions {
         sift: true,
         sift_trigger: 1.2,

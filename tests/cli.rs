@@ -35,24 +35,50 @@ fn stderr(o: &Output) -> String {
 
 #[test]
 fn unknown_flags_are_usage_errors() {
-    for (args, flag) in [
-        (&["reach", "gen:s27", "--parallel"][..], "--parallel"),
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_flags_{}", std::process::id()));
+    let d = dir.to_str().unwrap();
+    for (args, want) in [
+        (
+            &["reach", "gen:s27", "--parallel"][..],
+            "unknown flag `--parallel`",
+        ),
         (
             &["reach", "gen:s27", "--engine", "bfv", "--jobz", "2"],
-            "--jobz",
+            "unknown flag `--jobz`",
         ),
-        (&["audit", "gen:s27", "--jobs", "2"], "--jobs"),
-        (&["lint", "gen:s27", "--bogus-flag"], "--bogus-flag"),
+        (
+            &["audit", "gen:s27", "--jobs", "2"],
+            "unknown flag `--jobs`",
+        ),
+        (
+            &["lint", "gen:s27", "--bogus-flag"],
+            "unknown flag `--bogus-flag`",
+        ),
         (
             &["resume", "--from", "missing.ckpt", "--engine", "bfv"],
-            "--engine",
+            "unknown flag `--engine`",
+        ),
+        // `zdd` named a representation of older builds; it is refused
+        // like any other unknown label.
+        (
+            &["reach", "gen:s27", "--repr", "zdd"],
+            "unknown representation `zdd`",
+        ),
+        (
+            &["audit", "gen:s27", "--repr", "zdd"],
+            "unknown representation `zdd`",
+        ),
+        (
+            &["submit", "gen:s27", "--dir", d, "--repr", "zdd"],
+            "unknown representation `zdd`",
         ),
     ] {
         let o = bfvr(args);
         assert!(!o.status.success(), "{args:?} must fail");
-        let want = format!("unknown flag `{flag}`");
-        assert!(stderr(&o).contains(&want), "{args:?}: {}", stderr(&o));
+        assert!(stderr(&o).contains(want), "{args:?}: {}", stderr(&o));
+        assert!(!stderr(&o).contains("panicked"), "{args:?}: {}", stderr(&o));
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A purely combinational circuit has no state to traverse: every

@@ -33,25 +33,10 @@ fn parse_row(out: &Output) -> (u64, u64) {
     (cols[2].parse().unwrap(), cols[3].parse().unwrap())
 }
 
-/// CLI flag values for one lane (`--engine`, `--repr`).
+/// CLI flag values for one lane (`--engine`, `--repr`). Both flags
+/// accept the labels case-insensitively.
 fn lane_flags(lane: Lane) -> (&'static str, &'static str) {
-    use bfvr::reach::EngineKind;
-    use bfvr::setrepr::ReprKind;
-    let engine = match lane.engine {
-        EngineKind::Bfv => "bfv",
-        EngineKind::Cbm => "cbm",
-        EngineKind::Monolithic => "mono",
-        EngineKind::Iwls95 => "iwls95",
-        EngineKind::Cdec => "cdec",
-    };
-    let repr = match lane.repr {
-        ReprKind::Chi => "chi",
-        ReprKind::Bfv => "bfv",
-        ReprKind::Cdec => "cdec",
-        ReprKind::Zdd => "zdd",
-        ReprKind::Zonotope => "zono",
-    };
-    (engine, repr)
+    (lane.engine.label(), lane.repr.label())
 }
 
 /// The acceptance property: for an exact lane, SIGABRT-killing the
@@ -283,5 +268,61 @@ fn resume_refuses_a_corrupt_checkpoint_with_a_structured_error() {
         stderr.contains("checkpoint"),
         "no structured diagnostic:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_stale_zdd_checkpoint_with_a_structured_error() {
+    // Older builds wrote ZDD-lane checkpoints with the header label `zdd`
+    // and a χ body. Forge one from a valid queue4 MONO checkpoint: the
+    // labels `chi` and `zdd` have the same length, so only the label
+    // bytes and the trailing checksum change.
+    let dir = scratch("resume-stale-zdd");
+    let p = dir.join("mono.ckpt");
+    let killed = bfvr()
+        .args([
+            "reach",
+            "gen:queue:4",
+            "--engine",
+            "mono",
+            "--checkpoint-out",
+            p.to_str().unwrap(),
+            "--checkpoint-every",
+            "1",
+            "--kill-at-iter",
+            "2",
+        ])
+        .output()
+        .unwrap();
+    assert!(!killed.status.success(), "kill did not fire");
+    assert!(bfvr::serve::read_meta(&p).is_ok(), "valid checkpoint");
+    let mut bytes = std::fs::read(&p).unwrap();
+    // magic (8) + version (4), then the length-prefixed engine label.
+    let engine_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let repr_at = 16 + engine_len;
+    assert_eq!(&bytes[repr_at..repr_at + 4], &3u32.to_le_bytes());
+    assert_eq!(&bytes[repr_at + 4..repr_at + 7], b"chi");
+    bytes[repr_at + 4..repr_at + 7].copy_from_slice(b"zdd");
+    let body = bytes.len() - 8;
+    let sum = bfvr::serve::fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&p, &bytes).unwrap();
+
+    let out = bfvr()
+        .args(["resume", "--from", p.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    #[cfg(unix)]
+    assert!(
+        out.status.code().is_some(),
+        "loader must not crash by signal"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown representation label"),
+        "no structured diagnostic:\n{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
