@@ -24,7 +24,8 @@
 //!
 //! One generic table, [`OpCache<K, R>`], serves every operation: `K` key
 //! words and `R` result words per slot. The stock operations use three
-//! and one; the §2.3 union step uses five and three. The width-free
+//! and one; the §2.3 union step and the fused §2.6 quantification step
+//! use five and three. The width-free
 //! [`Table`] face lets [`Caches`] flush, cap, count and audit them all
 //! as one list.
 
@@ -91,7 +92,8 @@ pub struct CacheStats {
 /// One operation's lossy direct-mapped memo table plus lifetime counters,
 /// keyed on `K` edge words and memoizing `R` result edges. The stock
 /// operations are three-operand, one-result (the default widths); the
-/// §2.3 union step is five-operand, three-result.
+/// §2.3 union step and the fused §2.6 quantification step are
+/// five-operand, three-result.
 #[derive(Debug, Default)]
 pub(crate) struct OpCache<const K: usize = 3, const R: usize = 1> {
     slots: Vec<Slot<K, R>>,
@@ -289,6 +291,10 @@ pub(crate) struct Caches {
     /// it has become below its level). Like `cofactor`, it persists
     /// across calls until a sweep or reorder flushes it.
     pub union: OpCache<5, 3>,
+    /// The fused §2.6 step `(n, fˣ, gˣ, v, p) ↦ union_step(n|p=0, n|p=1,
+    /// fˣ, gˣ, v)`, keyed on `(n, fˣ, gˣ, v)` and the literal edge of the
+    /// parameter `p`. Persists across calls like `union`.
+    pub quantify: OpCache<5, 3>,
     /// Per-cache slot cap (rounded up to a power of two on use).
     pub limit: usize,
 }
@@ -304,11 +310,12 @@ impl Caches {
             cofactor: OpCache::default(),
             subst: OpCache::default(),
             union: OpCache::default(),
+            quantify: OpCache::default(),
             limit: DEFAULT_CACHE_LIMIT,
         }
     }
 
-    fn all_mut(&mut self) -> [&mut dyn Table; 8] {
+    fn all_mut(&mut self) -> [&mut dyn Table; 9] {
         [
             &mut self.ite,
             &mut self.exists,
@@ -318,6 +325,7 @@ impl Caches {
             &mut self.cofactor,
             &mut self.subst,
             &mut self.union,
+            &mut self.quantify,
         ]
     }
 
@@ -353,7 +361,7 @@ impl Caches {
     /// All caches with their operation names: the one list that
     /// [`Self::totals`], [`Self::bytes`], [`Self::stats`] and the
     /// cache-residue audit read.
-    pub fn named(&self) -> [(&'static str, &dyn Table); 8] {
+    pub fn named(&self) -> [(&'static str, &dyn Table); 9] {
         [
             ("ite", &self.ite),
             ("exists", &self.exists),
@@ -363,6 +371,7 @@ impl Caches {
             ("cofactor", &self.cofactor),
             ("subst", &self.subst),
             ("union", &self.union),
+            ("quantify", &self.quantify),
         ]
     }
 
@@ -517,7 +526,7 @@ mod tests {
         let _ = cs.ite.get((0, 0, 0));
         let _ = cs.exists.get((9, 9, 9));
         assert_eq!(cs.totals(), (2, 1));
-        assert_eq!(cs.stats().len(), 8);
+        assert_eq!(cs.stats().len(), 9);
         assert!(cs.bytes() > 0);
         cs.clear_all();
         assert_eq!(cs.stats()[0].entries, 0);
@@ -543,9 +552,11 @@ mod tests {
                 let _ = c.get((i as u32, 0, 0));
             }
         }
-        cs.union.insert([0; 5], [2; 3], DEFAULT_CACHE_LIMIT);
-        for _ in 0..8 {
-            let _ = cs.union.lookup([0; 5]);
+        for (c, n) in [(&mut cs.union, 8), (&mut cs.quantify, 9)] {
+            c.insert([0; 5], [2; 3], DEFAULT_CACHE_LIMIT);
+            for _ in 0..n {
+                let _ = c.lookup([0; 5]);
+            }
         }
         let stats = cs.stats();
         let lookups: u64 = stats.iter().map(|s| s.lookups).sum();

@@ -49,7 +49,7 @@ impl BddManager {
         self.recover(&[f], |m| m.cofactor_rec(f, lvl, lit, val))
     }
 
-    fn cofactor_rec(&mut self, f: Bdd, lvl: u32, lit: u32, val: bool) -> Result<Bdd> {
+    pub(crate) fn cofactor_rec(&mut self, f: Bdd, lvl: u32, lit: u32, val: bool) -> Result<Bdd> {
         if f.is_const() || self.level(f) > lvl {
             return Ok(f);
         }

@@ -22,7 +22,8 @@
 //!   [`BddManager::restrict`]),
 //! * the per-component step of the Boolean functional vector union
 //!   (paper §2.3) as one memoized five-operand kernel
-//!   ([`BddManager::union_step`]),
+//!   ([`BddManager::union_step`]), and the §2.6 parameter-quantification
+//!   step fused into it ([`BddManager::quantify_step`]),
 //! * structural exploration: support, DAG sizes, satisfying-assignment
 //!   counts, minterm extraction and DOT export,
 //! * irredundant sum-of-products extraction (Minato–Morreale ISOP,

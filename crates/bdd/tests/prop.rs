@@ -589,6 +589,44 @@ impl UnionCase {
     }
 }
 
+/// One random cache flush point for the memo tests: a partial-root
+/// collection, after which `build(i, m)` rebuilds every operand set `i`
+/// that was not kept, a sift, an explicit reorder, a cache resize, or
+/// nothing.
+fn random_flush_point<const N: usize>(
+    m: &mut BddManager,
+    rng: &mut Rng,
+    ops: &mut [[Bdd; N]],
+    build: impl Fn(usize, &mut BddManager) -> [Bdd; N],
+) {
+    let live: Vec<Bdd> = ops.iter().flatten().copied().collect();
+    match rng.below(5) {
+        0 => {
+            let keep: Vec<bool> = ops.iter().map(|_| rng.flip()).collect();
+            let roots: Vec<Bdd> = (0..ops.len())
+                .filter(|&i| keep[i])
+                .flat_map(|i| ops[i])
+                .collect();
+            m.collect_garbage(&roots);
+            for i in (0..ops.len()).filter(|&i| !keep[i]) {
+                ops[i] = build(i, m);
+            }
+        }
+        1 => {
+            m.sift(&live, &SiftConfig::default());
+        }
+        2 => {
+            let mut order: Vec<u32> = (0..MEMO_VARS).collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            m.reorder_to(&order, &live).unwrap();
+        }
+        3 => m.set_cache_limit(if rng.flip() { 1 } else { 1 << 12 }),
+        _ => {}
+    }
+}
+
 /// Checks every result of `union_step` on `ops` against the closed forms
 /// over all assignments.
 fn check_union_step(m: &mut BddManager, case: &UnionCase, ops: [Bdd; 4], what: &str) {
@@ -619,32 +657,7 @@ fn union_step_matches_closed_forms_across_sweeps_and_reorders() {
             .collect();
         let mut ops: Vec<[Bdd; 4]> = cases.iter().map(|c| c.build(&mut m)).collect();
         for step in 0..30 {
-            let live: Vec<Bdd> = ops.iter().flatten().copied().collect();
-            match rng.below(5) {
-                0 => {
-                    let keep: Vec<bool> = ops.iter().map(|_| rng.flip()).collect();
-                    let roots: Vec<Bdd> = (0..ops.len())
-                        .filter(|&i| keep[i])
-                        .flat_map(|i| ops[i])
-                        .collect();
-                    m.collect_garbage(&roots);
-                    for i in (0..ops.len()).filter(|&i| !keep[i]) {
-                        ops[i] = cases[i].build(&mut m);
-                    }
-                }
-                1 => {
-                    m.sift(&live, &SiftConfig::default());
-                }
-                2 => {
-                    let mut order: Vec<u32> = (0..MEMO_VARS).collect();
-                    for i in (1..order.len()).rev() {
-                        order.swap(i, rng.below(i as u64 + 1) as usize);
-                    }
-                    m.reorder_to(&order, &live).unwrap();
-                }
-                3 => m.set_cache_limit(if rng.flip() { 1 } else { 1 << 12 }),
-                _ => {}
-            }
+            random_flush_point(&mut m, &mut rng, &mut ops, |i, m| cases[i].build(m));
             for (i, c) in cases.iter().enumerate() {
                 check_union_step(
                     &mut m,
@@ -717,4 +730,190 @@ fn union_step_on_constant_operands_matches_closed_forms() {
             );
         }
     }
+}
+
+/// Random operands of one fused §2.6 step: a component `n` over every
+/// variable, in either polarity, a choice variable `v`, a parameter
+/// `p ≠ v`, and exclusions shaped as in [`UnionCase`] but read at `p = 0`,
+/// so that they do not depend on `p`.
+struct QuantifyCase {
+    n: Expr,
+    neg: bool,
+    v: u32,
+    p: u32,
+    /// `x, y, z`: `fˣ = x ∧ y` and `gˣ = ¬x ∧ z` in the general shapes.
+    parts: [Expr; 3],
+    /// 0–1: general exclusions; 2: `fˣ = ⊤`; 3: `gˣ = ⊤`; 4: both `⊥`.
+    shape: u64,
+}
+
+impl QuantifyCase {
+    fn random(rng: &mut Rng, nvars: u32) -> QuantifyCase {
+        let v = rng.below(u64::from(nvars)) as u32;
+        let p = (v + 1 + rng.below(u64::from(nvars) - 1) as u32) % nvars;
+        QuantifyCase {
+            n: Expr::random(rng, nvars, 5),
+            neg: rng.flip(),
+            v,
+            p,
+            parts: std::array::from_fn(|_| Expr::random(rng, nvars, 3)),
+            shape: rng.below(5),
+        }
+    }
+
+    /// `[n, fˣ, gˣ]` as BDDs.
+    fn build(&self, m: &mut BddManager) -> [Bdd; 3] {
+        let n = self.n.build(m);
+        let n = if self.neg { m.not(n) } else { n };
+        let p = Var(self.p);
+        let [x, y, z] = self.parts.each_ref().map(|e| {
+            let f = e.build(m);
+            m.cofactor(f, p, false).unwrap()
+        });
+        let (fx, gx) = match self.shape {
+            2 => (Bdd::TRUE, Bdd::FALSE),
+            3 => (Bdd::FALSE, Bdd::TRUE),
+            4 => (Bdd::FALSE, Bdd::FALSE),
+            _ => {
+                let nx = m.not(x);
+                (m.and(x, y).unwrap(), m.and(nx, z).unwrap())
+            }
+        };
+        [n, fx, gx]
+    }
+}
+
+/// Where `p`'s level lies against the tops of `v` and the non-constant
+/// exclusions: 0 above all of them, 1 between, 2 below all of them.
+fn parameter_position(m: &BddManager, case: &QuantifyCase, fx: Bdd, gx: Bdd) -> usize {
+    let mut tops = vec![m.var_to_level(Var(case.v))];
+    for b in [fx, gx].into_iter().filter(|b| !b.is_const()) {
+        tops.push(m.var_to_level(m.top_var(b)));
+    }
+    let pl = m.var_to_level(Var(case.p));
+    match tops.iter().filter(|&&t| t < pl).count() {
+        0 => 0,
+        k if k == tops.len() => 2,
+        _ => 1,
+    }
+}
+
+/// `quantify_step` against its definition, handle for handle: both
+/// cofactors built, then one `union_step`.
+fn check_quantify_step(m: &mut BddManager, case: &QuantifyCase, ops: [Bdd; 3], what: &str) {
+    let [n, fx, gx] = ops;
+    let (v, p) = (Var(case.v), Var(case.p));
+    let fused = m.quantify_step(n, fx, gx, v, p).unwrap();
+    let n0 = m.cofactor(n, p, false).unwrap();
+    let n1 = m.cofactor(n, p, true).unwrap();
+    let split = m.union_step(n0, n1, fx, gx, v).unwrap();
+    assert_eq!(fused, split, "{what}: fused vs split step");
+}
+
+#[test]
+fn quantify_step_equals_cofactors_then_union_step_across_sweeps_and_reorders() {
+    // The fused §2.6 kernel against its definition. The persistent
+    // quantify memo meets every cache flush point, as the union memo
+    // does above; random reorders move p above, between and below v and
+    // the exclusions.
+    let mut rng = Rng::new(0x0A7F);
+    let mut positions = [0usize; 3];
+    let mut polarities = [0usize; 2];
+    let mut shapes = [0usize; 5];
+    let mut memo_hits = 0;
+    for case in 0..24 {
+        let mut m = BddManager::new(MEMO_VARS);
+        let cases: Vec<QuantifyCase> = (0..4)
+            .map(|_| QuantifyCase::random(&mut rng, MEMO_VARS))
+            .collect();
+        let mut ops: Vec<[Bdd; 3]> = cases.iter().map(|c| c.build(&mut m)).collect();
+        for step in 0..30 {
+            random_flush_point(&mut m, &mut rng, &mut ops, |i, m| cases[i].build(m));
+            for (i, c) in cases.iter().enumerate() {
+                let [_, fx, gx] = ops[i];
+                positions[parameter_position(&m, c, fx, gx)] += 1;
+                polarities[usize::from(c.neg)] += 1;
+                shapes[c.shape as usize] += 1;
+                check_quantify_step(
+                    &mut m,
+                    c,
+                    ops[i],
+                    &format!("case {case} step {step} op {i}"),
+                );
+            }
+            let residue = m.audit_cache_residue();
+            assert!(residue.is_empty(), "case {case} step {step}: {residue:?}");
+        }
+        let stats = m.cache_stats();
+        memo_hits += stats.iter().find(|s| s.name == "quantify").unwrap().hits;
+    }
+    assert!(
+        positions.iter().all(|&k| k > 0),
+        "p above/between/below: {positions:?}"
+    );
+    assert!(polarities.iter().all(|&k| k > 0), "{polarities:?}");
+    assert!(shapes.iter().all(|&k| k > 0), "{shapes:?}");
+    assert!(memo_hits > 0, "the quantify memo never hit");
+}
+
+#[test]
+fn quantify_step_memo_keys_on_the_parameter() {
+    // The same (n, fˣ, gˣ, v) under two parameters: n = x1 ⊕ x2 with v
+    // the top variable, so both calls memoize an entry above p's level,
+    // and their fˣ' differ (v ↔ ¬x2 against v ↔ ¬x1). A key without p
+    // would serve the first call's entry to the second.
+    let mut m = BddManager::new(3);
+    let (x1, x2) = (m.var(Var(1)), m.var(Var(2)));
+    let n = m.xor(x1, x2).unwrap();
+    let (fx, gx, v) = (Bdd::FALSE, Bdd::FALSE, Var(0));
+    let quantify_hits = |m: &BddManager| {
+        m.cache_stats()
+            .iter()
+            .find(|s| s.name == "quantify")
+            .unwrap()
+            .hits
+    };
+    let mut seen = Vec::new();
+    for p in [Var(1), Var(2), Var(1), Var(2)] {
+        let hits = quantify_hits(&m);
+        let fused = m.quantify_step(n, fx, gx, v, p).unwrap();
+        let n0 = m.cofactor(n, p, false).unwrap();
+        let n1 = m.cofactor(n, p, true).unwrap();
+        assert_eq!(fused, m.union_step(n0, n1, fx, gx, v).unwrap(), "{p}");
+        if seen.len() >= 2 {
+            assert!(quantify_hits(&m) > hits, "repeat call for {p} missed");
+        }
+        seen.push(fused);
+    }
+    assert_ne!(seen[0], seen[1], "the two parameters gave one step");
+}
+
+#[test]
+fn quantify_step_on_constant_exclusions_reads_one_cofactor() {
+    // fˣ = ⊤ keeps only the second operand of the union, n|p=1; gˣ = ⊤
+    // keeps n|p=0. Both polarities of n, p above and below v.
+    let mut m = BddManager::new(4);
+    let x: Vec<Bdd> = (0..4).map(|i| m.var(Var(i))).collect();
+    let a = m.and(x[0], x[2]).unwrap();
+    let n = m.xor(a, x[3]).unwrap();
+    for n in [n, m.not(n)] {
+        for (v, p) in [(Var(1), Var(0)), (Var(1), Var(2)), (Var(0), Var(3))] {
+            let hi = m.cofactor(n, p, true).unwrap();
+            let lo = m.cofactor(n, p, false).unwrap();
+            let got = m.quantify_step(n, Bdd::TRUE, Bdd::FALSE, v, p).unwrap();
+            assert_eq!(got, (hi, Bdd::TRUE, Bdd::FALSE), "fˣ = ⊤, {v}, {p}");
+            let got = m.quantify_step(n, Bdd::FALSE, Bdd::TRUE, v, p).unwrap();
+            assert_eq!(got, (lo, Bdd::FALSE, Bdd::TRUE), "gˣ = ⊤, {v}, {p}");
+        }
+    }
+}
+
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "must not depend on p")]
+fn quantify_step_rejects_exclusions_that_read_the_parameter() {
+    let mut m = BddManager::new(3);
+    let n = m.var(Var(2));
+    let fx = m.var(Var(2));
+    let _ = m.quantify_step(n, fx, Bdd::FALSE, Var(0), Var(2));
 }

@@ -10,7 +10,8 @@
 //! space, the result is, for every assignment of the parameters, the
 //! operation applied to the pointwise sets. The re-parameterization
 //! procedure of §2.6 ([`crate::reparam`]) relies on exactly this property
-//! of [`union`].
+//! of [`union`], which it computes through a fused kernel on the two
+//! cofactors.
 
 use bfvr_bdd::{Bdd, BddManager, Var};
 
@@ -66,9 +67,11 @@ use crate::{Result, Space};
 ///
 /// Where the operands agree — `f_i = g_i`, or any pair of sub-nodes the
 /// kernel reaches — the component is carried through and the exclusions
-/// are left as they are, without further work. The union of the two
-/// cofactors `N|p=0, N|p=1` that §2.6 takes per eliminated parameter
-/// shares most of its subgraphs, so most of each walk ends there.
+/// are left as they are, without further work. §2.6 takes this union on
+/// the two cofactors `N|p=0, N|p=1` of one vector; there
+/// [`crate::reparam`] calls the fused kernel
+/// [`BddManager::quantify_step`] instead, which walks each component of
+/// `N` once and builds neither cofactor.
 ///
 /// # Errors
 ///

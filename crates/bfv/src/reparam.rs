@@ -15,6 +15,12 @@
 //! have to split recursively"). Eliminating every parameter yields the
 //! canonical vector of the image.
 //!
+//! Nor are the two cofactors built. Each component that depends on `p`
+//! is one call of the fused kernel [`BddManager::quantify_step`], which
+//! returns the union step on `n|p=0, n|p=1` while walking `n` once and
+//! splitting it only at `p`'s level. The exclusion conditions thread
+//! through the components exactly as in [`crate::ops::union`].
+//!
 //! The order in which parameters are eliminated matters for intermediate
 //! BDD sizes. The paper uses "a dynamic quantification schedule based on a
 //! simple support based cost heuristic"; both that and a fixed schedule
@@ -22,7 +28,6 @@
 
 use bfvr_bdd::{Bdd, BddManager, Support, Var};
 
-use crate::ops;
 use crate::vector::Bfv;
 use crate::{Result, Space};
 
@@ -92,12 +97,17 @@ pub fn reparameterize_with(
 /// every parameter in the order the schedule takes it, including those no
 /// component depends on.
 ///
+/// Each step is the union `N|p=0 ∪ N|p=1` of §2.6, computed one component
+/// at a time by [`BddManager::quantify_step`] with the exclusion
+/// conditions threaded through in component order. A component that does
+/// not depend on `p` is carried over unchanged and leaves the exclusions
+/// as they are, because the union step of a component with itself is the
+/// identity. No cofactor vector is built.
+///
 /// The support of each component is computed once and recomputed only
-/// for the components whose handle the last union changed. It answers the
+/// for the components whose handle the last step changed. It answers the
 /// dependency check, the schedule's dependent counts, and which
-/// components need cofactoring at all: the others are carried into both
-/// cofactors unchanged, where the union's identical-component fast path
-/// passes them straight through.
+/// components the kernel must visit at all.
 fn eliminate(
     m: &mut BddManager,
     space: &Space,
@@ -128,28 +138,20 @@ fn eliminate(
         if !supports.iter().any(|s| s.contains(p)) {
             continue;
         }
-        let mut lo = current.components().to_vec();
-        let mut hi = lo.clone();
-        for (j, s) in supports.iter().enumerate() {
-            if s.contains(p) {
-                lo[j] = m.cofactor(lo[j], p, false)?;
-                hi[j] = m.cofactor(hi[j], p, true)?;
+        let (mut fx, mut gx) = (Bdd::FALSE, Bdd::FALSE);
+        let mut next = current.components().to_vec();
+        for (j, s) in supports.iter_mut().enumerate() {
+            if !s.contains(p) {
+                continue;
+            }
+            let (h, fx1, gx1) = m.quantify_step(next[j], fx, gx, space.var(j), p)?;
+            (fx, gx) = (fx1, gx1);
+            if h != next[j] {
+                *s = m.support(h);
+                next[j] = h;
             }
         }
-        let f0 = Bfv::from_components(space, lo)?;
-        let f1 = Bfv::from_components(space, hi)?;
-        let next = ops::union(m, space, &f0, &f1)?;
-        for (j, (&old, &new)) in current
-            .components()
-            .iter()
-            .zip(next.components())
-            .enumerate()
-        {
-            if old != new {
-                supports[j] = m.support(new);
-            }
-        }
-        current = next;
+        current = Bfv::from_components(space, next)?;
     }
     Ok(current)
 }
@@ -193,6 +195,7 @@ fn cheapest_param(m: &BddManager, vec: &Bfv, supports: &[Support], remaining: &[
 mod tests {
     use super::*;
     use crate::convert::to_characteristic;
+    use crate::ops;
     use crate::StateSet;
     use bfvr_bdd::Bdd;
 

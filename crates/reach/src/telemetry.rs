@@ -120,6 +120,11 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
             "cache.union.hits",
             "cache.union.entries",
         ),
+        "quantify" => (
+            "cache.quantify.lookups",
+            "cache.quantify.hits",
+            "cache.quantify.entries",
+        ),
         _ => return None,
     })
 }
@@ -233,7 +238,14 @@ mod tests {
 
     #[test]
     fn every_manager_cache_has_interned_counter_names() {
+        // `cache_stats` lists every table of the manager's cache registry,
+        // the five-operand `union` and `quantify` kernels included.
         let m = BddManager::new(2);
+        let names: Vec<&str> = m.cache_stats().iter().map(|cs| cs.name).collect();
+        assert!(
+            names.contains(&"union") && names.contains(&"quantify"),
+            "{names:?}"
+        );
         for cs in m.cache_stats() {
             let (lookups, hits, entries) = cache_counter_names(cs.name)
                 .unwrap_or_else(|| panic!("cache {:?} has no interned names", cs.name));

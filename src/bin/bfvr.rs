@@ -1318,7 +1318,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// `bfvr submit`: validate and journal one job for `bfvr serve`.
 /// Submission is append-only and first-wins per id, so re-running a
-/// submit script after a crash is harmless.
+/// submit script after a crash is harmless. Every flag is validated
+/// before the directory or its journal is created, so a rejected submit
+/// leaves nothing behind.
 fn cmd_submit(args: &[String]) -> Result<(), String> {
     let circuit = args
         .get(1)
@@ -1328,17 +1330,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     // Fail bad circuits here, not in a worker three retries deep.
     let _ = load(&circuit)?;
     let dir = PathBuf::from(flag_value(args, "--dir").ok_or("submit needs --dir <dir>")?);
-    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut journal = Journal::open(&dir.join("journal.jsonl")).map_err(|e| e.to_string())?;
-    let id = match flag_value(args, "--id") {
-        Some(id) => id,
-        None => format!("job{}", journal.ledger().job_ids().len() + 1),
-    };
-    if journal.ledger().get(&id).is_some() {
-        println!("job {id} is already journaled (ids are first-wins)");
-        return Ok(());
-    }
-    let mut spec = JobSpec::new(&id, &circuit);
+    // The id is assigned once the journal is open.
+    let mut spec = JobSpec::new("", &circuit);
     if let Some(e) = flag_value(args, "--engine") {
         spec.engine = e.to_ascii_lowercase();
     }
@@ -1383,6 +1376,17 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
             return Err("bad --fault (expected kill@K)".into());
         }
     }
+    std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    let mut journal = Journal::open(&dir.join("journal.jsonl")).map_err(|e| e.to_string())?;
+    let id = match flag_value(args, "--id") {
+        Some(id) => id,
+        None => format!("job{}", journal.ledger().job_ids().len() + 1),
+    };
+    if journal.ledger().get(&id).is_some() {
+        println!("job {id} is already journaled (ids are first-wins)");
+        return Ok(());
+    }
+    spec.id.clone_from(&id);
     journal
         .append(&id, "submitted", vec![("spec", spec.to_json())])
         .map_err(|e| e.to_string())?;

@@ -81,6 +81,35 @@ fn unknown_flags_are_usage_errors() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A rejected submit leaves no trace: every flag is validated before the
+/// job directory and its journal are created.
+#[test]
+fn rejected_submit_creates_no_directory() {
+    let base = std::env::temp_dir().join(format!("bfvr_cli_submit_{}", std::process::id()));
+    for (i, bad) in [
+        &["--repr", "zdd"][..],
+        &["--engine", "warp"],
+        &["--order", "sideways"],
+        &["--engine", "iwls95", "--repr", "bfv"],
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let dir = base.join(format!("d{i}"));
+        let mut args = vec!["submit", "gen:s27", "--dir", dir.to_str().unwrap()];
+        args.extend_from_slice(bad);
+        let o = bfvr(&args);
+        assert!(!o.status.success(), "{args:?} must fail");
+        assert!(!dir.exists(), "{args:?} created {}", dir.display());
+    }
+    // The same directory is created once the flags are valid.
+    let dir = base.join("ok");
+    let o = bfvr(&["submit", "gen:s27", "--dir", dir.to_str().unwrap()]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(dir.join("journal.jsonl").exists());
+    let _ = std::fs::remove_dir_all(&base);
+}
+
 /// A purely combinational circuit has no state to traverse: every
 /// traversal command exits nonzero with an error, never a panic.
 #[test]
