@@ -123,7 +123,7 @@ impl BddManager {
     /// "shared size" reported for Boolean functional vectors in the
     /// paper's Table 3.
     pub fn shared_size(&self, roots: &[Bdd]) -> usize {
-        self.live_from(roots)
+        self.shared_size_capped(roots, usize::MAX)
     }
 
     /// Number of satisfying assignments over `num_vars` variables

@@ -843,6 +843,23 @@ impl BddManager {
     /// counting is by node, not by edge — `f` and `¬f` contribute the same
     /// shared structure.
     pub fn live_from(&self, roots: &[Bdd]) -> usize {
+        self.shared_size_capped(roots, usize::MAX)
+    }
+
+    /// The [`shared_size`](Self::shared_size) of `roots`, capped:
+    /// `min(shared_size(roots), cap)`. The walk stops as soon as it has
+    /// counted `cap` interior nodes, and a `cap` of 0 returns 0 without
+    /// walking at all. This is the crate's one size walk; `shared_size`,
+    /// [`size`](Self::size) and [`live_from`](Self::live_from) are this
+    /// with `cap = usize::MAX`.
+    ///
+    /// For a size compared with a bound — "has `roots` at least `k`
+    /// nodes?" is `shared_size_capped(roots, k) >= k` — the walk costs
+    /// O(min(size, k)) instead of O(size).
+    pub fn shared_size_capped(&self, roots: &[Bdd], cap: usize) -> usize {
+        if cap == 0 {
+            return 0;
+        }
         self.walk(|w| {
             w.stack.extend(roots.iter().map(|b| b.node()));
             let mut count = 0;
@@ -853,6 +870,9 @@ impl BddManager {
                 let n = self.arena.get(i);
                 if n.var < self.num_vars {
                     count += 1;
+                    if count == cap {
+                        break;
+                    }
                     w.stack.push(n.lo >> 1);
                     w.stack.push(n.hi >> 1);
                 }

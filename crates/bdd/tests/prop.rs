@@ -917,3 +917,76 @@ fn quantify_step_rejects_exclusions_that_read_the_parameter() {
     let fx = m.var(Var(2));
     let _ = m.quantify_step(n, fx, Bdd::FALSE, Var(0), Var(2));
 }
+
+/// Interior nodes under `roots`, counted by a walk of its own over the
+/// public `low`/`high` cofactors: the reference for the size walks.
+fn reference_shared_size(m: &BddManager, roots: &[Bdd]) -> usize {
+    let mut seen = std::collections::HashSet::new();
+    let mut stack: Vec<Bdd> = roots.to_vec();
+    while let Some(f) = stack.pop() {
+        // The edge word's low bit is the complement flag; a node and its
+        // complement are one node.
+        if f.is_const() || !seen.insert(f.index() >> 1) {
+            continue;
+        }
+        stack.push(m.low(f));
+        stack.push(m.high(f));
+    }
+    seen.len()
+}
+
+/// Checks `shared_size_capped` at the caps either side of the true size.
+fn check_capped_walk(m: &BddManager, roots: &[Bdd], what: &str) {
+    let size = m.shared_size(roots);
+    assert_eq!(size, reference_shared_size(m, roots), "{what}: shared_size");
+    let caps = [
+        0,
+        1,
+        size.saturating_sub(1),
+        size,
+        size + 1,
+        size + 7,
+        usize::MAX,
+    ];
+    for cap in caps {
+        assert_eq!(
+            m.shared_size_capped(roots, cap),
+            size.min(cap),
+            "{what}: cap {cap} of size {size}"
+        );
+    }
+}
+
+#[test]
+fn capped_size_walk_is_the_min_of_size_and_cap() {
+    // Multi-root sets with complemented roots, duplicates, constants and
+    // subgraphs shared between roots, checked on the fresh graph (with
+    // its garbage), after a sweep to the roots, and after a sift.
+    let mut rng = Rng::new(0x51CA);
+    for case in 0..64 {
+        let mut m = BddManager::new(MEMO_VARS);
+        let exprs: Vec<Expr> = (0..3)
+            .map(|_| Expr::random(&mut rng, MEMO_VARS, 5))
+            .collect();
+        let fs: Vec<Bdd> = exprs.iter().map(|e| e.build(&mut m)).collect();
+        let mut roots = Vec::new();
+        for &f in &fs {
+            roots.push(if rng.flip() { m.not(f) } else { f });
+        }
+        // A root built from the others shares their subgraphs.
+        let joined = m.ite(fs[0], fs[1], fs[2]).unwrap();
+        roots.push(joined);
+        roots.push(m.not(roots[0]));
+        roots.push(if rng.flip() { Bdd::TRUE } else { Bdd::FALSE });
+        let what = format!("case {case}");
+        check_capped_walk(&m, &roots, &what);
+        for k in 0..roots.len() {
+            check_capped_walk(&m, &roots[k..=k], &format!("{what} root {k}"));
+        }
+        check_capped_walk(&m, &[], &format!("{what} no roots"));
+        m.collect_garbage(&roots);
+        check_capped_walk(&m, &roots, &format!("{what} after sweep"));
+        m.sift(&roots, &SiftConfig::default());
+        check_capped_walk(&m, &roots, &format!("{what} after sift"));
+    }
+}

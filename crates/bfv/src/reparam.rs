@@ -107,7 +107,9 @@ pub fn reparameterize_with(
 /// The support of each component is computed once and recomputed only
 /// for the components whose handle the last step changed. It answers the
 /// dependency check, the schedule's dependent counts, and which
-/// components the kernel must visit at all.
+/// components the kernel must visit at all. Sizes are walked only to
+/// break ties in the dynamic schedule, and then capped (see
+/// [`cheapest_param`]).
 fn eliminate(
     m: &mut BddManager,
     space: &Space,
@@ -161,7 +163,10 @@ fn eliminate(
 ///
 /// Counts come from the cached supports; `shared_size` is walked only for
 /// parameters tied at the least count, and not at all when no tie (or no
-/// dependent) needs breaking.
+/// dependent) needs breaking. Each tie-break walk is capped at the best
+/// size so far ([`BddManager::shared_size_capped`]): a parameter that
+/// cannot beat it stops after that many nodes, and since only a strictly
+/// smaller size wins, the first least still wins.
 fn cheapest_param(m: &BddManager, vec: &Bfv, supports: &[Support], remaining: &[Var]) -> usize {
     let counts: Vec<usize> = remaining
         .iter()
@@ -182,7 +187,9 @@ fn cheapest_param(m: &BddManager, vec: &Bfv, supports: &[Support], remaining: &[
             .filter(|&j| supports[j].contains(p))
             .map(|j| vec.component(j))
             .collect();
-        let size = m.shared_size(&roots);
+        // Capped at the best so far: a size that cannot win stops early
+        // and reads as `best_size`, which the strict `<` rejects.
+        let size = m.shared_size_capped(&roots, best_size);
         if size < best_size {
             best_size = size;
             best = i;

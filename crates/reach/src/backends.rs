@@ -241,6 +241,10 @@ impl SetRepr for ChiBackend<'_> {
         m.size(*s)
     }
 
+    fn size_capped(&self, m: &BddManager, s: &Bdd, cap: usize) -> usize {
+        m.shared_size_capped(&[*s], cap)
+    }
+
     fn append_roots(&self, s: &Bdd, out: &mut Vec<Bdd>) {
         out.push(*s);
     }
@@ -358,6 +362,10 @@ impl SetRepr for BfvBackend<'_> {
 
     fn size(&self, m: &BddManager, s: &Bfv) -> usize {
         s.shared_size(m)
+    }
+
+    fn size_capped(&self, m: &BddManager, s: &Bfv, cap: usize) -> usize {
+        m.shared_size_capped(s.components(), cap)
     }
 
     fn append_roots(&self, s: &Bfv, out: &mut Vec<Bdd>) {
@@ -493,6 +501,10 @@ impl SetRepr for CdecBackend<'_> {
 
     fn size(&self, m: &BddManager, s: &CdecSet) -> usize {
         s.bfv.shared_size(m)
+    }
+
+    fn size_capped(&self, m: &BddManager, s: &CdecSet, cap: usize) -> usize {
+        m.shared_size_capped(s.bfv.components(), cap)
     }
 
     fn repr_nodes(&self, m: &BddManager, s: &CdecSet) -> usize {

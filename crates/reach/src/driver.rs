@@ -96,11 +96,13 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 break;
             }
             reached = new_reached;
-            from = if opts.use_frontier && backend.size(m, &img) <= backend.size(m, &reached) {
-                img
-            } else {
-                reached.clone()
+            // Frontier choice: the image when it is no larger than the
+            // reached set. The reached-set walk stops after |img| nodes.
+            let take_img = opts.use_frontier && {
+                let k = backend.size(m, &img);
+                backend.size_capped(m, &reached, k) >= k
             };
+            from = if take_img { img } else { reached.clone() };
             _state_guards = (backend.pin(m, &reached), backend.pin(m, &from));
             let mut roots = Vec::new();
             backend.append_roots(&reached, &mut roots);
@@ -258,5 +260,221 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         reorder_nodes: (reorder_before, reorder_after),
         per_iteration,
         checkpoint,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use bfvr_bdd::{Bdd, BddManager, Func};
+    use bfvr_bfv::reparam::Schedule;
+    use bfvr_bfv::BfvError;
+    use bfvr_netlist::{generators, Netlist};
+    use bfvr_setrepr::{ReprCheckpoint, ReprKind, Restored, SetRepr, SetView};
+    use bfvr_sim::{EncodedFsm, OrderHeuristic};
+
+    use super::run_fixed_point;
+    use crate::backends::{BfvBackend, CdecBackend, ChiBackend};
+    use crate::common::{EngineKind, ReachOptions, ReachResult};
+
+    /// Forwards every [`SetRepr`] method to the wrapped backend except
+    /// `size_capped`, which keeps the trait's default: a full `size`
+    /// walk, cut to the cap afterwards. The reference for the capped
+    /// overrides.
+    struct FullWalk<B>(B);
+
+    impl<B: SetRepr> SetRepr for FullWalk<B> {
+        type Set = B::Set;
+
+        fn kind(&self) -> ReprKind {
+            self.0.kind()
+        }
+        fn prepare(&mut self, m: &mut BddManager) -> Result<(), BfvError> {
+            self.0.prepare(m)
+        }
+        fn initial(&mut self, m: &mut BddManager) -> Result<B::Set, BfvError> {
+            self.0.initial(m)
+        }
+        fn image(&mut self, m: &mut BddManager, from: &B::Set) -> Result<B::Set, BfvError> {
+            self.0.image(m, from)
+        }
+        fn union(
+            &mut self,
+            m: &mut BddManager,
+            a: &B::Set,
+            b: &B::Set,
+        ) -> Result<B::Set, BfvError> {
+            self.0.union(m, a, b)
+        }
+        fn set_eq(&self, m: &BddManager, a: &B::Set, b: &B::Set) -> bool {
+            self.0.set_eq(m, a, b)
+        }
+        fn size(&self, m: &BddManager, s: &B::Set) -> usize {
+            self.0.size(m, s)
+        }
+        fn repr_nodes(&self, m: &BddManager, s: &B::Set) -> usize {
+            self.0.repr_nodes(m, s)
+        }
+        fn append_roots(&self, s: &B::Set, out: &mut Vec<Bdd>) {
+            self.0.append_roots(s, out);
+        }
+        fn persistent_roots(&self, out: &mut Vec<Bdd>) {
+            self.0.persistent_roots(out);
+        }
+        fn pin(&self, m: &BddManager, s: &B::Set) -> Vec<Func> {
+            self.0.pin(m, s)
+        }
+        fn view<'a>(&'a self, reached: &'a B::Set, from: &'a B::Set) -> SetView<'a> {
+            self.0.view(reached, from)
+        }
+        fn count_states(&self, m: &BddManager, s: &B::Set) -> Option<f64> {
+            self.0.count_states(m, s)
+        }
+        fn to_chi(&mut self, m: &mut BddManager, s: &B::Set) -> Result<Bdd, BfvError> {
+            self.0.to_chi(m, s)
+        }
+        fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<B::Set>, BfvError> {
+            self.0.from_chi(m, chi)
+        }
+        fn checkpoint(
+            &mut self,
+            m: &mut BddManager,
+            reached: &B::Set,
+            from: &B::Set,
+        ) -> Result<ReprCheckpoint, BfvError> {
+            self.0.checkpoint(m, reached, from)
+        }
+        fn restore(
+            &mut self,
+            m: &mut BddManager,
+            cp: &ReprCheckpoint,
+        ) -> Result<Restored<B::Set>, BfvError> {
+            self.0.restore(m, cp)
+        }
+        fn end_of_iteration(&mut self, reached: &B::Set, from: &B::Set) {
+            self.0.end_of_iteration(reached, from);
+        }
+        fn over_approximates(&self) -> bool {
+            self.0.over_approximates()
+        }
+        fn supports_reorder(&self) -> bool {
+            self.0.supports_reorder()
+        }
+        fn take_conversion(&mut self) -> Duration {
+            self.0.take_conversion()
+        }
+    }
+
+    /// Generators whose frontier test meets every case: images smaller
+    /// than the reached set, of equal size (the counters, whose image is
+    /// the new reached set), larger (lfsr6 under χ), and BFV singleton
+    /// images of size 0 (lfsr6), where the capped walk does not walk.
+    fn circuits() -> Vec<(&'static str, Netlist)> {
+        vec![
+            ("s27", bfvr_netlist::circuits::s27()),
+            ("counter5", generators::counter(5)),
+            ("lfsr6", generators::lfsr(6)),
+            ("johnson6", generators::johnson(6)),
+            ("queue3", generators::queue_controller(3)),
+            ("traffic3", generators::traffic_chain(3)),
+        ]
+    }
+
+    /// Runs `engine` on `net` in a fresh manager, with the backend's own
+    /// `size_capped` or (`full_walk`) with the default full walk.
+    fn run(engine: EngineKind, net: &Netlist, full_walk: bool) -> ReachResult {
+        let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin).unwrap();
+        let opts = ReachOptions {
+            record_iterations: true,
+            ..ReachOptions::default()
+        };
+        assert!(opts.use_frontier);
+        let m = &mut m;
+        macro_rules! go {
+            ($backend:expr) => {
+                if full_walk {
+                    run_fixed_point(engine, &mut FullWalk($backend), m, &fsm, &opts, None)
+                } else {
+                    run_fixed_point(engine, &mut $backend, m, &fsm, &opts, None)
+                }
+            };
+        }
+        match engine {
+            EngineKind::Monolithic => go!(ChiBackend::monolithic(&fsm)),
+            EngineKind::Cbm => go!(ChiBackend::cbm(&fsm)),
+            EngineKind::Iwls95 => go!(ChiBackend::iwls95(&fsm, opts.cluster_threshold)),
+            EngineKind::Bfv => go!(BfvBackend::new(&fsm, Schedule::DynamicSupport)),
+            EngineKind::Cdec => go!(CdecBackend::new(&fsm, Schedule::DynamicSupport)),
+        }
+    }
+
+    #[test]
+    fn capped_frontier_test_takes_the_full_walk_decisions() {
+        for (name, net) in circuits() {
+            for engine in EngineKind::all() {
+                let what = format!("{name} {}", engine.label());
+                let capped = run(engine, &net, false);
+                let full = run(engine, &net, true);
+                assert_eq!(capped.outcome, full.outcome, "{what}");
+                assert_eq!(capped.iterations, full.iterations, "{what}");
+                assert_eq!(capped.peak_nodes, full.peak_nodes, "{what}");
+                assert_eq!(capped.reached_states, full.reached_states, "{what}");
+                // Same operations in fresh managers: the same handle.
+                let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
+                assert_eq!(chi(&capped), chi(&full), "{what}");
+                let frontier = |r: &ReachResult| -> Vec<usize> {
+                    r.per_iteration.iter().map(|s| s.frontier_nodes).collect()
+                };
+                assert_eq!(frontier(&capped), frontier(&full), "{what}");
+                assert_eq!(capped.per_iteration.len(), capped.iterations - 1, "{what}");
+            }
+        }
+    }
+
+    /// Checks `size_capped` against `size` at caps around the true size,
+    /// on every reached set of a plain traversal.
+    fn check_capped_sizes<B: SetRepr>(b: &mut B, m: &mut BddManager, what: &str) {
+        b.prepare(m).unwrap();
+        let mut reached = b.initial(m).unwrap();
+        let mut sizes = Vec::new();
+        loop {
+            let size = b.size(m, &reached);
+            sizes.push(size);
+            for cap in [0, 1, size.saturating_sub(1), size, size + 1, usize::MAX] {
+                assert_eq!(
+                    b.size_capped(m, &reached, cap),
+                    size.min(cap),
+                    "{what}: cap {cap} of size {size}"
+                );
+            }
+            let img = b.image(m, &reached).unwrap();
+            let next = b.union(m, &reached, &img).unwrap();
+            if b.set_eq(m, &next, &reached) {
+                break;
+            }
+            reached = next;
+        }
+        assert!(sizes.iter().any(|&s| s > 1), "{what}: only trivial sets");
+    }
+
+    #[test]
+    fn backend_size_capped_is_the_min_of_size_and_cap() {
+        for (name, net) in circuits() {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            let m = &mut m;
+            check_capped_sizes(&mut ChiBackend::monolithic(&fsm), m, &format!("{name} χ"));
+            let schedule = Schedule::DynamicSupport;
+            check_capped_sizes(
+                &mut BfvBackend::new(&fsm, schedule),
+                m,
+                &format!("{name} BFV"),
+            );
+            check_capped_sizes(
+                &mut CdecBackend::new(&fsm, schedule),
+                m,
+                &format!("{name} CDEC"),
+            );
+        }
     }
 }

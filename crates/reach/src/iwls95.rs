@@ -33,7 +33,10 @@ pub(crate) fn build_clusters(
         let uu = m.var(u);
         let r = m.xnor(uu, fsm.next_fn(l))?;
         let joined = m.and(acc, r)?;
-        if !acc.is_true() && m.size(joined) > threshold {
+        // Only "over the threshold?" matters: stop walking one node past it.
+        if !acc.is_true()
+            && m.shared_size_capped(&[joined], threshold.saturating_add(1)) > threshold
+        {
             clusters.push(acc);
             acc = r;
         } else {
@@ -164,6 +167,52 @@ mod tests {
         let t1 = m.and_all(&tiny).unwrap();
         let t2 = m.and_all(&big).unwrap();
         assert_eq!(t1, t2);
+    }
+
+    /// `build_clusters` with the full size walk in its threshold test.
+    fn build_clusters_full_walk(
+        m: &mut BddManager,
+        fsm: &EncodedFsm,
+        threshold: usize,
+    ) -> Vec<Bdd> {
+        let mut clusters = Vec::new();
+        let mut acc = Bdd::TRUE;
+        for c in 0..fsm.num_latches() {
+            let l = fsm.latch_of_component(c);
+            let (_, u) = fsm.state_vars(l);
+            let uu = m.var(u);
+            let r = m.xnor(uu, fsm.next_fn(l)).unwrap();
+            let joined = m.and(acc, r).unwrap();
+            if !acc.is_true() && m.size(joined) > threshold {
+                clusters.push(acc);
+                acc = r;
+            } else {
+                acc = joined;
+            }
+        }
+        if !acc.is_true() || clusters.is_empty() {
+            clusters.push(acc);
+        }
+        clusters
+    }
+
+    #[test]
+    fn capped_threshold_test_builds_the_full_walk_clusters() {
+        for net in [
+            generators::counter(8),
+            generators::queue_controller(3),
+            generators::lfsr(8),
+        ] {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            for threshold in [0, 1, 5, 20, 100, usize::MAX] {
+                assert_eq!(
+                    build_clusters(&mut m, &fsm, threshold).unwrap(),
+                    build_clusters_full_walk(&mut m, &fsm, threshold),
+                    "{} threshold {threshold}",
+                    net.name()
+                );
+            }
+        }
     }
 
     #[test]

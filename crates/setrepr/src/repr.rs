@@ -131,8 +131,18 @@ pub trait SetRepr {
     fn set_eq(&self, m: &BddManager, a: &Self::Set, b: &Self::Set) -> bool;
 
     /// Representation size used by the frontier heuristic (iterate from
-    /// the image when it is smaller than the reached set).
+    /// the image when it is no larger than the reached set).
     fn size(&self, m: &BddManager, s: &Self::Set) -> usize;
+
+    /// `min(size(s), cap)`: the frontier test's bounded size. The
+    /// driver asks "is the reached set at least as large as the image?"
+    /// as `size_capped(reached, size(img)) >= size(img)`, so a backend
+    /// whose size is a node walk should override this to stop after
+    /// `cap` nodes (and not walk at all when `cap` is 0). The default
+    /// computes the full [`size`](SetRepr::size).
+    fn size_capped(&self, m: &BddManager, s: &Self::Set, cap: usize) -> usize {
+        self.size(m, s).min(cap)
+    }
 
     /// Representation size reported in results (defaults to
     /// [`size`](SetRepr::size); CDEC reports the decomposition, not the

@@ -1,10 +1,55 @@
 //! Netlist → BDD encoding with paired current/next state variables.
 
-use bfvr_bdd::{Bdd, BddManager, Func, Var};
+use std::error::Error;
+use std::fmt;
+
+use bfvr_bdd::{Bdd, BddError, BddManager, Func, Var};
 use bfvr_bfv::Space;
 use bfvr_netlist::{GateKind, Netlist};
 
 use crate::order::{OrderHeuristic, Slot};
+
+/// Why a netlist could not be encoded for state traversal.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EncodeError {
+    /// The netlist has no latch: a purely combinational circuit has no
+    /// state to traverse.
+    NoLatches {
+        /// The netlist's name.
+        circuit: String,
+    },
+    /// BDD resource-limit exhaustion while building the next-state and
+    /// output functions.
+    Bdd(BddError),
+}
+
+impl fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EncodeError::NoLatches { circuit } => write!(
+                f,
+                "`{circuit}` has no latches: state traversal needs at least one \
+                 (combinational circuit?)"
+            ),
+            EncodeError::Bdd(e) => e.fmt(f),
+        }
+    }
+}
+
+impl Error for EncodeError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            EncodeError::NoLatches { .. } => None,
+            EncodeError::Bdd(e) => Some(e),
+        }
+    }
+}
+
+impl From<BddError> for EncodeError {
+    fn from(e: BddError) -> Self {
+        EncodeError::Bdd(e)
+    }
+}
 
 /// A BDD encoding of a finite state machine.
 ///
@@ -39,11 +84,13 @@ impl EncodedFsm {
     ///
     /// # Errors
     ///
-    /// Fails on BDD resource-limit exhaustion (unbounded by default).
+    /// [`EncodeError::NoLatches`] for a netlist without latches;
+    /// [`EncodeError::Bdd`] on BDD resource-limit exhaustion (unbounded
+    /// by default).
     pub fn encode(
         net: &Netlist,
         heuristic: OrderHeuristic,
-    ) -> Result<(BddManager, EncodedFsm), bfvr_bdd::BddError> {
+    ) -> Result<(BddManager, EncodedFsm), EncodeError> {
         Self::encode_with_slots(net, &heuristic.slots(net))
     }
 
@@ -51,22 +98,18 @@ impl EncodedFsm {
     ///
     /// # Errors
     ///
-    /// Fails on BDD resource-limit exhaustion.
+    /// As [`encode`](Self::encode).
     ///
     /// # Panics
     ///
     /// Panics if `slots` is not a complete, duplicate-free cover of the
-    /// netlist's latches and inputs, or if the netlist has no latches
-    /// (purely combinational circuits have no state to traverse).
+    /// netlist's latches and inputs.
     pub fn encode_with_slots(
         net: &Netlist,
         slots: &[Slot],
-    ) -> Result<(BddManager, EncodedFsm), bfvr_bdd::BddError> {
+    ) -> Result<(BddManager, EncodedFsm), EncodeError> {
+        Self::require_latches(net)?;
         let nl = net.latches().len();
-        assert!(
-            nl > 0,
-            "state traversal needs at least one latch (combinational circuit?)"
-        );
         let ni = net.inputs().len();
         assert_eq!(
             slots.len(),
@@ -131,6 +174,23 @@ impl EncodedFsm {
             name: net.name().to_string(),
         };
         Ok((m, fsm))
+    }
+
+    /// Refuses a latch-free netlist: the first check of
+    /// [`encode`](Self::encode), for callers that must refuse before
+    /// they start work that encodes later (racing lanes encode in their
+    /// own threads).
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError::NoLatches`] when `net` has no latch.
+    pub fn require_latches(net: &Netlist) -> Result<(), EncodeError> {
+        if net.latches().is_empty() {
+            return Err(EncodeError::NoLatches {
+                circuit: net.name().to_string(),
+            });
+        }
+        Ok(())
     }
 
     /// The FSM's name (from the netlist).
@@ -407,6 +467,25 @@ mod tests {
         assert_eq!(
             m.sat_count(ov, m.num_vars()) as u64,
             1 << (m.num_vars() - 4)
+        );
+    }
+
+    #[test]
+    fn latch_free_netlist_is_an_error_not_a_panic() {
+        let net =
+            bfvr_netlist::bench::parse_named("INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "comb").unwrap();
+        let err = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap_err();
+        assert_eq!(
+            err,
+            EncodeError::NoLatches {
+                circuit: "comb".into()
+            }
+        );
+        assert!(err.to_string().contains("`comb` has no latches"), "{err}");
+        let slots = OrderHeuristic::Declaration.slots(&net);
+        assert_eq!(
+            EncodedFsm::encode_with_slots(&net, &slots).unwrap_err(),
+            err
         );
     }
 }

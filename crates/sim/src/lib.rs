@@ -46,7 +46,7 @@ mod order;
 mod simulate;
 pub mod ternary;
 
-pub use encode::EncodedFsm;
+pub use encode::{EncodeError, EncodedFsm};
 pub use order::{OrderHeuristic, Slot};
 pub use simulate::{
     simulate_image, simulate_image_scratch, simulate_image_with, simulate_outputs, ImageScratch,

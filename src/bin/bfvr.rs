@@ -266,23 +266,9 @@ fn load(path: &str) -> Result<Netlist, String> {
     }
 }
 
-/// Errors unless `net` has a latch: a purely combinational circuit has
-/// no state to traverse.
-fn stateful(net: &Netlist) -> Result<(), String> {
-    if net.latches().is_empty() {
-        return Err(format!(
-            "`{}` has no latches: state traversal needs at least one \
-             (combinational circuit?)",
-            net.name()
-        ));
-    }
-    Ok(())
-}
-
-/// Encodes `net` for state traversal under `order`, rejecting a
-/// latch-free netlist with an error instead of the encoder's panic.
+/// Encodes `net` for state traversal under `order`; a latch-free
+/// netlist is refused with [`bfvr::sim::EncodeError::NoLatches`].
 fn encode(net: &Netlist, order: OrderHeuristic) -> Result<(BddManager, EncodedFsm), String> {
-    stateful(net)?;
     EncodedFsm::encode(net, order).map_err(|e| e.to_string())
 }
 
@@ -793,7 +779,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let circuit = args.get(1).ok_or("reach needs a file")?.clone();
     let net = load(&circuit)?;
     // Checked up front: the race lanes encode inside their own threads.
-    stateful(&net)?;
+    EncodedFsm::require_latches(&net).map_err(|e| e.to_string())?;
     let orders = parse_order_list(args)?;
     let order = orders[0];
     let mut opts = parse_opts(args)?;
