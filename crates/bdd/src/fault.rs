@@ -8,7 +8,9 @@
 //! [`crate::BddManager::set_fault_plan`] makes these paths determinate:
 //! it fails the *k-th* node allocation (and, sticky, every later one) or
 //! the *k-th* [`crate::BddManager::check_deadline`] call, independent of
-//! wall clock or real memory pressure.
+//! wall clock or real memory pressure. An allocation fault can also
+//! report a deadline, as the allocation path's own deadline poll does
+//! inside an operation, where no `check_deadline` call reaches.
 //!
 //! Faults are **sticky** by design: once the trigger ordinal is reached,
 //! every subsequent allocation (or deadline check) fails until the plan
@@ -23,6 +25,9 @@ pub enum FaultKind {
     NodeLimit,
     /// Report [`crate::BddError::Capacity`] (index-space exhaustion).
     Capacity,
+    /// Report [`crate::BddError::Deadline`] (a time-out tripped by the
+    /// allocation path's deadline poll).
+    Deadline,
 }
 
 /// A deterministic fault schedule for one [`crate::BddManager`].
@@ -63,6 +68,18 @@ impl FaultPlan {
         }
     }
 
+    /// A plan that fails the `k`-th (and every later) node allocation
+    /// with [`crate::BddError::Deadline`], as a deadline that passes in
+    /// the middle of an operation does.
+    #[must_use]
+    pub fn deadline_in_alloc_at(k: u64) -> Self {
+        FaultPlan {
+            fail_alloc_at: Some(k.max(1)),
+            alloc_fault_kind: Some(FaultKind::Deadline),
+            fail_deadline_at: None,
+        }
+    }
+
     /// A plan that fails the `k`-th (and every later)
     /// [`crate::BddManager::check_deadline`] call with
     /// [`crate::BddError::Deadline`].
@@ -88,5 +105,8 @@ mod tests {
         assert_eq!(c.fail_alloc_at, Some(5));
         assert_eq!(c.alloc_fault_kind, Some(FaultKind::Capacity));
         assert_eq!(c.fail_deadline_at, None);
+        let d = FaultPlan::deadline_in_alloc_at(0);
+        assert_eq!(d.fail_alloc_at, Some(1));
+        assert_eq!(d.alloc_fault_kind, Some(FaultKind::Deadline));
     }
 }

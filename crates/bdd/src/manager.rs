@@ -50,6 +50,12 @@ impl<const N: usize> Edges for [Bdd; N] {
     }
 }
 
+impl Edges for Vec<Bdd> {
+    fn edges(&self) -> &[Bdd] {
+        self
+    }
+}
+
 /// Counters describing the current state of a [`BddManager`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ManagerStats {
@@ -588,6 +594,7 @@ impl BddManager {
             if plan.fail_alloc_at.is_some_and(|k| self.alloc_seq >= k) {
                 return match plan.alloc_fault_kind {
                     Some(FaultKind::Capacity) => Err(BddError::Capacity),
+                    Some(FaultKind::Deadline) => Err(BddError::Deadline),
                     _ => Err(BddError::NodeLimit {
                         limit: self.allocated(),
                     }),

@@ -25,7 +25,16 @@
 //! `p`'s level, so neither cofactor is built and the subgraphs the two
 //! would share are never rediscovered. Its `quantify` memo is keyed on
 //! `(n, fˣ, gˣ, v)` plus `p`'s literal edge.
+//!
+//! [`BddManager::union_point`] is the union with one point, the case of
+//! every iteration whose image is a single state. There the expansion
+//! degenerates to one path: the point meets the vector's forced
+//! conditions at one component `k`, and the union re-routes the point's
+//! own path from `k` on. Each changed component is rebuilt along that
+//! path with one `mk` per level, so the kernel needs neither exclusion
+//! BDDs nor a persistent memo.
 
+use crate::hash::FxHashMap;
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
 use crate::Result;
@@ -281,6 +290,161 @@ impl BddManager {
         self.caches.quantify.insert(key, [h.0, fx.0, gx.0], limit);
         Ok(fix([h, fx, gx]))
     }
+
+    /// The §2.3 union `F ∪ {s}` of a canonical, parameter-free vector
+    /// with one point, by a path graft; bit for bit the vector the
+    /// five-operand union would return.
+    ///
+    /// `comps[i]` is the component with choice variable `vars[i]`, and
+    /// `point[i]` is the point's bit there. The kernel walks `F` at `s`,
+    /// every choice variable set to its bit of `s`. Let `k` be the first
+    /// component forced to `¬s_k` there. If there is none, `s ∈ F` and
+    /// the result is `comps` itself, with no node allocated. Otherwise,
+    /// with `C` the cube of the positions before `k` that are free along
+    /// `s`, each fixed to its bit of `s`:
+    ///
+    /// ```text
+    /// f'_i = f_i                         for i < k
+    /// f'_k = ite(C, v_k, f_k)
+    /// f'_i = ite(C ∧ (v_k ↔ s_k), s_i, f_i)   for i > k
+    /// ```
+    ///
+    /// Under `C` the component `f_k` is forced to `¬s_k`, so `f'_k` is
+    /// also `ite(C ∧ (v_k ↔ s_k), s_k, f_k)`: every changed component is
+    /// one graft of a constant onto the same cube `D = C ∧ (v_k ↔ s_k)`.
+    /// The graft imposes every literal of `D`, also on a variable the
+    /// component does not read. Where a component reads a variable that
+    /// `D` leaves free above the cube's next literal (a forced position
+    /// before `k`, or any variable under a permuted order), it takes both
+    /// branches, with a memo scoped to the one call.
+    ///
+    /// *Precondition:* `F` is canonical over `vars` and reads no other
+    /// variable. The walk evaluates the components at one assignment, so
+    /// a parameterized vector (§2.6) gives a wrong result; the union of
+    /// such vectors is `bfvr_bfv::ops::union`'s. Debug builds check the
+    /// supports.
+    ///
+    /// ```
+    /// use bfvr_bdd::{Bdd, BddManager, Var};
+    ///
+    /// # fn main() -> Result<(), bfvr_bdd::BddError> {
+    /// let mut m = BddManager::new(2);
+    /// let vars = [Var(0), Var(1)];
+    /// // {01} ∪ {10}: the first bit becomes free, the second its negation.
+    /// let f = [Bdd::FALSE, Bdd::TRUE];
+    /// let u = m.union_point(&f, &vars, &[true, false])?;
+    /// assert_eq!(u, vec![m.var(Var(0)), m.nvar(Var(0))]);
+    /// // A member point changes nothing.
+    /// assert_eq!(m.union_point(&u, &vars, &[false, true])?, u);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Fails on resource-limit exhaustion — after a reclaim-before-fail
+    /// pass if the node limit was the cause. The deadline is polled
+    /// through node allocation. Every result is pinned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length or a variable is
+    /// outside the manager's range.
+    pub fn union_point(&mut self, comps: &[Bdd], vars: &[Var], point: &[bool]) -> Result<Vec<Bdd>> {
+        assert!(
+            comps.len() == vars.len() && point.len() == vars.len(),
+            "union_point: {} components, {} variables, {} bits",
+            comps.len(),
+            vars.len(),
+            point.len()
+        );
+        debug_assert!(
+            comps.iter().enumerate().all(|(i, &f)| {
+                let sup = self.support(f);
+                sup.vars().iter().all(|v| vars[..=i].contains(v))
+            }),
+            "union_point: component i must read only the choice variables v_0..v_i"
+        );
+        let mut asg = vec![false; self.num_vars() as usize];
+        for (v, &b) in vars.iter().zip(point) {
+            asg[v.0 as usize] = b;
+        }
+        // The cube D as (level, value) literals, built along the walk.
+        let mut cube = Vec::new();
+        let mut forced = None;
+        for (i, (&f, &v)) in comps.iter().zip(vars).enumerate() {
+            let b = point[i];
+            let lit = (self.var_to_level(v), b);
+            if self.eval(f, &asg) != b {
+                forced = Some(i);
+                cube.push(lit);
+                break;
+            }
+            // Monotone in v_i and equal to s_i at s: free iff flipping
+            // v_i flips the component.
+            asg[v.0 as usize] = !b;
+            if self.eval(f, &asg) != b {
+                cube.push(lit);
+            }
+            asg[v.0 as usize] = b;
+        }
+        let Some(k) = forced else {
+            return Ok(comps.to_vec());
+        };
+        cube.sort_unstable();
+        let mut memo = FxHashMap::default();
+        self.recover(comps, |m| {
+            let mut out = comps[..k].to_vec();
+            for (&f, &b) in comps[k..].iter().zip(&point[k..]) {
+                memo.clear();
+                out.push(m.graft_rec(f, &cube, b, &mut memo)?);
+            }
+            Ok(out)
+        })
+    }
+
+    /// `ite(D, b, f)` for the cube `D` given as `(level, value)` literals
+    /// in level order. `memo` holds the results at the nodes where the
+    /// walk takes both branches. There `D` is every literal below the
+    /// node's level, so the node's edge alone is the key.
+    fn graft_rec(
+        &mut self,
+        f: Bdd,
+        cube: &[(u32, bool)],
+        b: bool,
+        memo: &mut FxHashMap<u32, Bdd>,
+    ) -> Result<Bdd> {
+        let leaf = if b { Bdd::TRUE } else { Bdd::FALSE };
+        let Some((&(lvl, val), rest)) = cube.split_first() else {
+            return Ok(leaf);
+        };
+        if f == leaf {
+            return Ok(f);
+        }
+        let (top, lo, hi) = self.expand(f);
+        if top < lvl {
+            // f reads a variable the cube leaves free: both branches keep
+            // the whole cube.
+            if let Some(&r) = memo.get(&f.0) {
+                return Ok(r);
+            }
+            let lo = self.graft_rec(lo, cube, b, memo)?;
+            let hi = self.graft_rec(hi, cube, b, memo)?;
+            let r = self.mk(top, lo, hi)?;
+            memo.insert(f.0, r);
+            return Ok(r);
+        }
+        // The cube's next literal, imposed whether or not f reads it (a
+        // constant's level is u32::MAX).
+        let (lo, hi) = if top == lvl { (lo, hi) } else { (f, f) };
+        if val {
+            let hi = self.graft_rec(hi, rest, b, memo)?;
+            self.mk(lvl, lo, hi)
+        } else {
+            let lo = self.graft_rec(lo, rest, b, memo)?;
+            self.mk(lvl, lo, hi)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -300,5 +464,20 @@ mod tests {
         let (h, fx1, gx1) = m.union_step(f, g, fx, Bdd::FALSE, Var(0)).unwrap();
         assert!([h, fx1, gx1].iter().all(|r| !r.is_const()));
         assert_eq!(m.audit_leaks(&[]), vec![]);
+    }
+
+    #[test]
+    fn every_grafted_component_is_pinned() {
+        // {000, 100} ∪ {111}: the cube is v0 ∧ v1, so the last two
+        // components become the new node v0 ∧ v1, which no operand
+        // reaches.
+        let mut m = BddManager::new(3);
+        let vars = [Var(0), Var(1), Var(2)];
+        let f = [m.var(Var(0)), Bdd::FALSE, Bdd::FALSE];
+        let u = m.union_point(&f, &vars, &[true; 3]).unwrap();
+        let m = &mut m;
+        assert_eq!(m.audit_leaks(&[]), vec![]);
+        let both = m.and(m.var(Var(0)), m.var(Var(1))).unwrap();
+        assert_eq!(u, vec![f[0], both, both]);
     }
 }

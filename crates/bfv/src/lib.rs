@@ -17,7 +17,9 @@
 //!
 //! The operations provided here mirror the paper:
 //!
-//! * [`union`](ops::union) — §2.3, via *exclusion conditions*;
+//! * [`union`](ops::union) — §2.3, via *exclusion conditions*; and
+//!   [`union_canonical`](ops::union_canonical), the same union of two
+//!   canonical state sets, which adds a single point by a path graft;
 //! * [`intersect`](ops::intersect) — §2.4, via backward *elimination
 //!   conditions* and a forward substitution pass;
 //! * [`cofactor`](ops::cofactor), [`exists`](ops::exists),

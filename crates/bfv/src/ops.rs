@@ -73,6 +73,11 @@ use crate::{Result, Space};
 /// [`BddManager::quantify_step`] instead, which walks each component of
 /// `N` once and builds neither cofactor.
 ///
+/// This is the general union, pointwise under parameters. For two
+/// canonical, parameter-free state sets, [`union_canonical`] returns the
+/// same vector, and computes it by the path graft
+/// [`BddManager::union_point`] when one operand is a single point.
+///
 /// # Errors
 ///
 /// Fails on BDD resource-limit exhaustion.
@@ -85,6 +90,63 @@ pub fn union(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv>
         (fx, gx) = (fx1, gx1);
         comps.push(h);
     }
+    Bfv::from_components(space, comps)
+}
+
+/// Set union `F ∪ G` of two canonical, parameter-free state sets: the
+/// vector [`union`] returns, handle for handle.
+///
+/// When either operand is a point (every component constant), this is
+/// the path graft [`BddManager::union_point`]. With `k` the first
+/// component the other operand forces away from the point `s`, and `C`
+/// the cube of the positions before `k` that are free along `s`, each
+/// fixed to its bit of `s`, it returns
+///
+/// ```text
+/// h_i = f_i                              for i < k
+/// h_k = ite(C, v_k, f_k)
+/// h_i = ite(C ∧ (v_k ↔ s_k), s_i, f_i)   for i > k
+/// ```
+///
+/// and `F` itself, with no node allocated, when `s ∈ F`. Otherwise it
+/// calls [`union`].
+///
+/// The graft evaluates the components at one assignment, so neither
+/// operand may read a variable outside `space`: the union of the
+/// parameterized vectors of §2.6 is [`union`]'s alone.
+///
+/// ```
+/// use bfvr_bdd::BddManager;
+/// use bfvr_bfv::{ops, Space, StateSet};
+///
+/// # fn main() -> Result<(), bfvr_bfv::BfvError> {
+/// let mut m = BddManager::new(3);
+/// let space = Space::contiguous(3);
+/// let a = StateSet::from_cube(&m, &space, &[Some(false), None, Some(true)])?;
+/// let s = StateSet::singleton(&mut m, &space, &[true, true, false])?;
+/// let (a, s) = (a.as_bfv().unwrap(), s.as_bfv().unwrap());
+/// let grafted = ops::union_canonical(&mut m, &space, a, s)?;
+/// assert_eq!(grafted, ops::union(&mut m, &space, a, s)?);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// Fails on BDD resource-limit exhaustion.
+pub fn union_canonical(m: &mut BddManager, space: &Space, f: &Bfv, g: &Bfv) -> Result<Bfv> {
+    let point = |v: &Bfv| -> Option<Vec<bool>> {
+        let c = v.components();
+        c.iter()
+            .all(|b| b.is_const())
+            .then(|| c.iter().map(|b| b.is_true()).collect())
+    };
+    let (set, s) = match (point(g), point(f)) {
+        (Some(s), _) => (f, s),
+        (None, Some(s)) => (g, s),
+        (None, None) => return union(m, space, f, g),
+    };
+    let comps = m.union_point(set.components(), space.vars(), &s)?;
     Bfv::from_components(space, comps)
 }
 

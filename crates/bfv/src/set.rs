@@ -173,7 +173,8 @@ impl StateSet {
         }
     }
 
-    /// Set union (paper §2.3; identity on the empty operand).
+    /// Set union (paper §2.3; identity on the empty operand), through
+    /// [`ops::union_canonical`].
     ///
     /// # Errors
     ///
@@ -182,7 +183,7 @@ impl StateSet {
         Ok(match (self, other) {
             (StateSet::Empty, s) | (s, StateSet::Empty) => s.clone(),
             (StateSet::NonEmpty(f), StateSet::NonEmpty(g)) => {
-                StateSet::NonEmpty(ops::union(m, space, f, g)?)
+                StateSet::NonEmpty(ops::union_canonical(m, space, f, g)?)
             }
         })
     }

@@ -409,3 +409,139 @@ fn permuted_component_order_still_canonical() {
         assert_eq!(g.components(), f.components(), "case {case}");
     });
 }
+
+/// Which shapes of `F ∪ {s}` a case met, for the coverage assertion of
+/// [`union_with_a_point_is_the_general_union`].
+#[derive(Default)]
+struct GraftCoverage {
+    member: bool,
+    first: bool,
+    last: bool,
+    unread_cube_var: bool,
+    off_cube_above_vk: bool,
+}
+
+impl GraftCoverage {
+    /// Classifies one union of the canonical `f` with the point `s`
+    /// independently of the kernel: `k` is the first component where
+    /// `F(s)` differs from `s`, and the cube holds the positions before
+    /// `k` that are free along `s`, plus `v_k`.
+    fn record(&mut self, m: &BddManager, space: &Space, f: &Bfv, s: &[bool]) {
+        let image = f.eval(m, space, s).unwrap();
+        let Some(k) = (0..space.len()).find(|&i| image[i] != s[i]) else {
+            self.member = true;
+            return;
+        };
+        self.first |= k == 0;
+        self.last |= k == space.len() - 1;
+        let mut cube = vec![space.var(k)];
+        for j in 0..k {
+            let mut t = s.to_vec();
+            t[j] = !t[j];
+            if f.eval(m, space, &t).unwrap()[j] != s[j] {
+                cube.push(space.var(j));
+            }
+        }
+        let vk = m.var_to_level(space.var(k));
+        for i in k..space.len() {
+            let sup = m.support(f.component(i));
+            self.unread_cube_var |= cube.iter().any(|&v| !sup.contains(v));
+            self.off_cube_above_vk |= sup
+                .vars()
+                .iter()
+                .any(|v| !cube.contains(v) && m.var_to_level(*v) < vk);
+        }
+    }
+}
+
+/// The dispatch for canonical, parameter-free sets returns the general
+/// union's vector handle for handle when one operand is a point (the
+/// path graft), with the point on either side, under random component
+/// orders, random variable orders and across collections. A member
+/// point costs no `mk` call.
+#[test]
+fn union_with_a_point_is_the_general_union() {
+    const BITS: u32 = 6;
+    let mut seen = GraftCoverage::default();
+    for_cases(0xBF10, |case, rng| {
+        let mut m = BddManager::new(BITS);
+        let mut perm: Vec<usize> = (0..BITS as usize).collect();
+        for i in (1..perm.len()).rev() {
+            perm.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let space = Space::contiguous(BITS).permuted(&perm);
+        // Sparse, medium and dense random sets over the 64 points.
+        let mask = match rng.below(3) {
+            0 => rng.next() & rng.next() & rng.next(),
+            1 => rng.next(),
+            _ => rng.next() | rng.next(),
+        }
+        .max(1);
+        let mut chi = Bdd::FALSE;
+        for pt in (0..64).filter(|pt| mask >> pt & 1 == 1) {
+            let bits: Vec<bool> = (0..BITS).map(|i| pt >> i & 1 == 1).collect();
+            let minterm = StateSet::singleton(&mut m, &space, &bits).unwrap();
+            let c = minterm.to_characteristic(&mut m, &space).unwrap();
+            chi = m.or(chi, c).unwrap();
+        }
+        let mut reached = from_characteristic(&mut m, &space, chi).unwrap().unwrap();
+        // A chain of unions, like the driver's, with a flush point before
+        // each: nothing, a collection, or a reorder to a random order.
+        for step in 0..6 {
+            let what = format!("case {case} step {step}");
+            match rng.below(3) {
+                0 => {}
+                1 => {
+                    m.collect_garbage(reached.components());
+                }
+                _ => {
+                    let mut order: Vec<u32> = (0..BITS).collect();
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.below(i as u64 + 1) as usize);
+                    }
+                    m.reorder_to(&order, reached.components()).unwrap();
+                }
+            }
+            let s: Vec<bool> = (0..BITS).map(|_| rng.flip()).collect();
+            let point = StateSet::singleton(&mut m, &space, &s).unwrap();
+            let point = point.as_bfv().unwrap();
+            seen.record(&m, &space, &reached, &s);
+            let (mk_before, alloc_before) = (m.stats().mk_calls, m.allocated());
+            let member = reached.contains(&m, &space, &s).unwrap();
+            let grafted = ops::union_canonical(&mut m, &space, &reached, point).unwrap();
+            if member {
+                assert_eq!(grafted, reached, "{what}: a member point changed the set");
+                assert_eq!(
+                    m.stats().mk_calls,
+                    mk_before,
+                    "{what}: member point called mk"
+                );
+                assert_eq!(m.allocated(), alloc_before, "{what}");
+            }
+            let swapped = ops::union_canonical(&mut m, &space, point, &reached).unwrap();
+            let expect = ops::union(&mut m, &space, &reached, point).unwrap();
+            assert_eq!(grafted.components(), expect.components(), "{what}");
+            assert_eq!(
+                swapped.components(),
+                expect.components(),
+                "{what}: point first"
+            );
+            reached = grafted;
+        }
+    });
+    let GraftCoverage {
+        member,
+        first,
+        last,
+        unread_cube_var,
+        off_cube_above_vk,
+    } = seen;
+    assert!(member, "no member point");
+    assert!(first, "no case with k = 0");
+    assert!(last, "no case with k = n - 1");
+    assert!(
+        unread_cube_var,
+        "no component that leaves a cube variable unread"
+    );
+    assert!(off_cube_above_vk, "no off-cube variable above v_k");
+}

@@ -353,7 +353,7 @@ impl SetRepr for BfvBackend<'_> {
     }
 
     fn union(&mut self, m: &mut BddManager, a: &Bfv, b: &Bfv) -> Result<Bfv, BfvError> {
-        ops::union(m, &self.space, a, b)
+        ops::union_canonical(m, &self.space, a, b)
     }
 
     fn set_eq(&self, _m: &BddManager, a: &Bfv, b: &Bfv) -> bool {

@@ -269,7 +269,7 @@ mod tests {
 
     use bfvr_bdd::{Bdd, BddManager, Func};
     use bfvr_bfv::reparam::Schedule;
-    use bfvr_bfv::BfvError;
+    use bfvr_bfv::{ops, Bfv, BfvError};
     use bfvr_netlist::{generators, Netlist};
     use bfvr_setrepr::{ReprCheckpoint, ReprKind, Restored, SetRepr, SetView};
     use bfvr_sim::{EncodedFsm, OrderHeuristic};
@@ -278,13 +278,24 @@ mod tests {
     use crate::backends::{BfvBackend, CdecBackend, ChiBackend};
     use crate::common::{EngineKind, ReachOptions, ReachResult};
 
-    /// Forwards every [`SetRepr`] method to the wrapped backend except
-    /// `size_capped`, which keeps the trait's default: a full `size`
-    /// walk, cut to the cap afterwards. The reference for the capped
-    /// overrides.
-    struct FullWalk<B>(B);
+    /// The one method a [`Reference`] backend replaces.
+    enum Rule<S> {
+        /// `size_capped` keeps the trait's default: a full `size` walk,
+        /// cut to the cap afterwards. The reference for the capped
+        /// overrides.
+        FullWalk,
+        /// `union` calls this instead. The reference for the dispatch
+        /// that grafts a point.
+        Union(UnionFn<S>),
+    }
 
-    impl<B: SetRepr> SetRepr for FullWalk<B> {
+    type UnionFn<S> = Box<dyn Fn(&mut BddManager, &S, &S) -> Result<S, BfvError>>;
+
+    /// Forwards every [`SetRepr`] method to the wrapped backend except
+    /// the one its [`Rule`] replaces.
+    struct Reference<B: SetRepr>(B, Rule<B::Set>);
+
+    impl<B: SetRepr> SetRepr for Reference<B> {
         type Set = B::Set;
 
         fn kind(&self) -> ReprKind {
@@ -305,13 +316,22 @@ mod tests {
             a: &B::Set,
             b: &B::Set,
         ) -> Result<B::Set, BfvError> {
-            self.0.union(m, a, b)
+            match &self.1 {
+                Rule::Union(union) => union(m, a, b),
+                Rule::FullWalk => self.0.union(m, a, b),
+            }
         }
         fn set_eq(&self, m: &BddManager, a: &B::Set, b: &B::Set) -> bool {
             self.0.set_eq(m, a, b)
         }
         fn size(&self, m: &BddManager, s: &B::Set) -> usize {
             self.0.size(m, s)
+        }
+        fn size_capped(&self, m: &BddManager, s: &B::Set, cap: usize) -> usize {
+            match self.1 {
+                Rule::FullWalk => self.0.size(m, s).min(cap),
+                Rule::Union(_) => self.0.size_capped(m, s, cap),
+            }
         }
         fn repr_nodes(&self, m: &BddManager, s: &B::Set) -> usize {
             self.0.repr_nodes(m, s)
@@ -394,7 +414,8 @@ mod tests {
         macro_rules! go {
             ($backend:expr) => {
                 if full_walk {
-                    run_fixed_point(engine, &mut FullWalk($backend), m, &fsm, &opts, None)
+                    let mut reference = Reference($backend, Rule::FullWalk);
+                    run_fixed_point(engine, &mut reference, m, &fsm, &opts, None)
                 } else {
                     run_fixed_point(engine, &mut $backend, m, &fsm, &opts, None)
                 }
@@ -423,12 +444,53 @@ mod tests {
                 // Same operations in fresh managers: the same handle.
                 let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
                 assert_eq!(chi(&capped), chi(&full), "{what}");
-                let frontier = |r: &ReachResult| -> Vec<usize> {
-                    r.per_iteration.iter().map(|s| s.frontier_nodes).collect()
-                };
-                assert_eq!(frontier(&capped), frontier(&full), "{what}");
+                assert_eq!(frontiers(&capped), frontiers(&full), "{what}");
                 assert_eq!(capped.per_iteration.len(), capped.iterations - 1, "{what}");
             }
+        }
+    }
+
+    /// Per-iteration frontier sizes, the trace of every frontier decision.
+    fn frontiers(r: &ReachResult) -> Vec<usize> {
+        r.per_iteration.iter().map(|s| s.frontier_nodes).collect()
+    }
+
+    #[test]
+    fn point_graft_takes_the_general_union_decisions() {
+        // The first union of every run grafts the initial state onto the
+        // image. The LFSRs have no inputs, so every image is one state
+        // and every union grafts. Both runs share one manager, so equal
+        // reached sets are equal χ handles. The iteration cap turns a
+        // non-canonical union, which never converges, into a failure.
+        let opts = ReachOptions {
+            record_iterations: true,
+            max_iterations: Some(1000),
+            ..ReachOptions::default()
+        };
+        let lfsr8 = ("lfsr8", generators::lfsr(8));
+        for (name, net) in circuits().into_iter().chain([lfsr8]) {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            let schedule = Schedule::DynamicSupport;
+            let engine = EngineKind::Bfv;
+            let grafted = run_fixed_point(
+                engine,
+                &mut BfvBackend::new(&fsm, schedule),
+                &mut m,
+                &fsm,
+                &opts,
+                None,
+            );
+            let space = fsm.space();
+            let general: UnionFn<Bfv> = Box::new(move |m, a, b| ops::union(m, &space, a, b));
+            let mut reference = Reference(BfvBackend::new(&fsm, schedule), Rule::Union(general));
+            let general = run_fixed_point(engine, &mut reference, &mut m, &fsm, &opts, None);
+            assert_eq!(grafted.outcome, general.outcome, "{name}");
+            assert_eq!(grafted.iterations, general.iterations, "{name}");
+            assert_eq!(grafted.reached_states, general.reached_states, "{name}");
+            let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
+            assert!(chi(&grafted).is_some(), "{name}");
+            assert_eq!(chi(&grafted), chi(&general), "{name}");
+            assert_eq!(frontiers(&grafted), frontiers(&general), "{name}");
         }
     }
 

@@ -16,6 +16,8 @@
 //!    the live-node count to the post-baseline baseline (no `Func` leaks
 //!    on the error path).
 
+use std::rc::Rc;
+
 use bfvr::bdd::{BddManager, FaultPlan, Var};
 use bfvr::netlist::generators;
 use bfvr::reach::{resume, run, EngineKind, Outcome, ReachOptions, ReachResult};
@@ -210,6 +212,53 @@ fn cdec_recovers_from_deadline_faults() {
     sweep(EngineKind::Cdec, &deadline_faults());
 }
 
+/// Arms `plan` from the iteration observer once `ARMED_AT` iterations of
+/// lfsr10 under BFV are done, then resumes from the partial result's
+/// checkpoint. An LFSR has no inputs: the image of its one-state frontier
+/// is a constant vector and allocates nothing, so the first allocations
+/// after arming are those of the next union, the point graft. Ordinal 3
+/// falls partway through its vector.
+fn fault_in_point_graft(plan: FaultPlan, expect: Outcome) {
+    const ARMED_AT: usize = 300;
+    let net = generators::lfsr(10);
+    let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+    let armed = ReachOptions {
+        observer: Some(Rc::new(move |m, _, view| {
+            if view.iteration == ARMED_AT {
+                m.set_fault_plan(plan);
+            }
+        })),
+        ..ReachOptions::default()
+    };
+    let mut partial = run(EngineKind::Bfv, &mut m, &fsm, &armed);
+    m.clear_fault_plan();
+    assert_eq!(partial.outcome, expect, "{plan:?}");
+    assert_eq!(
+        partial.iterations, ARMED_AT,
+        "{plan:?}: the fault missed the next union"
+    );
+    m.check_invariants()
+        .unwrap_or_else(|e| panic!("{plan:?}: invariants broken: {e}"));
+    let checkpoint = partial
+        .checkpoint
+        .take()
+        .expect("the partial run checkpoints");
+    let resumed = resume(&mut m, &fsm, &ReachOptions::default(), checkpoint);
+    assert_eq!(resumed.outcome, Outcome::FixedPoint, "{plan:?}");
+    assert_eq!(resumed.reached_states, Some(1023.0), "{plan:?}");
+    m.check_invariants().unwrap();
+}
+
+#[test]
+fn point_graft_recovers_from_an_allocation_fault() {
+    fault_in_point_graft(FaultPlan::node_limit_at(3), Outcome::MemOut);
+}
+
+#[test]
+fn point_graft_recovers_from_a_deadline_trip() {
+    fault_in_point_graft(FaultPlan::deadline_in_alloc_at(3), Outcome::TimeOut);
+}
+
 /// A capacity fault is an internal error, never `M.O.`, and is never
 /// checkpointed as recoverable.
 #[test]
@@ -259,7 +308,6 @@ fn natural_node_limit_then_raised_budget_completes() {
 #[test]
 fn checkpoint_write_failure_is_reported_not_fatal() {
     use std::cell::RefCell;
-    use std::rc::Rc;
 
     use bfvr::serve::{level_map_of, write_checkpoint, CkptError, CkptMeta};
 
