@@ -186,10 +186,15 @@ impl Bfv {
         Ok(true)
     }
 
-    /// Pins all components against garbage collection for as long as the
+    /// Pins the components against garbage collection for as long as the
     /// returned handles live (RAII; dropping them releases the roots).
+    /// Constants are never collected, so they get no handle.
     pub fn pin(&self, m: &BddManager) -> Vec<Func> {
-        self.components.iter().map(|&f| m.func(f)).collect()
+        self.components
+            .iter()
+            .filter(|f| !f.is_const())
+            .map(|&f| m.func(f))
+            .collect()
     }
 }
 

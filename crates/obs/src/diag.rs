@@ -139,8 +139,8 @@ impl<P: PassId, W> Report<P, W> {
     }
 
     /// Whether any finding is at [`Severity::Error`] (the exit-code
-    /// contract of `bfvr audit` and `bfvr lint`: nonzero iff this is
-    /// true).
+    /// contract of `bfvr lint`, nonzero iff this is true; `bfvr audit`
+    /// also fails on a lane that stopped short of its fixed point).
     #[must_use]
     pub fn has_errors(&self) -> bool {
         self.max_severity() == Some(Severity::Error)

@@ -335,6 +335,13 @@ impl<'a> BfvBackend<'a> {
     }
 }
 
+/// One handle per function, constants included. A checkpoint rebuilds
+/// its vectors from these, so unlike [`Bfv::pin`] it keeps every
+/// component.
+fn handles(m: &BddManager, fs: &[Bdd]) -> Vec<Func> {
+    fs.iter().map(|&f| m.func(f)).collect()
+}
+
 impl SetRepr for BfvBackend<'_> {
     type Set = Bfv;
 
@@ -399,8 +406,8 @@ impl SetRepr for BfvBackend<'_> {
         from: &Bfv,
     ) -> Result<ReprCheckpoint, BfvError> {
         Ok(ReprCheckpoint::Vector {
-            reached: reached.pin(m),
-            from: from.pin(m),
+            reached: handles(m, reached.components()),
+            from: handles(m, from.components()),
         })
     }
 
@@ -428,9 +435,9 @@ impl SetRepr for BfvBackend<'_> {
 #[derive(Clone)]
 pub struct CdecSet {
     /// The set as McMillan's conjunctive decomposition.
-    dec: CDec,
+    pub(crate) dec: CDec,
     /// The same set as a functional vector (simulation input).
-    bfv: Bfv,
+    pub(crate) bfv: Bfv,
 }
 
 /// Figure 2 flow storing sets as McMillan's conjunctive decomposition;
@@ -517,7 +524,7 @@ impl SetRepr for CdecBackend<'_> {
     }
 
     fn pin(&self, m: &BddManager, s: &CdecSet) -> Vec<Func> {
-        let mut pins: Vec<Func> = s.dec.constraints().iter().map(|&c| m.func(c)).collect();
+        let mut pins = handles(m, s.dec.constraints());
         pins.extend(s.bfv.pin(m));
         pins
     }
@@ -552,13 +559,8 @@ impl SetRepr for CdecBackend<'_> {
         from: &CdecSet,
     ) -> Result<ReprCheckpoint, BfvError> {
         Ok(ReprCheckpoint::Cdec {
-            constraints: reached
-                .dec
-                .constraints()
-                .iter()
-                .map(|&c| m.func(c))
-                .collect(),
-            from: from.bfv.pin(m),
+            constraints: handles(m, reached.dec.constraints()),
+            from: handles(m, from.bfv.components()),
         })
     }
 

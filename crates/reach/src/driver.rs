@@ -268,34 +268,39 @@ mod tests {
     use std::time::Duration;
 
     use bfvr_bdd::{Bdd, BddManager, Func};
+    use bfvr_bfv::cdec::CDec;
     use bfvr_bfv::reparam::Schedule;
     use bfvr_bfv::{ops, Bfv, BfvError};
     use bfvr_netlist::{generators, Netlist};
     use bfvr_setrepr::{ReprCheckpoint, ReprKind, Restored, SetRepr, SetView};
-    use bfvr_sim::{EncodedFsm, OrderHeuristic};
+    use bfvr_sim::{compose_image, EncodedFsm, ImageScratch, OrderHeuristic};
 
     use super::run_fixed_point;
-    use crate::backends::{BfvBackend, CdecBackend, ChiBackend};
+    use crate::backends::{BfvBackend, CdecBackend, CdecSet, ChiBackend};
     use crate::common::{EngineKind, ReachOptions, ReachResult};
 
     /// The one method a [`Reference`] backend replaces.
-    enum Rule<S> {
+    enum Rule<'a, S> {
         /// `size_capped` keeps the trait's default: a full `size` walk,
         /// cut to the cap afterwards. The reference for the capped
         /// overrides.
         FullWalk,
         /// `union` calls this instead. The reference for the dispatch
         /// that grafts a point.
-        Union(UnionFn<S>),
+        Union(UnionFn<'a, S>),
+        /// `image` calls this instead. The reference for the image's
+        /// point route.
+        Image(ImageFn<'a, S>),
     }
 
-    type UnionFn<S> = Box<dyn Fn(&mut BddManager, &S, &S) -> Result<S, BfvError>>;
+    type UnionFn<'a, S> = Box<dyn Fn(&mut BddManager, &S, &S) -> Result<S, BfvError> + 'a>;
+    type ImageFn<'a, S> = Box<dyn Fn(&mut BddManager, &S) -> Result<S, BfvError> + 'a>;
 
     /// Forwards every [`SetRepr`] method to the wrapped backend except
     /// the one its [`Rule`] replaces.
-    struct Reference<B: SetRepr>(B, Rule<B::Set>);
+    struct Reference<'a, B: SetRepr>(B, Rule<'a, B::Set>);
 
-    impl<B: SetRepr> SetRepr for Reference<B> {
+    impl<B: SetRepr> SetRepr for Reference<'_, B> {
         type Set = B::Set;
 
         fn kind(&self) -> ReprKind {
@@ -308,7 +313,10 @@ mod tests {
             self.0.initial(m)
         }
         fn image(&mut self, m: &mut BddManager, from: &B::Set) -> Result<B::Set, BfvError> {
-            self.0.image(m, from)
+            match &self.1 {
+                Rule::Image(image) => image(m, from),
+                Rule::FullWalk | Rule::Union(_) => self.0.image(m, from),
+            }
         }
         fn union(
             &mut self,
@@ -318,7 +326,7 @@ mod tests {
         ) -> Result<B::Set, BfvError> {
             match &self.1 {
                 Rule::Union(union) => union(m, a, b),
-                Rule::FullWalk => self.0.union(m, a, b),
+                Rule::FullWalk | Rule::Image(_) => self.0.union(m, a, b),
             }
         }
         fn set_eq(&self, m: &BddManager, a: &B::Set, b: &B::Set) -> bool {
@@ -330,7 +338,7 @@ mod tests {
         fn size_capped(&self, m: &BddManager, s: &B::Set, cap: usize) -> usize {
             match self.1 {
                 Rule::FullWalk => self.0.size(m, s).min(cap),
-                Rule::Union(_) => self.0.size_capped(m, s, cap),
+                Rule::Union(_) | Rule::Image(_) => self.0.size_capped(m, s, cap),
             }
         }
         fn repr_nodes(&self, m: &BddManager, s: &B::Set) -> usize {
@@ -455,12 +463,33 @@ mod tests {
         r.per_iteration.iter().map(|s| s.frontier_nodes).collect()
     }
 
+    /// Runs `backend` and then `reference` in one manager and asserts
+    /// they took the same decisions: equal reached sets are equal χ
+    /// handles there.
+    fn assert_same_decisions<B: SetRepr, R: SetRepr>(
+        engine: EngineKind,
+        (mut backend, mut reference): (B, R),
+        m: &mut BddManager,
+        fsm: &EncodedFsm,
+        opts: &ReachOptions,
+        what: &str,
+    ) {
+        let got = run_fixed_point(engine, &mut backend, m, fsm, opts, None);
+        let want = run_fixed_point(engine, &mut reference, m, fsm, opts, None);
+        assert_eq!(got.outcome, want.outcome, "{what}");
+        assert_eq!(got.iterations, want.iterations, "{what}");
+        assert_eq!(got.reached_states, want.reached_states, "{what}");
+        let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
+        assert!(chi(&got).is_some(), "{what}");
+        assert_eq!(chi(&got), chi(&want), "{what}");
+        assert_eq!(frontiers(&got), frontiers(&want), "{what}");
+    }
+
     #[test]
     fn point_graft_takes_the_general_union_decisions() {
         // The first union of every run grafts the initial state onto the
         // image. The LFSRs have no inputs, so every image is one state
-        // and every union grafts. Both runs share one manager, so equal
-        // reached sets are equal χ handles. The iteration cap turns a
+        // and every union grafts. The iteration cap turns a
         // non-canonical union, which never converges, into a failure.
         let opts = ReachOptions {
             record_iterations: true,
@@ -471,26 +500,56 @@ mod tests {
         for (name, net) in circuits().into_iter().chain([lfsr8]) {
             let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
             let schedule = Schedule::DynamicSupport;
-            let engine = EngineKind::Bfv;
-            let grafted = run_fixed_point(
-                engine,
-                &mut BfvBackend::new(&fsm, schedule),
-                &mut m,
-                &fsm,
-                &opts,
-                None,
-            );
             let space = fsm.space();
             let general: UnionFn<Bfv> = Box::new(move |m, a, b| ops::union(m, &space, a, b));
-            let mut reference = Reference(BfvBackend::new(&fsm, schedule), Rule::Union(general));
-            let general = run_fixed_point(engine, &mut reference, &mut m, &fsm, &opts, None);
-            assert_eq!(grafted.outcome, general.outcome, "{name}");
-            assert_eq!(grafted.iterations, general.iterations, "{name}");
-            assert_eq!(grafted.reached_states, general.reached_states, "{name}");
-            let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
-            assert!(chi(&grafted).is_some(), "{name}");
-            assert_eq!(chi(&grafted), chi(&general), "{name}");
-            assert_eq!(frontiers(&grafted), frontiers(&general), "{name}");
+            let pair = (
+                BfvBackend::new(&fsm, schedule),
+                Reference(BfvBackend::new(&fsm, schedule), Rule::Union(general)),
+            );
+            assert_same_decisions(EngineKind::Bfv, pair, &mut m, &fsm, &opts, name);
+        }
+    }
+
+    #[test]
+    fn point_image_takes_the_general_image_decisions() {
+        // An LFSR has no inputs, so every image is of one state and
+        // steps by evaluation; the reference composes, re-parameterizes
+        // and renames. s27 has inputs: both sides compose there.
+        let opts = ReachOptions {
+            record_iterations: true,
+            max_iterations: Some(2000),
+            ..ReachOptions::default()
+        };
+        let nets = [
+            ("lfsr6", generators::lfsr(6)),
+            ("lfsr8", generators::lfsr(8)),
+            ("lfsr10", generators::lfsr(10)),
+            ("s27", bfvr_netlist::circuits::s27()),
+        ];
+        let schedule = Schedule::DynamicSupport;
+        for (name, net) in nets {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            let fsm = &fsm;
+            let general = move |m: &mut BddManager, from: &Bfv| {
+                compose_image(m, fsm, from, schedule, &mut ImageScratch::default())
+            };
+            let image: ImageFn<Bfv> = Box::new(general);
+            let pair = (
+                BfvBackend::new(fsm, schedule),
+                Reference(BfvBackend::new(fsm, schedule), Rule::Image(image)),
+            );
+            assert_same_decisions(EngineKind::Bfv, pair, &mut m, fsm, &opts, name);
+            let space = fsm.space();
+            let image: ImageFn<CdecSet> = Box::new(move |m, from| {
+                let bfv = general(m, &from.bfv)?;
+                let dec = CDec::from_bfv(m, &space, &bfv)?;
+                Ok(CdecSet { dec, bfv })
+            });
+            let pair = (
+                CdecBackend::new(fsm, schedule),
+                Reference(CdecBackend::new(fsm, schedule), Rule::Image(image)),
+            );
+            assert_same_decisions(EngineKind::Cdec, pair, &mut m, fsm, &opts, name);
         }
     }
 

@@ -151,7 +151,7 @@ fn step_back(
         return Ok(None);
     };
     let state: Vec<bool> = space.vars().iter().map(|v| asg[v.0 as usize]).collect();
-    let inputs: Vec<bool> = (0..fsm.input_vars().len())
+    let inputs: Vec<bool> = (0..fsm.num_inputs())
         .map(|i| asg[fsm.input_var(i).0 as usize])
         .collect();
     Ok(Some((state, inputs)))

@@ -217,6 +217,12 @@ impl EncodedFsm {
         self.input_vars[i]
     }
 
+    /// Number of primary inputs; 0 for an autonomous circuit.
+    #[must_use]
+    pub fn num_inputs(&self) -> usize {
+        self.input_vars.len()
+    }
+
     /// All input variables.
     #[must_use]
     pub fn input_vars(&self) -> Vec<Var> {

@@ -13,7 +13,8 @@
 //!   current/next variables interleaved pairwise in the order;
 //! * [`simulate_image`] performs the paper's symbolic-simulation step:
 //!   simultaneous composition of the next-state functions with the
-//!   components of the current reached set's Boolean functional vector;
+//!   components of the current reached set's Boolean functional vector
+//!   (a point of an input-free circuit steps by evaluation instead);
 //! * [`ternary`] adds an STE-style dual-rail three-valued simulator
 //!   (the paper's §1 cites Symbolic Trajectory Evaluation as the
 //!   established consumer of functional vectors).
@@ -49,5 +50,6 @@ pub mod ternary;
 pub use encode::{EncodeError, EncodedFsm};
 pub use order::{OrderHeuristic, Slot};
 pub use simulate::{
-    simulate_image, simulate_image_scratch, simulate_image_with, simulate_outputs, ImageScratch,
+    compose_image, simulate_image, simulate_image_scratch, simulate_image_with, simulate_outputs,
+    ImageScratch,
 };

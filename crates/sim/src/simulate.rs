@@ -7,6 +7,10 @@
 //! the resulting vector — whose parameters are the current-state choice
 //! variables and the inputs — onto the next-state space, and finally
 //! rename next-state variables back to current.
+//!
+//! One state `s` of a circuit without inputs has one successor, `δ(s)`.
+//! Its image is evaluated, not simulated: each next-state function is
+//! read at `s`, and the image is the constant vector of those values.
 
 use bfvr_bdd::{Bdd, BddManager, Var};
 use bfvr_bfv::reparam::{reparameterize_with, Schedule};
@@ -27,6 +31,8 @@ pub struct ImageScratch {
     map: Vec<Option<Bdd>>,
     params: Vec<Var>,
     pairs: Vec<(Var, Var)>,
+    /// The point route's assignment, indexed by variable.
+    point: Vec<bool>,
     warm: bool,
     /// How many image calls ran on warm (reused) buffers — test
     /// observability for the reuse contract.
@@ -85,10 +91,68 @@ pub fn simulate_image_with(
 /// [`ImageScratch`] buffers across calls — the form the fixed-point
 /// backends drive, where the same scratch serves every iteration.
 ///
+/// A point of a circuit without inputs steps to its successor by
+/// evaluation: every component of the result is the constant its
+/// next-state function takes at the point. Every other set takes
+/// [`compose_image`]. Both return the same vector; neither allocates a
+/// node on such a point.
+///
 /// # Errors
 ///
 /// Fails on BDD resource-limit exhaustion.
 pub fn simulate_image_scratch(
+    m: &mut BddManager,
+    fsm: &EncodedFsm,
+    reached: &Bfv,
+    schedule: Schedule,
+    scratch: &mut ImageScratch,
+) -> Result<Bfv, BfvError> {
+    if fsm.num_inputs() == 0 && reached.components().iter().all(|c| c.is_const()) {
+        return point_successor(m, fsm, reached, &mut scratch.point);
+    }
+    compose_image(m, fsm, reached, schedule, scratch)
+}
+
+/// The successor `δ(s)` of the point `s` of an input-free circuit: each
+/// next-state function, in component order, evaluated at `s`.
+fn point_successor(
+    m: &BddManager,
+    fsm: &EncodedFsm,
+    point: &Bfv,
+    assignment: &mut Vec<bool>,
+) -> Result<Bfv, BfvError> {
+    let space = fsm.space();
+    // Only the current-state variables are read: nothing else is in the
+    // support of an input-free circuit's next-state functions.
+    assignment.resize(m.num_vars() as usize, false);
+    for (&c, &var) in point.components().iter().zip(space.vars()) {
+        assignment[var.0 as usize] = c.is_true();
+    }
+    let successor = fsm
+        .next_fns_in_component_order()
+        .into_iter()
+        .map(|f| {
+            if m.eval(f, assignment) {
+                Bdd::TRUE
+            } else {
+                Bdd::FALSE
+            }
+        })
+        .collect();
+    Bfv::from_components(&space, successor)
+}
+
+/// The image by symbolic simulation proper, for any set: compose the
+/// next-state functions with the set's vector, re-parameterize onto the
+/// next-state space (§2.6), rename back to current-state variables.
+/// [`simulate_image_scratch`] takes this route for every set that is
+/// not a point of an input-free circuit; it is public as the reference
+/// its point route is checked against.
+///
+/// # Errors
+///
+/// Fails on BDD resource-limit exhaustion.
+pub fn compose_image(
     m: &mut BddManager,
     fsm: &EncodedFsm,
     reached: &Bfv,
@@ -259,6 +323,103 @@ mod tests {
         assert!(scratch.map.iter().all(Option::is_none));
         assert_eq!(scratch.params.len(), 4 + 1);
         assert_eq!(scratch.pairs.len(), 4);
+    }
+
+    /// xorshift64*: seedable, no dependencies.
+    struct Rng(u64);
+
+    impl Rng {
+        fn bit(&mut self) -> bool {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 63 == 1
+        }
+    }
+
+    /// An `n`-bit binary counter without an enable input: every state
+    /// has one successor, and the high bits read several latches.
+    fn autonomous_counter(n: usize) -> bfvr_netlist::Netlist {
+        let mut text = String::from("OUTPUT(q0)\nn0 = NOT(q0)\nc0 = BUF(q0)\n");
+        for i in 0..n {
+            text += &format!("q{i} = DFF(n{i})\n");
+        }
+        for i in 1..n {
+            text += &format!("n{i} = XOR(q{i}, c{})\n", i - 1);
+            if i + 1 < n {
+                text += &format!("c{i} = AND(q{i}, c{})\n", i - 1);
+            }
+        }
+        bfvr_netlist::bench::parse_named(&text, "acnt").unwrap()
+    }
+
+    #[test]
+    fn point_successor_is_the_composed_image() {
+        // Random points, reachable or not, under orders whose component
+        // order differs from the latch order. Both routes run in one
+        // manager, so equal vectors are equal handles.
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let nets = [
+            generators::lfsr(6),
+            generators::lfsr(8),
+            generators::lfsr(10),
+            autonomous_counter(6),
+        ];
+        let orders = [
+            OrderHeuristic::DfsFanin,
+            OrderHeuristic::Declaration,
+            OrderHeuristic::Reversed,
+            OrderHeuristic::Random(3),
+            OrderHeuristic::Random(17),
+        ];
+        for net in &nets {
+            for order in orders {
+                let what = format!("{} {order:?}", net.name());
+                let (mut m, fsm) = EncodedFsm::encode(net, order).unwrap();
+                assert_eq!(fsm.num_inputs(), 0, "{what}");
+                let space = fsm.space();
+                let mut scratch = ImageScratch::default();
+                let mut reference = ImageScratch::default();
+                for case in 0..40 {
+                    if case == 20 {
+                        m.collect_garbage(&[]);
+                    }
+                    let s: Vec<bool> = (0..space.len()).map(|_| rng.bit()).collect();
+                    let point = StateSet::singleton(&mut m, &space, &s).unwrap();
+                    let point = point.as_bfv().unwrap();
+                    let allocated = m.allocated();
+                    let schedule = Schedule::DynamicSupport;
+                    let got = simulate_image_scratch(&mut m, &fsm, point, schedule, &mut scratch)
+                        .unwrap();
+                    assert_eq!(m.allocated(), allocated, "{what} case {case}");
+                    let want =
+                        compose_image(&mut m, &fsm, point, schedule, &mut reference).unwrap();
+                    assert_eq!(got.components(), want.components(), "{what} case {case}");
+                }
+                assert!(!scratch.warm, "{what}: a point took the general route");
+            }
+        }
+    }
+
+    #[test]
+    fn a_point_of_a_circuit_with_inputs_is_simulated() {
+        // The image of one state under an enabled counter is two states,
+        // parameterized by the enable input.
+        let net = generators::counter(4);
+        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+        let space = fsm.space();
+        let init = StateSet::singleton(&mut m, &space, &fsm.initial_state()).unwrap();
+        let init = init.as_bfv().unwrap();
+        let mut scratch = ImageScratch::default();
+        let schedule = Schedule::DynamicSupport;
+        let got = simulate_image_scratch(&mut m, &fsm, init, schedule, &mut scratch).unwrap();
+        assert!(scratch.warm);
+        assert!(got.components().iter().any(|c| !c.is_const()));
+        let mut reference = ImageScratch::default();
+        let want = compose_image(&mut m, &fsm, init, schedule, &mut reference).unwrap();
+        assert_eq!(got.components(), want.components());
     }
 
     #[test]

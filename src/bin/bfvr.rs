@@ -48,6 +48,35 @@ use bfvr::serve::{
 };
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
+/// `print!` that ends the process quietly when stdout closes early
+/// (`bfvr gen shift:4000 | head -1`), where `print!` would panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` with the closed-stdout behaviour of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that stopped reading ends the process with
+/// status 0 and no message, as if the output had been read; any other
+/// write failure is an error.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 const USAGE: &str = "\
 bfvr — symbolic reachability with Boolean functional vectors
 
@@ -156,7 +185,8 @@ USAGE:
                                          prove every pass detects its own
           runs every analysis pass over every engine's intermediate sets;
           prints compiler-style diagnostics, sorted by severity then pass;
-          exits nonzero iff any error-severity finding
+          exits nonzero on any error-severity finding or on a lane that
+          ends short of its fixed point (T.O., M.O., ERR)
   bfvr lint <file>  static netlist analysis (bfvr-nlint): combinational
                     cycles, undriven/unread signals, ternary constant
                     propagation (stuck-at gates, constant latches), dead
@@ -214,7 +244,7 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
         Some("trace") => simple(cmd_trace(args)),
         Some("report") => simple(cmd_report(args)),
         Some("help") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(ExitCode::SUCCESS)
         }
         Some(other) => Err(format!("unknown command `{other}`\n{USAGE}")),
@@ -250,7 +280,7 @@ fn generate(spec: &str) -> Result<Netlist, String> {
 
 fn cmd_gen(spec: &str) -> Result<(), String> {
     let net = generate(spec)?;
-    print!("{}", bench::write(&net).map_err(|e| e.to_string())?);
+    out!("{}", bench::write(&net).map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -273,11 +303,11 @@ fn encode(net: &Netlist, order: OrderHeuristic) -> Result<(BddManager, EncodedFs
 }
 
 fn cmd_stats(net: &Netlist) -> Result<(), String> {
-    println!("{}: {}", net.name(), net.stats());
+    outln!("{}: {}", net.name(), net.stats());
     let levels = bfvr::netlist::topo::levels(net).map_err(|e| e.to_string())?;
-    println!("logic depth: {}", levels.iter().max().copied().unwrap_or(0));
+    outln!("logic depth: {}", levels.iter().max().copied().unwrap_or(0));
     let (latches, inputs) = bfvr::netlist::topo::cone_of_influence(net, net.outputs());
-    println!(
+    outln!(
         "cone of influence of the outputs: {} of {} latches, {} of {} inputs",
         latches.len(),
         net.latches().len(),
@@ -291,9 +321,9 @@ fn cmd_convert(args: &[String]) -> Result<(), String> {
     let net = load(args.get(1).ok_or("convert needs a file")?)?;
     let to = flag_value(args, "--to").ok_or("convert needs --to bench|blif")?;
     match to.as_str() {
-        "bench" => print!("{}", bench::write(&net).map_err(|e| e.to_string())?),
-        "blif" => print!("{}", blif::write(&net)),
-        "verilog" | "v" => print!("{}", bfvr::netlist::verilog::write(&net)),
+        "bench" => out!("{}", bench::write(&net).map_err(|e| e.to_string())?),
+        "blif" => out!("{}", blif::write(&net)),
+        "verilog" | "v" => out!("{}", bfvr::netlist::verilog::write(&net)),
         other => return Err(format!("unknown format `{other}`")),
     }
     Ok(())
@@ -917,9 +947,14 @@ fn reach_plain(
     result_out: Option<&str>,
     kill_at: Option<usize>,
 ) -> Result<ExitCode, String> {
-    println!(
+    outln!(
         "{:10} {:>6} {:>14} {:>7} {:>10} {:>11}",
-        "lane", "status", "states", "iters", "time(ms)", "peak nodes"
+        "lane",
+        "status",
+        "states",
+        "iters",
+        "time(ms)",
+        "peak nodes"
     );
     let dump = args.iter().any(|a| a == "--dump-reached");
     let show_stats = args.iter().any(|a| a == "--stats");
@@ -978,7 +1013,7 @@ fn reach_plain(
                     report.result
                 }
             };
-            println!(
+            outln!(
                 "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
                 lane_cell(lane, opts),
                 r.outcome.label(),
@@ -989,14 +1024,14 @@ fn reach_plain(
             );
             if r.reorders > 0 {
                 let (before, after) = r.reorder_nodes;
-                println!(
+                outln!(
                     "  dynamic reorder: {} sift pass(es), {before} -> {after} live nodes",
                     r.reorders
                 );
             }
             if show_stats {
                 let s = m.stats();
-                println!(
+                outln!(
                     "  tables: {} KiB computed caches + {} KiB unique table resident; \
                  {} mk calls, {} GCs",
                     s.cache_bytes / 1024,
@@ -1008,7 +1043,7 @@ fn reach_plain(
                     if c.lookups == 0 {
                         continue;
                     }
-                    println!(
+                    outln!(
                         "  cache {:10} {:>10} lookups {:>6.1}% hit  {:>8} / {:>8} slots  {:>6} KiB",
                         c.name,
                         c.lookups,
@@ -1028,14 +1063,14 @@ fn reach_plain(
                         let l = fsm.latch_of_component(c);
                         comp_of_var.insert(fsm.state_vars(l).0, l);
                     }
-                    println!("reached set, one cube per line (latch order):");
+                    outln!("reached set, one cube per line (latch order):");
                     for cube in &cubes {
                         let mut row = vec!['-'; fsm.num_latches()];
                         for &(v, pol) in cube {
                             let l = comp_of_var[&v];
                             row[l] = if pol { '1' } else { '0' };
                         }
-                        println!("  {}", row.iter().collect::<String>());
+                        outln!("  {}", row.iter().collect::<String>());
                     }
                 }
             }
@@ -1097,9 +1132,14 @@ fn cmd_reach_race(
     };
     let config = RaceConfig { jobs, escalation };
     let report = run_racing(lanes, net, opts, &config);
-    println!(
+    outln!(
         "{:16} {:>9} {:>14} {:>7} {:>10} {:>11}",
-        "lane", "status", "states", "iters", "time(ms)", "peak nodes"
+        "lane",
+        "status",
+        "states",
+        "iters",
+        "time(ms)",
+        "peak nodes"
     );
     for (i, lane) in report.lanes.iter().enumerate() {
         let status = match (lane.outcome, lane.cancelled) {
@@ -1120,7 +1160,7 @@ fn cmd_reach_race(
         } else {
             String::new()
         };
-        println!(
+        outln!(
             "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}",
             lane_cell(lanes[i], opts),
             status,
@@ -1132,7 +1172,7 @@ fn cmd_reach_race(
             won,
         );
     }
-    println!(
+    outln!(
         "race over {} lane(s) finished in {:.1} ms (* = cancelled by the winner)",
         report.lanes.len(),
         report.elapsed.as_secs_f64() * 1e3
@@ -1179,15 +1219,20 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     opts.trace.clone_from(&trace);
     let (mut m, fsm) = encode(&net, order)?;
     let (_, cp) = read_checkpoint(&from_path, &mut m).map_err(|e| format!("{from}: {e}"))?;
-    println!(
+    outln!(
         "resuming {} on {} from iteration {}",
         lane_label(cp.engine, cp.repr),
         net.name(),
         cp.iterations
     );
-    println!(
+    outln!(
         "{:10} {:>6} {:>14} {:>7} {:>10} {:>11}",
-        "lane", "status", "states", "iters", "time(ms)", "peak nodes"
+        "lane",
+        "status",
+        "states",
+        "iters",
+        "time(ms)",
+        "peak nodes"
     );
     let run_span = trace.as_ref().map(|t| {
         t.borrow_mut()
@@ -1200,7 +1245,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             opts.checkpoint_hook = Some(d.hook());
         }
         let r = bfvr::reach::resume(&mut m, &fsm, &opts, cp);
-        println!(
+        outln!(
             "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
             lane_label(r.engine, r.repr),
             r.outcome.label(),
@@ -1211,7 +1256,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         );
         if r.reorders > 0 {
             let (before, after) = r.reorder_nodes;
-            println!(
+            outln!(
                 "  dynamic reorder: {} sift pass(es), {before} -> {after} live nodes",
                 r.reorders
             );
@@ -1280,13 +1325,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // summary — which doubles as a standing test that the journal a
     // drain leaves behind is replayable.
     let ledger = replay(&dir.join("journal.jsonl")).map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "{:12} {:>11} {:>8} {:>14} {:>7}",
-        "job", "phase", "attempts", "states", "iters"
+        "job",
+        "phase",
+        "attempts",
+        "states",
+        "iters"
     );
     for id in ledger.job_ids() {
         let Some(j) = ledger.get(id) else { continue };
-        println!(
+        outln!(
             "{:12} {:>11} {:>8} {:>14} {:>7}",
             id,
             j.phase.label(),
@@ -1296,7 +1345,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .map_or_else(|| "-".to_string(), |i| i.to_string()),
         );
         if let Some(reason) = &j.reason {
-            println!("  {id}: {reason}");
+            outln!("  {id}: {reason}");
         }
     }
     Ok(())
@@ -1369,14 +1418,14 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         None => format!("job{}", journal.ledger().job_ids().len() + 1),
     };
     if journal.ledger().get(&id).is_some() {
-        println!("job {id} is already journaled (ids are first-wins)");
+        outln!("job {id} is already journaled (ids are first-wins)");
         return Ok(());
     }
     spec.id.clone_from(&id);
     journal
         .append(&id, "submitted", vec![("spec", spec.to_json())])
         .map_err(|e| e.to_string())?;
-    println!(
+    outln!(
         "submitted job {id}: {} ({} × {}, order {}, priority {})",
         circuit,
         engine.label(),
@@ -1391,7 +1440,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 /// that feeds every intermediate set — and each engine's final reached
 /// set — through the full `bfvr-audit` pass battery, then print the
 /// findings compiler-style, sorted by severity then pass. Exits nonzero
-/// iff any error-severity finding was produced.
+/// on any error-severity finding, or when a lane ended short of its
+/// fixed point.
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(
         "audit",
@@ -1406,6 +1456,9 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let lanes = build_lanes(&engines, reprs.as_deref())?;
     let report = Rc::new(RefCell::new(Report::new()));
     let inconclusive = Rc::new(RefCell::new(0usize));
+    // Lanes that ended before their fixed point: their audit covers only
+    // the iterations they reached.
+    let mut stopped = Vec::new();
 
     for lane in lanes {
         let (mut m, fsm) = encode(&net, order)?;
@@ -1458,13 +1511,21 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("{scope}: audit aborted: {e}"))?;
             }
         }
-        println!(
+        outln!(
             "{:10} {:>6} {:>5} iteration(s), {} state(s), audited",
             lane_cell(lane, &base_opts),
             r.outcome.label(),
             r.iterations,
             states_cell(r.reached_states, r.over_approx),
         );
+        if r.outcome != Outcome::FixedPoint {
+            stopped.push(format!(
+                "{} ended {} after {} iteration(s)",
+                lane.label(),
+                r.outcome.label(),
+                r.iterations
+            ));
+        }
     }
 
     if args.iter().any(|a| a == "--selftest") {
@@ -1489,21 +1550,27 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let report = report.borrow();
     let inconclusive = *inconclusive.borrow();
     for f in report.sorted() {
-        println!("{f}");
+        outln!("{f}");
     }
     if inconclusive > 0 {
-        println!("note: {inconclusive} iteration audit(s) were inconclusive (resource-limited)");
+        outln!("note: {inconclusive} iteration audit(s) were inconclusive (resource-limited)");
     }
     print_tally("audit", &report);
     if report.has_errors() {
         return Err("audit found error-severity findings".into());
+    }
+    if !stopped.is_empty() {
+        return Err(format!(
+            "audit incomplete: {}; it audited only the iterations reached",
+            stopped.join(", ")
+        ));
     }
     Ok(())
 }
 
 /// Prints the closing `<tool>: N finding(s) — …` tally of a report.
 fn print_tally<P: PassId, W>(tool: &str, report: &diag::Report<P, W>) {
-    println!(
+    outln!(
         "{tool}: {} finding(s) — {} error(s), {} warning(s), {} note(s)",
         report.len(),
         report.count_at(Severity::Error),
@@ -1521,9 +1588,9 @@ fn print_selftest<P: PassId>(
     err_prefix: &str,
     outcomes: &[MutationOutcome<P>],
 ) -> Result<(), String> {
-    println!("{heading}");
+    outln!("{heading}");
     for o in outcomes {
-        println!(
+        outln!(
             "  {:width$} -> {} by {}{} ({} finding(s))",
             o.label,
             if o.fired { "detected" } else { "NOT DETECTED" },
@@ -1551,7 +1618,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     let net = load(args.get(1).ok_or("lint needs a file")?)?;
     let report = bfvr::nlint::run_passes(&net);
     for f in report.sorted() {
-        println!("{f}");
+        outln!("{f}");
     }
     print_tally("lint", &report);
     let prune = args.iter().any(|a| a == "--prune");
@@ -1566,7 +1633,7 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
             let before = net.stats();
             let after = s.netlist.stats();
-            println!(
+            outln!(
                 "fix: {} -> {} ({} latch(es) folded, {} dead latch(es) dropped, \
                  {} duplicate gate(s) merged, {} gate(s) pruned)",
                 before,
@@ -1577,14 +1644,14 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
                 s.pruned_gates,
             );
             if !s.dead_latches.is_empty() {
-                println!(
+                outln!(
                     "note: dead-latch pruning projects the state space — reached-state \
                      counts are no longer comparable to the original"
                 );
             }
             let text = bench::write(&s.netlist).map_err(|e| e.to_string())?;
             std::fs::write(&out, text).map_err(|e| format!("{out}: {e}"))?;
-            println!("fix: wrote {out}");
+            outln!("fix: wrote {out}");
         }
     }
     if args.iter().any(|a| a == "--selftest") {
@@ -1632,11 +1699,11 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let bad = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;
     match check_invariant(&mut m, &fsm, &bad, &opts).map_err(|e| e.to_string())? {
         CheckResult::Holds { iterations } => {
-            println!("HOLDS: no state matching {cube} is reachable ({iterations} images)");
+            outln!("HOLDS: no state matching {cube} is reachable ({iterations} images)");
         }
         CheckResult::Violated { depth, witness } => {
             let latch_bits = to_latch_order(&fsm, &witness);
-            println!("VIOLATED at depth {depth}: state {}", bits_str(&latch_bits));
+            outln!("VIOLATED at depth {depth}: state {}", bits_str(&latch_bits));
             return Err("invariant violated".into());
         }
     }
@@ -1653,12 +1720,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let target = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;
     match find_trace(&mut m, &fsm, &target, &opts).map_err(|e| e.to_string())? {
         None => {
-            println!("UNREACHABLE: no state matching {cube} is reachable");
+            outln!("UNREACHABLE: no state matching {cube} is reachable");
         }
         Some(trace) => {
-            println!("reached {cube} in {} steps:", trace.depth());
+            outln!("reached {cube} in {} steps:", trace.depth());
             let input_names: Vec<&str> = net.inputs().iter().map(|&s| net.signal_name(s)).collect();
-            println!(
+            outln!(
                 "  state {}",
                 bits_str(&to_latch_order(&fsm, &trace.states[0]))
             );
@@ -1668,8 +1735,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                     .zip(inp)
                     .map(|(n, &b)| format!("{n}={}", u8::from(b)))
                     .collect();
-                println!("  step {:3}: {}", i + 1, pairs.join(" "));
-                println!(
+                outln!("  step {:3}: {}", i + 1, pairs.join(" "));
+                outln!(
                     "  state {}",
                     bits_str(&to_latch_order(&fsm, &trace.states[i + 1]))
                 );
@@ -1694,8 +1761,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     let events = bfvr::obs::parse_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
     // Reports get piped into pagers and `head`; a closed pipe is not an
     // error worth panicking over.
-    use std::io::Write as _;
-    let _ = std::io::stdout().write_all(bfvr::obs::render(&events, format).as_bytes());
+    out!("{}", bfvr::obs::render(&events, format));
     Ok(())
 }
 

@@ -184,6 +184,33 @@ fn cli_audit_bad_input_exits_nonzero() {
     assert!(!out.status.success());
 }
 
+#[test]
+fn cli_audit_of_a_lane_that_stops_early_fails() {
+    // The node limit stops the run at M.O. long before lfsr10's 1023
+    // iterations; the iterations it reached audit clean.
+    let out = Command::new(env!("CARGO_BIN_EXE_bfvr"))
+        .args([
+            "audit",
+            "gen:lfsr:10",
+            "--engine",
+            "bfv",
+            "--node-limit",
+            "1000",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stdout}");
+    assert!(stdout.contains("0 error(s)"), "{stdout}");
+    let lane = stdout.lines().find(|l| l.starts_with("BFV")).unwrap();
+    assert!(lane.contains("M.O."), "{stdout}");
+    assert!(
+        stderr.starts_with("error: audit incomplete: BFV ended M.O. after "),
+        "{stderr}"
+    );
+}
+
 fn bfvr_stdout(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_bfvr"))
         .args(args)

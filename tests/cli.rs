@@ -1,6 +1,7 @@
 //! End-to-end tests of the `bfvr` command-line tool.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Output, Stdio};
 
 fn bfvr(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_bfvr"))
@@ -20,6 +21,34 @@ fn help_prints_usage() {
     assert!(stdout(&o).contains("USAGE"));
     let none = bfvr(&[]);
     assert!(none.status.success());
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    // The generated netlist is far larger than a pipe buffer, so `bfvr`
+    // is still writing when the reader goes away.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_bfvr"))
+        .args(["gen", "shift:20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("# shift20000"), "{first}");
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut err)
+        .unwrap();
+    let status = child.wait().unwrap();
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(err.is_empty(), "{err}");
+    assert!(status.success(), "{status}");
 }
 
 #[test]
