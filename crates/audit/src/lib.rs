@@ -34,10 +34,7 @@
 //!    component, each over its variable prefix (§2.7).
 //! 7. **`cross-equiv`** — χ, the BFV range and the CDec conjunction
 //!    describe the same set; missing representations are derived through
-//!    the converters, so those are audited too. The same χ is also
-//!    passed through the zonotope backend's production converter: the
-//!    logical-zonotope affine hull of χ must contain χ (zonotopes
-//!    over-approximate, so the contract is containment, not equality).
+//!    the converters, so those are audited too.
 //!
 //! Entry points: [`run_passes`] over an [`AuditTargets`] bundle
 //! (used per-iteration by the reach engines' `audit` feature and by the

@@ -4,7 +4,7 @@ use bfvr_bdd::{Bdd, BddManager, GraphIssueKind, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::convert::{from_characteristic, to_characteristic};
 use bfvr_bfv::{Bfv, Result, Space};
-use bfvr_setrepr::{SetView, Zonotope};
+use bfvr_setrepr::SetView;
 
 use crate::finding::{Finding, Pass, Report, Severity, Witness};
 
@@ -67,16 +67,13 @@ impl<'a> AuditTargets<'a> {
     }
 
     /// Targets for the reached set of one engine iteration, in the
-    /// representation the backend iterates on. `None` for zonotope
-    /// views: they over-approximate by design, so the exactness
-    /// invariants the passes check do not apply to them.
+    /// representation the backend iterates on.
     #[must_use]
-    pub fn for_view(space: &'a Space, view: &SetView<'a>) -> Option<Self> {
+    pub fn for_view(space: &'a Space, view: &SetView<'a>) -> Self {
         match *view {
-            SetView::Chi { reached, .. } => Some(Self::for_chi(space, reached)),
-            SetView::Vector { reached, .. } => Some(Self::for_bfv(space, reached)),
-            SetView::Cdec { reached, .. } => Some(Self::for_cdec(space, reached)),
-            SetView::Zonotope { .. } => None,
+            SetView::Chi { reached, .. } => Self::for_chi(space, reached),
+            SetView::Vector { reached, .. } => Self::for_bfv(space, reached),
+            SetView::Cdec { reached, .. } => Self::for_cdec(space, reached),
         }
     }
 
@@ -436,17 +433,10 @@ fn cdec_pass(
     Ok(())
 }
 
-/// Cube cap for the zonotope hull enumeration; past it the hull check
-/// degrades to the (always sound) universe hull.
-const HULL_CUBE_CAP: usize = 1024;
-
 /// Pass 7 — cross-representation equivalence: every representation the
 /// caller holds (or that was derived) must describe the same set of
 /// states; any disagreement yields a witness state in the symmetric
-/// difference. The same χ is also passed through the zonotope backend's
-/// production converter: the logical-zonotope affine hull of χ must
-/// *contain* χ (zonotopes over-approximate, so containment is the
-/// contract, not equality).
+/// difference.
 fn cross_equiv_pass(
     m: &mut BddManager,
     space: &Space,
@@ -479,51 +469,6 @@ fn cross_equiv_pass(
                 Witness::from_violation(m, diff),
             ));
         }
-    }
-    if let Some(&(name, chi)) = reps.first() {
-        hull_pass(m, space, name, chi, scope, report)?;
-    }
-    Ok(())
-}
-
-/// Pass 7b — the zonotope hull round-trip of a χ through the production
-/// converter (see [`cross_equiv_pass`]).
-fn hull_pass(
-    m: &mut BddManager,
-    space: &Space,
-    name: &str,
-    chi: Bdd,
-    scope: &str,
-    report: &mut Report,
-) -> Result<()> {
-    // χ → zonotope hull → χ: the affine hull must contain every state
-    // of χ. (`hull_of_chi` is `None` only for χ = ⊥, which is trivially
-    // contained in anything.)
-    if let Some(hull) = Zonotope::hull_of_chi(m, chi, space.vars(), HULL_CUBE_CAP) {
-        let hull_chi = hull.to_chi(m, space.vars())?;
-        let escapes = {
-            let not_hull = m.not(hull_chi);
-            m.and(chi, not_hull)?
-        };
-        if !escapes.is_false() {
-            report.push(scoped(
-                scope,
-                Pass::CrossEquiv,
-                Severity::Error,
-                &format!("equiv/{name}<->zonotope-hull"),
-                format!("a state of {name} escapes its own affine hull"),
-                Witness::from_violation(m, escapes),
-            ));
-        }
-    } else if !chi.is_false() {
-        report.push(scoped(
-            scope,
-            Pass::CrossEquiv,
-            Severity::Error,
-            &format!("equiv/{name}<->zonotope-hull"),
-            format!("hull_of_chi reported an empty hull for a non-empty {name}"),
-            Witness::from_violation(m, chi),
-        ));
     }
     Ok(())
 }

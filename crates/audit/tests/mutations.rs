@@ -342,9 +342,9 @@ fn findings_sort_by_severity_then_pass() {
 
 #[test]
 fn clean_chi_survives_the_new_backend_roundtrips() {
-    // The cross-equiv pass sends every audited χ through the zonotope
-    // backend's production hull converter. A clean set must produce zero
-    // findings there.
+    // The cross-equiv pass derives the BFV and CDec forms of every
+    // audited χ through the production converters. A clean set must
+    // produce zero findings there.
     let mut m = BddManager::new(3);
     let (space, bfv) = sample(&mut m);
     let chi = to_characteristic(&mut m, &space, &bfv).unwrap();
@@ -354,9 +354,8 @@ fn clean_chi_survives_the_new_backend_roundtrips() {
 
 #[test]
 fn empty_and_universe_chi_roundtrip_clean() {
-    // Degenerate sets stress the hull's edge cases: ⊥ has no affine
-    // hull (vacuously contained), and ⊤ over three variables is its own
-    // hull, the whole space.
+    // Degenerate sets stress the converters' edge cases: ⊥ has no
+    // functional vector, and ⊤ over three variables is the whole space.
     let mut m = BddManager::new(3);
     let space = Space::contiguous(3);
     for chi in [bfvr_bdd::Bdd::FALSE, bfvr_bdd::Bdd::TRUE] {

@@ -131,16 +131,6 @@ impl BddManager {
         self.ite(f, g, ng)
     }
 
-    /// Implication `f → g`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on resource-limit exhaustion.
-    #[inline]
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Result<Bdd> {
-        self.ite(f, g, Bdd::TRUE)
-    }
-
     /// Difference `f ∧ ¬g`.
     ///
     /// # Errors
@@ -369,7 +359,8 @@ mod tests {
         let ab = m.and(a, b).unwrap();
         assert!(m.leq(ab, a).unwrap());
         assert!(!m.leq(a, ab).unwrap());
-        let imp = m.implies(ab, a).unwrap();
+        // f → g as ite(f, g, ⊤).
+        let imp = m.ite(ab, a, Bdd::TRUE).unwrap();
         assert!(imp.is_true());
     }
 
@@ -396,12 +387,12 @@ mod tests {
     #[test]
     fn results_are_canonical_across_formulations() {
         let (mut m, a, b, c) = mgr();
-        // (a→c) ∧ (b→c)  ==  (a∨b)→c
-        let ac = m.implies(a, c).unwrap();
-        let bc = m.implies(b, c).unwrap();
+        // (a→c) ∧ (b→c)  ==  (a∨b)→c, with f → g as ite(f, g, ⊤)
+        let ac = m.ite(a, c, Bdd::TRUE).unwrap();
+        let bc = m.ite(b, c, Bdd::TRUE).unwrap();
         let lhs = m.and(ac, bc).unwrap();
         let aob = m.or(a, b).unwrap();
-        let rhs = m.implies(aob, c).unwrap();
+        let rhs = m.ite(aob, c, Bdd::TRUE).unwrap();
         assert_eq!(lhs, rhs);
     }
 

@@ -98,20 +98,6 @@ impl BddManager {
         let part = self.or(vc0, vc1)?;
         self.or(part, cr)
     }
-
-    /// Renders a cover as PLA-style text lines over `num_vars` columns.
-    pub fn cover_to_pla(&self, cubes: &[Cube], num_vars: u32) -> String {
-        let mut out = String::new();
-        for cube in cubes {
-            let mut row = vec!['-'; num_vars as usize];
-            for &(v, pol) in cube {
-                row[v.0 as usize] = if pol { '1' } else { '0' };
-            }
-            out.push_str(&row.iter().collect::<String>());
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -185,15 +171,5 @@ mod tests {
         let xy = m.xor(x, y).unwrap();
         let par = m.xor(xy, z).unwrap();
         assert_eq!(m.isop(par).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn pla_rendering() {
-        let mut m = BddManager::new(3);
-        let a = m.var(Var(0));
-        let nc = m.nvar(Var(2));
-        let f = m.and(a, nc).unwrap();
-        let cubes = m.isop(f).unwrap();
-        assert_eq!(m.cover_to_pla(&cubes, 3), "1-0\n");
     }
 }

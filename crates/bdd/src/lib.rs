@@ -92,7 +92,6 @@ mod cache;
 mod compose;
 mod constrain;
 mod dag;
-mod dot;
 mod error;
 mod explore;
 mod fault;

@@ -239,22 +239,6 @@ impl StateSet {
         }
     }
 
-    /// Symmetric difference `(self ∖ other) ∪ (other ∖ self)`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on BDD resource exhaustion.
-    pub fn symmetric_difference(
-        &self,
-        m: &mut BddManager,
-        space: &Space,
-        other: &StateSet,
-    ) -> Result<StateSet> {
-        let a = self.difference(m, space, other)?;
-        let b = other.difference(m, space, self)?;
-        a.union(m, space, &b)
-    }
-
     /// Whether the two sets are disjoint.
     ///
     /// # Errors
@@ -502,11 +486,6 @@ mod difference_tests {
         let b = StateSet::from_points(&mut m, &space, &pts(&["011", "110"])).unwrap();
         let d = a.difference(&mut m, &space, &b).unwrap();
         assert_eq!(d.members(&mut m, &space).unwrap(), pts(&["000", "101"]));
-        let sd = a.symmetric_difference(&mut m, &space, &b).unwrap();
-        assert_eq!(
-            sd.members(&mut m, &space).unwrap(),
-            pts(&["000", "101", "110"])
-        );
     }
 
     #[test]
@@ -525,15 +504,5 @@ mod difference_tests {
         assert!(a.difference(&mut m, &space, &u).unwrap().is_empty());
         let c = u.difference(&mut m, &space, &a).unwrap();
         assert_eq!(c.members(&mut m, &space).unwrap(), pts(&["00", "11"]));
-        // Symmetric difference with self is empty; with ∅ is identity.
-        assert!(a
-            .symmetric_difference(&mut m, &space, &a)
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            a.symmetric_difference(&mut m, &space, &StateSet::Empty)
-                .unwrap(),
-            a
-        );
     }
 }

@@ -11,10 +11,7 @@
 //! * [`BfvBackend`] — the paper's Figure 2 flow on canonical Boolean
 //!   functional vectors;
 //! * [`CdecBackend`] — Figure 2 over McMillan's conjunctive
-//!   decomposition (§2.7), carrying a companion vector for simulation;
-//! * [`ZonotopeBackend`] — logical zonotopes (GF(2) affine subspaces),
-//!   an over-approximating lane driven by affine symbolic simulation of
-//!   the next-state functions.
+//!   decomposition (§2.7), carrying a companion vector for simulation.
 
 use std::time::{Duration, Instant};
 
@@ -22,7 +19,6 @@ use bfvr_bdd::{Bdd, BddManager, Func, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::{convert, ops, Bfv, BfvError, Space, StateSet};
-use bfvr_setrepr::zonotope::{AffineEvaluator, Zonotope};
 use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetRepr, SetView};
 use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch};
 
@@ -595,124 +591,5 @@ impl SetRepr for CdecBackend<'_> {
 
     fn take_conversion(&mut self) -> Duration {
         std::mem::take(&mut self.conversion)
-    }
-}
-
-/// Logical zonotopes: GF(2) affine subspaces in generator form. The
-/// image step symbolically evaluates the next-state functions over
-/// affine forms (XOR is exact; AND introduces a fresh generator unless
-/// a closed form applies), so every image is a superset of the exact
-/// image and the fixed point over-approximates the reached set. The
-/// lane trades exactness for images that never build BDDs at all.
-pub struct ZonotopeBackend<'a> {
-    fsm: &'a EncodedFsm,
-    vars: Vec<Var>,
-}
-
-impl<'a> ZonotopeBackend<'a> {
-    /// A zonotope backend for the FSM's state space.
-    #[must_use]
-    pub fn new(fsm: &'a EncodedFsm) -> Self {
-        ZonotopeBackend {
-            fsm,
-            vars: fsm.space().vars().to_vec(),
-        }
-    }
-}
-
-impl SetRepr for ZonotopeBackend<'_> {
-    type Set = Zonotope;
-
-    fn kind(&self) -> ReprKind {
-        ReprKind::Zonotope
-    }
-
-    fn initial(&mut self, _m: &mut BddManager) -> Result<Zonotope, BfvError> {
-        Ok(Zonotope::point(&self.fsm.initial_state()))
-    }
-
-    fn image(&mut self, m: &mut BddManager, from: &Zonotope) -> Result<Zonotope, BfvError> {
-        // Fresh evaluator per step: generators are relative to `from`.
-        let mut eval = AffineEvaluator::new(from.rank());
-        for (i, &v) in self.vars.iter().enumerate() {
-            eval.bind(v, from.bit_form(i));
-        }
-        let forms: Vec<_> = self
-            .fsm
-            .next_fns_in_component_order()
-            .into_iter()
-            .map(|f| eval.eval(m, f))
-            .collect();
-        Ok(Zonotope::from_forms(&forms, eval.gen_count()))
-    }
-
-    fn union(
-        &mut self,
-        _m: &mut BddManager,
-        a: &Zonotope,
-        b: &Zonotope,
-    ) -> Result<Zonotope, BfvError> {
-        // The affine hull of the union: the representation's join.
-        Ok(a.join(b))
-    }
-
-    fn set_eq(&self, _m: &BddManager, a: &Zonotope, b: &Zonotope) -> bool {
-        // Generator matrices are kept in canonical RREF form.
-        a == b
-    }
-
-    fn size(&self, _m: &BddManager, s: &Zonotope) -> usize {
-        // Generator rows plus the center — the representation's own
-        // footprint (there are no BDD nodes to count).
-        s.rank() + 1
-    }
-
-    fn append_roots(&self, _s: &Zonotope, _out: &mut Vec<Bdd>) {}
-
-    fn pin(&self, _m: &BddManager, _s: &Zonotope) -> Vec<Func> {
-        Vec::new()
-    }
-
-    fn view<'b>(&'b self, reached: &'b Zonotope, from: &'b Zonotope) -> SetView<'b> {
-        SetView::Zonotope { reached, from }
-    }
-
-    fn count_states(&self, _m: &BddManager, s: &Zonotope) -> Option<f64> {
-        Some(s.count())
-    }
-
-    fn to_chi(&mut self, m: &mut BddManager, s: &Zonotope) -> Result<Bdd, BfvError> {
-        Ok(s.to_chi(m, &self.vars)?)
-    }
-
-    fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<Zonotope>, BfvError> {
-        Ok(Zonotope::hull_of_chi(m, chi, &self.vars, 1024))
-    }
-
-    fn checkpoint(
-        &mut self,
-        _m: &mut BddManager,
-        reached: &Zonotope,
-        from: &Zonotope,
-    ) -> Result<ReprCheckpoint, BfvError> {
-        Ok(ReprCheckpoint::Zonotope {
-            reached: reached.clone(),
-            from: from.clone(),
-        })
-    }
-
-    fn restore(
-        &mut self,
-        _m: &mut BddManager,
-        cp: &ReprCheckpoint,
-    ) -> Result<Option<(Zonotope, Zonotope)>, BfvError> {
-        match cp {
-            ReprCheckpoint::Zonotope { reached, from } => Ok(Some((reached.clone(), from.clone()))),
-            _ => Ok(None),
-        }
-    }
-
-    fn over_approximates(&self) -> bool {
-        true
     }
 }

@@ -173,4 +173,28 @@ mod tests {
             "count exceeded capacity: {r:?}"
         );
     }
+
+    #[test]
+    fn verdicts_on_assorted_circuits() {
+        // (circuit, bad state by latch index, invariant holds)
+        let cases: Vec<(bfvr_netlist::Netlist, Vec<bool>, bool)> = vec![
+            // counter(4) reaches all states: bad = 1111 is reachable.
+            (generators::counter(4), vec![true; 4], false),
+            // johnson(4) cannot reach 0101 (latch order).
+            (generators::johnson(4), vec![false, true, false, true], true),
+            // mod-5 counter never shows value 7 (binary 111).
+            (generators::counter_modk(3, 5), vec![true, true, true], true),
+        ];
+        for (net, bad_latch_bits, expect_holds) in cases {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            let space = fsm.space();
+            let comp_bits: Vec<bool> = (0..space.len())
+                .map(|c| bad_latch_bits[fsm.latch_of_component(c)])
+                .collect();
+            let bad = StateSet::singleton(&mut m, &space, &comp_bits).unwrap();
+            let r = check_invariant(&mut m, &fsm, &bad, &ReachOptions::default()).unwrap();
+            let holds = matches!(r, CheckResult::Holds { .. });
+            assert_eq!(holds, expect_holds, "{} wrong verdict", net.name());
+        }
+    }
 }

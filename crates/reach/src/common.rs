@@ -71,31 +71,26 @@ impl EngineKind {
         }
     }
 
-    /// The representations this engine's image computation can drive
-    /// (native first). The BFV engine's functional image additionally
-    /// drives the over-approximating zonotope lane; every other engine
-    /// iterates on its native representation only.
+    /// The representations this engine's image computation can drive.
+    /// Every engine iterates on its native representation only.
     #[must_use]
     pub fn supported_reprs(self) -> &'static [ReprKind] {
         match self {
-            EngineKind::Bfv => &[ReprKind::Bfv, ReprKind::Zonotope],
+            EngineKind::Bfv => &[ReprKind::Bfv],
             EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => &[ReprKind::Chi],
             EngineKind::Cdec => &[ReprKind::Cdec],
         }
     }
 }
 
-/// Label of an engine × representation lane. Native lanes keep the bare
-/// engine label (so existing tables read unchanged); cross-representation
-/// lanes are tagged `ENGINE+REPR`.
+/// Label of an engine × representation lane: the bare engine label for
+/// a native lane, `UNSUPPORTED` for any other pair.
 #[must_use]
 pub fn lane_label(engine: EngineKind, repr: ReprKind) -> &'static str {
     if repr == engine.native_repr() {
-        return engine.label();
-    }
-    match (engine, repr) {
-        (EngineKind::Bfv, ReprKind::Zonotope) => "BFV+ZONO",
-        _ => "UNSUPPORTED",
+        engine.label()
+    } else {
+        "UNSUPPORTED"
     }
 }
 
@@ -165,7 +160,7 @@ pub struct ReachOptions {
     /// [`BddManager::sift`] over the loop roots with resource limits
     /// suspended. Only backends whose loop state survives a permuted
     /// order honor the flag ([`bfvr_setrepr::SetRepr::supports_reorder`]);
-    /// the BFV/CDEC/zonotope lanes silently decline — their
+    /// the BFV/CDEC lanes silently decline — their
     /// representations hard-code the component-order-equals-variable-
     /// order constraint of the paper's §3.
     pub sift: bool,
@@ -397,10 +392,6 @@ pub struct ReachResult {
     /// The set representation the engine iterated on (the engine's
     /// native one under [`crate::run`]; see [`crate::run_repr`]).
     pub repr: ReprKind,
-    /// Whether `reached_states`/`reached_chi` may strictly
-    /// over-approximate the exact reached set (zonotope lanes). Exact
-    /// lanes always report `false`.
-    pub over_approx: bool,
     /// How the traversal ended.
     pub outcome: Outcome,
     /// Image iterations completed.
@@ -524,7 +515,6 @@ pub(crate) fn failed_result(
     ReachResult {
         engine,
         repr,
-        over_approx: repr.over_approximates(),
         outcome,
         iterations: 0,
         reached_states: None,
@@ -579,11 +569,7 @@ mod tests {
             assert_eq!(lane_label(e, e.native_repr()), e.label());
             assert_eq!(e.supported_reprs()[0], e.native_repr());
         }
-        assert_eq!(lane_label(EngineKind::Bfv, ReprKind::Zonotope), "BFV+ZONO");
-        assert_eq!(
-            lane_label(EngineKind::Cdec, ReprKind::Zonotope),
-            "UNSUPPORTED"
-        );
+        assert_eq!(lane_label(EngineKind::Cdec, ReprKind::Bfv), "UNSUPPORTED");
         assert!(EngineKind::Cdec
             .supported_reprs()
             .iter()

@@ -38,7 +38,7 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     let mut conversion_time = Duration::ZERO;
     // Dynamic reordering: on only when asked for *and* the backend's
     // representation survives a permuted order (see
-    // `SetRepr::supports_reorder` — the BFV/CDEC/zonotope lanes
+    // `SetRepr::supports_reorder` — the BFV/CDEC lanes
     // decline). The baseline is the live count right after the last
     // reorder; growth past `sift_trigger` × baseline re-triggers.
     let sift_enabled = opts.sift && backend.supports_reorder();
@@ -247,7 +247,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     ReachResult {
         engine,
         repr,
-        over_approx: backend.over_approximates(),
         outcome,
         iterations,
         reached_states,
@@ -382,9 +381,6 @@ mod tests {
         }
         fn end_of_iteration(&mut self, reached: &B::Set, from: &B::Set) {
             self.0.end_of_iteration(reached, from);
-        }
-        fn over_approximates(&self) -> bool {
-            self.0.over_approximates()
         }
         fn supports_reorder(&self) -> bool {
             self.0.supports_reorder()

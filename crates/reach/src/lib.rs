@@ -22,17 +22,13 @@
 //!   conjunctive decomposition (§2.7 correspondence).
 //!
 //! All five run through one shared fixed-point driver written against the
-//! [`SetRepr`] trait, so an engine's image computation can also drive a
-//! non-native set representation: [`run_repr`] pairs the BFV engine with
-//! an over-approximating logical-zonotope lane (see [`backends`] and
-//! [`EngineKind::supported_reprs`]).
+//! [`SetRepr`] trait (see [`backends`]); [`run_repr`] names a lane by its
+//! engine × representation pair.
 //!
 //! [`check_invariant`] layers a simple safety checker on the BFV engine —
 //! the "symbolic simulation based model checker" the paper names as the
-//! goal of this line of work — and [`reach_backward`] adds the dual
-//! pre-image traversal (χ-based; functional vectors are forward-only) for
-//! cross-validation and backward invariant checks. [`find_trace`]
-//! extracts a concrete minimal-depth input trace to any target set.
+//! goal of this line of work. [`find_trace`] extracts a concrete
+//! minimal-depth input trace to any target set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +36,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backends;
-mod backward;
 mod bfv_engine;
 mod cbm;
 mod cdec_engine;
@@ -55,7 +50,6 @@ mod selfcheck;
 pub mod telemetry;
 mod trace;
 
-pub use backward::{check_invariant_backward, reach_backward};
 pub use bfv_engine::reach_bfv;
 pub use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetRepr, SetView};
 pub use cbm::reach_cbm;
@@ -102,10 +96,6 @@ fn dispatch(
             let mut b = backends::BfvBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
-        (EngineKind::Bfv, ReprKind::Zonotope) => {
-            let mut b = backends::ZonotopeBackend::new(fsm);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
         (EngineKind::Cdec, ReprKind::Cdec) => {
             let mut b = backends::CdecBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
@@ -138,8 +128,7 @@ pub fn run(
 /// Runs one engine × representation lane: `kind`'s image computation
 /// iterating on the `repr` set representation. Supported pairs are
 /// [`EngineKind::supported_reprs`]; an unsupported pair reports
-/// [`Outcome::Error`]. Results from over-approximating lanes carry
-/// [`ReachResult::over_approx`]` == true`.
+/// [`Outcome::Error`].
 pub fn run_repr(
     kind: EngineKind,
     repr: ReprKind,

@@ -13,8 +13,7 @@
 //! different circuits, and no static chooser predicts the winner.
 //! [`run_racing`] runs a set of engine × representation lanes (see
 //! [`Lane`]) concurrently on the same netlist and returns the first fixed
-//! point any *exact* lane reaches — over-approximating lanes (zonotopes)
-//! report early bounds but never win or cancel exact lanes. Because
+//! point any lane reaches. Because
 //! [`BddManager`] is deliberately `!Send` (its [`bfvr_bdd::Func`] root
 //! handles share an `Rc` root table), each lane runs a *private* manager
 //! built by encoding the netlist in its own worker thread — there is no
@@ -82,7 +81,7 @@ impl Lane {
         self
     }
 
-    /// The lane's display label (`BFV`, `MONO`, `BFV+ZONO`, …).
+    /// The lane's display label (`BFV`, `MONO`, `CDEC`, …).
     /// Ordering overrides do not change the label (the trace schema keys
     /// race events by static engine labels); use [`Lane::display`] where
     /// the override matters.
@@ -99,12 +98,6 @@ impl Lane {
             Some(o) => format!("{}@{}", self.label(), o.label()),
             None => self.label().to_string(),
         }
-    }
-
-    /// Whether this lane's results may over-approximate the reached set.
-    #[must_use]
-    pub fn over_approximates(self) -> bool {
-        self.repr.over_approximates()
     }
 
     /// Every engine on its native representation, in [`EngineKind::all`]
@@ -319,9 +312,6 @@ pub struct LaneReport {
     /// The variable-ordering heuristic the lane's private encoding used
     /// (its override if it had one, else the race's base order).
     pub order: OrderHeuristic,
-    /// Whether the lane's reached-state count may over-approximate
-    /// (zonotope lanes). Over-approximating lanes never win a race.
-    pub over_approx: bool,
     /// How the lane's traversal ended; `None` when the lane was skipped
     /// because the race was already decided before it could start.
     pub outcome: Option<Outcome>,
@@ -520,13 +510,9 @@ fn race_lane(
         }
         None => (run_repr(engine, repr, &mut m, &fsm, &opts), 1),
     };
-    // First *exact* fixed point wins; `swap` makes exactly one lane the
-    // winner even if two finish back-to-back. An over-approximating lane
-    // finishing first proves nothing about the exact reached set, so it
-    // neither wins nor cancels the exact lanes still running.
-    let won = result.outcome == Outcome::FixedPoint
-        && !result.over_approx
-        && !cancel.swap(true, Ordering::AcqRel);
+    // First fixed point wins; `swap` makes exactly one lane the winner
+    // even if two finish back-to-back.
+    let won = result.outcome == Outcome::FixedPoint && !cancel.swap(true, Ordering::AcqRel);
     // A loser whose run ended while the flag was up was (or would have
     // been) stopped by the race, not by its own budget.
     let cancelled =
@@ -571,19 +557,16 @@ fn outcome_rank(outcome: Option<Outcome>) -> u8 {
 /// Races `lanes` on `net`: every engine × representation × ordering lane
 /// encodes the netlist in its own worker thread with its own private
 /// [`BddManager`] — under [`ReachOptions::order`] unless the lane
-/// carries an override ([`Lane::with_order`]) — and the first *exact*
-/// lane to reach the fixed point cancels the rest through the managers'
+/// carries an override ([`Lane::with_order`]) — and the first lane to
+/// reach the fixed point cancels the rest through the managers'
 /// cooperative deadline poll.
 ///
 /// The returned [`RaceReport`] carries the winning [`ReachResult`]
 /// (reached-state count, iterations, peak nodes — but not the reached
 /// set itself; see [`RaceReport::result`]) and a [`LaneReport`] per
-/// lane. Reached-state counts are deterministic: every exact lane
-/// converges to the same unique least fixed point, so whichever lane
-/// wins, the count matches a sequential run bit for bit.
-/// Over-approximating lanes ([`Lane::over_approximates`]) race for
-/// information only — their counts upper-bound the exact answer and
-/// their reports are flagged [`LaneReport::over_approx`].
+/// lane. Reached-state counts are deterministic: every lane converges
+/// to the same unique least fixed point, so whichever lane wins, the
+/// count matches a sequential run bit for bit.
 #[must_use]
 pub fn run_racing(
     lanes: &[Lane],
@@ -639,8 +622,8 @@ pub fn run_racing(
         }
     });
     // Winner: the lane that won the swap; otherwise the best-ranked
-    // partial result (exact lanes before over-approximating ones, then
-    // most iterations, then lowest lane index).
+    // partial result (best outcome, then most iterations, then lowest
+    // lane index).
     let winner = messages
         .iter()
         .enumerate()
@@ -648,7 +631,6 @@ pub fn run_racing(
         .min_by_key(|(i, m)| {
             (
                 !m.won,
-                m.repr.over_approximates(),
                 outcome_rank(m.outcome),
                 std::cmp::Reverse(m.iterations),
                 *i,
@@ -699,7 +681,6 @@ pub fn run_racing(
             engine: msg.engine,
             repr: msg.repr,
             order: msg.order,
-            over_approx: msg.repr.over_approximates(),
             outcome: msg.outcome,
             iterations: msg.iterations,
             reached_states: msg.reached_states,
@@ -714,7 +695,6 @@ pub fn run_racing(
             result = Some(ReachResult {
                 engine: msg.engine,
                 repr: msg.repr,
-                over_approx: msg.repr.over_approximates(),
                 outcome: msg.outcome.unwrap_or(Outcome::Error),
                 iterations: msg.iterations,
                 reached_states: msg.reached_states,

@@ -26,10 +26,7 @@ use crate::common::IterationView;
 /// suspend/restore and inconclusive-skip semantics.
 pub(crate) fn selfcheck_iteration(m: &mut BddManager, fsm: &EncodedFsm, view: &IterationView<'_>) {
     let space = fsm.space();
-    let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
-        return;
-    };
-    let targets = targets.with_leak_roots(view.roots);
+    let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
 
     let node_limit = m.node_limit();
     let deadline = m.deadline();

@@ -136,8 +136,6 @@ pub(crate) fn view_sizes(m: &BddManager, set: &SetView<'_>) -> (usize, usize) {
         SetView::Chi { reached, from } => (m.size(*reached), m.size(*from)),
         SetView::Vector { reached, from } => (reached.shared_size(m), from.shared_size(m)),
         SetView::Cdec { reached, from } => (reached.shared_size(m), from.shared_size(m)),
-        // Zonotopes have no node graph: generator rows + center.
-        SetView::Zonotope { reached, from } => (reached.rank() + 1, from.rank() + 1),
     }
 }
 
@@ -152,9 +150,6 @@ pub(crate) fn view_states(m: &BddManager, fsm: &EncodedFsm, set: &SetView<'_>) -
     match set {
         SetView::Chi { reached, .. } => Some(crate::cf::count_states(m, fsm, *reached)),
         SetView::Vector { .. } | SetView::Cdec { .. } => None,
-        // Counting a zonotope is a read-only walk of manager-free
-        // state: free to report.
-        SetView::Zonotope { reached, .. } => Some(reached.count()),
     }
 }
 

@@ -100,37 +100,25 @@ fn losing_lanes_are_cancelled_not_errored() {
 
 #[test]
 fn full_lane_matrix_races_new_representations() {
-    // The full portfolio: every engine on its native representation,
-    // plus the zonotope lane the BFV image drives. The winner must be an
-    // exact lane with the exact count; the zonotope lane reports a
-    // flagged upper bound.
+    // The full portfolio: every engine on its native representation.
+    // The winner and every lane that finishes report the exact count.
     let net = circuits::s27();
     let opts = ReachOptions::default();
     let lanes = Lane::all_lanes();
     assert_eq!(
         lanes.iter().map(|l| l.label()).collect::<Vec<_>>(),
-        ["BFV", "BFV+ZONO", "CBM", "MONO", "IWLS95", "CDEC"],
+        ["BFV", "CBM", "MONO", "IWLS95", "CDEC"],
         "the lane matrix changed"
     );
     let exact = sequential_count(&net, EngineKind::Bfv, &opts);
     let report = run_racing(&lanes, &net, &opts, &RaceConfig::default());
     let result = report.result.expect("race result");
     assert_eq!(result.outcome, Outcome::FixedPoint);
-    assert!(
-        !result.over_approx,
-        "an over-approximating lane must not win"
-    );
     assert_eq!(result.reached_states.unwrap().to_bits(), exact.to_bits());
     for lane in &report.lanes {
-        assert_eq!(lane.over_approx, lane.repr.over_approximates());
         if lane.outcome == Some(Outcome::FixedPoint) {
             if let Some(states) = lane.reached_states {
-                if lane.over_approx {
-                    // Upper bound: never undercounts the exact answer.
-                    assert!(states >= exact, "{lane:?} undercounts");
-                } else {
-                    assert_eq!(states.to_bits(), exact.to_bits(), "{lane:?}");
-                }
+                assert_eq!(states.to_bits(), exact.to_bits(), "{lane:?}");
             }
         }
     }

@@ -1,13 +1,12 @@
-//! Representation parity: every engine × representation lane must agree
-//! on the reached-state count — exactly for the exact backends (χ, BFV,
-//! CDec), by containment for the over-approximating zonotope lane.
+//! Representation parity: every engine × representation lane (χ, BFV,
+//! CDec) must agree exactly on the reached-state count.
 //!
 //! This is the test-suite twin of the CI smoke job: the same circuits,
-//! the same lane matrix, the same exact/containment split.
+//! the same lane matrix.
 
 use bfvr_netlist::{circuits, generators, Netlist};
 use bfvr_reach::portfolio::Lane;
-use bfvr_reach::{run_repr, EngineKind, Outcome, ReachOptions};
+use bfvr_reach::{run_repr, Outcome, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 const ORDER: OrderHeuristic = OrderHeuristic::DfsFanin;
@@ -37,58 +36,7 @@ fn all_lanes_agree_on_reached_state_counts() {
             let states = r
                 .reached_states
                 .unwrap_or_else(|| panic!("{name}/{}: no reached-state count", lane.label()));
-            assert_eq!(
-                r.over_approx,
-                lane.repr.over_approximates(),
-                "{name}/{}: over_approx flag does not match the representation",
-                lane.label()
-            );
-            if r.over_approx {
-                assert!(
-                    states >= expected,
-                    "{name}/{}: over-approximation lost states ({states} < {expected})",
-                    lane.label()
-                );
-            } else {
-                assert_eq!(
-                    states,
-                    expected,
-                    "{name}/{}: exact lane disagrees",
-                    lane.label()
-                );
-            }
+            assert_eq!(states, expected, "{name}/{}: lane disagrees", lane.label());
         }
     }
-}
-
-/// The BFV engine's two lanes (canonical vector, zonotope hull) must
-/// keep the exact-vs-hull relationship on a circuit where the hull is
-/// strict: the Johnson counter's 2n reachable ring sits inside a larger
-/// affine hull.
-#[test]
-fn zonotope_hull_is_strict_where_expected() {
-    let net = generators::johnson(5);
-    let opts = ReachOptions::default();
-
-    let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-    let exact = run_repr(
-        EngineKind::Bfv,
-        bfvr_reach::ReprKind::Bfv,
-        &mut m,
-        &fsm,
-        &opts,
-    );
-    assert_eq!(exact.outcome, Outcome::FixedPoint);
-
-    let (mut m2, fsm2) = EncodedFsm::encode(&net, ORDER).unwrap();
-    let hull = run_repr(
-        EngineKind::Bfv,
-        bfvr_reach::ReprKind::Zonotope,
-        &mut m2,
-        &fsm2,
-        &opts,
-    );
-    assert_eq!(hull.outcome, Outcome::FixedPoint);
-    assert!(hull.over_approx);
-    assert!(hull.reached_states.unwrap() >= exact.reached_states.unwrap());
 }

@@ -3,7 +3,7 @@
 //! report bit-identical results (reached states, iterations, outcome)
 //! with dynamic reordering armed or off — and the lanes whose
 //! representation is structurally tied to its variable order
-//! (BFV/CDEC/zonotope) must decline the request entirely, running
+//! (BFV/CDEC) must decline the request entirely, running
 //! zero reorder passes. The test-suite twin of the CI `reorder-smoke`
 //! job.
 
@@ -60,10 +60,6 @@ fn sift_matches_static_for_every_exact_lane() {
     for (name, net, expected) in sift_circuits() {
         for order in bad_orders() {
             for lane in Lane::all_lanes() {
-                if lane.repr.over_approximates() {
-                    // Zonotope lanes have no exact count to compare.
-                    continue;
-                }
                 let stat = run_lane(&net, lane, order, false);
                 assert_eq!(stat.outcome, Outcome::FixedPoint, "{name}/{lane:?} static");
                 assert_eq!(
@@ -168,7 +164,7 @@ fn sift_declines_off_by_default_and_on_order_tied_lanes() {
     assert_eq!(r.reorder_nodes, (0, 0));
     // Kind-level capability matches the backend opt-in.
     assert!(ReprKind::Chi.supports_reorder());
-    for repr in [ReprKind::Bfv, ReprKind::Cdec, ReprKind::Zonotope] {
+    for repr in [ReprKind::Bfv, ReprKind::Cdec] {
         assert!(!repr.supports_reorder(), "{repr:?} must decline reorder");
     }
 }

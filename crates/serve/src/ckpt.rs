@@ -16,18 +16,15 @@
 //! l2v      u32 × (count: u32)   (v2) level → variable map at capture
 //!                time; count 0 = identity (no dynamic reorder ran)
 //! iters    u64   image iterations completed
-//! tag      u8    0 = Chi, 1 = Vector, 2 = Cdec, 3 = Zonotope
-//! body           tag 0–2: root counts + a BddDag (see below)
-//!                tag 3:   two zonotope blocks (reached, from)
+//! tag      u8    0 = Chi, 1 = Vector, 2 = Cdec (3 is retired and refused)
+//! body           root counts + a BddDag (see below)
 //! checksum u64   FNV-1a 64 of every preceding byte
 //! ```
 //!
-//! BDD-resident variants (tags 0–2) store `reached_count`/`from_count`
-//! (u32 each) followed by the shared [`BddDag`] of all roots — node
-//! count, `(var, lo, hi)` triples in child-before-parent order, then the
-//! root references, reached roots first. A zonotope block is `n` (u64),
-//! the center row (`n.div_ceil(64)` u64 words), a generator count (u32)
-//! and the generator rows.
+//! The body stores `reached_count`/`from_count` (u32 each) followed by
+//! the shared [`BddDag`] of all roots — node count, `(var, lo, hi)`
+//! triples in child-before-parent order, then the root references,
+//! reached roots first.
 //!
 //! ## Robustness contract
 //!
@@ -48,7 +45,7 @@ use std::path::Path;
 
 use bfvr_bdd::{BddDag, BddManager, DagError, DagNode};
 use bfvr_reach::{Checkpoint, EngineKind};
-use bfvr_setrepr::{ReprCheckpoint, ReprKind, Zonotope};
+use bfvr_setrepr::{ReprCheckpoint, ReprKind};
 
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: &[u8; 8] = b"BFVRCKPT";
@@ -206,20 +203,6 @@ fn put_dag(out: &mut Vec<u8>, dag: &BddDag) {
     }
 }
 
-fn put_zonotope(out: &mut Vec<u8>, z: &Zonotope) {
-    put_u64(out, z.dims() as u64);
-    for &w in z.center_words() {
-        put_u64(out, w);
-    }
-    #[allow(clippy::cast_possible_truncation)]
-    put_u32(out, z.generator_rows().len() as u32);
-    for row in z.generator_rows() {
-        for &w in row {
-            put_u64(out, w);
-        }
-    }
-}
-
 /// Serializes a checkpoint into the container format (checksum
 /// included) without touching the filesystem.
 #[must_use]
@@ -253,11 +236,6 @@ pub fn encode_checkpoint(m: &BddManager, meta: &CkptMeta, state: &ReprCheckpoint
         ReprCheckpoint::Cdec { constraints, from } => {
             out.push(2);
             encode_func_lists(&mut out, m, constraints, from);
-        }
-        ReprCheckpoint::Zonotope { reached, from } => {
-            out.push(3);
-            put_zonotope(&mut out, reached);
-            put_zonotope(&mut out, from);
         }
     }
     let sum = fnv1a64(&out);
@@ -440,33 +418,6 @@ fn parse_dag(c: &mut Cursor<'_>, num_vars: u32) -> Result<BddDag, CkptError> {
     })
 }
 
-fn parse_zonotope(c: &mut Cursor<'_>) -> Result<Zonotope, CkptError> {
-    let n =
-        usize::try_from(c.u64()?).map_err(|_| CkptError::Malformed("zonotope width overflow"))?;
-    let words = n.div_ceil(64);
-    if words > c.remaining() / 8 {
-        return Err(CkptError::Truncated);
-    }
-    let mut center = Vec::with_capacity(words);
-    for _ in 0..words {
-        center.push(c.u64()?);
-    }
-    let gen_count = c.u32()? as usize;
-    if gen_count.saturating_mul(words) > c.remaining() / 8 {
-        return Err(CkptError::Truncated);
-    }
-    let mut gens = Vec::with_capacity(gen_count);
-    for _ in 0..gen_count {
-        let mut row = Vec::with_capacity(words);
-        for _ in 0..words {
-            row.push(c.u64()?);
-        }
-        gens.push(row);
-    }
-    Zonotope::from_rows(n, center, gens)
-        .ok_or(CkptError::Malformed("zonotope rows fail validation"))
-}
-
 /// Verifies container integrity (length, magic, version, checksum) and
 /// returns the version plus the checksummed payload after the version
 /// field. Versions 1 (no level map) and 2 are understood.
@@ -592,11 +543,6 @@ pub fn decode_checkpoint(
                     from,
                 },
             }
-        }
-        3 => {
-            let reached = parse_zonotope(&mut c)?;
-            let from = parse_zonotope(&mut c)?;
-            ReprCheckpoint::Zonotope { reached, from }
         }
         _ => return Err(CkptError::Malformed("unknown state variant tag")),
     };

@@ -14,7 +14,7 @@ pub struct JobSpec {
     pub circuit: String,
     /// Engine label (`BFV`/`CBM`/`MONO`/`IWLS95`/`CDEC`).
     pub engine: String,
-    /// Representation label (`bfv`/`chi`/`cdec`/`zono`).
+    /// Representation label (`bfv`/`chi`/`cdec`).
     pub repr: String,
     /// Order token (`s1`/`s2`/`d`/`o:SEED`).
     pub order: String,

@@ -7,10 +7,10 @@
 //! * [`ckpt`] — the **durable checkpoint format**: a versioned,
 //!   checksummed binary container serializing a
 //!   [`bfvr_reach::Checkpoint`]'s representation state (reduced BDD DAGs
-//!   via [`bfvr_bdd::BddManager::export_dag`], zonotope generator
-//!   matrices) with temp-file + atomic-rename writes; the loader
-//!   re-interns into a fresh manager and rejects corrupt, truncated or
-//!   version-mismatched files with structured errors, never a panic.
+//!   via [`bfvr_bdd::BddManager::export_dag`]) with temp-file +
+//!   atomic-rename writes; the loader re-interns into a fresh manager
+//!   and rejects corrupt, truncated or version-mismatched files with
+//!   structured errors, never a panic.
 //! * [`journal`] — the **crash-safe job store**: an append-only JSONL
 //!   journal of job state transitions (submitted → running →
 //!   checkpointed → done/failed/quarantined/shed) in the `bfvr-obs`

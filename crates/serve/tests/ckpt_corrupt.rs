@@ -5,8 +5,9 @@
 //! The sweep starts from one genuine checkpoint produced by a real
 //! interrupted run, then attacks it: truncation at every prefix length,
 //! a bit flip at every byte, a bumped (re-checksummed) version, foreign
-//! magic, checksum-valid trailing garbage, and a context mismatch
-//! (loading into a manager of the wrong width).
+//! magic, checksum-valid trailing garbage, the retired zonotope state
+//! tag, and a context mismatch (loading into a manager of the wrong
+//! width).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -138,6 +139,35 @@ fn checksum_valid_trailing_garbage_is_malformed() {
     match decode_checkpoint(&evil, &mut m) {
         Err(CkptError::Malformed(_)) => {}
         other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+/// Byte offset of the state-variant tag: it follows the header's four
+/// length-prefixed labels, the fingerprint, the width, the level map and
+/// the iteration count.
+fn tag_offset(bytes: &[u8]) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = 12; // magic + version
+    for _ in 0..4 {
+        at += 4 + u32_at(at);
+    }
+    at += 8 + 4; // fingerprint + num_vars
+    at += 4 + 4 * u32_at(at); // level map
+    at + 8 // iterations
+}
+
+#[test]
+fn retired_zonotope_tag_is_an_unknown_variant() {
+    // Tag 3 carried zonotope state in older builds; a well-checksummed
+    // file that reaches the body with it is refused, not misread.
+    let (mut bytes, mut m, _) = genuine();
+    let tag = tag_offset(&bytes);
+    assert_eq!(bytes[tag], 1, "the genuine BFV checkpoint has tag 1");
+    bytes[tag] = 3;
+    reseal(&mut bytes);
+    match decode_checkpoint(&bytes, &mut m) {
+        Err(CkptError::Malformed("unknown state variant tag")) => {}
+        other => panic!("expected the unknown-tag error, got {other:?}"),
     }
 }
 

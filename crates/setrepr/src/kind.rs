@@ -4,10 +4,8 @@ use std::fmt;
 
 /// Which set representation a backend iterates on.
 ///
-/// The first three are the paper's own axis (χ vs. BFV vs. conjunctive
-/// decomposition); [`ReprKind::Zonotope`] is the related-work lane
-/// (Alanwar et al.'s logical zonotopes). Labels double as the CLI
-/// `--repr` spelling.
+/// The paper's own axis: χ vs. BFV vs. conjunctive decomposition.
+/// Labels double as the CLI `--repr` spelling.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ReprKind {
     /// Monolithic characteristic function over the state variables.
@@ -16,8 +14,6 @@ pub enum ReprKind {
     Bfv,
     /// McMillan's conjunctive decomposition of the characteristic function.
     Cdec,
-    /// Logical zonotope: a GF(2) affine subspace (over-approximating).
-    Zonotope,
 }
 
 impl ReprKind {
@@ -28,19 +24,13 @@ impl ReprKind {
             ReprKind::Chi => "chi",
             ReprKind::Bfv => "bfv",
             ReprKind::Cdec => "cdec",
-            ReprKind::Zonotope => "zono",
         }
     }
 
     /// All representations, for sweeps.
     #[must_use]
-    pub fn all() -> [ReprKind; 4] {
-        [
-            ReprKind::Chi,
-            ReprKind::Bfv,
-            ReprKind::Cdec,
-            ReprKind::Zonotope,
-        ]
+    pub fn all() -> [ReprKind; 3] {
+        [ReprKind::Chi, ReprKind::Bfv, ReprKind::Cdec]
     }
 
     /// Parses a CLI label (the inverse of [`ReprKind::label`]).
@@ -49,21 +39,12 @@ impl ReprKind {
         ReprKind::all().into_iter().find(|k| k.label() == s)
     }
 
-    /// Whether sets in this representation may over-approximate the
-    /// exact reached set (affects race-winner eligibility and audit
-    /// equivalence checks: containment instead of equality).
-    #[must_use]
-    pub fn over_approximates(self) -> bool {
-        matches!(self, ReprKind::Zonotope)
-    }
-
     /// Whether a lane iterating on this representation can honor a
     /// dynamic-reordering request (`--sift`). Mirrors
     /// [`crate::SetRepr::supports_reorder`] at the kind level, for lane
     /// display: only the plain χ representation survives a mid-run
     /// level permutation — BFV/CDEC tie component order to variable
-    /// order (paper §3), and zonotope generators are bound to the
-    /// encoding pass.
+    /// order (paper §3).
     #[must_use]
     pub fn supports_reorder(self) -> bool {
         matches!(self, ReprKind::Chi)
@@ -89,17 +70,9 @@ mod tests {
     }
 
     #[test]
-    fn only_zonotopes_over_approximate() {
-        assert!(ReprKind::Zonotope.over_approximates());
-        for k in [ReprKind::Chi, ReprKind::Bfv, ReprKind::Cdec] {
-            assert!(!k.over_approximates());
-        }
-    }
-
-    #[test]
     fn only_chi_supports_reorder() {
         assert!(ReprKind::Chi.supports_reorder());
-        for k in [ReprKind::Bfv, ReprKind::Cdec, ReprKind::Zonotope] {
+        for k in [ReprKind::Bfv, ReprKind::Cdec] {
             assert!(!k.supports_reorder());
         }
     }

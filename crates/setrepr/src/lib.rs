@@ -13,13 +13,9 @@
 //! * [`ReprKind`] names the backends, so the racing portfolio can label
 //!   engine × representation lanes and the CLI can select them;
 //! * [`SetView`] is the borrowed per-iteration view observers see,
-//!   generalized from the original three engine-owned shapes to all
-//!   four representations;
+//!   one shape per representation;
 //! * [`ReprCheckpoint`] is the representation half of a resumable
-//!   checkpoint (the engine half lives in `bfvr-reach`);
-//! * [`zonotope`] implements the logical-zonotope backend's algebra:
-//!   GF(2) affine subspaces with closed-form XOR and a sound
-//!   over-approximating AND (Alanwar et al., *Logical Zonotopes*).
+//!   checkpoint (the engine half lives in `bfvr-reach`).
 //!
 //! The crate deliberately depends only on `bfvr-bdd` and `bfvr-bfv`;
 //! backends that need a transition relation capture it at construction
@@ -28,15 +24,13 @@
 //! the simulation layer.
 //!
 //! ```
-//! use bfvr_setrepr::zonotope::Zonotope;
+//! use bfvr_setrepr::ReprKind;
 //!
-//! // {011} ∪ {101} joins to the affine line through the two points.
-//! let a = Zonotope::point(&[false, true, true]);
-//! let b = Zonotope::point(&[true, false, true]);
-//! let j = a.join(&b);
-//! assert_eq!(j.count(), 2.0);
-//! assert!(j.contains_point(&[false, true, true]));
-//! assert!(j.contains_point(&[true, false, true]));
+//! // Labels double as the CLI `--repr` spelling; only χ survives a
+//! // dynamic variable reorder.
+//! assert_eq!(ReprKind::parse("cdec"), Some(ReprKind::Cdec));
+//! assert!(ReprKind::Chi.supports_reorder());
+//! assert!(!ReprKind::Bfv.supports_reorder());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,9 +41,7 @@
 mod kind;
 mod repr;
 mod view;
-pub mod zonotope;
 
 pub use kind::ReprKind;
 pub use repr::{ReprCheckpoint, Restored, SetRepr};
 pub use view::SetView;
-pub use zonotope::{AffineEvaluator, AffineForm, Zonotope};

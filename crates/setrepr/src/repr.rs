@@ -2,14 +2,12 @@
 
 use crate::kind::ReprKind;
 use crate::view::SetView;
-use crate::zonotope::Zonotope;
 use bfvr_bdd::{Bdd, BddManager, Func};
 use bfvr_bfv::BfvError;
 use std::time::Duration;
 
 /// The representation half of a resumable checkpoint: the reached and
-/// from sets re-expressed in manager-stable handles (RAII [`Func`] pins
-/// for BDD-resident data, plain values for manager-free data).
+/// from sets re-expressed in manager-stable handles (RAII [`Func`] pins).
 ///
 /// The engine half (which engine, how many iterations) lives with the
 /// reachability driver; a backend only needs to reconstruct its own
@@ -37,13 +35,6 @@ pub enum ReprCheckpoint {
         /// Components of the from-set vector.
         from: Vec<Func>,
     },
-    /// Zonotope state: plain generator data, no manager handles at all.
-    Zonotope {
-        /// Hull of the states reached so far.
-        reached: Zonotope,
-        /// Hull of the start set of the next iteration.
-        from: Zonotope,
-    },
 }
 
 /// A restored reached/from pair, or `None` on a representation
@@ -68,10 +59,8 @@ pub type Restored<S> = Option<(S, S)>;
 /// * the loop reaches a fixpoint when
 ///   `set_eq(union(reached, image(reached)), reached)`;
 /// * [`to_chi`](SetRepr::to_chi) is the canonicalization escape hatch:
-///   exact backends must round-trip `to_chi ∘ from_chi = id` on their
-///   representable sets, over-approximating backends
-///   ([`over_approximates`](SetRepr::over_approximates)` == true`) must
-///   guarantee `from_chi(χ)` represents a superset of χ;
+///   backends must round-trip `to_chi ∘ from_chi = id` on their
+///   representable sets;
 /// * [`checkpoint`](SetRepr::checkpoint) followed by
 ///   [`restore`](SetRepr::restore) on a fresh backend of the same kind
 ///   must reproduce `set_eq`-equal reached/from sets.
@@ -79,8 +68,8 @@ pub type Restored<S> = Option<(S, S)>;
 /// These laws are enforced for every backend by the shared conformance
 /// suite in `bfvr-reach`.
 pub trait SetRepr {
-    /// The backend's set value. `Clone` must be cheap-ish (handles or
-    /// generator matrices, not deep graph copies).
+    /// The backend's set value. `Clone` must be cheap-ish (handles,
+    /// not deep graph copies).
     type Set: Clone;
 
     /// Which representation this backend implements.
@@ -114,7 +103,7 @@ pub trait SetRepr {
     /// Resource limits tripped mid-step.
     fn image(&mut self, m: &mut BddManager, from: &Self::Set) -> Result<Self::Set, BfvError>;
 
-    /// Set union (for over-approximating backends: an upper bound of it).
+    /// Set union.
     ///
     /// # Errors
     ///
@@ -151,8 +140,7 @@ pub trait SetRepr {
         self.size(m, s)
     }
 
-    /// Appends the manager-resident GC roots of `s` (nothing, for
-    /// manager-free representations).
+    /// Appends the manager-resident GC roots of `s`.
     fn append_roots(&self, s: &Self::Set, out: &mut Vec<Bdd>);
 
     /// Appends backend-persistent GC roots (transition relations,
@@ -162,14 +150,14 @@ pub trait SetRepr {
     }
 
     /// RAII pins for `s`, guarding it across collections triggered by
-    /// observers. Empty for manager-free representations.
+    /// observers.
     fn pin(&self, m: &BddManager, s: &Self::Set) -> Vec<Func>;
 
     /// The borrowed observer view of a reached/from pair.
     fn view<'a>(&'a self, reached: &'a Self::Set, from: &'a Self::Set) -> SetView<'a>;
 
     /// Exact state count if the representation yields one for free
-    /// (χ/zonotope); `None` when counting requires a conversion
+    /// (χ); `None` when counting requires a conversion
     /// (the driver then counts through [`to_chi`](SetRepr::to_chi)).
     fn count_states(&self, m: &BddManager, s: &Self::Set) -> Option<f64>;
 
@@ -183,8 +171,7 @@ pub trait SetRepr {
     fn to_chi(&mut self, m: &mut BddManager, s: &Self::Set) -> Result<Bdd, BfvError>;
 
     /// Imports a characteristic function. Returns `Ok(None)` when χ is
-    /// unrepresentable (⊥ has no functional vector or zonotope);
-    /// over-approximating backends return a superset hull.
+    /// unrepresentable (⊥ has no functional vector).
     ///
     /// # Errors
     ///
@@ -226,21 +213,13 @@ pub trait SetRepr {
         let _ = (reached, from);
     }
 
-    /// Whether sets may strictly over-approximate the exact reached set.
-    /// Over-approximating lanes never win races and never cancel exact
-    /// lanes; their results are checked by containment, not equality.
-    fn over_approximates(&self) -> bool {
-        false
-    }
-
     /// Whether the backend tolerates dynamic variable reordering
     /// ([`BddManager::sift`]) between iterations. Defaults to `false`
     /// because most representations carry order-dependent structure the
     /// manager cannot see: the BFV/CDEC vectors require component order
     /// = variable order (paper §3) for `space()` and the reparameterized
-    /// image, and zonotope generators are bound to an encoding pass. Backends whose loop
-    /// state is plain χ BDDs (semantic `Var`s resolve levels at the API
-    /// boundary) opt in by returning `true`.
+    /// image. Backends whose loop state is plain χ BDDs (semantic `Var`s
+    /// resolve levels at the API boundary) opt in by returning `true`.
     fn supports_reorder(&self) -> bool {
         false
     }

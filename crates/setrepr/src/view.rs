@@ -1,6 +1,5 @@
 //! Borrowed per-iteration views of a backend's live representation.
 
-use crate::zonotope::Zonotope;
 use bfvr_bdd::Bdd;
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::Bfv;
@@ -34,13 +33,5 @@ pub enum SetView<'a> {
         reached: &'a CDec,
         /// From-set vector.
         from: &'a Bfv,
-    },
-    /// The logical-zonotope backend: GF(2) affine subspaces
-    /// (over-approximating).
-    Zonotope {
-        /// Hull of the states reached so far.
-        reached: &'a Zonotope,
-        /// Hull of the start set of the next iteration.
-        from: &'a Zonotope,
     },
 }

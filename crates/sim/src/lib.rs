@@ -14,10 +14,7 @@
 //! * [`simulate_image`] performs the paper's symbolic-simulation step:
 //!   simultaneous composition of the next-state functions with the
 //!   components of the current reached set's Boolean functional vector
-//!   (a point of an input-free circuit steps by evaluation instead);
-//! * [`ternary`] adds an STE-style dual-rail three-valued simulator
-//!   (the paper's §1 cites Symbolic Trajectory Evaluation as the
-//!   established consumer of functional vectors).
+//!   (a point of an input-free circuit steps by evaluation instead).
 //!
 //! ```
 //! use bfvr_bdd::BddManager;
@@ -45,7 +42,6 @@
 mod encode;
 mod order;
 mod simulate;
-pub mod ternary;
 
 pub use encode::{EncodeError, EncodedFsm};
 pub use order::{OrderHeuristic, Slot};

@@ -87,13 +87,11 @@ USAGE:
   bfvr stats <file>
   bfvr convert <file> --to bench|blif|verilog
   bfvr reach <file> [--engine bfv|cbm|mono|iwls95|cdec|all]
-                    [--repr chi|bfv|cdec|zono|native|all]
+                    [--repr chi|bfv|cdec|native|all]
                                          set representation each engine
                                          iterates on (default: native).
                                          Engine×repr pairs the engine
-                                         cannot drive are dropped; zono
-                                         lanes over-approximate and print
-                                         their count as an upper bound
+                                         cannot drive are dropped
                     [--order s1|decl|d|coi|force|o:<seed>|all]
                                          static variable order: s1 fan-in
                                          DFS (default), decl declaration
@@ -112,8 +110,8 @@ USAGE:
                                          multiple since the last reorder,
                                          pause the traversal and sift each
                                          level to its locally best position
-                                         (Rudell). χ lanes only — BFV/CDEC/
-                                         zono representations are
+                                         (Rudell). χ lanes only — BFV/CDEC
+                                         representations are
                                          structurally tied to their order
                                          (see docs/ordering.md); sifting
                                          lanes print as LANE~S
@@ -176,7 +174,7 @@ USAGE:
                     [--fault kill@K]     fault injection: crash the child at
                                          iteration K on its first attempt
   bfvr audit <file> [--engine bfv|cbm|mono|iwls95|cdec|all]  (default all)
-                    [--repr chi|bfv|cdec|zono|native|all]  (default native)
+                    [--repr chi|bfv|cdec|native|all]  (default native)
                     [--order s1|decl|d|coi|force|o:<seed>]
                     [--sift] [--sift-maxgrowth <f>] [--sift-trigger <f>]
                     [--time-limit <sec>] [--node-limit <nodes>]
@@ -515,7 +513,7 @@ fn parse_reprs(args: &[String]) -> Result<Option<Vec<ReprKind>>, String> {
 }
 
 /// Crosses the selected engines with the selected representations,
-/// dropping pairs the engine cannot drive (e.g. `cdec × zono`). Errors
+/// dropping pairs the engine cannot drive (e.g. `cdec × chi`). Errors
 /// when the cross leaves nothing to run.
 fn build_lanes(engines: &[EngineKind], reprs: Option<&[ReprKind]>) -> Result<Vec<Lane>, String> {
     let lanes: Vec<Lane> = match reprs {
@@ -725,7 +723,6 @@ fn write_result_file(path: &str, r: &ReachResult) -> Result<(), String> {
         ("outcome", Value::Str(r.outcome.label().to_string())),
         ("lane", Value::Str(lane_label(r.engine, r.repr).to_string())),
         ("iterations", Value::Num(r.iterations as f64)),
-        ("over_approx", Value::Bool(r.over_approx)),
     ];
     if let Some(s) = r.reached_states {
         pairs.push(("states", Value::Num(s)));
@@ -929,8 +926,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
 }
 
 /// The non-racing `bfvr reach` path: run each selected lane in its own
-/// fresh manager and print one summary row per lane. An
-/// over-approximating lane prints its count as `<=N`.
+/// fresh manager and print one summary row per lane.
 ///
 /// SIGINT/SIGTERM are bridged into each manager's cooperative cancel
 /// token; an interrupted single-lane run with `--checkpoint-out` settles
@@ -1017,7 +1013,7 @@ fn reach_plain(
                 "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
                 lane_cell(lane, opts),
                 r.outcome.label(),
-                states_cell(r.reached_states, r.over_approx),
+                states_cell(r.reached_states),
                 r.iterations,
                 r.elapsed.as_secs_f64() * 1e3,
                 r.peak_nodes
@@ -1082,7 +1078,7 @@ fn reach_plain(
 
 /// The lane column: [`Lane::display`], tagged `~S` when dynamic sifting
 /// is armed for it. The tag applies only where sifting actually engages
-/// — a BFV/CDEC/zono lane under `--sift` keeps its static order (the
+/// — a BFV/CDEC lane under `--sift` keeps its static order (the
 /// representation is tied to it) — so the table shows what each lane
 /// really ran, e.g. `MONO@FORCE~S`.
 fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
@@ -1093,14 +1089,9 @@ fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
     cell
 }
 
-/// The reached-states column: `<=N` for an over-approximating lane's
-/// upper bound, `-` when the lane has no count.
-fn states_cell(states: Option<f64>, over_approx: bool) -> String {
-    match states {
-        None => "-".into(),
-        Some(s) if over_approx => format!("<={s}"),
-        Some(s) => format!("{s}"),
-    }
+/// The reached-states column: `-` when the lane has no count.
+fn states_cell(states: Option<f64>) -> String {
+    states.map_or_else(|| "-".into(), |s| format!("{s}"))
 }
 
 /// `bfvr reach --race`: race the selected lanes, each in its own
@@ -1164,7 +1155,7 @@ fn cmd_reach_race(
             "{:16} {:>9} {:>14} {:>7} {:>10.1} {:>11}{}{}",
             lane_cell(lanes[i], opts),
             status,
-            states_cell(lane.reached_states, lane.over_approx),
+            states_cell(lane.reached_states),
             lane.iterations,
             lane.elapsed.as_secs_f64() * 1e3,
             lane.peak_nodes,
@@ -1249,7 +1240,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
             "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
             lane_label(r.engine, r.repr),
             r.outcome.label(),
-            states_cell(r.reached_states, r.over_approx),
+            states_cell(r.reached_states),
             r.iterations,
             r.elapsed.as_secs_f64() * 1e3,
             r.peak_nodes
@@ -1467,10 +1458,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         let skipped = Rc::clone(&inconclusive);
         opts.observer = Some(Rc::new(move |m, fsm, view| {
             let space = fsm.space();
-            let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
-                return;
-            };
-            let targets = targets.with_leak_roots(view.roots);
+            let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
             let scope = format!(
                 "{}/iter[{}]",
                 lane_label(view.engine, view.repr),
@@ -1496,27 +1484,23 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
         // Final audit of the engine's end state, through the χ the result
         // carries (also exercising the χ→BFV converter one more time).
-        // Over-approximating lanes carry a χ of the *hull*, which fails
-        // exactness passes by construction — skip them.
-        if !r.over_approx {
-            if let Some(chi) = &r.reached_chi {
-                let space = fsm.space();
-                let scope = format!("{}/final", lane.label());
-                run_passes(
-                    &mut m,
-                    &AuditTargets::for_chi(&space, chi.bdd()),
-                    &scope,
-                    &mut report.borrow_mut(),
-                )
-                .map_err(|e| format!("{scope}: audit aborted: {e}"))?;
-            }
+        if let Some(chi) = &r.reached_chi {
+            let space = fsm.space();
+            let scope = format!("{}/final", lane.label());
+            run_passes(
+                &mut m,
+                &AuditTargets::for_chi(&space, chi.bdd()),
+                &scope,
+                &mut report.borrow_mut(),
+            )
+            .map_err(|e| format!("{scope}: audit aborted: {e}"))?;
         }
         outln!(
             "{:10} {:>6} {:>5} iteration(s), {} state(s), audited",
             lane_cell(lane, &base_opts),
             r.outcome.label(),
             r.iterations,
-            states_cell(r.reached_states, r.over_approx),
+            states_cell(r.reached_states),
         );
         if r.outcome != Outcome::FixedPoint {
             stopped.push(format!(

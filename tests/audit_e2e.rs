@@ -15,8 +15,7 @@ use bfvr::sim::{EncodedFsm, OrderHeuristic};
 /// Runs every engine × representation lane over `net` with an observer
 /// that audits each iteration's live set — graph, leaks, all semantic
 /// passes, and the cross-representation converters — then audits the
-/// final reached χ. Zonotope lanes over-approximate by design, so the
-/// exactness passes skip them. Any finding anywhere fails the test.
+/// final reached χ. Any finding anywhere fails the test.
 fn audit_all_engines(net: &Netlist) {
     audit_all_engines_under(net, OrderHeuristic::DfsFanin, &ReachOptions::default());
 }
@@ -31,10 +30,7 @@ fn audit_all_engines_under(net: &Netlist, order: OrderHeuristic, base: &ReachOpt
         let opts = ReachOptions {
             observer: Some(Rc::new(move |m, fsm, view| {
                 let space = fsm.space();
-                let Some(targets) = AuditTargets::for_view(&space, &view.set) else {
-                    return;
-                };
-                let targets = targets.with_leak_roots(view.roots);
+                let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
                 let scope = format!(
                     "{}/iter[{}]",
                     lane_label(view.engine, view.repr),
@@ -46,18 +42,16 @@ fn audit_all_engines_under(net: &Netlist, order: OrderHeuristic, base: &ReachOpt
         };
         let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::FixedPoint, "{lane:?} on {}", net.name());
-        if !lane.over_approximates() {
-            assert!(r.iterations > 1, "{lane:?} on {}: trivial run", net.name());
-            let chi = r.reached_chi.as_ref().unwrap();
-            let space = fsm.space();
-            run_passes(
-                &mut m,
-                &AuditTargets::for_chi(&space, chi.bdd()),
-                &format!("{}/final", lane.label()),
-                &mut report.borrow_mut(),
-            )
-            .unwrap();
-        }
+        assert!(r.iterations > 1, "{lane:?} on {}: trivial run", net.name());
+        let chi = r.reached_chi.as_ref().unwrap();
+        let space = fsm.space();
+        run_passes(
+            &mut m,
+            &AuditTargets::for_chi(&space, chi.bdd()),
+            &format!("{}/final", lane.label()),
+            &mut report.borrow_mut(),
+        )
+        .unwrap();
         let report = report.borrow();
         assert!(
             report.is_empty(),

@@ -87,8 +87,8 @@ fn unknown_flags_are_usage_errors() {
             &["resume", "--from", "missing.ckpt", "--engine", "bfv"],
             "unknown flag `--engine`",
         ),
-        // `zdd` named a representation of older builds; it is refused
-        // like any other unknown label.
+        // `zdd` and `zono` named representations of older builds; they
+        // are refused like any other unknown label.
         (
             &["reach", "gen:s27", "--repr", "zdd"],
             "unknown representation `zdd`",
@@ -100,6 +100,18 @@ fn unknown_flags_are_usage_errors() {
         (
             &["submit", "gen:s27", "--dir", d, "--repr", "zdd"],
             "unknown representation `zdd`",
+        ),
+        (
+            &["reach", "gen:s27", "--repr", "zono"],
+            "unknown representation `zono`",
+        ),
+        (
+            &["audit", "gen:s27", "--repr", "zono"],
+            "unknown representation `zono`",
+        ),
+        (
+            &["submit", "gen:s27", "--dir", d, "--repr", "zono"],
+            "unknown representation `zono`",
         ),
     ] {
         let o = bfvr(args);
@@ -117,6 +129,7 @@ fn rejected_submit_creates_no_directory() {
     let base = std::env::temp_dir().join(format!("bfvr_cli_submit_{}", std::process::id()));
     for (i, bad) in [
         &["--repr", "zdd"][..],
+        &["--repr", "zono"],
         &["--engine", "warp"],
         &["--order", "sideways"],
         &["--engine", "iwls95", "--repr", "bfv"],

@@ -57,9 +57,6 @@ fn simplification_preserves_reached_counts_across_all_exact_lanes() {
             "{name}: simplification must not grow the netlist"
         );
         for lane in Lane::all_lanes() {
-            if lane.over_approximates() {
-                continue;
-            }
             let before = exact_count(&net, lane);
             let after = exact_count(&s.netlist, lane);
             assert_eq!(

@@ -106,9 +106,6 @@ fn kill_resume_equivalent(lane: Lane, dir: &Path) {
 fn kill_resume_is_equivalent_on_every_exact_lane() {
     let dir = scratch("kill-resume");
     for lane in Lane::all_lanes() {
-        if lane.over_approximates() {
-            continue;
-        }
         kill_resume_equivalent(lane, &dir);
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -271,20 +268,20 @@ fn resume_refuses_a_corrupt_checkpoint_with_a_structured_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn resume_refuses_a_stale_zdd_checkpoint_with_a_structured_error() {
-    // Older builds wrote ZDD-lane checkpoints with the header label `zdd`
-    // and a χ body. Forge one from a valid queue4 MONO checkpoint: the
-    // labels `chi` and `zdd` have the same length, so only the label
-    // bytes and the trailing checksum change.
-    let dir = scratch("resume-stale-zdd");
-    let p = dir.join("mono.ckpt");
+/// Writes a genuine queue4 checkpoint on `engine`'s native lane, swaps
+/// its representation label `old` for the retired label `new` (same
+/// length, so only the label bytes and the trailing checksum change),
+/// and requires `bfvr resume` to refuse it with a structured error.
+fn resume_refuses_relabelled_checkpoint(engine: &str, old: &[u8], new: &[u8]) {
+    let label = String::from_utf8_lossy(new).into_owned();
+    let dir = scratch(&format!("resume-stale-{label}"));
+    let p = dir.join(format!("{engine}.ckpt"));
     let killed = bfvr()
         .args([
             "reach",
             "gen:queue:4",
             "--engine",
-            "mono",
+            engine,
             "--checkpoint-out",
             p.to_str().unwrap(),
             "--checkpoint-every",
@@ -300,9 +297,13 @@ fn resume_refuses_a_stale_zdd_checkpoint_with_a_structured_error() {
     // magic (8) + version (4), then the length-prefixed engine label.
     let engine_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let repr_at = 16 + engine_len;
-    assert_eq!(&bytes[repr_at..repr_at + 4], &3u32.to_le_bytes());
-    assert_eq!(&bytes[repr_at + 4..repr_at + 7], b"chi");
-    bytes[repr_at + 4..repr_at + 7].copy_from_slice(b"zdd");
+    let label_end = repr_at + 4 + old.len();
+    assert_eq!(
+        &bytes[repr_at..repr_at + 4],
+        &(old.len() as u32).to_le_bytes()
+    );
+    assert_eq!(&bytes[repr_at + 4..label_end], old);
+    bytes[repr_at + 4..label_end].copy_from_slice(new);
     let body = bytes.len() - 8;
     let sum = bfvr::serve::fnv1a64(&bytes[..body]);
     bytes[body..].copy_from_slice(&sum.to_le_bytes());
@@ -325,4 +326,19 @@ fn resume_refuses_a_stale_zdd_checkpoint_with_a_structured_error() {
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_refuses_a_stale_zdd_checkpoint_with_a_structured_error() {
+    // Older builds wrote ZDD-lane checkpoints with the header label `zdd`
+    // and a χ body: forge one from a MONO checkpoint.
+    resume_refuses_relabelled_checkpoint("mono", b"chi", b"zdd");
+}
+
+#[test]
+fn resume_refuses_a_stale_zono_checkpoint_with_a_structured_error() {
+    // Older builds wrote zonotope-lane checkpoints with the header label
+    // `zono`: forge one from a CDEC checkpoint (`cdec` has the same
+    // length).
+    resume_refuses_relabelled_checkpoint("cdec", b"cdec", b"zono");
 }
