@@ -7,7 +7,7 @@ use bfvr_bench::timing::bench;
 use bfvr_bfv::convert::{from_characteristic, to_characteristic};
 use bfvr_bfv::StateSet;
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, ReachOptions};
+use bfvr_reach::{run, EngineKind, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
     for (name, net) in &circuits {
         // Use each circuit's real reached set as the workload.
         let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin).unwrap();
-        let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         let chi_root = r.reached_chi.expect("suite circuits complete");
         let chi = chi_root.bdd();
         let space = fsm.space();

@@ -4,7 +4,7 @@
 
 use bfvr_bench::timing::bench;
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, reach_iwls95, Outcome, ReachOptions};
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_sim::{EncodedFsm, Slot};
 
 fn slots(p: u32, interleaved: bool) -> Vec<Slot> {
@@ -28,12 +28,12 @@ fn main() {
             let order = slots(p, inter);
             bench(&format!("ordering/bfv_{label}/{p}"), 5, || {
                 let (mut m, fsm) = EncodedFsm::encode_with_slots(&net, &order).unwrap();
-                let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+                let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
                 assert_eq!(r.outcome, Outcome::FixedPoint);
             });
             bench(&format!("ordering/iwls_{label}/{p}"), 5, || {
                 let (mut m, fsm) = EncodedFsm::encode_with_slots(&net, &order).unwrap();
-                let r = reach_iwls95(&mut m, &fsm, &ReachOptions::default());
+                let r = run(EngineKind::Iwls95, &mut m, &fsm, &ReachOptions::default());
                 assert_eq!(r.outcome, Outcome::FixedPoint);
             });
         }

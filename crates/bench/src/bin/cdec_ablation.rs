@@ -9,7 +9,7 @@
 
 use bfvr_bench::timing::{median_run, samples_from_args};
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, reach_cdec, ReachOptions};
+use bfvr_reach::{run, EngineKind, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (mut m, fsm) =
                 EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).expect("suite encodes");
             let mk0 = m.stats().mk_calls;
-            let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+            let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             let mk = m.stats().mk_calls - mk0;
             let elapsed = r.elapsed;
             ((r, mk), elapsed)
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let (mut m, fsm) =
                 EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).expect("suite encodes");
             let mk0 = m.stats().mk_calls;
-            let r = reach_cdec(&mut m, &fsm, &ReachOptions::default());
+            let r = run(EngineKind::Cdec, &mut m, &fsm, &ReachOptions::default());
             let mk = m.stats().mk_calls - mk0;
             let elapsed = r.elapsed;
             ((r, mk), elapsed)

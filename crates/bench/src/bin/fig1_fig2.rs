@@ -8,7 +8,7 @@
 //! ```
 
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, reach_cbm, ReachOptions, ReachResult};
+use bfvr_reach::{run, EngineKind, ReachOptions, ReachResult};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 fn report(label: &str, r: &ReachResult) {
@@ -42,11 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     let (mut m1, fsm1) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
-    let fig1 = reach_cbm(&mut m1, &fsm1, &opts);
+    let fig1 = run(EngineKind::Cbm, &mut m1, &fsm1, &opts);
     report("Figure 1 flow (CBM, χ + conversions)   ", &fig1);
 
     let (mut m2, fsm2) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
-    let fig2 = reach_bfv(&mut m2, &fsm2, &opts);
+    let fig2 = run(EngineKind::Bfv, &mut m2, &fsm2, &opts);
     report("Figure 2 flow (BFV, conversion-free)   ", &fig2);
 
     assert_eq!(

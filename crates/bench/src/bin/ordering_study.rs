@@ -10,7 +10,7 @@
 //! ```
 
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, reach_iwls95, ReachOptions};
+use bfvr_reach::{run, EngineKind, ReachOptions};
 use bfvr_sim::{EncodedFsm, Slot};
 
 fn orders(p: u32) -> [(&'static str, Vec<Slot>); 2] {
@@ -39,9 +39,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let net = generators::paired_registers(p);
         for (label, slots) in orders(p) {
             let (mut m1, fsm1) = EncodedFsm::encode_with_slots(&net, &slots)?;
-            let b = reach_bfv(&mut m1, &fsm1, &limits);
+            let b = run(EngineKind::Bfv, &mut m1, &fsm1, &limits);
             let (mut m2, fsm2) = EncodedFsm::encode_with_slots(&net, &slots)?;
-            let c = reach_iwls95(&mut m2, &fsm2, &limits);
+            let c = run(EngineKind::Iwls95, &mut m2, &fsm2, &limits);
             let chi_nodes = c
                 .reached_chi
                 .map(|chi| m2.size(chi.bdd()).to_string())

@@ -9,7 +9,7 @@
 use bfvr_bench::timing::{median_run, samples_from_args};
 use bfvr_bfv::reparam::Schedule;
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, ReachOptions};
+use bfvr_reach::{run, EngineKind, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     schedule,
                     ..Default::default()
                 };
-                let r = reach_bfv(&mut m, &fsm, &opts);
+                let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
                 let elapsed = r.elapsed;
                 (r, elapsed)
             });

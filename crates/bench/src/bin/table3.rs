@@ -14,7 +14,7 @@
 use bfvr_bench::table_orders;
 use bfvr_bfv::StateSet;
 use bfvr_netlist::generators;
-use bfvr_reach::{reach_bfv, Outcome, ReachOptions};
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_sim::EncodedFsm;
 
 fn main() {
@@ -31,7 +31,7 @@ fn main() {
     for (name, net) in &circuits {
         for order in table_orders() {
             let (mut m, fsm) = EncodedFsm::encode(net, order).expect("suite circuits encode");
-            let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+            let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             assert_eq!(r.outcome, Outcome::FixedPoint, "{name} did not complete");
             let chi = r.reached_chi.expect("completed runs produce χ").bdd();
             let chi_nodes = m.size(chi);

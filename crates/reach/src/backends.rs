@@ -19,7 +19,7 @@ use bfvr_bdd::{Bdd, BddManager, Func, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::{convert, ops, Bfv, BfvError, Space, StateSet};
-use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetRepr, SetView};
+use bfvr_setrepr::{ReprCheckpoint, SetRepr, SetView};
 use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch};
 
 use crate::cf::{count_states, initial_chi};
@@ -76,19 +76,22 @@ pub struct ChiBackend<'a> {
 }
 
 impl<'a> ChiBackend<'a> {
-    /// Monolithic-relation flavor ([`crate::reach_monolithic`]).
+    /// Monolithic-relation flavor ([`crate::EngineKind::Monolithic`]): one
+    /// relation `T(v,u,w) = ⋀ᵢ (uᵢ ↔ δᵢ(v,w))`, one relational product
+    /// per step.
     #[must_use]
     pub fn monolithic(fsm: &'a EncodedFsm) -> Self {
         ChiBackend::new(fsm, ChiFlavor::Monolithic)
     }
 
-    /// Coudert–Berthet–Madre flavor ([`crate::reach_cbm`]).
+    /// Coudert–Berthet–Madre flavor ([`crate::EngineKind::Cbm`]), the
+    /// paper's Figure 1 flow.
     #[must_use]
     pub fn cbm(fsm: &'a EncodedFsm) -> Self {
         ChiBackend::new(fsm, ChiFlavor::Cbm)
     }
 
-    /// Partitioned-relation flavor ([`crate::reach_iwls95`]).
+    /// Partitioned-relation flavor ([`crate::EngineKind::Iwls95`]).
     #[must_use]
     pub fn iwls95(fsm: &'a EncodedFsm, cluster_threshold: usize) -> Self {
         ChiBackend::new(fsm, ChiFlavor::Iwls95 { cluster_threshold })
@@ -108,10 +111,6 @@ impl<'a> ChiBackend<'a> {
 
 impl SetRepr for ChiBackend<'_> {
     type Set = Bdd;
-
-    fn kind(&self) -> ReprKind {
-        ReprKind::Chi
-    }
 
     /// χ state is plain BDD edges plus *semantic* [`Var`] lists
     /// (`pairs`, the CBM `next_vars`), which resolve their current
@@ -341,10 +340,6 @@ fn handles(m: &BddManager, fs: &[Bdd]) -> Vec<Func> {
 impl SetRepr for BfvBackend<'_> {
     type Set = Bfv;
 
-    fn kind(&self) -> ReprKind {
-        ReprKind::Bfv
-    }
-
     fn initial(&mut self, m: &mut BddManager) -> Result<Bfv, BfvError> {
         let init = StateSet::singleton(m, &self.space, &self.fsm.initial_state())?;
         // A singleton set is never empty; treat absence as internal.
@@ -470,10 +465,6 @@ impl<'a> CdecBackend<'a> {
 
 impl SetRepr for CdecBackend<'_> {
     type Set = CdecSet;
-
-    fn kind(&self) -> ReprKind {
-        ReprKind::Cdec
-    }
 
     fn initial(&mut self, m: &mut BddManager) -> Result<CdecSet, BfvError> {
         let init = StateSet::singleton(m, &self.space, &self.fsm.initial_state())?;

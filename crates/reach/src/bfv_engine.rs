@@ -1,55 +1,22 @@
-//! The paper's Figure 2 flow: reachability with Boolean functional
-//! vectors only — symbolic simulation, re-parameterization, BFV union.
-
-use bfvr_bdd::BddManager;
-use bfvr_sim::EncodedFsm;
-
-use crate::backends::BfvBackend;
-use crate::common::{ReachOptions, ReachResult};
-use crate::driver::run_fixed_point;
-use crate::EngineKind;
-
-/// Runs least-fixed-point reachability with the BFV engine.
-///
-/// ```
-/// use bfvr_netlist::generators;
-/// use bfvr_reach::{reach_bfv, ReachOptions};
-/// use bfvr_sim::{EncodedFsm, OrderHeuristic};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let net = generators::johnson(6);
-/// let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
-/// let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
-/// assert_eq!(r.reached_states, Some(12.0)); // 2n of 2^n states
-/// # Ok(())
-/// # }
-/// ```
-///
-/// No characteristic function is constructed anywhere in the loop; the
-/// fix-point test is componentwise BDD-handle equality, which canonicity
-/// makes sound. The final `reached_chi`/state count are produced *after*
-/// the timed region, purely for cross-engine validation.
-pub fn reach_bfv(m: &mut BddManager, fsm: &EncodedFsm, opts: &ReachOptions) -> ReachResult {
-    let mut backend = BfvBackend::new(fsm, opts.schedule);
-    run_fixed_point(EngineKind::Bfv, &mut backend, m, fsm, opts, None)
-}
+//! Tests of the paper's Figure 2 flow: `EngineKind::Bfv`, run through
+//! `run` on the `BfvBackend`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::common::Outcome;
+    use crate::{run, EngineKind, Outcome, ReachOptions, ReachResult};
+    use bfvr_bdd::BddManager;
     use bfvr_netlist::generators;
-    use bfvr_sim::OrderHeuristic;
+    use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-    fn run(net: &bfvr_netlist::Netlist) -> (BddManager, EncodedFsm, ReachResult) {
+    fn run_bfv(net: &bfvr_netlist::Netlist) -> (BddManager, EncodedFsm, ReachResult) {
         let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin).unwrap();
-        let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         (m, fsm, r)
     }
 
     #[test]
     fn counter_reaches_all_states() {
-        let (_, _, r) = run(&generators::counter(6));
+        let (_, _, r) = run_bfv(&generators::counter(6));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(64.0));
         // One step per count plus the fix-point confirmation.
@@ -58,28 +25,28 @@ mod tests {
 
     #[test]
     fn modk_counter_reaches_k_states() {
-        let (_, _, r) = run(&generators::counter_modk(5, 11));
+        let (_, _, r) = run_bfv(&generators::counter_modk(5, 11));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(11.0));
     }
 
     #[test]
     fn johnson_reaches_2n() {
-        let (_, _, r) = run(&generators::johnson(7));
+        let (_, _, r) = run_bfv(&generators::johnson(7));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(14.0));
     }
 
     #[test]
     fn rotator_reaches_n() {
-        let (_, _, r) = run(&generators::rotator(6));
+        let (_, _, r) = run_bfv(&generators::rotator(6));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(6.0));
     }
 
     #[test]
     fn lfsr_reaches_all_but_one() {
-        let (_, _, r) = run(&generators::lfsr(5));
+        let (_, _, r) = run_bfv(&generators::lfsr(5));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(31.0));
         assert_eq!(r.iterations, 31); // 30 growth steps + cycle-closing confirmation
@@ -87,14 +54,14 @@ mod tests {
 
     #[test]
     fn paired_registers_reach_diagonal() {
-        let (_, _, r) = run(&generators::paired_registers(5));
+        let (_, _, r) = run_bfv(&generators::paired_registers(5));
         assert_eq!(r.outcome, Outcome::FixedPoint);
         assert_eq!(r.reached_states, Some(32.0)); // 2^5 of 2^10
     }
 
     #[test]
     fn s27_reached_states() {
-        let (_, _, r) = run(&bfvr_netlist::circuits::s27());
+        let (_, _, r) = run_bfv(&bfvr_netlist::circuits::s27());
         assert_eq!(r.outcome, Outcome::FixedPoint);
         // s27 has 6 reachable states of 8 — a classic known result.
         assert_eq!(r.reached_states, Some(6.0));
@@ -109,7 +76,7 @@ mod tests {
             max_iterations: Some(5),
             ..Default::default()
         };
-        let r = reach_bfv(&mut m, &fsm, &opts);
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::IterationLimit);
         assert_eq!(r.iterations, 5);
         assert_eq!(r.reached_states, Some(6.0)); // init + 5 steps
@@ -123,7 +90,7 @@ mod tests {
             node_limit: Some(m.allocated() + 40),
             ..Default::default()
         };
-        let r = reach_bfv(&mut m, &fsm, &opts);
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::MemOut);
     }
 
@@ -135,7 +102,7 @@ mod tests {
             time_limit: Some(std::time::Duration::ZERO),
             ..Default::default()
         };
-        let r = reach_bfv(&mut m, &fsm, &opts);
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::TimeOut);
     }
 
@@ -143,8 +110,9 @@ mod tests {
     fn frontier_and_full_iteration_agree() {
         let net = generators::traffic_chain(3);
         let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let rf = reach_bfv(&mut m, &fsm, &ReachOptions::default());
-        let ra = reach_bfv(
+        let rf = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
+        let ra = run(
+            EngineKind::Bfv,
             &mut m,
             &fsm,
             &ReachOptions {

@@ -8,16 +8,10 @@
 //! function over the next-state variables. The constrain step and the
 //! range-splitting conversion are the CF↔BFV bridges that the paper's
 //! Figure 2 flow eliminates; their time is reported separately in
-//! [`ReachResult::conversion_time`].
+//! [`crate::ReachResult::conversion_time`].
 
 use bfvr_bdd::hash::FxHashMap;
 use bfvr_bdd::{Bdd, BddManager, Var};
-use bfvr_sim::EncodedFsm;
-
-use crate::backends::ChiBackend;
-use crate::common::{ReachOptions, ReachResult};
-use crate::driver::run_fixed_point;
-use crate::EngineKind;
 
 /// Computes the characteristic function (over `out_vars`) of the range of
 /// a vector of functions, by recursive splitting on the topmost live
@@ -78,19 +72,13 @@ fn range_rec(
     Ok(r)
 }
 
-/// Runs reachability with the Figure 1 flow.
-pub fn reach_cbm(m: &mut BddManager, fsm: &EncodedFsm, opts: &ReachOptions) -> ReachResult {
-    let mut backend = ChiBackend::cbm(fsm);
-    run_fixed_point(EngineKind::Cbm, &mut backend, m, fsm, opts, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::Outcome;
-    use crate::{reach_bfv, reach_monolithic};
+    use crate::{run, EngineKind, ReachOptions};
     use bfvr_netlist::generators;
-    use bfvr_sim::OrderHeuristic;
+    use bfvr_sim::{EncodedFsm, OrderHeuristic};
     use std::time::Duration;
 
     #[test]
@@ -133,9 +121,14 @@ mod tests {
             bfvr_netlist::circuits::s27(),
         ] {
             let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-            let a = reach_cbm(&mut m, &fsm, &ReachOptions::default());
-            let b = reach_monolithic(&mut m, &fsm, &ReachOptions::default());
-            let c = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+            let a = run(EngineKind::Cbm, &mut m, &fsm, &ReachOptions::default());
+            let b = run(
+                EngineKind::Monolithic,
+                &mut m,
+                &fsm,
+                &ReachOptions::default(),
+            );
+            let c = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             assert_eq!(a.outcome, Outcome::FixedPoint, "{}", net.name());
             assert_eq!(a.reached_chi, b.reached_chi, "{} cbm vs mono", net.name());
             assert_eq!(a.reached_chi, c.reached_chi, "{} cbm vs bfv", net.name());

@@ -1,32 +1,11 @@
-//! Figure 2 flow storing sets as McMillan's conjunctive decomposition.
-//!
-//! Identical traversal to [`crate::reach_bfv`], but the reached set lives
-//! in the §2.7 constraint view ([`bfvr_bfv::cdec::CDec`]). The per-step
-//! translations between the two views (two BDD operations per component)
-//! are reported as conversion time, quantifying the §2.7 observation that
-//! the representations carry the same information.
-
-use bfvr_bdd::BddManager;
-use bfvr_sim::EncodedFsm;
-
-use crate::backends::CdecBackend;
-use crate::common::{ReachOptions, ReachResult};
-use crate::driver::run_fixed_point;
-use crate::EngineKind;
-
-/// Runs reachability with the conjunctive-decomposition set representation.
-pub fn reach_cdec(m: &mut BddManager, fsm: &EncodedFsm, opts: &ReachOptions) -> ReachResult {
-    let mut backend = CdecBackend::new(fsm, opts.schedule);
-    run_fixed_point(EngineKind::Cdec, &mut backend, m, fsm, opts, None)
-}
+//! Tests of the Figure 2 flow over McMillan's conjunctive decomposition
+//! (§2.7): `EngineKind::Cdec`, run through `run` on the `CdecBackend`.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::common::Outcome;
-    use crate::reach_bfv;
+    use crate::{run, EngineKind, Outcome, ReachOptions};
     use bfvr_netlist::generators;
-    use bfvr_sim::OrderHeuristic;
+    use bfvr_sim::{EncodedFsm, OrderHeuristic};
     use std::time::Duration;
 
     #[test]
@@ -38,8 +17,8 @@ mod tests {
             bfvr_netlist::circuits::s27(),
         ] {
             let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-            let a = reach_cdec(&mut m, &fsm, &ReachOptions::default());
-            let b = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+            let a = run(EngineKind::Cdec, &mut m, &fsm, &ReachOptions::default());
+            let b = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             assert_eq!(a.outcome, Outcome::FixedPoint, "{}", net.name());
             assert_eq!(a.reached_chi, b.reached_chi, "{}", net.name());
             assert_eq!(a.iterations, b.iterations, "{}", net.name());

@@ -3,11 +3,6 @@
 use bfvr_bdd::{Bdd, BddManager};
 use bfvr_sim::EncodedFsm;
 
-use crate::backends::ChiBackend;
-use crate::common::{ReachOptions, ReachResult};
-use crate::driver::run_fixed_point;
-use crate::EngineKind;
-
 /// Builds the cube of the initial state over the current-state variables.
 pub(crate) fn initial_chi(m: &mut BddManager, fsm: &EncodedFsm) -> Result<Bdd, bfvr_bdd::BddError> {
     let space = fsm.space();
@@ -26,18 +21,11 @@ pub(crate) fn count_states(m: &BddManager, fsm: &EncodedFsm, chi: Bdd) -> f64 {
     m.sat_count(chi, m.num_vars()) / 2f64.powi(m.num_vars() as i32 - n)
 }
 
-/// Runs reachability with one monolithic transition relation
-/// `T(v,u,w) = ⋀ᵢ (uᵢ ↔ δᵢ(v,w))` and one relational product per step.
-pub fn reach_monolithic(m: &mut BddManager, fsm: &EncodedFsm, opts: &ReachOptions) -> ReachResult {
-    let mut backend = ChiBackend::monolithic(fsm);
-    run_fixed_point(EngineKind::Monolithic, &mut backend, m, fsm, opts, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::Outcome;
-    use crate::reach_bfv;
+    use crate::{run, EngineKind, ReachOptions};
     use bfvr_netlist::generators;
     use bfvr_sim::OrderHeuristic;
 
@@ -50,7 +38,12 @@ mod tests {
             (bfvr_netlist::circuits::s27(), 6.0),
         ] {
             let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-            let r = reach_monolithic(&mut m, &fsm, &ReachOptions::default());
+            let r = run(
+                EngineKind::Monolithic,
+                &mut m,
+                &fsm,
+                &ReachOptions::default(),
+            );
             assert_eq!(r.outcome, Outcome::FixedPoint, "{}", net.name());
             assert_eq!(r.reached_states, Some(expect), "{}", net.name());
         }
@@ -66,8 +59,13 @@ mod tests {
             generators::paired_registers(4),
         ] {
             let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-            let a = reach_monolithic(&mut m, &fsm, &ReachOptions::default());
-            let b = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+            let a = run(
+                EngineKind::Monolithic,
+                &mut m,
+                &fsm,
+                &ReachOptions::default(),
+            );
+            let b = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             assert_eq!(a.outcome, Outcome::FixedPoint);
             assert_eq!(b.outcome, Outcome::FixedPoint);
             assert_eq!(a.reached_chi, b.reached_chi, "{} sets differ", net.name());

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use bfvr_bdd::{Bdd, BddError, BddManager, Func};
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::BfvError;
-use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetView};
+use bfvr_setrepr::{ReprCheckpoint, SetView};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 /// Which reachability engine to run (see the crate docs).
@@ -60,37 +60,17 @@ impl EngineKind {
             .find(|e| e.label().eq_ignore_ascii_case(s))
     }
 
-    /// The representation each engine natively iterates on (the lane
-    /// [`crate::run`] dispatches to).
+    /// Whether this engine's lane honors a dynamic-reordering request
+    /// (`--sift`): only the χ engines survive a mid-run level
+    /// permutation — BFV/CDEC tie component order to variable order
+    /// (paper §3). Agrees with [`bfvr_setrepr::SetRepr::supports_reorder`]
+    /// of the backend [`crate::run`] builds for the engine.
     #[must_use]
-    pub fn native_repr(self) -> ReprKind {
-        match self {
-            EngineKind::Bfv => ReprKind::Bfv,
-            EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => ReprKind::Chi,
-            EngineKind::Cdec => ReprKind::Cdec,
-        }
-    }
-
-    /// The representations this engine's image computation can drive.
-    /// Every engine iterates on its native representation only.
-    #[must_use]
-    pub fn supported_reprs(self) -> &'static [ReprKind] {
-        match self {
-            EngineKind::Bfv => &[ReprKind::Bfv],
-            EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => &[ReprKind::Chi],
-            EngineKind::Cdec => &[ReprKind::Cdec],
-        }
-    }
-}
-
-/// Label of an engine × representation lane: the bare engine label for
-/// a native lane, `UNSUPPORTED` for any other pair.
-#[must_use]
-pub fn lane_label(engine: EngineKind, repr: ReprKind) -> &'static str {
-    if repr == engine.native_repr() {
-        engine.label()
-    } else {
-        "UNSUPPORTED"
+    pub fn supports_reorder(self) -> bool {
+        matches!(
+            self,
+            EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95
+        )
     }
 }
 
@@ -101,9 +81,6 @@ pub fn lane_label(engine: EngineKind, repr: ReprKind) -> &'static str {
 pub struct IterationView<'a> {
     /// The engine producing this iteration.
     pub engine: EngineKind,
-    /// The set representation the engine is iterating on (matches the
-    /// [`IterationView::set`] variant; `engine × repr` names the lane).
-    pub repr: ReprKind,
     /// Iterations completed so far (1-based at the first callback).
     pub iteration: usize,
     /// The complete root set the engine just collected garbage against
@@ -389,9 +366,6 @@ pub struct IterationStats {
 pub struct ReachResult {
     /// The engine that produced this result.
     pub engine: EngineKind,
-    /// The set representation the engine iterated on (the engine's
-    /// native one under [`crate::run`]; see [`crate::run_repr`]).
-    pub repr: ReprKind,
     /// How the traversal ended.
     pub outcome: Outcome,
     /// Image iterations completed.
@@ -442,11 +416,10 @@ pub struct ReachResult {
 /// manager/[`bfvr_sim::EncodedFsm`] pair that produced them.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// Engine that produced this checkpoint (resume re-dispatches to it).
+    /// Engine that produced this checkpoint (resume rebuilds its
+    /// backend; a state of another representation is rejected as an
+    /// error).
     pub engine: EngineKind,
-    /// Representation lane that produced this checkpoint (resume rebuilds
-    /// the same backend; a mismatched state is rejected as an error).
-    pub repr: ReprKind,
     /// Image iterations completed before the interruption.
     pub iterations: usize,
     /// Backend-specific reached/frontier representation, re-expressed in
@@ -460,15 +433,9 @@ impl Checkpoint {
     /// the representation state in a fresh manager and hand it back to
     /// [`crate::resume`]. In-memory checkpoints come from the driver.
     #[must_use]
-    pub fn new(
-        engine: EngineKind,
-        repr: ReprKind,
-        iterations: usize,
-        state: ReprCheckpoint,
-    ) -> Checkpoint {
+    pub fn new(engine: EngineKind, iterations: usize, state: ReprCheckpoint) -> Checkpoint {
         Checkpoint {
             engine,
-            repr,
             iterations,
             state,
         }
@@ -506,7 +473,6 @@ pub(crate) fn outcome_of_bfv_error(e: &BfvError) -> Outcome {
 pub(crate) fn failed_result(
     m: &mut BddManager,
     engine: EngineKind,
-    repr: ReprKind,
     outcome: Outcome,
     elapsed: Duration,
 ) -> ReachResult {
@@ -514,7 +480,6 @@ pub(crate) fn failed_result(
     disarm_limits(m);
     ReachResult {
         engine,
-        repr,
         outcome,
         iterations: 0,
         reached_states: None,
@@ -560,20 +525,6 @@ mod tests {
         assert_eq!(Outcome::TimeOut.label(), "T.O.");
         assert_eq!(Outcome::MemOut.label(), "M.O.");
         assert_eq!(EngineKind::all().len(), 5);
-    }
-
-    #[test]
-    fn lane_labels_and_native_reprs() {
-        for e in EngineKind::all() {
-            // Native lanes keep the bare engine label.
-            assert_eq!(lane_label(e, e.native_repr()), e.label());
-            assert_eq!(e.supported_reprs()[0], e.native_repr());
-        }
-        assert_eq!(lane_label(EngineKind::Cdec, ReprKind::Bfv), "UNSUPPORTED");
-        assert!(EngineKind::Cdec
-            .supported_reprs()
-            .iter()
-            .all(|&r| r == ReprKind::Cdec));
     }
 
     #[test]

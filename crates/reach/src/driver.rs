@@ -1,7 +1,7 @@
 //! The shared fixed-point driver: the one copy of the reachability loop,
 //! written against [`SetRepr`] and instantiated per backend.
 //!
-//! Every engine × representation lane runs this exact sequence —
+//! Every engine lane runs this exact sequence —
 //! prepare (or restore), initial set, then
 //! `reached ← reached ∪ image(from)` until the union stops growing —
 //! with the backend supplying the representation-specific steps and the
@@ -17,8 +17,8 @@ use bfvr_setrepr::{ReprCheckpoint, SetRepr};
 use bfvr_sim::EncodedFsm;
 
 use crate::common::{
-    arm_limits, disarm_limits, failed_result, lane_label, notify_iteration, outcome_of_bfv_error,
-    Checkpoint, EngineKind, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult,
+    arm_limits, disarm_limits, failed_result, notify_iteration, outcome_of_bfv_error, Checkpoint,
+    EngineKind, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult,
 };
 
 /// Runs the shared traversal loop on `backend`, optionally resuming from
@@ -33,7 +33,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
 ) -> ReachResult {
     let start = Instant::now();
     arm_limits(m, opts);
-    let repr = backend.kind();
     let mut per_iteration = Vec::new();
     let mut conversion_time = Duration::ZERO;
     // Dynamic reordering: on only when asked for *and* the backend's
@@ -48,7 +47,7 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     let mut reorder_after = 0usize;
 
     if let Err(e) = backend.prepare(m) {
-        return failed_result(m, engine, repr, outcome_of_bfv_error(&e), start.elapsed());
+        return failed_result(m, engine, outcome_of_bfv_error(&e), start.elapsed());
     }
 
     let (mut reached, mut from, mut iterations) = match seed {
@@ -56,16 +55,12 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             Ok(Some((r, f))) => (r, f, iters),
             // A checkpoint from a different representation is a caller
             // bug, not a resource limit: report it as such.
-            Ok(None) => return failed_result(m, engine, repr, Outcome::Error, start.elapsed()),
-            Err(e) => {
-                return failed_result(m, engine, repr, outcome_of_bfv_error(&e), start.elapsed())
-            }
+            Ok(None) => return failed_result(m, engine, Outcome::Error, start.elapsed()),
+            Err(e) => return failed_result(m, engine, outcome_of_bfv_error(&e), start.elapsed()),
         },
         None => match backend.initial(m) {
             Ok(init) => (init.clone(), init, 0),
-            Err(e) => {
-                return failed_result(m, engine, repr, outcome_of_bfv_error(&e), start.elapsed())
-            }
+            Err(e) => return failed_result(m, engine, outcome_of_bfv_error(&e), start.elapsed()),
         },
     };
     // Account conversions made during setup (restore / initial import).
@@ -143,7 +138,7 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 sift_baseline = stats.after.max(1);
                 if let Some(trace) = &opts.trace {
                     trace.borrow_mut().reorder(
-                        lane_label(engine, repr),
+                        engine.label(),
                         iterations as u64,
                         stats.before as u64,
                         stats.after as u64,
@@ -168,7 +163,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 opts,
                 &IterationView {
                     engine,
-                    repr,
                     iteration: iterations,
                     roots: &roots,
                     set: backend.view(&reached, &from),
@@ -195,7 +189,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                     if let Ok(state) = backend.checkpoint(m, &reached, &from) {
                         let cp = Checkpoint {
                             engine,
-                            repr,
                             iterations,
                             state,
                         };
@@ -231,7 +224,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             .ok()
             .map(|state| Checkpoint {
                 engine,
-                repr,
                 iterations,
                 state,
             })
@@ -246,7 +238,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         .or_else(|| chi.map(|c| crate::cf::count_states(m, fsm, c)));
     ReachResult {
         engine,
-        repr,
         outcome,
         iterations,
         reached_states,
@@ -271,7 +262,7 @@ mod tests {
     use bfvr_bfv::reparam::Schedule;
     use bfvr_bfv::{ops, Bfv, BfvError};
     use bfvr_netlist::{generators, Netlist};
-    use bfvr_setrepr::{ReprCheckpoint, ReprKind, Restored, SetRepr, SetView};
+    use bfvr_setrepr::{ReprCheckpoint, Restored, SetRepr, SetView};
     use bfvr_sim::{compose_image, EncodedFsm, ImageScratch, OrderHeuristic};
 
     use super::run_fixed_point;
@@ -302,9 +293,6 @@ mod tests {
     impl<B: SetRepr> SetRepr for Reference<'_, B> {
         type Set = B::Set;
 
-        fn kind(&self) -> ReprKind {
-            self.0.kind()
-        }
         fn prepare(&mut self, m: &mut BddManager) -> Result<(), BfvError> {
             self.0.prepare(m)
         }

@@ -14,11 +14,6 @@ use std::cmp::Reverse;
 use bfvr_bdd::{Bdd, BddManager, Var};
 use bfvr_sim::EncodedFsm;
 
-use crate::backends::ChiBackend;
-use crate::common::{ReachOptions, ReachResult};
-use crate::driver::run_fixed_point;
-use crate::EngineKind;
-
 /// A processed cluster: its relation and the quantifiable variables whose
 /// last occurrence is this cluster.
 pub(crate) struct Cluster {
@@ -132,17 +127,11 @@ pub(crate) fn schedule(
     Ok(ordered)
 }
 
-/// Runs reachability with the partitioned transition relation.
-pub fn reach_iwls95(m: &mut BddManager, fsm: &EncodedFsm, opts: &ReachOptions) -> ReachResult {
-    let mut backend = ChiBackend::iwls95(fsm, opts.cluster_threshold);
-    run_fixed_point(EngineKind::Iwls95, &mut backend, m, fsm, opts, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::common::Outcome;
-    use crate::{reach_bfv, reach_monolithic};
+    use crate::{run, EngineKind, ReachOptions};
     use bfvr_netlist::generators;
     use bfvr_sim::OrderHeuristic;
 
@@ -171,9 +160,14 @@ mod tests {
         ] {
             for order in TABLE_ORDERS {
                 let (mut m, fsm) = EncodedFsm::encode(&net, order).unwrap();
-                let a = reach_iwls95(&mut m, &fsm, &ReachOptions::default());
-                let b = reach_monolithic(&mut m, &fsm, &ReachOptions::default());
-                let c = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+                let a = run(EngineKind::Iwls95, &mut m, &fsm, &ReachOptions::default());
+                let b = run(
+                    EngineKind::Monolithic,
+                    &mut m,
+                    &fsm,
+                    &ReachOptions::default(),
+                );
+                let c = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
                 let name = format!("{} under {order:?}", net.name());
                 assert_eq!(a.outcome, Outcome::FixedPoint, "{name}");
                 assert_eq!(a.reached_chi, b.reached_chi, "{name}: iwls vs mono");
@@ -344,7 +338,8 @@ mod tests {
     fn threshold_does_not_change_result() {
         let net = generators::traffic_chain(3);
         let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let r1 = reach_iwls95(
+        let r1 = run(
+            EngineKind::Iwls95,
             &mut m,
             &fsm,
             &ReachOptions {
@@ -352,7 +347,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let r2 = reach_iwls95(
+        let r2 = run(
+            EngineKind::Iwls95,
             &mut m,
             &fsm,
             &ReachOptions {

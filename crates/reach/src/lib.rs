@@ -6,24 +6,25 @@
 //! peak live BDD nodes, wall time, and a resource-limit outcome mirroring
 //! the `T.O.`/`M.O.` cells of the paper's Table 2):
 //!
-//! * [`reach_bfv`] — **the paper's Figure 2 flow**: symbolic simulation,
-//!   re-parameterization and Boolean-functional-vector set union; no
-//!   characteristic function is ever built.
-//! * [`reach_cbm`] — the Coudert–Berthet–Madre Figure 1 flow: set
+//! * [`EngineKind::Bfv`] — **the paper's Figure 2 flow**: symbolic
+//!   simulation, re-parameterization and Boolean-functional-vector set
+//!   union; no characteristic function is ever built.
+//! * [`EngineKind::Cbm`] — the Coudert–Berthet–Madre Figure 1 flow: set
 //!   manipulation on characteristic functions, image computation by
 //!   constrained range computation with recursive splitting; the
 //!   representation conversions the paper eliminates are timed separately.
-//! * [`reach_monolithic`] — a single conjoined transition relation with
-//!   one relational product per step (the textbook baseline).
-//! * [`reach_iwls95`] — partitioned transition relation with clustering
-//!   and early quantification \[IWLS95\], the configuration of the "VIS"
-//!   column in Table 2.
-//! * [`reach_cdec`] — the same Figure 2 flow storing sets as McMillan's
-//!   conjunctive decomposition (§2.7 correspondence).
+//! * [`EngineKind::Monolithic`] — a single conjoined transition relation
+//!   with one relational product per step (the textbook baseline).
+//! * [`EngineKind::Iwls95`] — partitioned transition relation with
+//!   clustering and early quantification \[IWLS95\], the configuration of
+//!   the "VIS" column in Table 2.
+//! * [`EngineKind::Cdec`] — the same Figure 2 flow storing sets as
+//!   McMillan's conjunctive decomposition (§2.7 correspondence).
 //!
-//! All five run through one shared fixed-point driver written against the
-//! [`SetRepr`] trait (see [`backends`]); [`run_repr`] names a lane by its
-//! engine × representation pair.
+//! Each engine iterates on one set representation, so the engine alone
+//! names a lane. [`run`] builds the engine's backend (see [`backends`])
+//! and runs the one fixed-point driver, written against the [`SetRepr`]
+//! trait, on it; [`resume`] continues a [`Checkpoint`] the same way.
 //!
 //! [`check_invariant`] layers a simple safety checker on the BFV engine —
 //! the "symbolic simulation based model checker" the paper names as the
@@ -36,8 +37,10 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backends;
+#[cfg(test)]
 mod bfv_engine;
 mod cbm;
+#[cfg(test)]
 mod cdec_engine;
 mod cf;
 mod check;
@@ -50,94 +53,80 @@ mod selfcheck;
 pub mod telemetry;
 mod trace;
 
-pub use bfv_engine::reach_bfv;
-pub use bfvr_setrepr::{ReprCheckpoint, ReprKind, SetRepr, SetView};
-pub use cbm::reach_cbm;
-pub use cdec_engine::reach_cdec;
-pub use cf::reach_monolithic;
+pub use bfvr_setrepr::{ReprCheckpoint, SetRepr, SetView};
 pub use check::{check_invariant, CheckResult};
 pub use common::{
-    lane_label, Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationStats,
-    IterationView, Outcome, ReachOptions, ReachResult,
+    Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationStats, IterationView,
+    Outcome, ReachOptions, ReachResult,
 };
-pub use iwls95::reach_iwls95;
 pub use telemetry::TraceHandle;
 pub use trace::{find_trace, Trace};
 
 use bfvr_bdd::BddManager;
 use bfvr_sim::EncodedFsm;
 
-/// Internal: build the backend for an engine × representation pair and
-/// run the shared driver on it (fresh or seeded). The single place the
-/// lane matrix is enumerated.
+/// Internal: build the backend of `engine` and run the shared driver on
+/// it (fresh or seeded). The single place a backend is chosen.
 fn dispatch(
     engine: EngineKind,
-    repr: ReprKind,
     m: &mut BddManager,
     fsm: &EncodedFsm,
     opts: &ReachOptions,
     seed: Option<(&ReprCheckpoint, usize)>,
 ) -> ReachResult {
     use driver::run_fixed_point;
-    match (engine, repr) {
-        (EngineKind::Monolithic, ReprKind::Chi) => {
+    match engine {
+        EngineKind::Monolithic => {
             let mut b = backends::ChiBackend::monolithic(fsm);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
-        (EngineKind::Cbm, ReprKind::Chi) => {
+        EngineKind::Cbm => {
             let mut b = backends::ChiBackend::cbm(fsm);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
-        (EngineKind::Iwls95, ReprKind::Chi) => {
+        EngineKind::Iwls95 => {
             let mut b = backends::ChiBackend::iwls95(fsm, opts.cluster_threshold);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
-        (EngineKind::Bfv, ReprKind::Bfv) => {
+        EngineKind::Bfv => {
             let mut b = backends::BfvBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
         }
-        (EngineKind::Cdec, ReprKind::Cdec) => {
+        EngineKind::Cdec => {
             let mut b = backends::CdecBackend::new(fsm, opts.schedule);
             run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        // Unsupported pair: a caller bug, not a resource limit.
-        _ => {
-            let start = std::time::Instant::now();
-            common::failed_result(m, engine, repr, Outcome::Error, start.elapsed())
         }
     }
 }
 
-/// Runs the engine selected by `kind` on its native set representation
-/// (convenience dispatcher for the benchmark harness).
+/// Runs the engine selected by `kind` to its least fixed point (or to a
+/// resource limit in `opts`).
 ///
-/// When [`ReachOptions::trace`] is set, the dispatcher brackets the
-/// traversal in an `engine` span and records the end-of-traversal
-/// summary (and any tripped resource limit) — callers invoking the
-/// `reach_*` functions directly still get per-iteration events, but
-/// only the dispatchers emit the engine-level framing.
+/// ```
+/// use bfvr_netlist::generators;
+/// use bfvr_reach::{run, EngineKind, ReachOptions};
+/// use bfvr_sim::{EncodedFsm, OrderHeuristic};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let net = generators::johnson(6);
+/// let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
+/// let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
+/// assert_eq!(r.reached_states, Some(12.0)); // 2n of 2^n states
+/// # Ok(())
+/// # }
+/// ```
+///
+/// When [`ReachOptions::trace`] is set, the run is bracketed in an
+/// `engine` span that records the end-of-traversal summary (and any
+/// tripped resource limit), around the driver's per-iteration events.
 pub fn run(
     kind: EngineKind,
     m: &mut BddManager,
     fsm: &EncodedFsm,
     opts: &ReachOptions,
 ) -> ReachResult {
-    run_repr(kind, kind.native_repr(), m, fsm, opts)
-}
-
-/// Runs one engine × representation lane: `kind`'s image computation
-/// iterating on the `repr` set representation. Supported pairs are
-/// [`EngineKind::supported_reprs`]; an unsupported pair reports
-/// [`Outcome::Error`].
-pub fn run_repr(
-    kind: EngineKind,
-    repr: ReprKind,
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    opts: &ReachOptions,
-) -> ReachResult {
     let span = telemetry::engine_span_open(opts, m, kind);
-    let r = dispatch(kind, repr, m, fsm, opts, None);
+    let r = dispatch(kind, m, fsm, opts, None);
     telemetry::engine_span_close(opts, m, span, &r);
     r
 }
@@ -150,8 +139,7 @@ pub fn run_repr(
 /// iteration restarts from a `from ⊆ reached` start set.
 ///
 /// Reported `iterations` are cumulative across the original run and all
-/// resumptions. Resume re-enters the same engine × representation lane
-/// the checkpoint came from.
+/// resumptions. Resume re-enters the engine the checkpoint came from.
 pub fn resume(
     m: &mut BddManager,
     fsm: &EncodedFsm,
@@ -160,15 +148,42 @@ pub fn resume(
 ) -> ReachResult {
     let Checkpoint {
         engine,
-        repr,
         iterations,
         state,
     } = checkpoint;
     let span = telemetry::engine_span_open(opts, m, engine);
     // `state` stays alive across the dispatch, keeping its `Func`
     // handles pinned until the seeded driver has re-pinned the sets.
-    let r = dispatch(engine, repr, m, fsm, opts, Some((&state, iterations)));
+    let r = dispatch(engine, m, fsm, opts, Some((&state, iterations)));
     drop(state);
     telemetry::engine_span_close(opts, m, span, &r);
     r
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use backends::{BfvBackend, CdecBackend, ChiBackend};
+    use bfvr_sim::OrderHeuristic;
+
+    /// The engine-level capability the CLI shows (`~S`) is the one the
+    /// driver reads off the backend [`dispatch`] builds.
+    #[test]
+    fn engine_supports_reorder_agrees_with_its_backend() {
+        let net = bfvr_netlist::circuits::s27();
+        let (_, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+        let opts = ReachOptions::default();
+        for e in EngineKind::all() {
+            let backend = match e {
+                EngineKind::Monolithic => ChiBackend::monolithic(&fsm).supports_reorder(),
+                EngineKind::Cbm => ChiBackend::cbm(&fsm).supports_reorder(),
+                EngineKind::Iwls95 => {
+                    ChiBackend::iwls95(&fsm, opts.cluster_threshold).supports_reorder()
+                }
+                EngineKind::Bfv => BfvBackend::new(&fsm, opts.schedule).supports_reorder(),
+                EngineKind::Cdec => CdecBackend::new(&fsm, opts.schedule).supports_reorder(),
+            };
+            assert_eq!(e.supports_reorder(), backend, "{e:?}");
+        }
+    }
 }

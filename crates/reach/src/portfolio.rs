@@ -11,7 +11,7 @@
 //!
 //! **Racing.** The paper's Table 2 story is that different engines win on
 //! different circuits, and no static chooser predicts the winner.
-//! [`run_racing`] runs a set of engine × representation lanes (see
+//! [`run_racing`] runs a set of engine × ordering lanes (see
 //! [`Lane`]) concurrently on the same netlist and returns the first fixed
 //! point any lane reaches. Because
 //! [`BddManager`] is deliberately `!Send` (its [`bfvr_bdd::Func`] root
@@ -32,49 +32,32 @@ use bfvr_bdd::BddManager;
 use bfvr_netlist::Netlist;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-use crate::common::lane_label;
-use crate::{
-    resume, run_repr, EngineKind, IterationStats, Outcome, ReachOptions, ReachResult, ReprKind,
-};
+use crate::{resume, run, EngineKind, IterationStats, Outcome, ReachOptions, ReachResult};
 
-/// One engine × representation × ordering lane of a race: which image
-/// computation runs, which set representation it iterates on, and —
+/// One engine × ordering lane of a race: which engine runs and —
 /// optionally — a variable order overriding the race-wide base
 /// ([`ReachOptions::order`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lane {
-    /// The engine driving the image computation.
+    /// The engine the lane runs.
     pub engine: EngineKind,
-    /// The set representation the fixed-point loop iterates on.
-    pub repr: ReprKind,
     /// Variable-ordering override for this lane's private encoding;
     /// `None` inherits [`ReachOptions::order`].
     pub order: Option<OrderHeuristic>,
 }
 
 impl Lane {
-    /// An engine on its native representation (the classic race lane).
+    /// An engine on the race-wide base order.
     #[must_use]
     pub fn native(engine: EngineKind) -> Self {
         Lane {
             engine,
-            repr: engine.native_repr(),
             order: None,
         }
     }
 
-    /// An explicit engine × representation pair.
-    #[must_use]
-    pub fn new(engine: EngineKind, repr: ReprKind) -> Self {
-        Lane {
-            engine,
-            repr,
-            order: None,
-        }
-    }
-
-    /// This lane with an explicit variable-ordering override — the third
-    /// axis of the portfolio (engine × repr × ordering).
+    /// This lane with an explicit variable-ordering override — the
+    /// second axis of the portfolio (engine × ordering).
     #[must_use]
     pub fn with_order(mut self, order: OrderHeuristic) -> Self {
         self.order = Some(order);
@@ -87,7 +70,7 @@ impl Lane {
     /// the override matters.
     #[must_use]
     pub fn label(self) -> &'static str {
-        lane_label(self.engine, self.repr)
+        self.engine.label()
     }
 
     /// The lane's full display name: the label, tagged `@ORDER` when the
@@ -100,21 +83,10 @@ impl Lane {
         }
     }
 
-    /// Every engine on its native representation, in [`EngineKind::all`]
-    /// order — the pre-representation race portfolio.
-    #[must_use]
-    pub fn native_lanes() -> Vec<Lane> {
-        EngineKind::all().into_iter().map(Lane::native).collect()
-    }
-
-    /// The full engine × supported-representation matrix (native lanes
-    /// first per engine, then the cross-representation lanes).
+    /// Every engine on the base order, in [`EngineKind::all`] order.
     #[must_use]
     pub fn all_lanes() -> Vec<Lane> {
-        EngineKind::all()
-            .into_iter()
-            .flat_map(|e| e.supported_reprs().iter().map(move |&r| Lane::new(e, r)))
-            .collect()
+        EngineKind::all().into_iter().map(Lane::native).collect()
     }
 }
 
@@ -229,21 +201,8 @@ pub fn run_escalating(
     opts: &ReachOptions,
     policy: &EscalationPolicy,
 ) -> EscalationReport {
-    run_escalating_repr(kind, kind.native_repr(), m, fsm, opts, policy)
-}
-
-/// [`run_escalating`] for an explicit engine × representation lane:
-/// every round (initial, resumed, restarted) re-enters the same lane.
-pub fn run_escalating_repr(
-    kind: EngineKind,
-    repr: ReprKind,
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    opts: &ReachOptions,
-    policy: &EscalationPolicy,
-) -> EscalationReport {
     let mut opts = opts.clone();
-    let mut result = run_repr(kind, repr, m, fsm, &opts);
+    let mut result = run(kind, m, fsm, &opts);
     let mut rounds = vec![EscalationRound {
         outcome: result.outcome,
         iterations: result.iterations,
@@ -262,7 +221,7 @@ pub fn run_escalating_repr(
         let resumed = checkpoint.is_some();
         result = match checkpoint {
             Some(c) => resume(m, fsm, &opts, c),
-            None => run_repr(kind, repr, m, fsm, &opts),
+            None => run(kind, m, fsm, &opts),
         };
         rounds.push(EscalationRound {
             outcome: result.outcome,
@@ -276,7 +235,7 @@ pub fn run_escalating_repr(
         let mut t = trace.borrow_mut();
         for (i, round) in rounds.iter().enumerate() {
             t.round(
-                lane_label(kind, repr),
+                kind.label(),
                 i as u64,
                 round.outcome.label(),
                 round.resumed,
@@ -302,13 +261,11 @@ pub struct RaceConfig {
     pub escalation: Option<EscalationPolicy>,
 }
 
-/// One engine × representation lane's report in a race.
+/// One lane's report in a race.
 #[derive(Clone, Debug)]
 pub struct LaneReport {
     /// The engine this lane ran.
     pub engine: EngineKind,
-    /// The set representation the lane iterated on.
-    pub repr: ReprKind,
     /// The variable-ordering heuristic the lane's private encoding used
     /// (its override if it had one, else the race's base order).
     pub order: OrderHeuristic,
@@ -333,8 +290,8 @@ pub struct LaneReport {
     /// [`Outcome::Error`].
     pub cancelled: bool,
     /// Dynamic reorder (sift) passes the lane's driver triggered; zero
-    /// unless the lane requested sifting and its representation supports
-    /// it ([`bfvr_setrepr::SetRepr::supports_reorder`]).
+    /// unless the lane requested sifting and its engine supports it
+    /// ([`EngineKind::supports_reorder`]).
     pub reorders: usize,
 }
 
@@ -437,7 +394,6 @@ impl LaneOpts {
 struct LaneMessage {
     lane: usize,
     engine: EngineKind,
-    repr: ReprKind,
     order: OrderHeuristic,
     outcome: Option<Outcome>,
     iterations: usize,
@@ -467,12 +423,11 @@ fn race_lane(
     cancel: &Arc<AtomicBool>,
 ) -> LaneMessage {
     let start = Instant::now();
-    let Lane { engine, repr, .. } = spec;
+    let engine = spec.engine;
     let order = spec.order.unwrap_or(opts.order);
     let skipped = LaneMessage {
         lane,
         engine,
-        repr,
         order,
         outcome: None,
         iterations: 0,
@@ -504,11 +459,11 @@ fn race_lane(
     let opts = opts.into_options();
     let (result, rounds) = match escalation {
         Some(policy) => {
-            let report = run_escalating_repr(engine, repr, &mut m, &fsm, &opts, policy);
+            let report = run_escalating(engine, &mut m, &fsm, &opts, policy);
             let n = report.rounds.len();
             (report.result, n)
         }
-        None => (run_repr(engine, repr, &mut m, &fsm, &opts), 1),
+        None => (run(engine, &mut m, &fsm, &opts), 1),
     };
     // First fixed point wins; `swap` makes exactly one lane the winner
     // even if two finish back-to-back.
@@ -524,7 +479,6 @@ fn race_lane(
     LaneMessage {
         lane,
         engine,
-        repr,
         order,
         outcome: Some(result.outcome),
         iterations: result.iterations,
@@ -554,7 +508,7 @@ fn outcome_rank(outcome: Option<Outcome>) -> u8 {
     }
 }
 
-/// Races `lanes` on `net`: every engine × representation × ordering lane
+/// Races `lanes` on `net`: every engine × ordering lane
 /// encodes the netlist in its own worker thread with its own private
 /// [`BddManager`] — under [`ReachOptions::order`] unless the lane
 /// carries an override ([`Lane::with_order`]) — and the first lane to
@@ -646,7 +600,6 @@ pub fn run_racing(
         let mut msg = slot.unwrap_or(LaneMessage {
             lane: i,
             engine: lanes[i].engine,
-            repr: lanes[i].repr,
             order: lanes[i].order.unwrap_or(opts.order),
             outcome: None,
             iterations: 0,
@@ -671,15 +624,14 @@ pub fn run_racing(
             let mut t = trace.borrow_mut();
             t.ingest(i as u64, std::mem::take(&mut msg.events));
             if msg.cancelled {
-                t.cancel(lane_label(msg.engine, msg.repr));
+                t.cancel(msg.engine.label());
             }
             if winner == Some(i) {
-                t.winner(lane_label(msg.engine, msg.repr));
+                t.winner(msg.engine.label());
             }
         }
         reports.push(LaneReport {
             engine: msg.engine,
-            repr: msg.repr,
             order: msg.order,
             outcome: msg.outcome,
             iterations: msg.iterations,
@@ -694,7 +646,6 @@ pub fn run_racing(
         if winner == Some(i) {
             result = Some(ReachResult {
                 engine: msg.engine,
-                repr: msg.repr,
                 outcome: msg.outcome.unwrap_or(Outcome::Error),
                 iterations: msg.iterations,
                 reached_states: msg.reached_states,

@@ -33,11 +33,7 @@ pub(crate) fn selfcheck_iteration(m: &mut BddManager, fsm: &EncodedFsm, view: &I
     m.clear_node_limit();
     m.set_deadline(None);
 
-    let scope = format!(
-        "{}/iter[{}]",
-        crate::common::lane_label(view.engine, view.repr),
-        view.iteration
-    );
+    let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
     let mut report = Report::new();
     let run = run_passes(m, &targets, &scope, &mut report);
 

@@ -16,7 +16,7 @@ use bfvr_bdd::BddManager;
 use bfvr_obs::{Counters, IterRecord, LimitKind, SpanId, SpanKind, Tracer};
 use bfvr_sim::EncodedFsm;
 
-use crate::common::{lane_label, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult};
+use crate::common::{IterMetrics, IterationView, Outcome, ReachOptions, ReachResult};
 use crate::EngineKind;
 use bfvr_setrepr::SetView;
 
@@ -163,7 +163,7 @@ pub(crate) fn iter_record(
 ) -> IterRecord {
     let (reached_nodes, frontier_nodes) = view_sizes(m, &view.set);
     IterRecord {
-        engine: Cow::Borrowed(lane_label(view.engine, view.repr)),
+        engine: Cow::Borrowed(view.engine.label()),
         iteration: view.iteration as u64,
         dur_us: metrics.elapsed.as_micros() as u64,
         frontier_nodes: frontier_nodes as u64,
@@ -211,7 +211,7 @@ pub(crate) fn engine_span_close(
     if let Some(id) = span {
         t.close_span(id, &counters_of(m));
     }
-    let lane = lane_label(r.engine, r.repr);
+    let lane = r.engine.label();
     t.engine_end(
         lane,
         r.outcome.label(),

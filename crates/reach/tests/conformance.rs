@@ -10,7 +10,7 @@
 use bfvr_bdd::{Bdd, BddManager};
 use bfvr_netlist::{circuits, generators, Netlist};
 use bfvr_reach::backends::{BfvBackend, CdecBackend, ChiBackend};
-use bfvr_reach::{ReprCheckpoint, ReprKind, SetRepr};
+use bfvr_reach::{ReprCheckpoint, SetRepr};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 const ORDER: OrderHeuristic = OrderHeuristic::DfsFanin;
@@ -100,7 +100,7 @@ fn check_laws<B: SetRepr>(mut backend: B, m: &mut BddManager, fsm: &EncodedFsm, 
 
     // A checkpoint from a different representation shape must be
     // rejected with Ok(None), not misinterpreted.
-    let foreign = if backend.kind() == ReprKind::Chi {
+    let foreign = if matches!(cp, ReprCheckpoint::Chi { .. }) {
         ReprCheckpoint::Vector {
             reached: Vec::new(),
             from: Vec::new(),

@@ -63,13 +63,13 @@ fn racing_matches_sequential_counts_on_three_circuits() {
 
 #[test]
 fn losing_lanes_are_cancelled_not_errored() {
-    // All five native lanes on one circuit: exactly one lane wins, and
+    // All five lanes on one circuit: exactly one lane wins, and
     // every other lane either also completed (finished before the cancel
     // poll caught it) or was cancelled — reported as `T.O.`, never `ERR`.
     let net = generators::queue_controller(4);
     let opts = ReachOptions::default();
     for _ in 0..3 {
-        let report = run_racing(&Lane::native_lanes(), &net, &opts, &RaceConfig::default());
+        let report = run_racing(&Lane::all_lanes(), &net, &opts, &RaceConfig::default());
         let result = report.result.expect("race result");
         assert_eq!(result.outcome, Outcome::FixedPoint);
         for lane in &report.lanes {
@@ -100,7 +100,7 @@ fn losing_lanes_are_cancelled_not_errored() {
 
 #[test]
 fn full_lane_matrix_races_new_representations() {
-    // The full portfolio: every engine on its native representation.
+    // The full portfolio: every engine lane.
     // The winner and every lane that finishes report the exact count.
     let net = circuits::s27();
     let opts = ReachOptions::default();

@@ -189,8 +189,9 @@ fn frontier_choice_never_changes_the_answer() {
         let spec = Spec::random(rng);
         let net = build(&spec);
         let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let with = bfvr_reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
-        let without = bfvr_reach::reach_bfv(
+        let with = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
+        let without = run(
+            EngineKind::Bfv,
             &mut m,
             &fsm,
             &ReachOptions {

@@ -1,12 +1,11 @@
-//! Representation parity: every engine × representation lane (χ, BFV,
-//! CDec) must agree exactly on the reached-state count.
+//! Representation parity: every engine, and so every set representation
+//! (χ, BFV, CDec), must agree exactly on the reached-state count.
 //!
 //! This is the test-suite twin of the CI smoke job: the same circuits,
-//! the same lane matrix.
+//! the same five lanes.
 
 use bfvr_netlist::{circuits, generators, Netlist};
-use bfvr_reach::portfolio::Lane;
-use bfvr_reach::{run_repr, Outcome, ReachOptions};
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 const ORDER: OrderHeuristic = OrderHeuristic::DfsFanin;
@@ -24,19 +23,24 @@ fn parity_circuits() -> Vec<(&'static str, Netlist, f64)> {
 fn all_lanes_agree_on_reached_state_counts() {
     let opts = ReachOptions::default();
     for (name, net, expected) in parity_circuits() {
-        for lane in Lane::all_lanes() {
+        for engine in EngineKind::all() {
             let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-            let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+            let r = run(engine, &mut m, &fsm, &opts);
             assert_eq!(
                 r.outcome,
                 Outcome::FixedPoint,
                 "{name}/{}: did not converge",
-                lane.label()
+                engine.label()
             );
             let states = r
                 .reached_states
-                .unwrap_or_else(|| panic!("{name}/{}: no reached-state count", lane.label()));
-            assert_eq!(states, expected, "{name}/{}: lane disagrees", lane.label());
+                .unwrap_or_else(|| panic!("{name}/{}: no reached-state count", engine.label()));
+            assert_eq!(
+                states,
+                expected,
+                "{name}/{}: lane disagrees",
+                engine.label()
+            );
         }
     }
 }

@@ -1,16 +1,14 @@
 //! Sift-under-traversal parity: `--sift` is a *graph-shape* change,
-//! never a semantic one. Every exact engine × representation lane must
-//! report bit-identical results (reached states, iterations, outcome)
-//! with dynamic reordering armed or off — and the lanes whose
-//! representation is structurally tied to its variable order
-//! (BFV/CDEC) must decline the request entirely, running
-//! zero reorder passes. The test-suite twin of the CI `reorder-smoke`
-//! job.
+//! never a semantic one. Every engine lane must report bit-identical
+//! results (reached states, iterations, outcome) with dynamic
+//! reordering armed or off — and the lanes whose representation is
+//! structurally tied to its variable order (BFV/CDEC) must decline the
+//! request entirely, running zero reorder passes. The test-suite twin
+//! of the CI `reorder-smoke` job.
 
 use bfvr_netlist::{generators, Netlist};
 use bfvr_reach::portfolio::Lane;
-use bfvr_reach::{run_repr, Outcome, ReachOptions, ReachResult};
-use bfvr_setrepr::ReprKind;
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions, ReachResult};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 /// Circuits big enough (under a deliberately bad static order) to cross
@@ -51,7 +49,7 @@ fn run_lane(net: &Netlist, lane: Lane, order: OrderHeuristic, sift: bool) -> Rea
         sift_trigger: 1.2,
         ..ReachOptions::default()
     };
-    run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts)
+    run(lane.engine, &mut m, &fsm, &opts)
 }
 
 #[test]
@@ -81,7 +79,7 @@ fn sift_matches_static_for_every_exact_lane() {
                     sift.iterations, stat.iterations,
                     "{name}/{lane:?} {order:?}: iteration counts diverged under --sift"
                 );
-                if lane.repr.supports_reorder() {
+                if lane.engine.supports_reorder() {
                     fired_total += sift.reorders;
                 } else {
                     assert_eq!(
@@ -108,13 +106,12 @@ fn sift_reorders_the_live_graph_not_pinned_results() {
     // sift sizes and swaps the live graph only; a sift that also kept
     // every result pinned since the run began would peak near 14.7K.
     let net = generators::lfsr(10);
-    let lane = Lane::new(bfvr_reach::EngineKind::Monolithic, ReprKind::Chi);
     let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
     let opts = ReachOptions {
         sift: true,
         ..ReachOptions::default()
     };
-    let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+    let r = run(EngineKind::Monolithic, &mut m, &fsm, &opts);
     assert_eq!(r.outcome, Outcome::FixedPoint);
     assert_eq!(r.reached_states, Some(1023.0));
     // The audit build collects every iteration, and its self-check
@@ -136,7 +133,7 @@ fn sift_fires_and_shrinks_the_live_graph() {
     // apart, the monolithic relation blows up, and one sift pass
     // collapses it by orders of magnitude.
     let net = generators::paired_registers(6);
-    let lane = Lane::new(bfvr_reach::EngineKind::Monolithic, ReprKind::Chi);
+    let lane = Lane::native(EngineKind::Monolithic);
     let r = run_lane(&net, lane, OrderHeuristic::Reversed, true);
     assert_eq!(r.outcome, Outcome::FixedPoint);
     assert_eq!(r.reached_states, Some(64.0));
@@ -158,13 +155,15 @@ fn sift_fires_and_shrinks_the_live_graph() {
 fn sift_declines_off_by_default_and_on_order_tied_lanes() {
     // Default options: no sifting anywhere, even on χ lanes.
     let net = generators::paired_registers(6);
-    let lane = Lane::new(bfvr_reach::EngineKind::Monolithic, ReprKind::Chi);
+    let lane = Lane::native(EngineKind::Monolithic);
     let r = run_lane(&net, lane, OrderHeuristic::Reversed, false);
     assert_eq!(r.reorders, 0);
     assert_eq!(r.reorder_nodes, (0, 0));
-    // Kind-level capability matches the backend opt-in.
-    assert!(ReprKind::Chi.supports_reorder());
-    for repr in [ReprKind::Bfv, ReprKind::Cdec] {
-        assert!(!repr.supports_reorder(), "{repr:?} must decline reorder");
+    // Engine-level capability: only the χ engines reorder.
+    for e in [EngineKind::Monolithic, EngineKind::Cbm, EngineKind::Iwls95] {
+        assert!(e.supports_reorder(), "{e:?} must accept reorder");
+    }
+    for e in [EngineKind::Bfv, EngineKind::Cdec] {
+        assert!(!e.supports_reorder(), "{e:?} must decline reorder");
     }
 }

@@ -284,7 +284,7 @@ fn jsonl_stream_from_a_real_run_round_trips() {
 #[test]
 fn raced_trace_has_one_winner_and_cancels_the_rest() {
     let net = generators::queue_controller(4);
-    let lanes = Lane::native_lanes();
+    let lanes = Lane::all_lanes();
     let trace = trace_handle(Tracer::collector(8));
     let opts = ReachOptions {
         trace: Some(trace.clone()),

@@ -8,7 +8,7 @@
 //! magic    8 B   "BFVRCKPT"
 //! version  u32   currently 2
 //! engine   str   length-prefixed UTF-8 (EngineKind label, e.g. "BFV")
-//! repr     str   ReprKind label, e.g. "bfv"
+//! repr     str   the engine's representation: "chi", "bfv" or "cdec"
 //! order    str   CLI order token ("s1"/"s2"/"d"/"o:SEED")
 //! circuit  str   circuit spec ("gen:..." or a file path)
 //! fprint   u64   FNV-1a 64 of the circuit's canonical bench text
@@ -45,7 +45,7 @@ use std::path::Path;
 
 use bfvr_bdd::{BddDag, BddManager, DagError, DagNode};
 use bfvr_reach::{Checkpoint, EngineKind};
-use bfvr_setrepr::{ReprCheckpoint, ReprKind};
+use bfvr_setrepr::ReprCheckpoint;
 
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: &[u8; 8] = b"BFVRCKPT";
@@ -89,8 +89,6 @@ pub fn level_map_of(m: &BddManager) -> Vec<u32> {
 pub struct CkptMeta {
     /// Engine that produced the checkpoint.
     pub engine: EngineKind,
-    /// Representation lane of the checkpoint.
-    pub repr: ReprKind,
     /// CLI order token (`s1`/`s2`/`d`/`o:SEED`) the manager was built with.
     pub order: String,
     /// Circuit spec: a `gen:` generator spec or a netlist file path.
@@ -203,6 +201,17 @@ fn put_dag(out: &mut Vec<u8>, dag: &BddDag) {
     }
 }
 
+/// The header's representation label. Each engine iterates on one
+/// representation, so the label follows from the engine; the header
+/// keeps it so that version-2 files written before keep their layout.
+fn repr_label(engine: EngineKind) -> &'static str {
+    match engine {
+        EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => "chi",
+        EngineKind::Bfv => "bfv",
+        EngineKind::Cdec => "cdec",
+    }
+}
+
 /// Serializes a checkpoint into the container format (checksum
 /// included) without touching the filesystem.
 #[must_use]
@@ -211,7 +220,7 @@ pub fn encode_checkpoint(m: &BddManager, meta: &CkptMeta, state: &ReprCheckpoint
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_str(&mut out, meta.engine.label());
-    put_str(&mut out, meta.repr.label());
+    put_str(&mut out, repr_label(meta.engine));
     put_str(&mut out, &meta.order);
     put_str(&mut out, &meta.circuit);
     put_u64(&mut out, meta.fingerprint);
@@ -341,7 +350,7 @@ impl<'a> Cursor<'a> {
 
 fn parse_meta(c: &mut Cursor<'_>, version: u32) -> Result<CkptMeta, CkptError> {
     let engine_label = c.str()?;
-    let repr_label = c.str()?;
+    let label = c.str()?;
     let order = c.str()?;
     let circuit = c.str()?;
     let fingerprint = c.u64()?;
@@ -368,9 +377,13 @@ fn parse_meta(c: &mut Cursor<'_>, version: u32) -> Result<CkptMeta, CkptError> {
     let iterations = c.u64()?;
     let engine =
         EngineKind::parse(&engine_label).ok_or(CkptError::Malformed("unknown engine label"))?;
-    let repr =
-        ReprKind::parse(&repr_label).ok_or(CkptError::Malformed("unknown representation label"))?;
-    if !engine.supported_reprs().contains(&repr) {
+    if !EngineKind::all()
+        .into_iter()
+        .any(|e| repr_label(e) == label)
+    {
+        return Err(CkptError::Malformed("unknown representation label"));
+    }
+    if repr_label(engine) != label {
         return Err(CkptError::Malformed(
             "engine does not drive this representation",
         ));
@@ -379,7 +392,6 @@ fn parse_meta(c: &mut Cursor<'_>, version: u32) -> Result<CkptMeta, CkptError> {
         .map_err(|_| CkptError::Malformed("iteration count overflow"))?;
     Ok(CkptMeta {
         engine,
-        repr,
         order,
         circuit,
         fingerprint,
@@ -549,7 +561,7 @@ pub fn decode_checkpoint(
     if c.remaining() != 0 {
         return Err(CkptError::Malformed("trailing bytes after state"));
     }
-    let cp = Checkpoint::new(meta.engine, meta.repr, meta.iterations, state);
+    let cp = Checkpoint::new(meta.engine, meta.iterations, state);
     Ok((meta, cp))
 }
 

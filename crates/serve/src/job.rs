@@ -14,8 +14,6 @@ pub struct JobSpec {
     pub circuit: String,
     /// Engine label (`BFV`/`CBM`/`MONO`/`IWLS95`/`CDEC`).
     pub engine: String,
-    /// Representation label (`bfv`/`chi`/`cdec`).
-    pub repr: String,
     /// Order token (`s1`/`s2`/`d`/`o:SEED`).
     pub order: String,
     /// Scheduling priority, higher first. Sheds lowest-first when the
@@ -41,7 +39,6 @@ impl JobSpec {
             id: id.to_string(),
             circuit: circuit.to_string(),
             engine: "BFV".to_string(),
-            repr: "bfv".to_string(),
             order: "s1".to_string(),
             priority: 0,
             node_limit: None,
@@ -58,7 +55,6 @@ impl JobSpec {
             ("id", Value::Str(self.id.clone())),
             ("circuit", Value::Str(self.circuit.clone())),
             ("engine", Value::Str(self.engine.clone())),
-            ("repr", Value::Str(self.repr.clone())),
             ("order", Value::Str(self.order.clone())),
             ("priority", Value::Num(f64::from(self.priority))),
             ("checkpoint_every", Value::Num(self.checkpoint_every as f64)),
@@ -77,6 +73,8 @@ impl JobSpec {
 
     /// Deserializes a journaled spec; `None` when a mandatory field is
     /// missing or mistyped (the journal line is then malformed).
+    /// The `repr` label older builds wrote is ignored: the engine alone
+    /// names the lane.
     #[must_use]
     pub fn from_json(v: &Value) -> Option<JobSpec> {
         let s = |k: &str| v.get(k).and_then(Value::as_str).map(String::from);
@@ -84,7 +82,6 @@ impl JobSpec {
             id: s("id")?,
             circuit: s("circuit")?,
             engine: s("engine")?,
-            repr: s("repr")?,
             order: s("order")?,
             #[allow(clippy::cast_possible_truncation)]
             priority: v
@@ -120,7 +117,6 @@ mod tests {
     fn spec_round_trips_through_json() {
         let mut spec = JobSpec::new("j1", "gen:queue:4");
         spec.engine = "MONO".into();
-        spec.repr = "chi".into();
         spec.priority = 7;
         spec.node_limit = Some(100_000);
         spec.fault = Some("kill@2".into());

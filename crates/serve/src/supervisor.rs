@@ -493,8 +493,6 @@ impl JobRunner for ProcessRunner {
                     .arg(&spec.circuit)
                     .arg("--engine")
                     .arg(&spec.engine)
-                    .arg("--repr")
-                    .arg(&spec.repr)
                     .arg("--order")
                     .arg(&spec.order);
             }

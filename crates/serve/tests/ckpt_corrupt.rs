@@ -13,11 +13,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bfvr_netlist::generators;
-use bfvr_reach::{run_repr, EngineKind, Outcome, ReachOptions};
+use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_serve::{
     decode_checkpoint, decode_meta, encode_checkpoint, fnv1a64, level_map_of, CkptError, CkptMeta,
 };
-use bfvr_setrepr::ReprKind;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 /// One genuine checkpoint byte image (BFV lane, counter(5), iteration 2)
@@ -35,7 +34,6 @@ fn genuine() -> (Vec<u8>, bfvr_bdd::BddManager, bfvr_bdd::BddManager) {
             }
             let meta = CkptMeta {
                 engine: cp.engine,
-                repr: cp.repr,
                 order: "s1".to_string(),
                 circuit: "gen:counter:5".to_string(),
                 fingerprint: 0x1234_5678_9abc_def0,
@@ -47,7 +45,7 @@ fn genuine() -> (Vec<u8>, bfvr_bdd::BddManager, bfvr_bdd::BddManager) {
         })),
         ..ReachOptions::default()
     };
-    let r = run_repr(EngineKind::Bfv, ReprKind::Bfv, &mut m, &fsm, &opts);
+    let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
     assert_eq!(r.outcome, Outcome::FixedPoint);
     drop(r);
     let bytes = bytes.borrow().clone();
@@ -168,6 +166,29 @@ fn retired_zonotope_tag_is_an_unknown_variant() {
     match decode_checkpoint(&bytes, &mut m) {
         Err(CkptError::Malformed("unknown state variant tag")) => {}
         other => panic!("expected the unknown-tag error, got {other:?}"),
+    }
+}
+
+/// The header's representation label must be the one its engine
+/// iterates on: the genuine BFV checkpoint relabelled `chi` (same
+/// length) is refused by name, and so is a label no engine uses.
+#[test]
+fn representation_label_must_match_the_engine() {
+    let (bytes, _, _) = genuine();
+    let engine_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let label = 16 + engine_len + 4;
+    assert_eq!(&bytes[label..label + 3], b"bfv");
+    for (forged, want) in [
+        (b"chi", "engine does not drive this representation"),
+        (b"zdd", "unknown representation label"),
+    ] {
+        let mut evil = bytes.clone();
+        evil[label..label + 3].copy_from_slice(forged);
+        reseal(&mut evil);
+        match decode_meta(&evil) {
+            Err(CkptError::Malformed(msg)) => assert_eq!(msg, want),
+            other => panic!("expected Malformed({want}), got {other:?}"),
+        }
     }
 }
 

@@ -1,5 +1,4 @@
-//! Durable-checkpoint round-trip over every engine × representation
-//! lane: interrupt a run mid-traversal via the periodic checkpoint
+//! Durable-checkpoint round-trip over every engine lane: interrupt a run mid-traversal via the periodic checkpoint
 //! hook, persist the checkpoint through the binary container format,
 //! re-intern it into a **fresh manager**, resume, and require the
 //! resumed fixed point to be semantically identical to an
@@ -14,7 +13,7 @@ use std::rc::Rc;
 use bfvr_audit::{run_passes, AuditTargets, Report};
 use bfvr_netlist::generators;
 use bfvr_reach::portfolio::Lane;
-use bfvr_reach::{resume, run_repr, Outcome, ReachOptions};
+use bfvr_reach::{resume, run, Outcome, ReachOptions};
 use bfvr_serve::{fnv1a64, level_map_of, read_checkpoint, write_checkpoint, CkptMeta};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
@@ -36,7 +35,7 @@ fn roundtrip_lane(lane: Lane) {
     // Uninterrupted reference run.
     let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
     let opts = ReachOptions::default();
-    let baseline = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+    let baseline = run(lane.engine, &mut m, &fsm, &opts);
     assert_eq!(baseline.outcome, Outcome::FixedPoint, "{lane:?} baseline");
     let expect_states = baseline.reached_states.unwrap();
     let expect_iters = baseline.iterations;
@@ -69,7 +68,6 @@ fn roundtrip_lane(lane: Lane) {
             }
             let meta = CkptMeta {
                 engine: cp.engine,
-                repr: cp.repr,
                 order: "s1".to_string(),
                 circuit: hook_circuit.clone(),
                 fingerprint,
@@ -82,7 +80,7 @@ fn roundtrip_lane(lane: Lane) {
         })),
         ..ReachOptions::default()
     };
-    let r1 = run_repr(lane.engine, lane.repr, &mut m1, &fsm1, &opts1);
+    let r1 = run(lane.engine, &mut m1, &fsm1, &opts1);
     assert_eq!(r1.outcome, Outcome::FixedPoint, "{lane:?} hooked run");
     assert!(wrote.get(), "{lane:?}: checkpoint hook never fired");
     drop((m1, fsm1));
@@ -92,7 +90,6 @@ fn roundtrip_lane(lane: Lane) {
     let (mut m2, fsm2) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
     let (meta, cp) = read_checkpoint(&path, &mut m2).unwrap();
     assert_eq!(meta.engine, lane.engine, "{lane:?} meta engine");
-    assert_eq!(meta.repr, lane.repr, "{lane:?} meta repr");
     assert_eq!(meta.iterations, CKPT_AT, "{lane:?} meta iterations");
     assert_eq!(meta.circuit, circuit, "{lane:?} meta circuit");
     assert_eq!(meta.fingerprint, fingerprint, "{lane:?} meta fingerprint");
@@ -162,13 +159,7 @@ fn permuted_order_checkpoint_resumes_to_the_static_count() {
     // Plain, never-sifted baseline.
     let (mut m0, fsm0) = EncodedFsm::encode(&net, order).unwrap();
     let lane = Lane::native(bfvr_reach::EngineKind::Monolithic);
-    let baseline = run_repr(
-        lane.engine,
-        lane.repr,
-        &mut m0,
-        &fsm0,
-        &ReachOptions::default(),
-    );
+    let baseline = run(lane.engine, &mut m0, &fsm0, &ReachOptions::default());
     assert_eq!(baseline.outcome, Outcome::FixedPoint);
     let expect_states = baseline.reached_states.unwrap();
     drop((m0, fsm0));
@@ -191,7 +182,6 @@ fn permuted_order_checkpoint_resumes_to_the_static_count() {
             }
             let meta = CkptMeta {
                 engine: cp.engine,
-                repr: cp.repr,
                 order: "d".to_string(),
                 circuit: hook_circuit.clone(),
                 fingerprint,
@@ -208,7 +198,7 @@ fn permuted_order_checkpoint_resumes_to_the_static_count() {
         })),
         ..ReachOptions::default()
     };
-    let r1 = run_repr(lane.engine, lane.repr, &mut m1, &fsm1, &opts1);
+    let r1 = run(lane.engine, &mut m1, &fsm1, &opts1);
     assert_eq!(r1.outcome, Outcome::FixedPoint, "sifted run");
     assert!(r1.reorders > 0, "sifting never fired; checkpoint untested");
     assert!(wrote.get(), "no checkpoint written under a permuted order");

@@ -180,3 +180,35 @@ fn missing_journal_is_an_empty_ledger() {
     assert!(ledger.job_ids().is_empty());
     assert_eq!(ledger.next_seq(), 0);
 }
+
+/// Journals written by earlier builds recorded a representation label in
+/// every spec (`"repr":"chi"`). Such a record still replays into a queued
+/// job whose engine the reachability crate accepts.
+#[test]
+fn legacy_spec_with_a_repr_label_replays_runnable() {
+    let path = scratch("legacy-repr");
+    std::fs::write(
+        &path,
+        concat!(
+            r#"{"event":"submitted","job":"q4","seq":0,"spec":{"checkpoint_every":1,"#,
+            r#""circuit":"gen:queue:4","engine":"mono","id":"q4","order":"s1","#,
+            r#""priority":0,"repr":"chi"},"t_ms":0}"#,
+            "\n"
+        ),
+    )
+    .unwrap();
+    let ledger = replay(&path).unwrap();
+    let runnable = ledger.runnable();
+    assert_eq!(runnable.len(), 1);
+    let spec = &runnable[0].spec;
+    assert_eq!(runnable[0].phase, JobPhase::Queued);
+    assert_eq!(
+        (spec.id.as_str(), spec.circuit.as_str(), spec.order.as_str()),
+        ("q4", "gen:queue:4", "s1")
+    );
+    assert_eq!(
+        bfvr_reach::EngineKind::parse(&spec.engine),
+        Some(bfvr_reach::EngineKind::Monolithic)
+    );
+    assert_eq!(JobSpec::from_json(&spec.to_json()).as_ref(), Some(spec));
+}

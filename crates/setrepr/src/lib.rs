@@ -1,4 +1,4 @@
-//! # bfvr-setrepr — representation as a first-class axis of reachability
+//! # bfvr-setrepr — the set representations behind the reachability engines
 //!
 //! The source paper's whole argument is that the *representation* of a
 //! state set — characteristic function χ, canonical Boolean functional
@@ -10,12 +10,14 @@
 //!   operations the engines need (image step, union, fixpoint test,
 //!   state count, GC roots, checkpoint/restore) plus an into-χ
 //!   canonicalization escape hatch for cross-representation auditing;
-//! * [`ReprKind`] names the backends, so the racing portfolio can label
-//!   engine × representation lanes and the CLI can select them;
 //! * [`SetView`] is the borrowed per-iteration view observers see,
 //!   one shape per representation;
 //! * [`ReprCheckpoint`] is the representation half of a resumable
 //!   checkpoint (the engine half lives in `bfvr-reach`).
+//!
+//! Each engine of `bfvr-reach` iterates on exactly one representation,
+//! so the engine alone names a lane; the variant of a [`SetView`] or a
+//! [`ReprCheckpoint`] says which representation it carries.
 //!
 //! The crate deliberately depends only on `bfvr-bdd` and `bfvr-bfv`;
 //! backends that need a transition relation capture it at construction
@@ -24,13 +26,17 @@
 //! the simulation layer.
 //!
 //! ```
-//! use bfvr_setrepr::ReprKind;
+//! use bfvr_bdd::{BddManager, Var};
+//! use bfvr_setrepr::{ReprCheckpoint, SetView};
 //!
-//! // Labels double as the CLI `--repr` spelling; only χ survives a
-//! // dynamic variable reorder.
-//! assert_eq!(ReprKind::parse("cdec"), Some(ReprKind::Cdec));
-//! assert!(ReprKind::Chi.supports_reorder());
-//! assert!(!ReprKind::Bfv.supports_reorder());
+//! // A χ-shaped loop state: the reached set {x0 = 1} iterated from itself.
+//! let m = BddManager::new(2);
+//! let x0 = m.var(Var(0));
+//! let view = SetView::Chi { reached: x0, from: x0 };
+//! assert!(matches!(view, SetView::Chi { reached, .. } if reached == x0));
+//! // Its checkpoint pins both sets with RAII handles.
+//! let cp = ReprCheckpoint::Chi { reached: m.func(x0), from: m.func(x0) };
+//! assert!(matches!(cp, ReprCheckpoint::Chi { ref reached, .. } if reached.bdd() == x0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -38,10 +44,8 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-mod kind;
 mod repr;
 mod view;
 
-pub use kind::ReprKind;
 pub use repr::{ReprCheckpoint, Restored, SetRepr};
 pub use view::SetView;

@@ -1,6 +1,5 @@
 //! The [`SetRepr`] trait: what a fixed-point loop needs from a set.
 
-use crate::kind::ReprKind;
 use crate::view::SetView;
 use bfvr_bdd::{Bdd, BddManager, Func};
 use bfvr_bfv::BfvError;
@@ -71,9 +70,6 @@ pub trait SetRepr {
     /// The backend's set value. `Clone` must be cheap-ish (handles,
     /// not deep graph copies).
     type Set: Clone;
-
-    /// Which representation this backend implements.
-    fn kind(&self) -> ReprKind;
 
     /// One-time setup before the loop: build the transition relation,
     /// cluster schedule, or conversion tables. Called exactly once,

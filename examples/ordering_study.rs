@@ -25,7 +25,7 @@
 //! static orders, § dynamic sifting) and `BENCH_ordering.json`.
 
 use bfvr::netlist::{generators, Netlist};
-use bfvr::reach::{run_repr, EngineKind, Outcome, ReachOptions, ReachResult, ReprKind};
+use bfvr::reach::{EngineKind, Outcome, ReachOptions, ReachResult};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
 const ORDERS: [OrderHeuristic; 4] = [
@@ -65,9 +65,8 @@ fn run(net: &Netlist, h: OrderHeuristic, sift: bool) -> Result<ReachResult, Stri
         sift_trigger: 1.2,
         ..Default::default()
     };
-    Ok(run_repr(
+    Ok(bfvr::reach::run(
         EngineKind::Monolithic,
-        ReprKind::Chi,
         &mut m,
         &fsm,
         &opts,

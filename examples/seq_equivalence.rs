@@ -14,7 +14,7 @@
 //! ```
 
 use bfvr::netlist::{generators, product, GateKind, Netlist, NetlistBuilder};
-use bfvr::reach::{reach_bfv, Outcome, ReachOptions};
+use bfvr::reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr::sim::{simulate_outputs, EncodedFsm, OrderHeuristic};
 
 /// A shift register that stores complemented bits internally:
@@ -45,7 +45,7 @@ fn complemented_shift_register(n: u32) -> Netlist {
 fn check_equivalence(a: &Netlist, b: &Netlist) -> Result<bool, Box<dyn std::error::Error>> {
     let prod = product::product_miter(a, b)?;
     let (mut m, fsm) = EncodedFsm::encode(&prod, OrderHeuristic::DfsFanin)?;
-    let r = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+    let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
     assert_eq!(r.outcome, Outcome::FixedPoint, "traversal must complete");
     // Evaluate the miter outputs over the reached set: equivalence holds
     // iff no reachable state under any input drives a miter to 0.

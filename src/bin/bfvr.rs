@@ -35,12 +35,12 @@ use bfvr::netlist::{bench, blif, generators, Netlist};
 use bfvr::obs::diag::{self, MutationOutcome, PassId};
 use bfvr::obs::json::{obj, Value};
 use bfvr::obs::{Counters, Format, JsonlSink, SpanKind, Tracer};
-use bfvr::reach::portfolio::{run_escalating_repr, run_racing, EscalationPolicy, Lane, RaceConfig};
+use bfvr::reach::portfolio::{run_escalating, run_racing, EscalationPolicy, Lane, RaceConfig};
 use bfvr::reach::telemetry::trace_handle;
 use bfvr::reach::TraceHandle;
 use bfvr::reach::{
-    check_invariant, find_trace, lane_label, run as run_engine, run_repr, CheckResult, Checkpoint,
-    CheckpointHook, EngineKind, Outcome, ReachOptions, ReachResult, ReprKind,
+    check_invariant, find_trace, run as run_engine, CheckResult, Checkpoint, CheckpointHook,
+    EngineKind, Outcome, ReachOptions, ReachResult,
 };
 use bfvr::serve::{
     fnv1a64, level_map_of, read_checkpoint, read_meta, replay, signal, write_checkpoint, CkptMeta,
@@ -87,11 +87,6 @@ USAGE:
   bfvr stats <file>
   bfvr convert <file> --to bench|blif|verilog
   bfvr reach <file> [--engine bfv|cbm|mono|iwls95|cdec|all]
-                    [--repr chi|bfv|cdec|native|all]
-                                         set representation each engine
-                                         iterates on (default: native).
-                                         Engine×repr pairs the engine
-                                         cannot drive are dropped
                     [--order s1|decl|d|coi|force|o:<seed>|all]
                                          static variable order: s1 fan-in
                                          DFS (default), decl declaration
@@ -149,7 +144,7 @@ USAGE:
                                          code 75 means \"interrupted but
                                          checkpointed\" (resume with
                                          bfvr resume --from <file>).
-                                         Needs exactly one engine × repr lane
+                                         Needs exactly one lane
                     [--checkpoint-every <n>]   durable-checkpoint period in
                                          iterations (default 1)
                     [--result-out <file>]      write a one-line JSON summary
@@ -167,14 +162,13 @@ USAGE:
                     quarantined, SIGTERM'd children checkpoint and resume
                     [--workers <n>] [--max-attempts <n>] [--job-timeout <sec>]
   bfvr submit <file> --dir <dir>  append a job to <dir>'s journal
-                    [--id <id>] [--engine E] [--repr R] [--order O]
+                    [--id <id>] [--engine E] [--order O]
                     [--priority <n>]     higher runs first; lowest shed first
                     [--checkpoint-every <n>] [--node-limit <n>]
                     [--time-limit <sec>]
                     [--fault kill@K]     fault injection: crash the child at
                                          iteration K on its first attempt
   bfvr audit <file> [--engine bfv|cbm|mono|iwls95|cdec|all]  (default all)
-                    [--repr chi|bfv|cdec|native|all]  (default native)
                     [--order s1|decl|d|coi|force|o:<seed>]
                     [--sift] [--sift-maxgrowth <f>] [--sift-trigger <f>]
                     [--time-limit <sec>] [--node-limit <nodes>]
@@ -316,6 +310,7 @@ fn cmd_stats(net: &Netlist) -> Result<(), String> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("convert", args, &[&["--to"]])?;
     let net = load(args.get(1).ok_or("convert needs a file")?)?;
     let to = flag_value(args, "--to").ok_or("convert needs --to bench|blif")?;
     match to.as_str() {
@@ -494,45 +489,6 @@ fn parse_engines(args: &[String], default: &[EngineKind]) -> Result<Vec<EngineKi
     )
 }
 
-/// Parses `--repr` into the selected representation list; `None` (no
-/// flag, or `native`) means each engine's native representation.
-fn parse_reprs(args: &[String]) -> Result<Option<Vec<ReprKind>>, String> {
-    Ok(
-        match flag_value(args, "--repr")
-            .map(|s| s.to_ascii_lowercase())
-            .as_deref()
-        {
-            None | Some("native") => None,
-            Some("all") => Some(ReprKind::all().to_vec()),
-            Some(s) => match ReprKind::parse(s) {
-                Some(r) => Some(vec![r]),
-                None => return Err(format!("unknown representation `{s}`")),
-            },
-        },
-    )
-}
-
-/// Crosses the selected engines with the selected representations,
-/// dropping pairs the engine cannot drive (e.g. `cdec × chi`). Errors
-/// when the cross leaves nothing to run.
-fn build_lanes(engines: &[EngineKind], reprs: Option<&[ReprKind]>) -> Result<Vec<Lane>, String> {
-    let lanes: Vec<Lane> = match reprs {
-        None => engines.iter().map(|&e| Lane::native(e)).collect(),
-        Some(rs) => engines
-            .iter()
-            .flat_map(|&e| {
-                rs.iter()
-                    .filter(move |&&r| e.supported_reprs().contains(&r))
-                    .map(move |&r| Lane::new(e, r))
-            })
-            .collect(),
-    };
-    if lanes.is_empty() {
-        return Err("no selected engine supports the requested representation".into());
-    }
-    Ok(lanes)
-}
-
 /// Parses `--trace-out`/`--trace-sample` into a JSONL-backed tracer
 /// handle with the stream header already written (`None` without
 /// `--trace-out`).
@@ -610,7 +566,6 @@ impl Durable {
         Rc::new(move |m, cp| {
             let meta = CkptMeta {
                 engine: cp.engine,
-                repr: cp.repr,
                 order: order.clone(),
                 circuit: circuit.clone(),
                 fingerprint,
@@ -635,7 +590,6 @@ impl Durable {
     fn write_now(&self, m: &bfvr::bdd::BddManager, cp: &Checkpoint) {
         let meta = CkptMeta {
             engine: cp.engine,
-            repr: cp.repr,
             order: self.order.clone(),
             circuit: self.circuit.clone(),
             fingerprint: self.fingerprint,
@@ -721,7 +675,7 @@ fn with_interrupt_token<T>(body: impl FnOnce(&Arc<AtomicBool>) -> T) -> T {
 fn write_result_file(path: &str, r: &ReachResult) -> Result<(), String> {
     let mut pairs = vec![
         ("outcome", Value::Str(r.outcome.label().to_string())),
-        ("lane", Value::Str(lane_label(r.engine, r.repr).to_string())),
+        ("lane", Value::Str(r.engine.label().to_string())),
         ("iterations", Value::Num(r.iterations as f64)),
     ];
     if let Some(s) = r.reached_states {
@@ -790,7 +744,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             RUN_FLAGS,
             &[
                 "--engine",
-                "--repr",
                 "--order",
                 "--race",
                 "--jobs",
@@ -824,11 +777,10 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
         &[EngineKind::Bfv]
     };
     let engines = parse_engines(args, default_engines)?;
-    let reprs = parse_reprs(args)?;
-    let mut lanes = build_lanes(&engines, reprs.as_deref())?;
+    let mut lanes: Vec<Lane> = engines.iter().map(|&e| Lane::native(e)).collect();
     if orders.len() > 1 {
-        // `--order all`: the ordering becomes a third portfolio axis —
-        // every engine × repr lane is crossed with every static order.
+        // `--order all`: the ordering becomes a second portfolio axis —
+        // every engine lane is crossed with every static order.
         lanes = lanes
             .iter()
             .flat_map(|&l| orders.iter().map(move |&o| l.with_order(o)))
@@ -856,7 +808,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     }
     let durable = parse_durable(args, &net, order, &circuit, None)?;
     if (durable.is_some() || result_out.is_some()) && lanes.len() != 1 {
-        return Err("--checkpoint-out/--result-out need exactly one engine × repr lane".into());
+        return Err("--checkpoint-out/--result-out need exactly one lane".into());
     }
     // The meta header records the chosen ordering and a lint summary
     // (`Ne/Nw/Ni` finding counts), so a trace identifies both the
@@ -980,16 +932,9 @@ fn reach_plain(
                 }));
             }
             let r: ReachResult = match escalation {
-                None => run_repr(lane.engine, lane.repr, &mut m, &fsm, &lane_opts),
+                None => run_engine(lane.engine, &mut m, &fsm, &lane_opts),
                 Some(policy) => {
-                    let report = run_escalating_repr(
-                        lane.engine,
-                        lane.repr,
-                        &mut m,
-                        &fsm,
-                        &lane_opts,
-                        policy,
-                    );
+                    let report = run_escalating(lane.engine, &mut m, &fsm, &lane_opts, policy);
                     for (i, round) in report.rounds.iter().enumerate().skip(1) {
                         eprintln!(
                             "{}: round {i} ({}): {} at {} iterations under {} nodes",
@@ -1078,12 +1023,12 @@ fn reach_plain(
 
 /// The lane column: [`Lane::display`], tagged `~S` when dynamic sifting
 /// is armed for it. The tag applies only where sifting actually engages
-/// — a BFV/CDEC lane under `--sift` keeps its static order (the
+/// — a BFV/CDEC lane under `--sift` keeps its static order (its
 /// representation is tied to it) — so the table shows what each lane
 /// really ran, e.g. `MONO@FORCE~S`.
 fn lane_cell(lane: Lane, opts: &ReachOptions) -> String {
     let mut cell = lane.display();
-    if opts.sift && lane.repr.supports_reorder() {
+    if opts.sift && lane.engine.supports_reorder() {
         cell.push_str("~S");
     }
     cell
@@ -1172,7 +1117,7 @@ fn cmd_reach_race(
         Some(r) if r.outcome == bfvr::reach::Outcome::FixedPoint => Ok(()),
         Some(r) => Err(format!(
             "no lane reached a fixed point (best: {} {})",
-            lane_label(r.engine, r.repr),
+            r.engine.label(),
             r.outcome.label()
         )),
         None => Err("race had no engines".into()),
@@ -1212,7 +1157,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
     let (_, cp) = read_checkpoint(&from_path, &mut m).map_err(|e| format!("{from}: {e}"))?;
     outln!(
         "resuming {} on {} from iteration {}",
-        lane_label(cp.engine, cp.repr),
+        cp.engine.label(),
         net.name(),
         cp.iterations
     );
@@ -1238,7 +1183,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         let r = bfvr::reach::resume(&mut m, &fsm, &opts, cp);
         outln!(
             "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
-            lane_label(r.engine, r.repr),
+            r.engine.label(),
             r.outcome.label(),
             states_cell(r.reached_states),
             r.iterations,
@@ -1281,6 +1226,11 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
 /// pool (drain mode). Restart-safe by construction: killing the daemon
 /// and rerunning `bfvr serve` picks up exactly where the journal ends.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "serve",
+        args,
+        &[&["--dir", "--workers", "--max-attempts", "--job-timeout"]],
+    )?;
     let dir = PathBuf::from(flag_value(args, "--dir").ok_or("serve needs --dir <dir>")?);
     std::fs::create_dir_all(&dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut cfg = SupervisorConfig::default();
@@ -1348,6 +1298,21 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// before the directory or its journal is created, so a rejected submit
 /// leaves nothing behind.
 fn cmd_submit(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "submit",
+        args,
+        &[&[
+            "--dir",
+            "--id",
+            "--engine",
+            "--order",
+            "--priority",
+            "--node-limit",
+            "--time-limit",
+            "--checkpoint-every",
+            "--fault",
+        ]],
+    )?;
     let circuit = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
@@ -1361,20 +1326,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     if let Some(e) = flag_value(args, "--engine") {
         spec.engine = e.to_ascii_lowercase();
     }
-    if let Some(r) = flag_value(args, "--repr") {
-        spec.repr = r.to_ascii_lowercase();
-    }
     let engine = EngineKind::parse(&spec.engine)
         .ok_or_else(|| format!("unknown engine `{}`", spec.engine))?;
-    let repr = ReprKind::parse(&spec.repr)
-        .ok_or_else(|| format!("unknown representation `{}`", spec.repr))?;
-    if !engine.supported_reprs().contains(&repr) {
-        return Err(format!(
-            "engine {} cannot drive representation {}",
-            engine.label(),
-            repr.label()
-        ));
-    }
     if let Some(o) = flag_value(args, "--order") {
         parse_order_token(&o)?;
         spec.order = o;
@@ -1417,10 +1370,9 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         .append(&id, "submitted", vec![("spec", spec.to_json())])
         .map_err(|e| e.to_string())?;
     outln!(
-        "submitted job {id}: {} ({} × {}, order {}, priority {})",
+        "submitted job {id}: {} ({}, order {}, priority {})",
         circuit,
         engine.label(),
-        repr.label(),
         spec.order,
         spec.priority
     );
@@ -1437,21 +1389,19 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(
         "audit",
         args,
-        &[OPT_FLAGS, &["--engine", "--repr", "--order", "--selftest"]],
+        &[OPT_FLAGS, &["--engine", "--order", "--selftest"]],
     )?;
     let net = load(args.get(1).ok_or("audit needs a file")?)?;
     let order = parse_order(args)?;
     let base_opts = parse_opts(args)?;
     let engines = parse_engines(args, &EngineKind::all())?;
-    let reprs = parse_reprs(args)?;
-    let lanes = build_lanes(&engines, reprs.as_deref())?;
     let report = Rc::new(RefCell::new(Report::new()));
     let inconclusive = Rc::new(RefCell::new(0usize));
     // Lanes that ended before their fixed point: their audit covers only
     // the iterations they reached.
     let mut stopped = Vec::new();
 
-    for lane in lanes {
+    for lane in engines.into_iter().map(Lane::native) {
         let (mut m, fsm) = encode(&net, order)?;
         let mut opts = base_opts.clone();
         let sink = Rc::clone(&report);
@@ -1459,11 +1409,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         opts.observer = Some(Rc::new(move |m, fsm, view| {
             let space = fsm.space();
             let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
-            let scope = format!(
-                "{}/iter[{}]",
-                lane_label(view.engine, view.repr),
-                view.iteration
-            );
+            let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
             // The audit's own scratch work must not count against the
             // engine's resource budget: suspend limits, audit, restore.
             // A resource failure inside the audit (possible only under
@@ -1481,7 +1427,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             }
             m.set_deadline(deadline);
         }));
-        let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+        let r = run_engine(lane.engine, &mut m, &fsm, &opts);
         // Final audit of the engine's end state, through the χ the result
         // carries (also exercising the χ→BFV converter one more time).
         if let Some(chi) = &r.reached_chi {
@@ -1674,6 +1620,7 @@ fn parse_cube(cube: &str, fsm: &EncodedFsm) -> Result<Vec<Option<bool>>, String>
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("check", args, &[OPT_FLAGS, &["--bad"]])?;
     let net = load(args.get(1).ok_or("check needs a file")?)?;
     let cube = flag_value(args, "--bad").ok_or("check needs --bad <cube>")?;
     let opts = parse_opts(args)?;
@@ -1695,6 +1642,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("trace", args, &[OPT_FLAGS, &["--to"]])?;
     let net = load(args.get(1).ok_or("trace needs a file")?)?;
     let cube = flag_value(args, "--to").ok_or("trace needs --to <cube>")?;
     let opts = parse_opts(args)?;
@@ -1735,6 +1683,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
 /// unsupported `meta` header) exits nonzero, so CI can use the command
 /// as a trace validator.
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("report", args, &[&["--format"]])?;
     let path = args.get(1).ok_or("report needs a trace file")?;
     let format = match flag_value(args, "--format").as_deref() {
         None | Some("text") => Format::Text,

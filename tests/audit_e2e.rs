@@ -9,10 +9,10 @@ use std::rc::Rc;
 use bfvr::audit::{run_passes, AuditTargets, Report};
 use bfvr::netlist::{circuits, generators, Netlist};
 use bfvr::reach::portfolio::Lane;
-use bfvr::reach::{lane_label, run_repr, Outcome, ReachOptions};
+use bfvr::reach::{run, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
-/// Runs every engine × representation lane over `net` with an observer
+/// Runs every engine lane over `net` with an observer
 /// that audits each iteration's live set — graph, leaks, all semantic
 /// passes, and the cross-representation converters — then audits the
 /// final reached χ. Any finding anywhere fails the test.
@@ -31,16 +31,12 @@ fn audit_all_engines_under(net: &Netlist, order: OrderHeuristic, base: &ReachOpt
             observer: Some(Rc::new(move |m, fsm, view| {
                 let space = fsm.space();
                 let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
-                let scope = format!(
-                    "{}/iter[{}]",
-                    lane_label(view.engine, view.repr),
-                    view.iteration
-                );
+                let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
                 run_passes(m, &targets, &scope, &mut sink.borrow_mut()).unwrap();
             })),
             ..base.clone()
         };
-        let r = run_repr(lane.engine, lane.repr, &mut m, &fsm, &opts);
+        let r = run(lane.engine, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::FixedPoint, "{lane:?} on {}", net.name());
         assert!(r.iterations > 1, "{lane:?} on {}: trivial run", net.name());
         let chi = r.reached_chi.as_ref().unwrap();

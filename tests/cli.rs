@@ -87,31 +87,55 @@ fn unknown_flags_are_usage_errors() {
             &["resume", "--from", "missing.ckpt", "--engine", "bfv"],
             "unknown flag `--engine`",
         ),
-        // `zdd` and `zono` named representations of older builds; they
-        // are refused like any other unknown label.
+        (
+            &["submit", "gen:s27", "--dir", d, "--bogus-flag", "3"],
+            "unknown flag `--bogus-flag`",
+        ),
+        (
+            &["serve", "--dir", d, "--bogus-flag"],
+            "unknown flag `--bogus-flag`",
+        ),
+        (
+            &["convert", "gen:s27", "--to", "bench", "--bogus"],
+            "unknown flag `--bogus`",
+        ),
+        (
+            &["check", "gen:modk:3:5", "--bad", "111", "--bogus"],
+            "unknown flag `--bogus`",
+        ),
+        (
+            &["trace", "gen:counter:3", "--to", "111", "--bogus"],
+            "unknown flag `--bogus`",
+        ),
+        (
+            &["report", "missing.jsonl", "--format", "md", "--bogus"],
+            "unknown flag `--bogus`",
+        ),
+        // The engine names its lane: `--repr` is gone, and with it the
+        // `zdd` and `zono` labels of older builds.
         (
             &["reach", "gen:s27", "--repr", "zdd"],
-            "unknown representation `zdd`",
+            "unknown flag `--repr`",
         ),
         (
             &["audit", "gen:s27", "--repr", "zdd"],
-            "unknown representation `zdd`",
+            "unknown flag `--repr`",
         ),
         (
             &["submit", "gen:s27", "--dir", d, "--repr", "zdd"],
-            "unknown representation `zdd`",
+            "unknown flag `--repr`",
         ),
         (
             &["reach", "gen:s27", "--repr", "zono"],
-            "unknown representation `zono`",
+            "unknown flag `--repr`",
         ),
         (
             &["audit", "gen:s27", "--repr", "zono"],
-            "unknown representation `zono`",
+            "unknown flag `--repr`",
         ),
         (
             &["submit", "gen:s27", "--dir", d, "--repr", "zono"],
-            "unknown representation `zono`",
+            "unknown flag `--repr`",
         ),
     ] {
         let o = bfvr(args);
@@ -132,7 +156,7 @@ fn rejected_submit_creates_no_directory() {
         &["--repr", "zono"],
         &["--engine", "warp"],
         &["--order", "sideways"],
-        &["--engine", "iwls95", "--repr", "bfv"],
+        &["--bogus-flag", "3"],
     ]
     .into_iter()
     .enumerate()
@@ -150,6 +174,37 @@ fn rejected_submit_creates_no_directory() {
     assert!(o.status.success(), "{}", stderr(&o));
     assert!(dir.join("journal.jsonl").exists());
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Every engine is submitted by `--engine` alone: the engine names its
+/// representation, so no second flag is needed.
+#[test]
+fn submit_journals_each_engine_without_a_representation_flag() {
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_submit_engines_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().unwrap();
+    let engines = [
+        ("cbm", bfvr::reach::EngineKind::Cbm),
+        ("mono", bfvr::reach::EngineKind::Monolithic),
+        ("iwls95", bfvr::reach::EngineKind::Iwls95),
+        ("cdec", bfvr::reach::EngineKind::Cdec),
+    ];
+    for (flag, _) in engines {
+        let o = bfvr(&[
+            "submit", "gen:s27", "--dir", d, "--id", flag, "--engine", flag,
+        ]);
+        assert!(o.status.success(), "{flag}: {}", stderr(&o));
+    }
+    let ledger = bfvr::serve::replay(&dir.join("journal.jsonl")).unwrap();
+    for (flag, engine) in engines {
+        let spec = &ledger.get(flag).unwrap().spec;
+        assert_eq!(
+            bfvr::reach::EngineKind::parse(&spec.engine),
+            Some(engine),
+            "{flag}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A purely combinational circuit has no state to traverse: every

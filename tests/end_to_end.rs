@@ -43,7 +43,7 @@ fn bench_text_roundtrip_preserves_reachability() {
         let text = net.to_bench();
         let parsed = bench::parse_named(&text, net.name()).unwrap();
         let (mut m, fsm) = EncodedFsm::encode(&parsed, OrderHeuristic::DfsFanin).unwrap();
-        let r = bfvr::reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         assert_eq!(r.reached_states, Some(expect), "{}", net.name());
     }
 }
@@ -56,8 +56,8 @@ fn blif_roundtrip_preserves_reachability() {
     let parsed = blif::parse(&text).unwrap();
     let (mut m1, fsm1) = EncodedFsm::encode(&net, OrderHeuristic::Declaration).unwrap();
     let (mut m2, fsm2) = EncodedFsm::encode(&parsed, OrderHeuristic::Declaration).unwrap();
-    let a = bfvr::reach::reach_bfv(&mut m1, &fsm1, &ReachOptions::default());
-    let b = bfvr::reach::reach_bfv(&mut m2, &fsm2, &ReachOptions::default());
+    let a = run(EngineKind::Bfv, &mut m1, &fsm1, &ReachOptions::default());
+    let b = run(EngineKind::Bfv, &mut m2, &fsm2, &ReachOptions::default());
     assert_eq!(a.reached_states, b.reached_states);
     assert_eq!(a.iterations, b.iterations);
 }
@@ -75,7 +75,7 @@ fn reachability_is_order_independent() {
         OrderHeuristic::Random(99),
     ] {
         let (mut m, fsm) = EncodedFsm::encode(&net, h).unwrap();
-        let r = bfvr::reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         assert_eq!(r.outcome, Outcome::FixedPoint);
         counts.push(r.reached_states.unwrap());
     }
@@ -150,7 +150,7 @@ fn explicit_bfs_confirms_symbolic_counts() {
         }
         // Symbolic count.
         let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let r = bfvr::reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         assert_eq!(
             r.reached_states,
             Some(seen.len() as f64),
@@ -169,9 +169,9 @@ fn limits_then_completion() {
         node_limit: Some(m.allocated() + 64),
         ..Default::default()
     };
-    let r = bfvr::reach::reach_bfv(&mut m, &fsm, &limited);
+    let r = run(EngineKind::Bfv, &mut m, &fsm, &limited);
     assert_eq!(r.outcome, Outcome::MemOut);
-    let r2 = bfvr::reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
+    let r2 = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
     assert_eq!(r2.outcome, Outcome::FixedPoint);
     assert_eq!(r2.reached_states, Some(20.0));
 }

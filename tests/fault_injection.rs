@@ -332,7 +332,6 @@ fn checkpoint_write_failure_is_reported_not_fatal() {
         checkpoint_hook: Some(Rc::new(move |m, cp| {
             let meta = CkptMeta {
                 engine: cp.engine,
-                repr: cp.repr,
                 order: "s1".to_string(),
                 circuit: "gen:counter:5".to_string(),
                 fingerprint: 0,

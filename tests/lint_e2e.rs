@@ -1,5 +1,5 @@
 //! End-to-end `bfvr-nlint`: count-preserving simplification must leave
-//! the reached-state count of every exact engine × representation lane
+//! the reached-state count of every engine lane
 //! bit-identical on every generator family, the simplified netlist must
 //! audit clean, and the `bfvr lint` CLI holds its exit-code contract.
 
@@ -9,7 +9,7 @@ use bfvr::audit::{run_passes as audit_passes, AuditTargets, Report as AuditRepor
 use bfvr::netlist::{circuits, generators, Netlist};
 use bfvr::nlint::{run_passes, simplify, simplify_with, SimplifyOptions};
 use bfvr::reach::portfolio::Lane;
-use bfvr::reach::{run_repr, Outcome, ReachOptions};
+use bfvr::reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
 /// One modest instance per generator family, plus the bundled s27 —
@@ -32,13 +32,7 @@ fn family_suite() -> Vec<Netlist> {
 
 fn exact_count(net: &Netlist, lane: Lane) -> f64 {
     let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin).unwrap();
-    let r = run_repr(
-        lane.engine,
-        lane.repr,
-        &mut m,
-        &fsm,
-        &ReachOptions::default(),
-    );
+    let r = run(lane.engine, &mut m, &fsm, &ReachOptions::default());
     assert_eq!(r.outcome, Outcome::FixedPoint, "{lane:?} on {}", net.name());
     r.reached_states.unwrap()
 }
@@ -90,7 +84,7 @@ fn simplified_netlists_lint_and_audit_clean() {
         }
         // Exactness audit of the final reached χ on the simplified FSM.
         let (mut m, fsm) = EncodedFsm::encode(&s.netlist, OrderHeuristic::DfsFanin).unwrap();
-        let r = bfvr::reach::reach_bfv(&mut m, &fsm, &ReachOptions::default());
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
         assert_eq!(r.outcome, Outcome::FixedPoint, "{name}");
         let chi = r.reached_chi.as_ref().unwrap();
         let space = fsm.space();

@@ -33,35 +33,33 @@ fn parse_row(out: &Output) -> (u64, u64) {
     (cols[2].parse().unwrap(), cols[3].parse().unwrap())
 }
 
-/// CLI flag values for one lane (`--engine`, `--repr`). Both flags
-/// accept the labels case-insensitively.
-fn lane_flags(lane: Lane) -> (&'static str, &'static str) {
-    (lane.engine.label(), lane.repr.label())
+/// CLI `--engine` value for one lane. The flag accepts the label
+/// case-insensitively.
+fn lane_flags(lane: Lane) -> &'static str {
+    lane.engine.label()
 }
 
 /// The acceptance property: for an exact lane, SIGABRT-killing the
 /// child at iteration 2 and resuming from its last durable checkpoint
 /// lands on the identical fixed point as an uninterrupted run.
 fn kill_resume_equivalent(lane: Lane, dir: &Path) {
-    let (engine, repr) = lane_flags(lane);
+    let engine = lane_flags(lane);
     let circuit = "gen:counter:4";
 
     let baseline = bfvr()
-        .args(["reach", circuit, "--engine", engine, "--repr", repr])
+        .args(["reach", circuit, "--engine", engine])
         .output()
         .unwrap();
     assert!(baseline.status.success(), "{lane:?} baseline failed");
     let (expect_states, expect_iters) = parse_row(&baseline);
 
-    let ckpt = dir.join(format!("{engine}-{repr}.ckpt"));
+    let ckpt = dir.join(format!("{engine}.ckpt"));
     let killed = bfvr()
         .args([
             "reach",
             circuit,
             "--engine",
             engine,
-            "--repr",
-            repr,
             "--checkpoint-out",
             ckpt.to_str().unwrap(),
             "--checkpoint-every",
@@ -268,7 +266,7 @@ fn resume_refuses_a_corrupt_checkpoint_with_a_structured_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Writes a genuine queue4 checkpoint on `engine`'s native lane, swaps
+/// Writes a genuine queue4 checkpoint on `engine`'s lane, swaps
 /// its representation label `old` for the retired label `new` (same
 /// length, so only the label bytes and the trailing checksum change),
 /// and requires `bfvr resume` to refuse it with a structured error.
@@ -341,4 +339,31 @@ fn resume_refuses_a_stale_zono_checkpoint_with_a_structured_error() {
     // `zono`: forge one from a CDEC checkpoint (`cdec` has the same
     // length).
     resume_refuses_relabelled_checkpoint("cdec", b"cdec", b"zono");
+}
+
+/// Checkpoints written by an earlier build (`bfvr reach gen:queue:4
+/// --engine E --node-limit N --checkpoint-every 2`, one per body shape:
+/// BFV vector, CDEC conjuncts, χ) still resume to the fixed point.
+#[test]
+fn committed_checkpoints_resume_to_the_fixed_point() {
+    let dir = scratch("fixtures");
+    for engine in ["bfv", "cdec", "cbm"] {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures")
+            .join(format!("queue4-{engine}.ckpt"));
+        // A finished resume deletes its input, so run on a copy.
+        let p = dir.join(format!("{engine}.ckpt"));
+        std::fs::copy(&fixture, &p).unwrap();
+        let out = bfvr()
+            .args(["resume", "--from", p.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{engine}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(parse_row(&out).0, 272, "{engine}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,7 @@
 //! manager, and repeated GC pressure must never change any result.
 
 use bfvr::netlist::generators;
-use bfvr::reach::{reach_bfv, reach_iwls95, reach_monolithic, Outcome, ReachOptions};
+use bfvr::reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
 /// A starved computed cache only affects speed, never results.
@@ -10,9 +10,9 @@ use bfvr::sim::{EncodedFsm, OrderHeuristic};
 fn tiny_cache_does_not_change_results() {
     let net = generators::queue_controller(3);
     let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-    let baseline = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+    let baseline = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
     m.set_cache_limit(64); // pathological: constant cache thrash
-    let starved = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+    let starved = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
     assert_eq!(baseline.reached_chi, starved.reached_chi);
     assert_eq!(baseline.iterations, starved.iterations);
     m.set_cache_limit(1 << 22);
@@ -28,9 +28,14 @@ fn interleaved_engines_share_a_manager() {
     for round in 0..2 {
         for which in 0..3 {
             let r = match which {
-                0 => reach_bfv(&mut m, &fsm, &ReachOptions::default()),
-                1 => reach_monolithic(&mut m, &fsm, &ReachOptions::default()),
-                _ => reach_iwls95(&mut m, &fsm, &ReachOptions::default()),
+                0 => run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default()),
+                1 => run(
+                    EngineKind::Monolithic,
+                    &mut m,
+                    &fsm,
+                    &ReachOptions::default(),
+                ),
+                _ => run(EngineKind::Iwls95, &mut m, &fsm, &ReachOptions::default()),
             };
             assert_eq!(
                 r.outcome,
@@ -59,7 +64,8 @@ fn memout_recovery_is_clean() {
     let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
     for budget in [20usize, 100] {
         let limit = m.allocated() + budget;
-        let r = reach_bfv(
+        let r = run(
+            EngineKind::Bfv,
             &mut m,
             &fsm,
             &ReachOptions {
@@ -80,14 +86,14 @@ fn memout_recovery_is_clean() {
         node_limit: Some(m.allocated() + 400),
         ..Default::default()
     };
-    let reclaimed = reach_bfv(&mut m, &fsm, &tight);
+    let reclaimed = run(EngineKind::Bfv, &mut m, &fsm, &tight);
     assert_eq!(reclaimed.outcome, Outcome::FixedPoint);
     assert!(
         m.stats().reclaim_attempts > 0,
         "tight budget should have forced at least one reclamation"
     );
     m.collect_garbage(&[]);
-    let ok = reach_bfv(&mut m, &fsm, &ReachOptions::default());
+    let ok = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
     assert_eq!(ok.outcome, Outcome::FixedPoint);
     assert_eq!(ok.reached_states, Some(64.0)); // all 2^6 phase states
 }
@@ -103,10 +109,15 @@ fn timeout_recovery_is_clean() {
         ..Default::default()
     };
     for _ in 0..3 {
-        let r = reach_monolithic(&mut m, &fsm, &opts);
+        let r = run(EngineKind::Monolithic, &mut m, &fsm, &opts);
         assert_eq!(r.outcome, Outcome::TimeOut);
     }
-    let ok = reach_monolithic(&mut m, &fsm, &ReachOptions::default());
+    let ok = run(
+        EngineKind::Monolithic,
+        &mut m,
+        &fsm,
+        &ReachOptions::default(),
+    );
     assert_eq!(ok.outcome, Outcome::FixedPoint);
     assert_eq!(ok.reached_states, Some(256.0));
 }
