@@ -337,21 +337,6 @@ pub enum EventKind {
         /// Wall time of the pass, microseconds.
         dur_us: u64,
     },
-    /// One budget-escalation round completed.
-    Round {
-        /// Engine label.
-        engine: Cow<'static, str>,
-        /// 0-based round number (0 = the initial run).
-        round: u64,
-        /// Outcome label of this round.
-        outcome: Cow<'static, str>,
-        /// Whether the round resumed from a checkpoint.
-        resumed: bool,
-        /// Node budget of this round, if bounded.
-        node_limit: Option<u64>,
-        /// Time budget of this round in microseconds, if bounded.
-        time_limit_us: Option<u64>,
-    },
 }
 
 impl EventKind {
@@ -368,7 +353,6 @@ impl EventKind {
             EventKind::Cancel { .. } => "cancel",
             EventKind::Winner { .. } => "winner",
             EventKind::Reorder { .. } => "reorder",
-            EventKind::Round { .. } => "round",
         }
     }
 }
@@ -451,11 +435,6 @@ impl FieldWriter {
     fn text(&mut self, k: &str, v: &str) {
         self.key(k);
         json::write_str(v, &mut self.out);
-    }
-
-    fn flag(&mut self, k: &str, v: bool) {
-        self.key(k);
-        self.out.push_str(if v { "true" } else { "false" });
     }
 
     fn counters(&mut self, k: &str, c: &Counters) {
@@ -643,27 +622,6 @@ impl Event {
                 w.int("seq", self.seq);
                 w.int("t_us", self.t_us);
             }
-            EventKind::Round {
-                engine,
-                round,
-                outcome,
-                resumed,
-                node_limit,
-                time_limit_us,
-            } => {
-                w.text("engine", engine);
-                w.text("ev", "round");
-                if let Some(l) = self.lane {
-                    w.int("lane", l);
-                }
-                w.opt_int("node_limit", *node_limit);
-                w.text("outcome", outcome);
-                w.flag("resumed", *resumed);
-                w.int("round", *round);
-                w.int("seq", self.seq);
-                w.int("t_us", self.t_us);
-                w.opt_int("time_limit_us", *time_limit_us);
-            }
         }
         w.finish()
     }
@@ -756,17 +714,6 @@ impl Event {
                 before: u64_field(map, "before")?,
                 after: u64_field(map, "after")?,
                 dur_us: u64_field(map, "dur_us")?,
-            },
-            "round" => EventKind::Round {
-                engine: str_field(map, "engine")?.into(),
-                round: u64_field(map, "round")?,
-                outcome: str_field(map, "outcome")?.into(),
-                resumed: map
-                    .get("resumed")
-                    .and_then(Value::as_bool)
-                    .ok_or_else(|| SchemaError("missing bool field `resumed`".into()))?,
-                node_limit: opt_u64_field(map, "node_limit")?,
-                time_limit_us: opt_u64_field(map, "time_limit_us")?,
             },
             other => return Err(SchemaError(format!("unknown event tag `{other}`"))),
         };
@@ -912,24 +859,6 @@ mod tests {
                 map.insert("after".into(), Value::Num(*after as f64));
                 map.insert("dur_us".into(), Value::Num(*dur_us as f64));
             }
-            EventKind::Round {
-                engine,
-                round,
-                outcome,
-                resumed,
-                node_limit,
-                time_limit_us,
-            } => {
-                map.insert("engine".into(), Value::Str(engine.to_string()));
-                map.insert("round".into(), Value::Num(*round as f64));
-                map.insert("outcome".into(), Value::Str(outcome.to_string()));
-                map.insert("resumed".into(), Value::Bool(*resumed));
-                map.insert("node_limit".into(), opt_num(node_limit.map(|n| n as f64)));
-                map.insert(
-                    "time_limit_us".into(),
-                    opt_num(time_limit_us.map(|n| n as f64)),
-                );
-            }
         }
         Value::Obj(map).encode()
     }
@@ -1012,14 +941,6 @@ mod tests {
                 before: 120_000,
                 after: 44_000,
                 dur_us: 8_700,
-            },
-            EventKind::Round {
-                engine: "BFV".into(),
-                round: 1,
-                outcome: "M.O.".into(),
-                resumed: true,
-                node_limit: Some(50_000),
-                time_limit_us: None,
             },
         ]
     }

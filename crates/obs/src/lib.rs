@@ -45,9 +45,8 @@
 //! ```
 //!
 //! Race traces add `cancel`/`winner` events and lane-tagged copies of
-//! each lane's stream; escalation traces add `round` events; resource
-//! exhaustion (real or fault-injected — indistinguishable by design)
-//! adds `limit` events.
+//! each lane's stream; resource exhaustion (real or fault-injected —
+//! indistinguishable by design) adds `limit` events.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,5 +62,5 @@ mod tracer;
 
 pub use event::{Counters, Event, EventKind, IterRecord, LimitKind, SpanKind, SCHEMA_VERSION};
 pub use report::{parse_jsonl, render, Format, TraceError};
-pub use sink::{JsonlSink, NullSink, RingSink, Sink, VecSink};
+pub use sink::{JsonlSink, Sink, VecSink};
 pub use tracer::{SpanId, Tracer};

@@ -95,7 +95,6 @@ struct EngineRun {
     winner: bool,
     cancelled: bool,
     limit: Option<String>,
-    rounds: u64,
     /// Dynamic reorder (sift) passes, with summed before/after live nodes.
     reorders: u64,
     reorder_before: u64,
@@ -262,10 +261,6 @@ fn build(events: &[Event]) -> Model {
                 let run = run_for_note(&mut model, &mut current, open_run, lane, engine);
                 run.winner = true;
             }
-            EventKind::Round { engine, round, .. } => {
-                let run = run_for(&mut model, &mut current, open_run, lane, engine);
-                run.rounds = run.rounds.max(round + 1);
-            }
             EventKind::Reorder {
                 engine,
                 before,
@@ -371,9 +366,6 @@ fn notes(run: &EngineRun) -> String {
     }
     if let Some(limit) = &run.limit {
         notes.push(limit.clone());
-    }
-    if run.rounds > 1 {
-        notes.push(format!("{} escalation rounds", run.rounds));
     }
     if run.reorders > 0 {
         notes.push(format!(

@@ -1,6 +1,5 @@
 //! Event sinks: where a [`crate::Tracer`]'s stream goes.
 
-use std::collections::VecDeque;
 use std::io::Write;
 
 use crate::event::Event;
@@ -82,53 +81,6 @@ impl<W: Write> Sink for JsonlSink<W> {
     }
 }
 
-/// Bounded in-memory sink keeping the most recent `capacity` events —
-/// the test sink, and the flight-recorder pattern (trace always, pay
-/// only a fixed buffer, inspect on failure).
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<Event>,
-    /// Total events offered, including evicted ones.
-    seen: u64,
-}
-
-impl RingSink {
-    /// A ring holding at most `capacity` events (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            capacity: capacity.max(1),
-            buf: VecDeque::new(),
-            seen: 0,
-        }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Total events offered over the sink's lifetime (≥ retained count).
-    #[must_use]
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-}
-
-impl Sink for RingSink {
-    fn emit(&mut self, event: &Event) {
-        self.seen += 1;
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
-    }
-
-    fn drain(&mut self) -> Vec<Event> {
-        self.buf.drain(..).collect()
-    }
-}
-
 /// Unbounded collector — used by racing lanes, which buffer their whole
 /// (short-lived) stream and ship it across the thread boundary for the
 /// race driver to merge.
@@ -155,14 +107,6 @@ impl Sink for VecSink {
     }
 }
 
-/// Discards everything (the disabled-tracing stand-in for tests).
-#[derive(Default)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    fn emit(&mut self, _event: &Event) {}
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,19 +121,6 @@ mod tests {
                 engine: "BFV".into(),
             },
         }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = RingSink::new(2);
-        for i in 0..5 {
-            ring.emit(&ev(i));
-        }
-        assert_eq!(ring.seen(), 5);
-        let kept: Vec<u64> = ring.events().map(|e| e.seq).collect();
-        assert_eq!(kept, vec![3, 4]);
-        assert_eq!(ring.drain().len(), 2);
-        assert_eq!(ring.events().count(), 0);
     }
 
     #[test]

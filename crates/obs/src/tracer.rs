@@ -230,26 +230,6 @@ impl Tracer {
         });
     }
 
-    /// Records one budget-escalation round.
-    pub fn round(
-        &mut self,
-        engine: &'static str,
-        round: u64,
-        outcome: &'static str,
-        resumed: bool,
-        node_limit: Option<u64>,
-        time_limit_us: Option<u64>,
-    ) {
-        self.emit(EventKind::Round {
-            engine: engine.into(),
-            round,
-            outcome: outcome.into(),
-            resumed,
-            node_limit,
-            time_limit_us,
-        });
-    }
-
     /// Merges a lane's collected stream into this tracer: every event is
     /// re-stamped with this stream's sequence numbers and tagged with
     /// `lane`; the lane-relative `t_us` values are preserved (each lane

@@ -9,7 +9,7 @@ use bfvr_bdd::BddManager;
 use bfvr_bfv::{BfvError, StateSet};
 use bfvr_sim::{simulate_image_with, EncodedFsm};
 
-use crate::common::ReachOptions;
+use crate::common::{arm_limits, disarm_limits, ReachOptions};
 
 /// The verdict of an invariant check.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,8 +35,22 @@ pub enum CheckResult {
 ///
 /// # Errors
 ///
-/// Fails on BDD resource-limit exhaustion (per `opts`).
+/// Fails on BDD resource-limit exhaustion: the node, time and cache
+/// limits of `opts` are armed for the duration of the check.
 pub fn check_invariant(
+    m: &mut BddManager,
+    fsm: &EncodedFsm,
+    bad: &StateSet,
+    opts: &ReachOptions,
+) -> Result<CheckResult, BfvError> {
+    arm_limits(m, opts);
+    let verdict = check_armed(m, fsm, bad, opts);
+    disarm_limits(m);
+    verdict
+}
+
+/// [`check_invariant`] under already-armed limits.
+fn check_armed(
     m: &mut BddManager,
     fsm: &EncodedFsm,
     bad: &StateSet,
@@ -53,6 +67,7 @@ pub fn check_invariant(
         if opts.max_iterations.is_some_and(|cap| depth >= cap) {
             return Ok(CheckResult::Holds { iterations: depth });
         }
+        m.check_deadline()?;
         // The from-set grows from a non-empty singleton and images of
         // non-empty sets are non-empty; an empty one means exploration
         // is already complete.

@@ -335,8 +335,8 @@ impl Outcome {
         }
     }
 
-    /// Whether a retry with a larger budget could change this outcome
-    /// (the escalation driver's retry predicate).
+    /// Whether the run stopped on its time or node budget, so a resume
+    /// under a larger budget could still reach the fixed point.
     #[must_use]
     pub fn is_resource_exhaustion(self) -> bool {
         matches!(self, Outcome::TimeOut | Outcome::MemOut)

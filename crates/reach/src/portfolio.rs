@@ -1,38 +1,26 @@
-//! Portfolio drivers: budget escalation and engine racing.
-//!
-//! **Escalation.** A run that ends in `T.O.`/`M.O.` (the paper's Table 2
-//! failure cells) has still computed a prefix of the reachable set.
-//! Instead of restarting from scratch with a bigger machine,
-//! [`run_escalating`] resumes the traversal from the [`crate::Checkpoint`] it
-//! returned, multiplying the node/time budgets by a fixed factor each
-//! round until the fixed point is reached, a budget ceiling is hit, or
-//! the round cap runs out. Internal errors ([`Outcome::Error`]) are never
-//! retried — a bug does not go away with a bigger budget.
-//!
-//! **Racing.** The paper's Table 2 story is that different engines win on
-//! different circuits, and no static chooser predicts the winner.
-//! [`run_racing`] runs a set of engine × ordering lanes (see
-//! [`Lane`]) concurrently on the same netlist and returns the first fixed
-//! point any lane reaches. Because
-//! [`BddManager`] is deliberately `!Send` (its [`bfvr_bdd::Func`] root
-//! handles share an `Rc` root table), each lane runs a *private* manager
-//! built by encoding the netlist in its own worker thread — there is no
-//! shared mutable BDD state and therefore no locking on the op-cache and
-//! unique-table hot paths. Losers are cancelled cooperatively: the winner
-//! trips a shared [`AtomicBool`] that every manager polls at the same
-//! points as its deadline (each fixed-point iteration and every few
-//! thousand node allocations), so a cancelled lane unwinds as a clean
-//! `T.O.`-shaped partial result, never an error.
+//! Engine racing. The paper's Table 2 story is that different engines
+//! win on different circuits, and no static chooser predicts the winner.
+//! [`run_racing`] runs a set of engine × ordering lanes (see [`Lane`])
+//! concurrently on the same netlist and returns the first fixed point any
+//! lane reaches. Because [`BddManager`](bfvr_bdd::BddManager) is
+//! deliberately `!Send` (its [`bfvr_bdd::Func`] root handles share an
+//! `Rc` root table), each lane runs a *private* manager built by encoding
+//! the netlist in its own worker thread — there is no shared mutable BDD
+//! state and therefore no locking on the op-cache and unique-table hot
+//! paths. Losers are cancelled cooperatively: the winner trips a shared
+//! [`AtomicBool`] that every manager polls at the same points as its
+//! deadline (each fixed-point iteration and every few thousand node
+//! allocations), so a cancelled lane unwinds as a clean `T.O.`-shaped
+//! partial result, never an error.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use bfvr_bdd::BddManager;
 use bfvr_netlist::Netlist;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-use crate::{resume, run, EngineKind, IterationStats, Outcome, ReachOptions, ReachResult};
+use crate::{run, EngineKind, IterationStats, Outcome, ReachOptions, ReachResult};
 
 /// One engine × ordering lane of a race: which engine runs and —
 /// optionally — a variable order overriding the race-wide base
@@ -90,177 +78,6 @@ impl Lane {
     }
 }
 
-/// How to raise budgets between escalation rounds.
-#[derive(Clone, Debug)]
-pub struct EscalationPolicy {
-    /// Multiplier applied to the node and time budgets on every retry
-    /// (must be > 1 to make progress; values ≤ 1 are treated as 2).
-    pub factor: f64,
-    /// Maximum number of retries after the initial run.
-    pub max_rounds: usize,
-    /// Hard ceiling on the node budget: escalation stops raising past
-    /// it, and gives up once a capped run still exhausts.
-    pub max_node_budget: Option<usize>,
-    /// Hard ceiling on the time budget.
-    pub max_time_budget: Option<Duration>,
-}
-
-impl Default for EscalationPolicy {
-    fn default() -> Self {
-        EscalationPolicy {
-            factor: 2.0,
-            max_rounds: 8,
-            max_node_budget: None,
-            max_time_budget: None,
-        }
-    }
-}
-
-/// One row of the escalation log.
-#[derive(Clone, Debug)]
-pub struct EscalationRound {
-    /// Outcome of this round's (partial) run.
-    pub outcome: Outcome,
-    /// Cumulative image iterations after this round.
-    pub iterations: usize,
-    /// Node budget this round ran under.
-    pub node_limit: Option<usize>,
-    /// Time budget this round ran under.
-    pub time_limit: Option<Duration>,
-    /// Whether this round continued from a checkpoint (as opposed to
-    /// starting from scratch).
-    pub resumed: bool,
-}
-
-/// The escalation driver's verdict: the final result plus the per-round
-/// log (round 0 is the initial run).
-#[derive(Clone, Debug)]
-pub struct EscalationReport {
-    /// Result of the last round — final if its outcome is not a
-    /// resource exhaustion, best-effort partial otherwise.
-    pub result: ReachResult,
-    /// One entry per round, in order.
-    pub rounds: Vec<EscalationRound>,
-}
-
-impl EscalationReport {
-    /// Whether the traversal eventually completed.
-    #[must_use]
-    pub fn completed(&self) -> bool {
-        self.result.outcome == Outcome::FixedPoint
-    }
-}
-
-/// Raises the budgets in `opts` by the policy factor, respecting the
-/// ceilings. Returns `false` when no budget could be raised any further
-/// (both already at their ceilings, or no budget is set at all) — the
-/// signal to stop escalating.
-fn raise_budgets(opts: &mut ReachOptions, policy: &EscalationPolicy) -> bool {
-    let factor = if policy.factor > 1.0 {
-        policy.factor
-    } else {
-        2.0
-    };
-    let mut raised = false;
-    if let Some(n) = opts.node_limit {
-        let mut next = ((n as f64) * factor).ceil() as usize;
-        next = next.max(n + 1);
-        if let Some(cap) = policy.max_node_budget {
-            next = next.min(cap);
-        }
-        if next > n {
-            opts.node_limit = Some(next);
-            raised = true;
-        }
-    }
-    if let Some(t) = opts.time_limit {
-        let mut next = t.mul_f64(factor);
-        if let Some(cap) = policy.max_time_budget {
-            next = next.min(cap);
-        }
-        if next > t {
-            opts.time_limit = Some(next);
-            raised = true;
-        }
-    }
-    raised
-}
-
-/// Runs `kind` under `opts`, then — while the outcome is a resource
-/// exhaustion and budgets can still be raised — resumes from the
-/// returned checkpoint with the budgets multiplied by
-/// [`EscalationPolicy::factor`].
-///
-/// A round that exhausts without leaving a checkpoint (it failed before
-/// completing a single iteration) is restarted from scratch under the
-/// raised budgets instead.
-pub fn run_escalating(
-    kind: EngineKind,
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    opts: &ReachOptions,
-    policy: &EscalationPolicy,
-) -> EscalationReport {
-    let mut opts = opts.clone();
-    let mut result = run(kind, m, fsm, &opts);
-    let mut rounds = vec![EscalationRound {
-        outcome: result.outcome,
-        iterations: result.iterations,
-        node_limit: opts.node_limit,
-        time_limit: opts.time_limit,
-        resumed: false,
-    }];
-    for _ in 0..policy.max_rounds {
-        if !result.outcome.is_resource_exhaustion() {
-            break;
-        }
-        if !raise_budgets(&mut opts, policy) {
-            break;
-        }
-        let checkpoint = result.checkpoint.take();
-        let resumed = checkpoint.is_some();
-        result = match checkpoint {
-            Some(c) => resume(m, fsm, &opts, c),
-            None => run(kind, m, fsm, &opts),
-        };
-        rounds.push(EscalationRound {
-            outcome: result.outcome,
-            iterations: result.iterations,
-            node_limit: opts.node_limit,
-            time_limit: opts.time_limit,
-            resumed,
-        });
-    }
-    if let Some(trace) = &opts.trace {
-        let mut t = trace.borrow_mut();
-        for (i, round) in rounds.iter().enumerate() {
-            t.round(
-                kind.label(),
-                i as u64,
-                round.outcome.label(),
-                round.resumed,
-                round.node_limit.map(|n| n as u64),
-                round.time_limit.map(|d| d.as_micros() as u64),
-            );
-        }
-    }
-    EscalationReport { result, rounds }
-}
-
-/// Tuning for [`run_racing`].
-#[derive(Clone, Debug, Default)]
-pub struct RaceConfig {
-    /// Worker-thread cap: at most this many lanes run at once (`0` means
-    /// one thread per engine). Lanes beyond the cap queue and start as
-    /// threads free up; queued lanes are skipped outright once a winner
-    /// has been declared.
-    pub jobs: usize,
-    /// When set, every lane runs under [`run_escalating`] with this
-    /// policy instead of a single [`crate::run`] — the race then composes with
-    /// budget escalation (`--race --escalate` in the CLI).
-    pub escalation: Option<EscalationPolicy>,
-}
-
 /// One lane's report in a race.
 #[derive(Clone, Debug)]
 pub struct LaneReport {
@@ -282,8 +99,6 @@ pub struct LaneReport {
     pub peak_nodes: usize,
     /// Lane wall time, including its private FSM encoding.
     pub elapsed: Duration,
-    /// Escalation rounds the lane ran (1 without an escalation policy).
-    pub rounds: usize,
     /// Whether the lane was stopped by the race (a winner finished first)
     /// rather than by its own budget. Cancellation rides the deadline
     /// path, so a cancelled lane reports [`Outcome::TimeOut`] — never
@@ -388,29 +203,47 @@ impl LaneOpts {
     }
 }
 
-/// Everything a lane thread sends home. All fields are plain data —
-/// [`IterationStats`] is `Copy` — so the message is `Send` even though
-/// the result it summarizes was produced by a `!Send` manager.
+/// Everything a lane thread sends home: the lane's report plus the
+/// fields only the winner's [`ReachResult`] needs. All fields are plain
+/// data — [`IterationStats`] is `Copy` — so the message is `Send` even
+/// though the result it summarizes was produced by a `!Send` manager.
 struct LaneMessage {
     lane: usize,
-    engine: EngineKind,
-    order: OrderHeuristic,
-    outcome: Option<Outcome>,
-    iterations: usize,
-    reached_states: Option<f64>,
-    representation_nodes: Option<usize>,
-    peak_nodes: usize,
-    elapsed: Duration,
+    report: LaneReport,
+    won: bool,
     conversion_time: Duration,
     per_iteration: Vec<IterationStats>,
-    rounds: usize,
-    won: bool,
-    cancelled: bool,
-    reorders: usize,
     reorder_nodes: (usize, usize),
     /// The lane's collected trace stream ([`bfvr_obs::Event`] is plain
     /// data), empty when the race is untraced.
     events: Vec<bfvr_obs::Event>,
+}
+
+impl LaneMessage {
+    /// The message of a lane the race skipped because a winner was
+    /// declared before it could start.
+    fn skipped(lane: usize, spec: Lane, base_order: OrderHeuristic) -> Self {
+        LaneMessage {
+            lane,
+            report: LaneReport {
+                engine: spec.engine,
+                order: spec.order.unwrap_or(base_order),
+                outcome: None,
+                iterations: 0,
+                reached_states: None,
+                representation_nodes: None,
+                peak_nodes: 0,
+                elapsed: Duration::ZERO,
+                cancelled: true,
+                reorders: 0,
+            },
+            won: false,
+            conversion_time: Duration::ZERO,
+            per_iteration: Vec::new(),
+            reorder_nodes: (0, 0),
+            events: Vec::new(),
+        }
+    }
 }
 
 /// Runs one lane to completion (or cancellation) on the current thread.
@@ -419,52 +252,22 @@ fn race_lane(
     spec: Lane,
     net: &Netlist,
     opts: LaneOpts,
-    escalation: Option<&EscalationPolicy>,
     cancel: &Arc<AtomicBool>,
 ) -> LaneMessage {
     let start = Instant::now();
-    let engine = spec.engine;
-    let order = spec.order.unwrap_or(opts.order);
-    let skipped = LaneMessage {
-        lane,
-        engine,
-        order,
-        outcome: None,
-        iterations: 0,
-        reached_states: None,
-        representation_nodes: None,
-        peak_nodes: 0,
-        elapsed: Duration::ZERO,
-        conversion_time: Duration::ZERO,
-        per_iteration: Vec::new(),
-        rounds: 0,
-        won: false,
-        cancelled: true,
-        reorders: 0,
-        reorder_nodes: (0, 0),
-        events: Vec::new(),
-    };
+    let mut msg = LaneMessage::skipped(lane, spec, opts.order);
     if cancel.load(Ordering::Relaxed) {
-        return skipped;
+        return msg;
     }
-    let Ok((mut m, fsm)) = EncodedFsm::encode(net, order) else {
-        return LaneMessage {
-            outcome: Some(Outcome::Error),
-            elapsed: start.elapsed(),
-            cancelled: false,
-            ..skipped
-        };
+    let Ok((mut m, fsm)) = EncodedFsm::encode(net, msg.report.order) else {
+        msg.report.outcome = Some(Outcome::Error);
+        msg.report.elapsed = start.elapsed();
+        msg.report.cancelled = false;
+        return msg;
     };
     m.set_cancel_token(Some(Arc::clone(cancel)));
     let opts = opts.into_options();
-    let (result, rounds) = match escalation {
-        Some(policy) => {
-            let report = run_escalating(engine, &mut m, &fsm, &opts, policy);
-            let n = report.rounds.len();
-            (report.result, n)
-        }
-        None => (run(engine, &mut m, &fsm, &opts), 1),
-    };
+    let result = run(spec.engine, &mut m, &fsm, &opts);
     // First fixed point wins; `swap` makes exactly one lane the winner
     // even if two finish back-to-back.
     let won = result.outcome == Outcome::FixedPoint && !cancel.swap(true, Ordering::AcqRel);
@@ -478,20 +281,20 @@ fn race_lane(
         .map_or_else(Vec::new, |t| t.borrow_mut().drain());
     LaneMessage {
         lane,
-        engine,
-        order,
-        outcome: Some(result.outcome),
-        iterations: result.iterations,
-        reached_states: result.reached_states,
-        representation_nodes: result.representation_nodes,
-        peak_nodes: result.peak_nodes,
-        elapsed: start.elapsed(),
+        report: LaneReport {
+            outcome: Some(result.outcome),
+            iterations: result.iterations,
+            reached_states: result.reached_states,
+            representation_nodes: result.representation_nodes,
+            peak_nodes: result.peak_nodes,
+            elapsed: start.elapsed(),
+            cancelled,
+            reorders: result.reorders,
+            ..msg.report
+        },
+        won,
         conversion_time: result.conversion_time,
         per_iteration: result.per_iteration,
-        rounds,
-        won,
-        cancelled,
-        reorders: result.reorders,
         reorder_nodes: result.reorder_nodes,
         events,
     }
@@ -510,7 +313,7 @@ fn outcome_rank(outcome: Option<Outcome>) -> u8 {
 
 /// Races `lanes` on `net`: every engine × ordering lane
 /// encodes the netlist in its own worker thread with its own private
-/// [`BddManager`] — under [`ReachOptions::order`] unless the lane
+/// [`BddManager`](bfvr_bdd::BddManager) — under [`ReachOptions::order`] unless the lane
 /// carries an override ([`Lane::with_order`]) — and the first lane to
 /// reach the fixed point cancels the rest through the managers'
 /// cooperative deadline poll.
@@ -521,20 +324,16 @@ fn outcome_rank(outcome: Option<Outcome>) -> u8 {
 /// lane. Reached-state counts are deterministic: every lane converges
 /// to the same unique least fixed point, so whichever lane wins, the
 /// count matches a sequential run bit for bit.
+///
+/// `jobs` caps the worker threads: at most this many lanes run at once
+/// (`0` means one thread per lane). Lanes beyond the cap queue and start
+/// as threads free up; queued lanes are skipped outright once a winner
+/// has been declared.
 #[must_use]
-pub fn run_racing(
-    lanes: &[Lane],
-    net: &Netlist,
-    opts: &ReachOptions,
-    config: &RaceConfig,
-) -> RaceReport {
+pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usize) -> RaceReport {
     let start = Instant::now();
     let n = lanes.len();
-    let jobs = if config.jobs == 0 {
-        n
-    } else {
-        config.jobs.min(n)
-    };
+    let jobs = if jobs == 0 { n } else { jobs.min(n) };
     let lane_opts = LaneOpts::of(opts);
     let cancel = Arc::new(AtomicBool::new(false));
     let next = AtomicUsize::new(0);
@@ -555,14 +354,7 @@ pub fn run_racing(
                     let Some(&spec) = lanes.get(lane) else {
                         return;
                     };
-                    let msg = race_lane(
-                        lane,
-                        spec,
-                        net,
-                        lane_opts,
-                        config.escalation.as_ref(),
-                        &cancel,
-                    );
+                    let msg = race_lane(lane, spec, net, lane_opts, &cancel);
                     if tx.send(msg).is_err() {
                         return;
                     }
@@ -585,8 +377,8 @@ pub fn run_racing(
         .min_by_key(|(i, m)| {
             (
                 !m.won,
-                outcome_rank(m.outcome),
-                std::cmp::Reverse(m.iterations),
+                outcome_rank(m.report.outcome),
+                std::cmp::Reverse(m.report.iterations),
                 *i,
             )
         })
@@ -597,25 +389,7 @@ pub fn run_racing(
         // Every spawned lane sends exactly one message, so the slot is
         // always populated; guard anyway so a panicked lane degrades to
         // a skipped report instead of poisoning the race.
-        let mut msg = slot.unwrap_or(LaneMessage {
-            lane: i,
-            engine: lanes[i].engine,
-            order: lanes[i].order.unwrap_or(opts.order),
-            outcome: None,
-            iterations: 0,
-            reached_states: None,
-            representation_nodes: None,
-            peak_nodes: 0,
-            elapsed: Duration::ZERO,
-            conversion_time: Duration::ZERO,
-            per_iteration: Vec::new(),
-            rounds: 0,
-            won: false,
-            cancelled: true,
-            reorders: 0,
-            reorder_nodes: (0, 0),
-            events: Vec::new(),
-        });
+        let mut msg = slot.unwrap_or_else(|| LaneMessage::skipped(i, lanes[i], opts.order));
         // Merge the lane's stream into the driver's trace, tagged with
         // its lane index, then synthesize the race-level events: one
         // `winner`, and one `cancel` per lane the race stopped (or
@@ -623,131 +397,37 @@ pub fn run_racing(
         if let Some(trace) = &opts.trace {
             let mut t = trace.borrow_mut();
             t.ingest(i as u64, std::mem::take(&mut msg.events));
-            if msg.cancelled {
-                t.cancel(msg.engine.label());
+            if msg.report.cancelled {
+                t.cancel(msg.report.engine.label());
             }
             if winner == Some(i) {
-                t.winner(msg.engine.label());
+                t.winner(msg.report.engine.label());
             }
         }
-        reports.push(LaneReport {
-            engine: msg.engine,
-            order: msg.order,
-            outcome: msg.outcome,
-            iterations: msg.iterations,
-            reached_states: msg.reached_states,
-            representation_nodes: msg.representation_nodes,
-            peak_nodes: msg.peak_nodes,
-            elapsed: msg.elapsed,
-            rounds: msg.rounds,
-            cancelled: msg.cancelled,
-            reorders: msg.reorders,
-        });
         if winner == Some(i) {
+            let r = &msg.report;
             result = Some(ReachResult {
-                engine: msg.engine,
-                outcome: msg.outcome.unwrap_or(Outcome::Error),
-                iterations: msg.iterations,
-                reached_states: msg.reached_states,
+                engine: r.engine,
+                outcome: r.outcome.unwrap_or(Outcome::Error),
+                iterations: r.iterations,
+                reached_states: r.reached_states,
                 reached_chi: None,
-                representation_nodes: msg.representation_nodes,
-                peak_nodes: msg.peak_nodes,
-                elapsed: msg.elapsed,
+                representation_nodes: r.representation_nodes,
+                peak_nodes: r.peak_nodes,
+                elapsed: r.elapsed,
                 conversion_time: msg.conversion_time,
-                reorders: msg.reorders,
+                reorders: r.reorders,
                 reorder_nodes: msg.reorder_nodes,
                 per_iteration: msg.per_iteration,
                 checkpoint: None,
             });
         }
+        reports.push(msg.report);
     }
     RaceReport {
         result,
         winner,
         lanes: reports,
         elapsed: start.elapsed(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::run;
-    use bfvr_netlist::generators;
-    use bfvr_sim::{EncodedFsm, OrderHeuristic};
-
-    #[test]
-    fn escalation_recovers_from_a_tight_node_budget() {
-        let net = generators::queue_controller(3);
-        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let baseline = run(
-            EngineKind::Monolithic,
-            &mut m,
-            &fsm,
-            &ReachOptions::default(),
-        );
-        assert_eq!(baseline.outcome, Outcome::FixedPoint);
-        // Sweep the baseline run's garbage first: adaptive per-iteration
-        // collection defers on small graphs and leaves it in the arena,
-        // and a budget measured on top of reclaimable garbage would not
-        // actually be tight.
-        m.collect_garbage(&[]);
-        let opts = ReachOptions {
-            node_limit: Some(m.allocated() + 50),
-            ..Default::default()
-        };
-        let report = run_escalating(
-            EngineKind::Monolithic,
-            &mut m,
-            &fsm,
-            &opts,
-            &EscalationPolicy::default(),
-        );
-        assert!(report.completed(), "rounds: {:?}", report.rounds);
-        assert!(report.rounds.len() > 1, "first run should have mem-out");
-        assert_eq!(report.result.reached_states, baseline.reached_states);
-    }
-
-    #[test]
-    fn error_outcomes_are_not_retried() {
-        // A capacity fault is an internal failure: the driver must not
-        // burn rounds on it.
-        let net = generators::counter(4);
-        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        m.set_fault_plan(bfvr_bdd::FaultPlan::capacity_at(5));
-        let opts = ReachOptions {
-            node_limit: Some(1_000_000),
-            ..Default::default()
-        };
-        let report = run_escalating(
-            EngineKind::Monolithic,
-            &mut m,
-            &fsm,
-            &opts,
-            &EscalationPolicy::default(),
-        );
-        m.clear_fault_plan();
-        assert_eq!(report.result.outcome, Outcome::Error);
-        assert_eq!(report.rounds.len(), 1);
-    }
-
-    #[test]
-    fn budget_ceiling_stops_escalation() {
-        let net = generators::queue_controller(3);
-        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let base = m.allocated() + 40;
-        let opts = ReachOptions {
-            node_limit: Some(base),
-            ..Default::default()
-        };
-        let policy = EscalationPolicy {
-            max_node_budget: Some(base + 10),
-            ..Default::default()
-        };
-        let report = run_escalating(EngineKind::Bfv, &mut m, &fsm, &opts, &policy);
-        assert!(!report.completed());
-        // Round 0 plus exactly one capped retry.
-        assert_eq!(report.rounds.len(), 2);
-        assert_eq!(report.rounds[1].node_limit, Some(base + 10));
     }
 }

@@ -12,7 +12,7 @@ use bfvr_bdd::BddManager;
 use bfvr_bfv::{BfvError, StateSet};
 use bfvr_sim::{simulate_image_with, EncodedFsm};
 
-use crate::common::ReachOptions;
+use crate::common::{arm_limits, disarm_limits, ReachOptions};
 
 /// A concrete run of the machine: `states[0]` is the initial state,
 /// `inputs[i]` drives the step from `states[i]` to `states[i+1]`.
@@ -59,8 +59,22 @@ impl Trace {
 ///
 /// # Errors
 ///
-/// Fails on BDD resource-limit exhaustion (per `opts`).
+/// Fails on BDD resource-limit exhaustion: the node, time and cache
+/// limits of `opts` are armed for the duration of the search.
 pub fn find_trace(
+    m: &mut BddManager,
+    fsm: &EncodedFsm,
+    target: &StateSet,
+    opts: &ReachOptions,
+) -> Result<Option<Trace>, BfvError> {
+    arm_limits(m, opts);
+    let trace = find_armed(m, fsm, target, opts);
+    disarm_limits(m);
+    trace
+}
+
+/// [`find_trace`] under already-armed limits.
+fn find_armed(
     m: &mut BddManager,
     fsm: &EncodedFsm,
     target: &StateSet,
@@ -79,6 +93,7 @@ pub fn find_trace(
         if opts.max_iterations.is_some_and(|cap| rings.len() > cap) {
             return Ok(None);
         }
+        m.check_deadline()?;
         // Rings grow from the non-empty initial singleton and images of
         // non-empty sets are non-empty; a missing ring or vector means
         // there is nothing left to explore.

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use bfvr_netlist::{circuits, generators, Netlist};
-use bfvr_reach::portfolio::{run_racing, EscalationPolicy, Lane, RaceConfig};
+use bfvr_reach::portfolio::{run_racing, Lane};
 use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
@@ -45,7 +45,7 @@ fn racing_matches_sequential_counts_on_three_circuits() {
             "{name}: engines disagree sequentially: {counts:?}"
         );
         // ...so whichever lane wins the race, the count is bit-identical.
-        let report = run_racing(&lanes, &net, &opts, &RaceConfig::default());
+        let report = run_racing(&lanes, &net, &opts, 0);
         let result = report.result.expect("non-empty race has a result");
         assert_eq!(result.outcome, Outcome::FixedPoint, "{name}");
         assert_eq!(
@@ -69,7 +69,7 @@ fn losing_lanes_are_cancelled_not_errored() {
     let net = generators::queue_controller(4);
     let opts = ReachOptions::default();
     for _ in 0..3 {
-        let report = run_racing(&Lane::all_lanes(), &net, &opts, &RaceConfig::default());
+        let report = run_racing(&Lane::all_lanes(), &net, &opts, 0);
         let result = report.result.expect("race result");
         assert_eq!(result.outcome, Outcome::FixedPoint);
         for lane in &report.lanes {
@@ -111,7 +111,7 @@ fn full_lane_matrix_races_new_representations() {
         "the lane matrix changed"
     );
     let exact = sequential_count(&net, EngineKind::Bfv, &opts);
-    let report = run_racing(&lanes, &net, &opts, &RaceConfig::default());
+    let report = run_racing(&lanes, &net, &opts, 0);
     let result = report.result.expect("race result");
     assert_eq!(result.outcome, Outcome::FixedPoint);
     assert_eq!(result.reached_states.unwrap().to_bits(), exact.to_bits());
@@ -130,16 +130,12 @@ fn jobs_cap_serializes_the_race_deterministically() {
     // first lane wins and the remaining lanes are skipped outright.
     let net = circuits::s27();
     let opts = ReachOptions::default();
-    let config = RaceConfig {
-        jobs: 1,
-        escalation: None,
-    };
     let lanes = [
         Lane::native(EngineKind::Bfv),
         Lane::native(EngineKind::Monolithic),
         Lane::native(EngineKind::Cbm),
     ];
-    let report = run_racing(&lanes, &net, &opts, &config);
+    let report = run_racing(&lanes, &net, &opts, 1);
     assert_eq!(report.winner, Some(0));
     let result = report.result.unwrap();
     assert_eq!(result.engine, EngineKind::Bfv);
@@ -155,44 +151,9 @@ fn jobs_cap_serializes_the_race_deterministically() {
 }
 
 #[test]
-fn race_composes_with_escalation() {
-    // Tight node budgets: no lane completes in round 0, but every lane
-    // escalates privately and the race still converges on the right
-    // count.
-    let net = generators::counter(6);
-    let baseline = sequential_count(&net, EngineKind::Monolithic, &ReachOptions::default());
-    let opts = ReachOptions {
-        node_limit: Some(120),
-        ..Default::default()
-    };
-    let config = RaceConfig {
-        jobs: 0,
-        escalation: Some(EscalationPolicy::default()),
-    };
-    let lanes = [
-        Lane::native(EngineKind::Monolithic),
-        Lane::native(EngineKind::Bfv),
-    ];
-    let report = run_racing(&lanes, &net, &opts, &config);
-    let result = report.result.expect("race result");
-    assert_eq!(
-        result.outcome,
-        Outcome::FixedPoint,
-        "lanes: {:?}",
-        report.lanes
-    );
-    assert_eq!(result.reached_states.unwrap().to_bits(), baseline.to_bits());
-    let winner = report.winner.unwrap();
-    assert!(
-        report.lanes[winner].rounds >= 1,
-        "escalated lane reports its rounds"
-    );
-}
-
-#[test]
 fn empty_lane_list_yields_empty_report() {
     let net = circuits::s27();
-    let report = run_racing(&[], &net, &ReachOptions::default(), &RaceConfig::default());
+    let report = run_racing(&[], &net, &ReachOptions::default(), 0);
     assert!(report.result.is_none());
     assert!(report.winner.is_none());
     assert!(report.lanes.is_empty());
@@ -213,12 +174,7 @@ fn ordering_lanes_agree_on_reached_state_counts() {
         ];
         assert_eq!(lanes[1].display(), "MONO@COI");
         assert_eq!(lanes[3].display(), "BFV@COI");
-        let report = run_racing(
-            &lanes,
-            &net,
-            &ReachOptions::default(),
-            &RaceConfig::default(),
-        );
+        let report = run_racing(&lanes, &net, &ReachOptions::default(), 0);
         let result = report.result.expect("race result");
         assert_eq!(result.outcome, Outcome::FixedPoint, "{name}");
         assert_eq!(
@@ -256,7 +212,7 @@ fn cancelled_lane_under_a_real_deadline_still_reports_timeout() {
         ],
         &net,
         &opts,
-        &RaceConfig::default(),
+        0,
     );
     for lane in &report.lanes {
         assert_ne!(lane.outcome, Some(Outcome::Error), "{lane:?}");

@@ -1,6 +1,6 @@
 //! Integration tests for the `bfvr-obs` wiring: the non-perturbation
 //! contract, sampling, counter deltas, span nesting, JSONL round-trips,
-//! and the race/escalation/fault-injection event semantics documented
+//! and the race/fault-injection event semantics documented
 //! in `docs/observability.md`.
 
 use std::cell::RefCell;
@@ -9,7 +9,7 @@ use std::rc::Rc;
 use bfvr_bdd::FaultPlan;
 use bfvr_netlist::generators;
 use bfvr_obs::{Event, EventKind, JsonlSink, LimitKind, SpanKind, Tracer};
-use bfvr_reach::portfolio::{run_escalating, run_racing, EscalationPolicy, Lane, RaceConfig};
+use bfvr_reach::portfolio::{run_racing, Lane};
 use bfvr_reach::telemetry::trace_handle;
 use bfvr_reach::{run, EngineKind, Outcome, ReachOptions, ReachResult};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
@@ -290,11 +290,7 @@ fn raced_trace_has_one_winner_and_cancels_the_rest() {
         trace: Some(trace.clone()),
         ..ReachOptions::default()
     };
-    let config = RaceConfig {
-        jobs: 1,
-        ..RaceConfig::default()
-    };
-    let report = run_racing(&lanes, &net, &opts, &config);
+    let report = run_racing(&lanes, &net, &opts, 1);
     assert!(report.result.is_some());
 
     let events = trace.borrow_mut().drain();
@@ -318,50 +314,6 @@ fn raced_trace_has_one_winner_and_cancels_the_rest() {
     for (i, e) in events.iter().enumerate() {
         assert_eq!(e.seq, i as u64);
     }
-}
-
-/// Budget escalation logs one `round` event per attempt: the exhausted
-/// first round, then the retries up to the fixed point.
-#[test]
-fn escalation_rounds_land_in_the_trace() {
-    let net = generators::counter(6);
-    let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-    let trace = trace_handle(Tracer::collector(64));
-    let opts = ReachOptions {
-        node_limit: Some(m.allocated() + 40),
-        trace: Some(trace.clone()),
-        ..ReachOptions::default()
-    };
-    let policy = EscalationPolicy::default();
-    let report = run_escalating(EngineKind::Monolithic, &mut m, &fsm, &opts, &policy);
-    assert_eq!(report.result.outcome, Outcome::FixedPoint);
-    assert!(report.rounds.len() >= 2, "first budget must exhaust");
-
-    let events = trace.borrow_mut().drain();
-    let rounds: Vec<_> = events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::Round {
-                round,
-                outcome,
-                node_limit,
-                ..
-            } => Some((*round, outcome.clone(), *node_limit)),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(rounds.len(), report.rounds.len());
-    assert_eq!(rounds[0].0, 0);
-    assert_eq!(rounds[0].1, "M.O.");
-    assert_eq!(rounds.last().unwrap().1, "ok");
-    // Budgets escalate monotonically.
-    assert!(rounds.windows(2).all(|w| w[0].2 <= w[1].2));
-    // Every exhausted round also produced a `limit` event.
-    let limits = events
-        .iter()
-        .filter(|e| matches!(e.kind, EventKind::Limit { .. }))
-        .count();
-    assert_eq!(limits, report.rounds.len() - 1);
 }
 
 /// An injected fault takes the real exhaustion path, so the trace shows

@@ -99,7 +99,8 @@ pub struct JobState {
     pub checkpoint: Option<String>,
     /// Final reached-state count (set by `done`).
     pub states: Option<f64>,
-    /// Final iteration count (set by `done`).
+    /// Iterations of the last journaled checkpoint, then the final
+    /// count once `done`.
     pub iterations: Option<u64>,
     /// Last failure/quarantine/shed reason.
     pub reason: Option<String>,
@@ -199,6 +200,9 @@ impl JobLedger {
             "checkpointed" => {
                 if let Some(f) = rec.get("file").and_then(Value::as_str) {
                     state.checkpoint = Some(f.to_string());
+                }
+                if let Some(i) = rec.get("iterations").and_then(Value::as_u64) {
+                    state.iterations = Some(i);
                 }
                 // Still the worker's job; a later `started` resumes it.
                 state.phase = JobPhase::Queued;

@@ -11,7 +11,11 @@
 //!   path), then SIGKILL after a grace period.
 //! * **Retry with backoff** — a crashed job re-queues with exponential
 //!   backoff plus deterministic jitter; a checkpointed job re-queues
-//!   immediately (it made durable progress) and resumes from its file.
+//!   immediately and resumes from its file.
+//! * **Stall detection** — a checkpointed attempt that ended at or below
+//!   the iteration it resumed from (0 for a fresh run) made no progress
+//!   under the job's own budgets and would make none on a retry: the job
+//!   fails terminally, asking for a resubmit with larger budgets.
 //! * **Quarantine** — after `max_attempts` crashed attempts a job is
 //!   declared poison and parked terminally.
 //! * **Shedding** — when crashes keep coming pool-wide, the
@@ -40,7 +44,10 @@ pub enum RunOutcome {
     },
     /// The child stopped cleanly after writing a durable checkpoint
     /// (timeout, SIGTERM, or a tripped resource budget).
-    Checkpointed,
+    Checkpointed {
+        /// Cumulative iterations the checkpoint holds.
+        iterations: u64,
+    },
     /// The child died without a clean exit (signal, panic, OOM-kill).
     Crashed {
         /// Human-readable cause.
@@ -108,6 +115,8 @@ struct Queued {
     attempt: u32,
     not_before: Instant,
     resume_from: Option<PathBuf>,
+    /// Iterations `resume_from` holds, as journaled (0 for a fresh run).
+    resumed_iterations: u64,
 }
 
 struct Inner {
@@ -158,6 +167,7 @@ impl<R: JobRunner> Supervisor<R> {
                 attempt: job.attempts,
                 not_before: now,
                 resume_from: job.checkpoint.clone().map(PathBuf::from),
+                resumed_iterations: job.iterations.unwrap_or(0),
             });
         }
         Ok(Supervisor {
@@ -195,6 +205,7 @@ impl<R: JobRunner> Supervisor<R> {
             attempt: 0,
             not_before: Instant::now(),
             resume_from: None,
+            resumed_iterations: 0,
         });
         self.wake.notify_all();
         Ok(())
@@ -312,21 +323,45 @@ impl<R: JobRunner> Supervisor<R> {
                 }
                 inner.journal.append(&q.id, "done", fields)?;
             }
-            RunOutcome::Checkpointed => {
+            RunOutcome::Checkpointed { iterations } => {
                 inner.consecutive_crashes = 0;
                 inner.journal.append(
                     &q.id,
                     "checkpointed",
-                    vec![("file", Value::Str(ckpt_out.to_string_lossy().into_owned()))],
+                    vec![
+                        ("file", Value::Str(ckpt_out.to_string_lossy().into_owned())),
+                        ("iterations", Value::Num(iterations as f64)),
+                    ],
                 )?;
-                // Durable progress: back of the ready queue, no backoff.
-                inner.queue.push(Queued {
-                    id: q.id,
-                    priority: q.priority,
-                    attempt: q.attempt,
-                    not_before: Instant::now(),
-                    resume_from: Some(ckpt_out),
-                });
+                if iterations <= q.resumed_iterations {
+                    // The job's own budgets stop it where it started, so
+                    // a retry under the same budgets would only repeat it.
+                    inner.journal.append(
+                        &q.id,
+                        "failed",
+                        vec![
+                            (
+                                "reason",
+                                Value::Str(format!(
+                                    "no progress: checkpointed at iteration {iterations}, \
+                                     where the attempt started; resubmit with larger \
+                                     --node-limit/--time-limit budgets"
+                                )),
+                            ),
+                            ("fatal", Value::Bool(true)),
+                        ],
+                    )?;
+                } else {
+                    // Durable progress: back of the ready queue, no backoff.
+                    inner.queue.push(Queued {
+                        id: q.id,
+                        priority: q.priority,
+                        attempt: q.attempt,
+                        not_before: Instant::now(),
+                        resume_from: Some(ckpt_out),
+                        resumed_iterations: iterations,
+                    });
+                }
             }
             RunOutcome::Crashed { detail } => {
                 inner.consecutive_crashes += 1;
@@ -373,6 +408,7 @@ impl<R: JobRunner> Supervisor<R> {
                         attempt: q.attempt,
                         not_before: Instant::now() + delay,
                         resume_from: resume,
+                        resumed_iterations: q.resumed_iterations,
                     });
                 }
                 if inner.consecutive_crashes >= self.cfg.shed_after_crashes {
@@ -447,16 +483,19 @@ pub struct ProcessRunner {
 pub const EXIT_CHECKPOINTED: i32 = 75;
 
 impl ProcessRunner {
+    /// Reads the child's `--result-out` line; a missing or unreadable
+    /// file is a crash.
+    fn read_result(path: &Path, code: i32) -> Result<Value, RunOutcome> {
+        let crashed = |detail: String| RunOutcome::Crashed { detail };
+        let text = std::fs::read_to_string(path)
+            .map_err(|_| crashed(format!("child exited {code} without a result file")))?;
+        json::parse(text.trim()).map_err(|_| crashed("child result file is not valid JSON".into()))
+    }
+
     fn parse_result(path: &Path) -> RunOutcome {
-        let Ok(text) = std::fs::read_to_string(path) else {
-            return RunOutcome::Crashed {
-                detail: "child exited 0 without a result file".to_string(),
-            };
-        };
-        let Ok(v) = json::parse(text.trim()) else {
-            return RunOutcome::Crashed {
-                detail: "child result file is not valid JSON".to_string(),
-            };
+        let v = match Self::read_result(path, 0) {
+            Ok(v) => v,
+            Err(crash) => return crash,
         };
         match v.get("outcome").and_then(Value::as_str) {
             Some("ok") => RunOutcome::Done {
@@ -561,15 +600,18 @@ impl JobRunner for ProcessRunner {
         };
         match status.code() {
             Some(0) => Self::parse_result(&result_path),
-            Some(EXIT_CHECKPOINTED) => {
-                if ckpt_out.exists() {
-                    RunOutcome::Checkpointed
-                } else {
-                    RunOutcome::Crashed {
-                        detail: "child claimed a checkpoint it never wrote".to_string(),
-                    }
-                }
-            }
+            Some(EXIT_CHECKPOINTED) if !ckpt_out.exists() => RunOutcome::Crashed {
+                detail: "child claimed a checkpoint it never wrote".to_string(),
+            },
+            Some(EXIT_CHECKPOINTED) => match Self::read_result(&result_path, EXIT_CHECKPOINTED) {
+                Ok(v) => match v.get("iterations").and_then(Value::as_u64) {
+                    Some(iterations) => RunOutcome::Checkpointed { iterations },
+                    None => RunOutcome::Crashed {
+                        detail: "child result file lacks an iteration count".to_string(),
+                    },
+                },
+                Err(crash) => crash,
+            },
             Some(code) => RunOutcome::Fatal {
                 detail: format!("child exited with code {code}"),
             },

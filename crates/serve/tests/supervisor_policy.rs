@@ -1,7 +1,8 @@
 //! Supervisor policy, exercised through scripted [`JobRunner`]s — no
 //! child processes: crash → backoff → retry, poison-job quarantine,
-//! fatal fast-fail, checkpoint → requeue → resume, load shedding, and
-//! journal-driven recovery across a simulated daemon restart.
+//! fatal fast-fail, checkpoint → requeue → resume, a checkpoint that
+//! made no progress failing the job, load shedding, and journal-driven
+//! recovery across a simulated daemon restart.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -62,7 +63,7 @@ impl JobRunner for Scripted {
             detail: "unscripted".to_string(),
         });
         // A checkpointed attempt must leave its durable file behind.
-        if matches!(outcome, RunOutcome::Checkpointed) {
+        if matches!(outcome, RunOutcome::Checkpointed { .. }) {
             std::fs::write(ckpt_out, b"stub").unwrap();
         }
         outcome
@@ -74,6 +75,10 @@ fn done() -> RunOutcome {
         states: Some(6.0),
         iterations: Some(2),
     }
+}
+
+fn checkpointed(iterations: u64) -> RunOutcome {
+    RunOutcome::Checkpointed { iterations }
 }
 
 fn crashed() -> RunOutcome {
@@ -142,7 +147,7 @@ fn fatal_failure_is_terminal_without_retry() {
 #[test]
 fn checkpointed_attempt_requeues_and_resumes_from_its_file() {
     let dir = pool("ckpt");
-    let runner = Scripted::new(vec![("j1", vec![RunOutcome::Checkpointed, done()])]);
+    let runner = Scripted::new(vec![("j1", vec![checkpointed(4), done()])]);
     let sup = Supervisor::new(&dir, cfg(), runner).unwrap();
     sup.submit(&JobSpec::new("j1", "gen:queue:4")).unwrap();
     sup.drain().unwrap();
@@ -155,6 +160,71 @@ fn checkpointed_attempt_requeues_and_resumes_from_its_file() {
         j.checkpoint.as_deref().unwrap().ends_with("j1.ckpt"),
         "checkpoint path journaled"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn checkpoint_without_progress_fails_the_job() {
+    // `fresh` stalls at iteration 0 on its first attempt; `stuck`
+    // progresses to 3, then its resume stalls there. Re-queueing either
+    // under the same budgets would loop forever.
+    let dir = pool("stall");
+    let runner = Scripted::new(vec![
+        ("fresh", vec![checkpointed(0), done()]),
+        ("stuck", vec![checkpointed(3), checkpointed(3), done()]),
+    ]);
+    let sup = Supervisor::new(&dir, cfg(), runner).unwrap();
+    sup.submit(&JobSpec::new("fresh", "gen:mask:10")).unwrap();
+    sup.submit(&JobSpec::new("stuck", "gen:mask:10")).unwrap();
+    sup.drain().unwrap();
+
+    let ledger = replay(&dir.join("journal.jsonl")).unwrap();
+    for (id, attempts, iteration) in [("fresh", 1, 0), ("stuck", 2, 3)] {
+        let j = ledger.get(id).unwrap();
+        assert_eq!(j.phase, JobPhase::Failed, "{id}");
+        assert_eq!(j.attempts, attempts, "{id}");
+        assert_eq!(j.iterations, Some(iteration), "{id}");
+        let reason = j.reason.as_deref().unwrap();
+        assert!(
+            reason.contains(&format!("iteration {iteration}")) && reason.contains("resubmit"),
+            "{id}: {reason}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn replayed_checkpoint_iteration_is_the_progress_baseline() {
+    // A daemon died after journaling a checkpoint at iteration 5; the
+    // restarted daemon's resume stalls there and must fail the job.
+    let dir = pool("stall-replay");
+    {
+        let mut j = Journal::open(&dir.join("journal.jsonl")).unwrap();
+        let spec = JobSpec::new("j1", "gen:mask:10");
+        j.append("j1", "submitted", vec![("spec", spec.to_json())])
+            .unwrap();
+        j.append("j1", "started", vec![("attempt", Value::Num(1.0))])
+            .unwrap();
+        let file = dir.join("j1.ckpt");
+        std::fs::write(&file, b"stub").unwrap();
+        j.append(
+            "j1",
+            "checkpointed",
+            vec![
+                ("file", Value::Str(file.to_string_lossy().into_owned())),
+                ("iterations", Value::Num(5.0)),
+            ],
+        )
+        .unwrap();
+    }
+    let runner = Scripted::new(vec![("j1", vec![checkpointed(5)])]);
+    let sup = Supervisor::new(&dir, cfg(), runner).unwrap();
+    sup.drain().unwrap();
+
+    let ledger = replay(&dir.join("journal.jsonl")).unwrap();
+    let j = ledger.get("j1").unwrap();
+    assert_eq!(j.phase, JobPhase::Failed, "reason: {:?}", j.reason);
+    assert_eq!(j.attempts, 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -35,7 +35,7 @@ use bfvr::netlist::{bench, blif, generators, Netlist};
 use bfvr::obs::diag::{self, MutationOutcome, PassId};
 use bfvr::obs::json::{obj, Value};
 use bfvr::obs::{Counters, Format, JsonlSink, SpanKind, Tracer};
-use bfvr::reach::portfolio::{run_escalating, run_racing, EscalationPolicy, Lane, RaceConfig};
+use bfvr::reach::portfolio::{run_racing, Lane};
 use bfvr::reach::telemetry::trace_handle;
 use bfvr::reach::TraceHandle;
 use bfvr::reach::{
@@ -122,13 +122,6 @@ USAGE:
                                          cancels the rest
                     [--jobs <n>]         with --race: cap racing worker
                                          threads (default: one per engine)
-                    [--escalate]         on T.O./M.O., resume from the
-                                         checkpoint with raised budgets
-                                         (per lane when racing)
-                    [--escalate-factor <f>]  budget multiplier per retry
-                                         (default 2)
-                    [--max-budget <nodes>]   node-budget ceiling for
-                                         escalation
                     [--dump-reached]     print the reached set as cubes
                     [--trace-out <file>] write a structured JSONL telemetry
                                          trace (spans, per-iteration counter
@@ -155,11 +148,14 @@ USAGE:
                     the header (fingerprint-checked), re-interns the saved
                     sets, and iterates to the same fixed point. Accepts the
                     same limit/trace/checkpoint/result flags as reach
-                    (--checkpoint-out defaults to the --from file)
+                    (--checkpoint-out defaults to the --from file); pass a
+                    larger --node-limit/--time-limit to continue a T.O./M.O.
+                    run past the budget it stopped on
   bfvr serve --dir <dir>     run every journaled job in <dir> to a terminal
                     state with a supervised pool of child processes: crashes
                     retry with exponential backoff, repeat offenders are
-                    quarantined, SIGTERM'd children checkpoint and resume
+                    quarantined, SIGTERM'd children checkpoint and resume,
+                    and a job that checkpoints without progress fails
                     [--workers <n>] [--max-attempts <n>] [--job-timeout <sec>]
   bfvr submit <file> --dir <dir>  append a job to <dir>'s journal
                     [--id <id>] [--engine E] [--order O]
@@ -198,7 +194,12 @@ USAGE:
                                          be caught by its intended pass
   bfvr check <file> --bad <cube>          cube over latches in file order,
                                           e.g. 1x0x (x = don't care)
+                    [--time-limit <sec>] [--node-limit <nodes>]
+                    [--cache-limit <slots>]  exits 1 without a verdict when
+                                         a limit trips
   bfvr trace <file> --to <cube>
+                    [--time-limit <sec>] [--node-limit <nodes>]
+                    [--cache-limit <slots>]
   bfvr report <trace.jsonl> [--format text|md]
           render a --trace-out trace as per-engine timeline tables;
           exits nonzero on schema violations (doubles as a validator)
@@ -223,8 +224,8 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     // everything else is plain success/failure.
     let simple = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
     match args.first().map(String::as_str) {
-        Some("gen") => simple(cmd_gen(args.get(1).ok_or("gen needs a family spec")?)),
-        Some("stats") => simple(cmd_stats(&load(args.get(1).ok_or("stats needs a file")?)?)),
+        Some("gen") => simple(cmd_gen(args)),
+        Some("stats") => simple(cmd_stats(args)),
         Some("convert") => simple(cmd_convert(args)),
         Some("reach") => cmd_reach(args),
         Some("resume") => cmd_resume(args),
@@ -270,8 +271,9 @@ fn generate(spec: &str) -> Result<Netlist, String> {
     })
 }
 
-fn cmd_gen(spec: &str) -> Result<(), String> {
-    let net = generate(spec)?;
+fn cmd_gen(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("gen", args, &[])?;
+    let net = generate(args.get(1).ok_or("gen needs a family spec")?)?;
     out!("{}", bench::write(&net).map_err(|e| e.to_string())?);
     Ok(())
 }
@@ -294,7 +296,9 @@ fn encode(net: &Netlist, order: OrderHeuristic) -> Result<(BddManager, EncodedFs
     EncodedFsm::encode(net, order).map_err(|e| e.to_string())
 }
 
-fn cmd_stats(net: &Netlist) -> Result<(), String> {
+fn cmd_stats(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("stats", args, &[])?;
+    let net = &load(args.get(1).ok_or("stats needs a file")?)?;
     outln!("{}: {}", net.name(), net.stats());
     let levels = bfvr::netlist::topo::levels(net).map_err(|e| e.to_string())?;
     outln!("logic depth: {}", levels.iter().max().copied().unwrap_or(0));
@@ -407,15 +411,11 @@ fn parse_opts(args: &[String]) -> Result<ReachOptions, String> {
     Ok(opts)
 }
 
-/// The flags [`parse_opts`] reads: resource limits and dynamic sifting.
-const OPT_FLAGS: &[&str] = &[
-    "--time-limit",
-    "--node-limit",
-    "--cache-limit",
-    "--sift",
-    "--sift-maxgrowth",
-    "--sift-trigger",
-];
+/// The resource-limit flags [`parse_opts`] reads.
+const LIMIT_FLAGS: &[&str] = &["--time-limit", "--node-limit", "--cache-limit"];
+
+/// The dynamic-sifting flags [`parse_opts`] reads.
+const SIFT_FLAGS: &[&str] = &["--sift", "--sift-maxgrowth", "--sift-trigger"];
 
 /// The single-lane run flags `reach` and `resume` share: tracing
 /// ([`parse_trace`]), durable checkpoints ([`parse_durable`]) and the
@@ -441,32 +441,6 @@ fn reject_unknown_flags(cmd: &str, args: &[String], known: &[&[&str]]) -> Result
         )),
         None => Ok(()),
     }
-}
-
-/// Parses the escalation flags; `None` unless `--escalate` is given.
-fn parse_escalation(args: &[String]) -> Result<Option<EscalationPolicy>, String> {
-    let escalate = args.iter().any(|a| a == "--escalate");
-    let factor = flag_value(args, "--escalate-factor");
-    let max_budget = flag_value(args, "--max-budget");
-    if !escalate {
-        if factor.is_some() || max_budget.is_some() {
-            return Err("--escalate-factor/--max-budget require --escalate".into());
-        }
-        return Ok(None);
-    }
-    let mut policy = EscalationPolicy::default();
-    if let Some(f) = factor {
-        policy.factor = f
-            .parse()
-            .map_err(|e| format!("bad --escalate-factor: {e}"))?;
-        if policy.factor <= 1.0 {
-            return Err("--escalate-factor must be > 1".into());
-        }
-    }
-    if let Some(n) = max_budget {
-        policy.max_node_budget = Some(n.parse().map_err(|e| format!("bad --max-budget: {e}"))?);
-    }
-    Ok(Some(policy))
 }
 
 /// Parses `--engine` into the selected engine list; `all` expands to
@@ -740,16 +714,14 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
         "reach",
         args,
         &[
-            OPT_FLAGS,
+            LIMIT_FLAGS,
+            SIFT_FLAGS,
             RUN_FLAGS,
             &[
                 "--engine",
                 "--order",
                 "--race",
                 "--jobs",
-                "--escalate",
-                "--escalate-factor",
-                "--max-budget",
                 "--dump-reached",
                 "--stats",
                 "--kill-at-iter",
@@ -764,10 +736,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let order = orders[0];
     let mut opts = parse_opts(args)?;
     opts.order = order;
-    let escalation = parse_escalation(args)?;
-    if escalation.is_some() && opts.node_limit.is_none() && opts.time_limit.is_none() {
-        return Err("--escalate needs --node-limit and/or --time-limit to raise".into());
-    }
     let race = args.iter().any(|a| a == "--race");
     // A race defaults to the full portfolio — one engine has nothing to
     // race against; a plain run defaults to the paper's BFV flow.
@@ -843,7 +811,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             .open_span(SpanKind::Run, net.name(), Counters::new())
     });
     let result = if race {
-        cmd_reach_race(args, &net, &opts, &lanes, escalation).map(|()| ExitCode::SUCCESS)
+        cmd_reach_race(args, &net, &opts, &lanes).map(|()| ExitCode::SUCCESS)
     } else {
         reach_plain(
             args,
@@ -851,7 +819,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
             order,
             &opts,
             &lanes,
-            escalation.as_ref(),
             durable.as_ref(),
             result_out.as_deref(),
             kill_at,
@@ -890,7 +857,6 @@ fn reach_plain(
     order: OrderHeuristic,
     opts: &ReachOptions,
     lanes: &[Lane],
-    escalation: Option<&EscalationPolicy>,
     durable: Option<&Durable>,
     result_out: Option<&str>,
     kill_at: Option<usize>,
@@ -931,29 +897,7 @@ fn reach_plain(
                     }
                 }));
             }
-            let r: ReachResult = match escalation {
-                None => run_engine(lane.engine, &mut m, &fsm, &lane_opts),
-                Some(policy) => {
-                    let report = run_escalating(lane.engine, &mut m, &fsm, &lane_opts, policy);
-                    for (i, round) in report.rounds.iter().enumerate().skip(1) {
-                        eprintln!(
-                            "{}: round {i} ({}): {} at {} iterations under {} nodes",
-                            lane.label(),
-                            if round.resumed {
-                                "resumed"
-                            } else {
-                                "restarted"
-                            },
-                            round.outcome.label(),
-                            round.iterations,
-                            round
-                                .node_limit
-                                .map_or("unlimited".into(), |n| n.to_string()),
-                        );
-                    }
-                    report.result
-                }
-            };
+            let r = run_engine(lane.engine, &mut m, &fsm, &lane_opts);
             outln!(
                 "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
                 lane_cell(lane, opts),
@@ -1048,7 +992,6 @@ fn cmd_reach_race(
     net: &Netlist,
     opts: &ReachOptions,
     lanes: &[Lane],
-    escalation: Option<EscalationPolicy>,
 ) -> Result<(), String> {
     if args.iter().any(|a| a == "--dump-reached") {
         return Err("--dump-reached is not available with --race (the winning \
@@ -1066,8 +1009,7 @@ fn cmd_reach_race(
             n
         }
     };
-    let config = RaceConfig { jobs, escalation };
-    let report = run_racing(lanes, net, opts, &config);
+    let report = run_racing(lanes, net, opts, jobs);
     outln!(
         "{:16} {:>9} {:>14} {:>7} {:>10} {:>11}",
         "lane",
@@ -1130,7 +1072,11 @@ fn cmd_reach_race(
 /// circuit fingerprint — so resume takes no positional circuit argument
 /// and refuses a checkpoint whose circuit no longer matches.
 fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
-    reject_unknown_flags("resume", args, &[OPT_FLAGS, RUN_FLAGS, &["--from"]])?;
+    reject_unknown_flags(
+        "resume",
+        args,
+        &[LIMIT_FLAGS, SIFT_FLAGS, RUN_FLAGS, &["--from"]],
+    )?;
     let from = flag_value(args, "--from").ok_or("resume needs --from <checkpoint>")?;
     let from_path = PathBuf::from(&from);
     let meta = read_meta(&from_path).map_err(|e| format!("{from}: {e}"))?;
@@ -1389,7 +1335,11 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     reject_unknown_flags(
         "audit",
         args,
-        &[OPT_FLAGS, &["--engine", "--order", "--selftest"]],
+        &[
+            LIMIT_FLAGS,
+            SIFT_FLAGS,
+            &["--engine", "--order", "--selftest"],
+        ],
     )?;
     let net = load(args.get(1).ok_or("audit needs a file")?)?;
     let order = parse_order(args)?;
@@ -1620,7 +1570,7 @@ fn parse_cube(cube: &str, fsm: &EncodedFsm) -> Result<Vec<Option<bool>>, String>
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("check", args, &[OPT_FLAGS, &["--bad"]])?;
+    reject_unknown_flags("check", args, &[LIMIT_FLAGS, &["--bad"]])?;
     let net = load(args.get(1).ok_or("check needs a file")?)?;
     let cube = flag_value(args, "--bad").ok_or("check needs --bad <cube>")?;
     let opts = parse_opts(args)?;
@@ -1642,7 +1592,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("trace", args, &[OPT_FLAGS, &["--to"]])?;
+    reject_unknown_flags("trace", args, &[LIMIT_FLAGS, &["--to"]])?;
     let net = load(args.get(1).ok_or("trace needs a file")?)?;
     let cube = flag_value(args, "--to").ok_or("trace needs --to <cube>")?;
     let opts = parse_opts(args)?;

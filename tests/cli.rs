@@ -137,6 +137,32 @@ fn unknown_flags_are_usage_errors() {
             &["submit", "gen:s27", "--dir", d, "--repr", "zono"],
             "unknown flag `--repr`",
         ),
+        (&["stats", "gen:s27", "--bogus"], "unknown flag `--bogus`"),
+        (&["gen", "s27", "--bogus"], "unknown flag `--bogus`"),
+        // Budget escalation is gone: an exhausted run continues through
+        // `--checkpoint-out` and `bfvr resume` with a larger budget.
+        (
+            &["reach", "gen:s27", "--node-limit", "900", "--escalate"],
+            "unknown flag `--escalate`",
+        ),
+        (
+            &["reach", "gen:s27", "--escalate-factor", "2"],
+            "unknown flag `--escalate-factor`",
+        ),
+        (
+            &["reach", "gen:s27", "--max-budget", "9"],
+            "unknown flag `--max-budget`",
+        ),
+        // `check` and `trace` run the BFV flow, which sifting never
+        // reorders: they take the resource limits only.
+        (
+            &["check", "gen:modk:3:5", "--bad", "111", "--sift"],
+            "unknown flag `--sift`",
+        ),
+        (
+            &["trace", "gen:counter:3", "--to", "111", "--sift"],
+            "unknown flag `--sift`",
+        ),
     ] {
         let o = bfvr(args);
         assert!(!o.status.success(), "{args:?} must fail");
@@ -324,6 +350,78 @@ fn trace_prints_steps() {
     assert!(stdout(&unreach).contains("UNREACHABLE"));
 }
 
+/// `check` and `trace` arm their resource limits: a tripped limit is an
+/// error without a verdict, never `HOLDS`/`UNREACHABLE` or a full trace.
+#[test]
+fn check_and_trace_stop_at_their_limits() {
+    for (args, want) in [
+        (
+            &[
+                "check",
+                "gen:lfsr:10",
+                "--bad",
+                "1111111111",
+                "--node-limit",
+                "200",
+            ][..],
+            "node limit",
+        ),
+        (
+            &[
+                "check",
+                "gen:lfsr:10",
+                "--bad",
+                "1111111111",
+                "--time-limit",
+                "0",
+            ],
+            "deadline",
+        ),
+        (
+            &[
+                "trace",
+                "gen:counter:12",
+                "--to",
+                "111111111111",
+                "--node-limit",
+                "50",
+            ],
+            "node limit",
+        ),
+        (
+            &[
+                "trace",
+                "gen:counter:12",
+                "--to",
+                "111111111111",
+                "--time-limit",
+                "0",
+            ],
+            "deadline",
+        ),
+    ] {
+        let o = bfvr(args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {}", stdout(&o));
+        assert!(stderr(&o).contains(want), "{args:?}: {}", stderr(&o));
+        let out = stdout(&o);
+        assert!(
+            !out.contains("HOLDS") && !out.contains("UNREACHABLE") && !out.contains("steps"),
+            "{args:?}: {out}"
+        );
+    }
+    // The same limits leave room for small cases to finish.
+    let o = bfvr(&[
+        "check",
+        "gen:modk:3:5",
+        "--bad",
+        "111",
+        "--node-limit",
+        "10000",
+    ]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    assert!(stdout(&o).contains("HOLDS"));
+}
+
 #[test]
 fn bad_cube_width_reported() {
     let o = bfvr(&["check", "gen:counter:3", "--bad", "1"]);
@@ -398,4 +496,32 @@ fn trace_out_then_report_renders_timelines() {
     // A missing file is a clean error, not a panic.
     let missing = bfvr(&["report", dir.join("nope.jsonl").to_str().unwrap()]);
     assert!(!missing.status.success());
+}
+
+/// Older builds traced budget escalation as `round` events; the schema no
+/// longer has them, so `report` refuses such a trace and names the line.
+#[test]
+fn report_refuses_a_trace_with_a_round_event() {
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_round_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("old.jsonl");
+    std::fs::write(
+        &trace,
+        concat!(
+            r#"{"ev":"meta","label":"bfvr reach s27","sample_every":1,"seq":0,"t_us":0,"v":1}"#,
+            "\n",
+            r#"{"engine":"BFV","ev":"round","node_limit":900,"outcome":"M.O.","resumed":false,"round":0,"seq":1,"t_us":5}"#,
+            "\n",
+        ),
+    )
+    .unwrap();
+    let o = bfvr(&["report", trace.to_str().unwrap()]);
+    assert_eq!(o.status.code(), Some(1));
+    let err = stderr(&o);
+    assert!(
+        err.contains("line 2") && err.contains("unknown event tag `round`"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -186,6 +186,65 @@ fn daemon_recovers_fault_injected_job_and_replay_is_idempotent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// mask10 under the declaration order M.O.s at iteration 0 within 2000
+/// nodes, so every attempt checkpoints where it started. The daemon
+/// fails the job instead of resuming it forever, and returns.
+#[test]
+fn daemon_fails_a_job_its_own_budget_stalls() {
+    let dir = scratch("stall");
+    let d = dir.to_str().unwrap();
+    let submit = bfvr()
+        .args([
+            "submit",
+            "gen:mask:10",
+            "--dir",
+            d,
+            "--id",
+            "m10",
+            "--engine",
+            "bfv",
+            "--order",
+            "decl",
+            "--node-limit",
+            "2000",
+        ])
+        .output()
+        .unwrap();
+    assert!(
+        submit.status.success(),
+        "{}",
+        String::from_utf8_lossy(&submit.stderr)
+    );
+    let mut daemon = bfvr()
+        .args(["serve", "--dir", d])
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let started = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = daemon.try_wait().unwrap() {
+            break status;
+        }
+        if started.elapsed() > std::time::Duration::from_secs(60) {
+            let _ = daemon.kill();
+            let _ = daemon.wait();
+            panic!("bfvr serve did not return on a stalled job");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(status.success());
+    let ledger = bfvr::serve::replay(&dir.join("journal.jsonl")).unwrap();
+    let job = ledger.get("m10").unwrap();
+    assert_eq!(job.phase, bfvr::serve::JobPhase::Failed);
+    assert_eq!(job.attempts, 1);
+    let reason = job.reason.as_deref().unwrap_or_default();
+    assert!(
+        reason.contains("iteration 0") && reason.contains("resubmit"),
+        "{reason}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn checkpoint_write_failure_warns_but_run_succeeds() {
     let dir = scratch("degraded-ckpt");
