@@ -3,42 +3,18 @@
 //! For each suite circuit's reached set, reports the shared size before
 //! and after sifting and the number of accepted swaps.
 //!
-//! The reached set is computed by driving [`BfvBackend`] through the
-//! [`SetRepr`] trait directly — the same loop shape the engines use —
-//! so the final canonical vector is sifted *natively*, without the old
-//! χ → vector round-trip the pre-trait version needed to recover it.
+//! The reached set is the BFV engine's fixed point, recovered as its
+//! canonical vector from the engine's χ (a set has one canonical vector).
 //!
 //! ```sh
 //! cargo run --release -p bfvr-bench --bin reorder_ablation
 //! ```
 
+use bfvr_bfv::convert::from_characteristic;
 use bfvr_bfv::reorder::sift_components;
-use bfvr_bfv::Bfv;
 use bfvr_netlist::generators;
-use bfvr_reach::backends::BfvBackend;
-use bfvr_reach::SetRepr;
+use bfvr_reach::{run, EngineKind, ReachOptions};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
-
-/// Runs the BFV lane to its fixed point through the trait and returns
-/// the final canonical reached vector.
-fn reached_vector(
-    m: &mut bfvr_bdd::BddManager,
-    fsm: &EncodedFsm,
-) -> Result<Bfv, bfvr_bfv::BfvError> {
-    let mut b = BfvBackend::new(fsm, Default::default());
-    b.prepare(m)?;
-    let mut reached = b.initial(m)?;
-    let mut from = reached.clone();
-    loop {
-        let img = b.image(m, &from)?;
-        let next = b.union(m, &reached, &img)?;
-        if b.set_eq(m, &next, &reached) {
-            return Ok(reached);
-        }
-        from = img;
-        reached = next;
-    }
-}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Component-reordering ablation (paper future work)");
@@ -52,8 +28,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // The hostile declaration order leaves the most to recover.
         for order in [OrderHeuristic::Declaration, OrderHeuristic::Reversed] {
             let (mut m, fsm) = EncodedFsm::encode(&net, order)?;
-            let f = reached_vector(&mut m, &fsm)?;
+            let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
             let space = fsm.space();
+            let chi = r.reached_chi.ok_or("no reached set")?.bdd();
+            let f = from_characteristic(&mut m, &space, chi)?.ok_or("empty reached set")?;
             let res = sift_components(&mut m, &space, &f)?;
             println!(
                 "| {:10} | {:5} | {:>12} | {:>11} | {:>5} | {:>3.0}% |",

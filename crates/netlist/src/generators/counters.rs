@@ -2,6 +2,8 @@
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 
+use super::{modk_moduli, COUNTER_BITS};
+
 /// An `n`-bit binary up-counter with an enable input.
 ///
 /// Latches `c0` (LSB) … `c{n-1}`; input `en`; output `ov` (carry out of
@@ -12,10 +14,10 @@ use crate::model::{GateKind, Netlist, NetlistBuilder};
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n` is outside [`COUNTER_BITS`].
 #[must_use]
 pub fn counter(n: u32) -> Netlist {
-    assert!(n > 0, "counter needs at least one bit");
+    assert!(COUNTER_BITS.contains(&n));
     let mut b = NetlistBuilder::new(format!("cnt{n}"));
     b.input("en").expect("fresh");
     for i in 0..n {
@@ -45,10 +47,10 @@ pub fn counter(n: u32) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`, `k < 2` or `k > 2^n`.
+/// Panics if `n` is outside [`COUNTER_BITS`] or `k` outside [`modk_moduli`].
 pub fn counter_modk(n: u32, k: u64) -> Netlist {
-    assert!(n > 0 && k >= 2, "mod-k counter needs n ≥ 1 and k ≥ 2");
-    assert!(n >= 64 || k <= 1u64 << n, "k must fit in n bits");
+    assert!(COUNTER_BITS.contains(&n));
+    assert!(modk_moduli(n).contains(&k));
     let mut b = NetlistBuilder::new(format!("mod{k}x{n}"));
     b.input("en").expect("fresh");
     for i in 0..n {
@@ -108,10 +110,10 @@ pub fn counter_modk(n: u32, k: u64) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n` is outside [`COUNTER_BITS`].
 #[must_use]
 pub fn gray(n: u32) -> Netlist {
-    assert!(n > 0, "gray counter needs at least one bit");
+    assert!(COUNTER_BITS.contains(&n));
     let mut b = NetlistBuilder::new(format!("gray{n}"));
     b.input("en").expect("fresh");
     for i in 0..n {
@@ -172,12 +174,8 @@ pub fn gray(n: u32) -> Netlist {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::step;
+    use super::super::testutil::{as_u64, step};
     use super::*;
-
-    fn as_u64(bits: &[bool]) -> u64 {
-        bits.iter().enumerate().map(|(i, &b)| (b as u64) << i).sum()
-    }
 
     #[test]
     fn counter_counts() {

@@ -12,7 +12,7 @@
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 
-use super::BuilderExt;
+use super::{BuilderExt, LOAD_BITS, MASK_BITS};
 
 /// Builds the popcount-threshold DP network over inputs `d0..d{n-1}`:
 /// `thr$i$j` = "at least `j` of the first `i` inputs are high", for
@@ -59,13 +59,10 @@ fn threshold_network(b: &mut NetlistBuilder, n: u32, kmax: u32) -> Vec<String> {
 ///
 /// # Panics
 ///
-/// Panics if `n < 3` or `n > 24`.
+/// Panics if `n` is outside [`LOAD_BITS`].
 #[must_use]
 pub fn loadable_register(n: u32) -> Netlist {
-    assert!(
-        (3..=24).contains(&n),
-        "loadable register supports 3..=24 bits"
-    );
+    assert!(LOAD_BITS.contains(&n));
     let mut b = NetlistBuilder::new(format!("load{n}"));
     for i in 0..n {
         b.input(format!("d{i}")).expect("fresh");
@@ -98,13 +95,10 @@ pub fn loadable_register(n: u32) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `n < 4` or `n > 24`.
+/// Panics if `n` is outside [`MASK_BITS`].
 #[must_use]
 pub fn masked_accumulator(n: u32) -> Netlist {
-    assert!(
-        (4..=24).contains(&n),
-        "masked accumulator supports 4..=24 bits"
-    );
+    assert!(MASK_BITS.contains(&n));
     let mut b = NetlistBuilder::new(format!("mask{n}"));
     for i in 0..n {
         b.input(format!("d{i}")).expect("fresh");

@@ -32,7 +32,36 @@ pub use datapath::{loadable_register, masked_accumulator};
 pub use shift::{johnson, lfsr, shift_register};
 pub use structured::{paired_registers, queue_controller, rotator, traffic_chain};
 
+use std::ops::RangeInclusive;
+
 use crate::model::{GateKind, Netlist, NetlistBuilder};
+
+/// Widths [`counter`], [`counter_modk`] and [`gray`] accept.
+pub const COUNTER_BITS: RangeInclusive<u32> = 1..=u32::MAX;
+/// Stage counts [`shift_register`] accepts.
+pub const SHIFT_STAGES: RangeInclusive<u32> = 1..=u32::MAX;
+/// Stage counts [`lfsr`] accepts: those of its maximal-length tap table.
+pub const LFSR_STAGES: RangeInclusive<u32> = 2..=16;
+/// Stage counts [`johnson`] accepts.
+pub const JOHNSON_STAGES: RangeInclusive<u32> = 2..=u32::MAX;
+/// Pair counts [`paired_registers`] accepts.
+pub const PAIRS: RangeInclusive<u32> = 1..=u32::MAX;
+/// Pointer widths [`queue_controller`] accepts.
+pub const QUEUE_POINTER_BITS: RangeInclusive<u32> = 1..=8;
+/// Station counts [`rotator`] accepts.
+pub const ROTATOR_STATIONS: RangeInclusive<u32> = 2..=u32::MAX;
+/// Stage counts [`traffic_chain`] accepts.
+pub const TRAFFIC_STAGES: RangeInclusive<u32> = 1..=u32::MAX;
+/// Widths [`loadable_register`] accepts.
+pub const LOAD_BITS: RangeInclusive<u32> = 3..=24;
+/// Widths [`masked_accumulator`] accepts.
+pub const MASK_BITS: RangeInclusive<u32> = 4..=24;
+
+/// Moduli [`counter_modk`] accepts at width `n`: 2 to `2^n`.
+#[must_use]
+pub fn modk_moduli(n: u32) -> RangeInclusive<u64> {
+    2..=1u64.checked_shl(n).unwrap_or(u64::MAX)
+}
 
 /// Extension helpers shared by the generators.
 pub(crate) trait BuilderExt {

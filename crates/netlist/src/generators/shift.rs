@@ -2,7 +2,7 @@
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 
-use super::BuilderExt;
+use super::{BuilderExt, JOHNSON_STAGES, LFSR_STAGES, SHIFT_STAGES};
 
 /// An `n`-bit serial-in shift register.
 ///
@@ -12,10 +12,10 @@ use super::BuilderExt;
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n` is outside [`SHIFT_STAGES`].
 #[must_use]
 pub fn shift_register(n: u32) -> Netlist {
-    assert!(n > 0, "shift register needs at least one stage");
+    assert!(SHIFT_STAGES.contains(&n));
     let mut b = NetlistBuilder::new(format!("shift{n}"));
     b.input("d").expect("fresh");
     for i in 0..n {
@@ -66,9 +66,9 @@ const MAXIMAL_TAPS: [&[u32]; 15] = [
 ///
 /// # Panics
 ///
-/// Panics if `n < 2` or `n > 16` (tap table coverage).
+/// Panics if `n` is outside [`LFSR_STAGES`].
 pub fn lfsr(n: u32) -> Netlist {
-    assert!((2..=16).contains(&n), "lfsr supports 2..=16 stages");
+    assert!(LFSR_STAGES.contains(&n));
     let taps = MAXIMAL_TAPS[(n - 2) as usize];
     let mut b = NetlistBuilder::new(format!("lfsr{n}"));
     for i in 0..n {
@@ -102,10 +102,10 @@ pub fn lfsr(n: u32) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n` is outside [`JOHNSON_STAGES`].
 #[must_use]
 pub fn johnson(n: u32) -> Netlist {
-    assert!(n >= 2, "johnson counter needs at least two stages");
+    assert!(JOHNSON_STAGES.contains(&n));
     let mut b = NetlistBuilder::new(format!("johnson{n}"));
     b.input("en").expect("fresh");
     for i in 0..n {
@@ -126,13 +126,9 @@ pub fn johnson(n: u32) -> Netlist {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::step;
+    use super::super::testutil::{as_u64, step};
     use super::*;
     use std::collections::HashSet;
-
-    fn as_u64(bits: &[bool]) -> u64 {
-        bits.iter().enumerate().map(|(i, &b)| (b as u64) << i).sum()
-    }
 
     #[test]
     fn shift_register_shifts() {

@@ -3,7 +3,7 @@
 
 use crate::model::{GateKind, Netlist, NetlistBuilder};
 
-use super::BuilderExt;
+use super::{BuilderExt, PAIRS, QUEUE_POINTER_BITS, ROTATOR_STATIONS, TRAFFIC_STAGES};
 
 /// `p` pairs of twin registers: both registers of pair `i` load the same
 /// value `a_i ⊕ d_i` each cycle, so `a_i = b_i` invariantly.
@@ -18,10 +18,10 @@ use super::BuilderExt;
 ///
 /// # Panics
 ///
-/// Panics if `p == 0`.
+/// Panics if `p` is outside [`PAIRS`].
 #[must_use]
 pub fn paired_registers(p: u32) -> Netlist {
-    assert!(p > 0, "need at least one pair");
+    assert!(PAIRS.contains(&p));
     let mut b = NetlistBuilder::new(format!("pair{p}"));
     for i in 0..p {
         b.input(format!("d{i}")).expect("fresh");
@@ -63,9 +63,9 @@ pub fn paired_registers(p: u32) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0` or `k > 8`.
+/// Panics if `k` is outside [`QUEUE_POINTER_BITS`].
 pub fn queue_controller(k: u32) -> Netlist {
-    assert!((1..=8).contains(&k), "queue supports 1..=8 pointer bits");
+    assert!(QUEUE_POINTER_BITS.contains(&k));
     let mut b = NetlistBuilder::new(format!("queue{k}"));
     b.input("push").expect("fresh");
     b.input("pop").expect("fresh");
@@ -171,10 +171,10 @@ fn decrementer(b: &mut NetlistBuilder, src: &str, dst: &str, n: u32, en: &str) {
 ///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n` is outside [`ROTATOR_STATIONS`].
 #[must_use]
 pub fn rotator(n: u32) -> Netlist {
-    assert!(n >= 2, "rotator needs at least two stations");
+    assert!(ROTATOR_STATIONS.contains(&n));
     let mut b = NetlistBuilder::new(format!("rot{n}"));
     b.input("adv").expect("fresh");
     b.latch("t0", "nt0", true).expect("fresh");
@@ -200,10 +200,10 @@ pub fn rotator(n: u32) -> Netlist {
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
+/// Panics if `k` is outside [`TRAFFIC_STAGES`].
 #[must_use]
 pub fn traffic_chain(k: u32) -> Netlist {
-    assert!(k > 0, "traffic chain needs at least one stage");
+    assert!(TRAFFIC_STAGES.contains(&k));
     let mut b = NetlistBuilder::new(format!("traffic{k}"));
     b.input("go").expect("fresh");
     for i in 0..k {

@@ -1,26 +1,19 @@
-//! Shared test interpreter for the generator families.
+//! Helpers for the generator tests: single-lane stepping, state masks.
 
 use crate::model::Netlist;
-use crate::topo;
 
-/// Steps a netlist's state once under given inputs (reference
-/// interpreter used to validate the generators' behaviour).
+/// Steps a netlist's state once under given inputs, on one lane of
+/// [`Netlist::step_words`].
 pub(crate) fn step(net: &Netlist, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-    let order = topo::order(net).unwrap();
-    let mut vals = vec![false; net.num_signals()];
-    for (i, &s) in net.inputs().iter().enumerate() {
-        vals[s.index()] = inputs[i];
-    }
-    for (i, l) in net.latches().iter().enumerate() {
-        vals[l.output.index()] = state[i];
-    }
-    for g in order {
-        let gate = &net.gates()[g];
-        let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-        vals[gate.output.index()] = gate.kind.eval(&ins);
-    }
-    net.latches()
-        .iter()
-        .map(|l| vals[l.input.index()])
-        .collect()
+    let lane = |bits: &[bool]| bits.iter().map(|&b| u64::from(b)).collect::<Vec<_>>();
+    let (next, _) = net.step_words(&lane(state), &lane(inputs)).unwrap();
+    next.iter().map(|w| w & 1 == 1).collect()
+}
+
+/// A state as a bit mask, bit `i` the value of latch `i`.
+pub(crate) fn as_u64(bits: &[bool]) -> u64 {
+    bits.iter()
+        .enumerate()
+        .map(|(i, &b)| u64::from(b) << i)
+        .sum()
 }

@@ -1,6 +1,6 @@
 //! The in-memory netlist model and its builder.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -291,6 +291,102 @@ impl Netlist {
     #[must_use]
     pub fn initial_state(&self) -> Vec<bool> {
         self.latches.iter().map(|l| l.init).collect()
+    }
+
+    /// One clock cycle on 64 independent lanes, the reference interpreter:
+    /// bit `k` of every word is lane `k`. Takes a word per latch and per
+    /// input and returns `(next, outputs)`, a word per latch and per
+    /// output, all in declaration order. A single run uses one lane.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a combinational cycle ([`NetlistBuilder::finish_unchecked`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` or `inputs` has the wrong length.
+    pub fn step_words(
+        &self,
+        state: &[u64],
+        inputs: &[u64],
+    ) -> Result<(Vec<u64>, Vec<u64>), NetlistError> {
+        let order = crate::topo::order(self)?;
+        Ok(self.step_in_order(&order, state, inputs))
+    }
+
+    /// [`Netlist::step_words`] with the gates' topological order given.
+    fn step_in_order(
+        &self,
+        order: &[usize],
+        state: &[u64],
+        inputs: &[u64],
+    ) -> (Vec<u64>, Vec<u64>) {
+        assert_eq!(state.len(), self.latches.len(), "one word per latch");
+        assert_eq!(inputs.len(), self.inputs.len(), "one word per input");
+        let mut vals = vec![0u64; self.num_signals()];
+        for (&s, &w) in self.inputs.iter().zip(inputs) {
+            vals[s.index()] = w;
+        }
+        for (l, &w) in self.latches.iter().zip(state) {
+            vals[l.output.index()] = w;
+        }
+        let mut ins = Vec::new();
+        for &g in order {
+            let gate = &self.gates[g];
+            ins.clear();
+            ins.extend(gate.inputs.iter().map(|&x| vals[x.index()]));
+            vals[gate.output.index()] = gate.kind.eval_words(&ins);
+        }
+        let next = self.latches.iter().map(|l| vals[l.input.index()]);
+        let outputs = self.outputs.iter().map(|&o| vals[o.index()]);
+        (next.collect(), outputs.collect())
+    }
+
+    /// Every state reachable from reset, by explicit-state search over
+    /// all `2^inputs` input vectors of each state, 64 per step: the
+    /// oracle the symbolic engines are checked against on small circuits.
+    /// A state is a bit mask, bit `l` the value of latch `l`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a combinational cycle, as [`Netlist::step_words`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics beyond 64 latches or 63 inputs.
+    pub fn reachable_states(&self) -> Result<HashSet<u64>, NetlistError> {
+        assert!(self.latches.len() <= 64 && self.inputs.len() < 64);
+        let order = crate::topo::order(self)?;
+        // Batch `b` packs input vectors `64b … 64b + 63`, one per lane.
+        let combos = 1u64 << self.inputs.len();
+        let batches: Vec<(u64, Vec<u64>)> = (0..combos)
+            .step_by(64)
+            .map(|base| {
+                let lanes = |i| (0..64).fold(0, |w, k| w | ((base + k) >> i & 1) << k);
+                (base, (0..self.inputs.len()).map(lanes).collect())
+            })
+            .collect();
+        let reset = self
+            .latches
+            .iter()
+            .rev()
+            .fold(0, |s, l| s << 1 | u64::from(l.init));
+        let mut seen = HashSet::from([reset]);
+        let mut todo = vec![reset];
+        while let Some(s) = todo.pop() {
+            let splat = |l: usize| 0u64.wrapping_sub(s >> l & 1);
+            let state: Vec<u64> = (0..self.latches.len()).map(splat).collect();
+            for (base, inputs) in &batches {
+                let (next, _) = self.step_in_order(&order, &state, inputs);
+                for k in 0..(combos - base).min(64) {
+                    let t = next.iter().rev().fold(0, |t, w| t << 1 | (w >> k & 1));
+                    if seen.insert(t) {
+                        todo.push(t);
+                    }
+                }
+            }
+        }
+        Ok(seen)
     }
 }
 

@@ -123,29 +123,18 @@ mod tests {
         let a = generators::johnson(4);
         let b = generators::johnson(4);
         let p = product_miter(&a, &b).unwrap();
-        // Simulate a while: the miter must stay 1.
-        let order = crate::topo::order(&p).unwrap();
-        let mut state = p.initial_state();
+        // Simulate a while, 64 input streams at once: the miter must
+        // stay 1 on every lane.
+        let reset = p.initial_state();
+        let mut state: Vec<u64> = reset.iter().map(|&b| if b { !0 } else { 0 }).collect();
         let mut rng = 0x1234_5678_9ABC_DEF0u64;
         for _ in 0..100 {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
-            let mut vals = vec![false; p.num_signals()];
-            vals[p.inputs()[0].index()] = rng & 1 == 1;
-            for (i, l) in p.latches().iter().enumerate() {
-                vals[l.output.index()] = state[i];
-            }
-            for &g in &order {
-                let gate = &p.gates()[g];
-                let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-                vals[gate.output.index()] = gate.kind.eval(&ins);
-            }
-            assert!(
-                vals[p.outputs()[0].index()],
-                "miter dropped on identical machines"
-            );
-            state = p.latches().iter().map(|l| vals[l.input.index()]).collect();
+            let (next, outs) = p.step_words(&state, &[rng]).unwrap();
+            assert_eq!(outs[0], !0, "miter dropped on identical machines");
+            state = next;
         }
     }
 
@@ -163,24 +152,14 @@ mod tests {
         let a = generators::counter(3);
         let b = generators::gray(3);
         let p = product_miter(&a, &b).unwrap();
-        let order = crate::topo::order(&p).unwrap();
-        let mut state = p.initial_state();
+        let mut state: Vec<u64> = p.initial_state().iter().map(|&b| u64::from(b)).collect();
         let mut disagreed = false;
         for _ in 0..16 {
-            let mut vals = vec![false; p.num_signals()];
-            vals[p.inputs()[0].index()] = true;
-            for (i, l) in p.latches().iter().enumerate() {
-                vals[l.output.index()] = state[i];
-            }
-            for &g in &order {
-                let gate = &p.gates()[g];
-                let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-                vals[gate.output.index()] = gate.kind.eval(&ins);
-            }
-            if !vals[p.outputs()[0].index()] {
+            let (next, outs) = p.step_words(&state, &[1]).unwrap();
+            if outs[0] & 1 == 0 {
                 disagreed = true;
             }
-            state = p.latches().iter().map(|l| vals[l.input.index()]).collect();
+            state = next;
         }
         assert!(disagreed, "expected the outputs to diverge somewhere");
     }

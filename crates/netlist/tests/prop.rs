@@ -134,42 +134,29 @@ fn build(spec: &NetSpec) -> Netlist {
     b.finish().expect("acyclic by construction")
 }
 
-/// Reference interpreter step.
-fn step(net: &Netlist, state: &[bool], inputs: &[bool]) -> (Vec<bool>, Vec<bool>) {
-    let order = bfvr_netlist::topo::order(net).expect("validated");
-    let mut vals = vec![false; net.num_signals()];
-    for (i, &s) in net.inputs().iter().enumerate() {
-        vals[s.index()] = inputs[i];
-    }
-    for (i, l) in net.latches().iter().enumerate() {
-        vals[l.output.index()] = state[i];
-    }
-    for g in order {
-        let gate = &net.gates()[g];
-        let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-        vals[gate.output.index()] = gate.kind.eval(&ins);
-    }
-    let next = net
-        .latches()
-        .iter()
-        .map(|l| vals[l.input.index()])
-        .collect();
-    let outs = net.outputs().iter().map(|&o| vals[o.index()]).collect();
-    (next, outs)
+/// The reset state on all 64 lanes.
+fn reset(net: &Netlist) -> Vec<u64> {
+    let all = |b| u64::from(b).wrapping_neg();
+    net.initial_state().into_iter().map(all).collect()
 }
 
+/// Steps both netlists in lockstep on 64 lanes of random inputs.
 fn behaviourally_equal(a: &Netlist, b: &Netlist, seed: u64) {
     assert_eq!(a.initial_state(), b.initial_state());
-    let mut sa = a.initial_state();
-    let mut sb = b.initial_state();
+    let mut sa = reset(a);
+    let mut sb = reset(b);
     let mut rng = seed | 1;
     for t in 0..32 {
-        rng ^= rng << 13;
-        rng ^= rng >> 7;
-        rng ^= rng << 17;
-        let ins: Vec<bool> = (0..a.inputs().len()).map(|i| rng >> i & 1 == 1).collect();
-        let (na, oa) = step(a, &sa, &ins);
-        let (nb, ob) = step(b, &sb, &ins);
+        let ins: Vec<u64> = (0..a.inputs().len())
+            .map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng
+            })
+            .collect();
+        let (na, oa) = a.step_words(&sa, &ins).expect("validated");
+        let (nb, ob) = b.step_words(&sb, &ins).expect("validated");
         assert_eq!(oa, ob, "outputs diverged at step {t}");
         assert_eq!(na, nb, "states diverged at step {t}");
         sa = na;
@@ -216,17 +203,22 @@ fn cone_reduction_preserves_outputs() {
             reduced.latches().len() <= net.latches().len(),
             "case {case}"
         );
-        // Compare output traces (states may differ in dead latches).
-        let mut sa = net.initial_state();
-        let mut sb = reduced.initial_state();
+        // Compare output traces on 64 lanes (states may differ in dead
+        // latches).
+        let mut sa = reset(&net);
+        let mut sb = reset(&reduced);
         let mut s = seed | 1;
         for _ in 0..32 {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            let ins_full: Vec<bool> = (0..net.inputs().len()).map(|i| s >> i & 1 == 1).collect();
+            let ins_full: Vec<u64> = (0..net.inputs().len())
+                .map(|_| {
+                    s ^= s << 13;
+                    s ^= s >> 7;
+                    s ^= s << 17;
+                    s
+                })
+                .collect();
             // The reduced net may have dropped inputs; map by name.
-            let ins_red: Vec<bool> = reduced
+            let ins_red: Vec<u64> = reduced
                 .inputs()
                 .iter()
                 .map(|&sig| {
@@ -239,8 +231,8 @@ fn cone_reduction_preserves_outputs() {
                     ins_full[pos]
                 })
                 .collect();
-            let (na, oa) = step(&net, &sa, &ins_full);
-            let (nb, ob) = step(&reduced, &sb, &ins_red);
+            let (na, oa) = net.step_words(&sa, &ins_full).expect("validated");
+            let (nb, ob) = reduced.step_words(&sb, &ins_red).expect("validated");
             assert_eq!(oa, ob, "case {case}: outputs diverged after reduction");
             sa = na;
             sb = nb;

@@ -1,15 +1,23 @@
 //! A small safety (invariant) checker on the BFV engine — the "symbolic
 //! simulation based model checker" the paper's conclusion aims at.
 //!
-//! Forward reachability with intersection tests against a bad-state set
-//! each iteration (the §2.4 intersection algorithm doing real work), with
-//! counterexample extraction on violation.
+//! [`check_invariant`] runs the shared fixed-point driver on a
+//! [`BfvBackend`] and stops it at the first set (initial or image) that
+//! meets the bad set under the §2.4 intersection.
+//!
+//! That hit is depth-exact whichever set the frontier rule iterates
+//! from: image `i` holds every state at exact depth `i` and none deeper,
+//! since it is taken of a set that holds those of depth `i − 1`.
+
+use std::fmt;
 
 use bfvr_bdd::BddManager;
-use bfvr_bfv::{BfvError, StateSet};
-use bfvr_sim::{simulate_image_with, EncodedFsm};
+use bfvr_bfv::{ops, Bfv, StateSet};
+use bfvr_sim::EncodedFsm;
 
-use crate::common::{arm_limits, disarm_limits, ReachOptions};
+use crate::backends::BfvBackend;
+use crate::common::{EngineKind, Outcome, ReachOptions};
+use crate::driver::run_fixed_point;
 
 /// The verdict of an invariant check.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,71 +39,91 @@ pub enum CheckResult {
     },
 }
 
+/// A [`check_invariant`] or [`find_trace`](crate::find_trace) search
+/// that ended without a verdict: its run stopped on a limit or an error
+/// before any image met the target and before the fixed point.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NoVerdict {
+    /// How the run ended.
+    pub outcome: Outcome,
+    /// Image iterations completed before it ended.
+    pub iterations: usize,
+}
+
+impl fmt::Display for NoVerdict {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let why = match self.outcome {
+            Outcome::MemOut => "bdd node limit exceeded",
+            Outcome::TimeOut => "bdd operation deadline exceeded",
+            Outcome::IterationLimit => "iteration cap reached",
+            Outcome::Error | Outcome::FixedPoint => "internal error",
+        };
+        let (n, label) = (self.iterations, self.outcome.label());
+        write!(f, "no verdict at iteration {n}: {why} ({label})")
+    }
+}
+
+impl std::error::Error for NoVerdict {}
+
+/// Runs the driver on a [`BfvBackend`] until the initial set or an image
+/// meets `target`; `keep` sees each of those sets first. Returns the
+/// run's iterations, which on a hit are the hit's depth, and the witness
+/// of a hit: the hit evaluated at the all-false choice point, which for
+/// a canonical vector is its lexicographically smallest member.
+pub(crate) fn search(
+    m: &mut BddManager,
+    fsm: &EncodedFsm,
+    target: &StateSet,
+    opts: &ReachOptions,
+    mut keep: impl FnMut(&BddManager, &Bfv),
+) -> Result<(usize, Option<Vec<bool>>), NoVerdict> {
+    let space = fsm.space();
+    let target = target.as_bfv();
+    // The driver collects against its own loop state only.
+    let _target_pins = target.map(|t| t.pin(m));
+    let mut witness = None;
+    let stop = |m: &mut BddManager, set: &Bfv| {
+        keep(m, set);
+        let Some(t) = target else { return Ok(false) };
+        let Some(hit) = ops::intersect(m, &space, set, t)? else {
+            return Ok(false);
+        };
+        witness = Some(hit.eval(m, &space, &vec![false; space.len()])?);
+        Ok(true)
+    };
+    let mut backend = BfvBackend::new(fsm, opts.schedule);
+    let r = run_fixed_point(EngineKind::Bfv, &mut backend, m, fsm, opts, None, stop);
+    if witness.is_none() && r.outcome != Outcome::FixedPoint {
+        let (outcome, iterations) = (r.outcome, r.iterations);
+        return Err(NoVerdict {
+            outcome,
+            iterations,
+        });
+    }
+    Ok((r.iterations, witness))
+}
+
 /// Checks that no state of `bad` is reachable from the initial state.
+///
+/// The run collects garbage as `bfvr reach` does: pin any other set
+/// that must outlive it.
 ///
 /// # Errors
 ///
-/// Fails on BDD resource-limit exhaustion: the node, time and cache
-/// limits of `opts` are armed for the duration of the check.
+/// Returns [`NoVerdict`] when the run stops short of both a bad state
+/// and the fixed point: on the node, time or iteration limits of `opts`,
+/// which are armed for the duration of the check, or on an internal
+/// error.
 pub fn check_invariant(
     m: &mut BddManager,
     fsm: &EncodedFsm,
     bad: &StateSet,
     opts: &ReachOptions,
-) -> Result<CheckResult, BfvError> {
-    arm_limits(m, opts);
-    let verdict = check_armed(m, fsm, bad, opts);
-    disarm_limits(m);
-    verdict
-}
-
-/// [`check_invariant`] under already-armed limits.
-fn check_armed(
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    bad: &StateSet,
-    opts: &ReachOptions,
-) -> Result<CheckResult, BfvError> {
-    let space = fsm.space();
-    let init = StateSet::singleton(m, &space, &fsm.initial_state())?;
-    let mut reached = init;
-    // Depth 0: the initial state itself may be bad.
-    let mut depth = 0usize;
-    let mut hit = reached.intersect(m, &space, bad)?;
-    let mut from = reached.clone();
-    while hit.is_empty() {
-        if opts.max_iterations.is_some_and(|cap| depth >= cap) {
-            return Ok(CheckResult::Holds { iterations: depth });
-        }
-        m.check_deadline()?;
-        // The from-set grows from a non-empty singleton and images of
-        // non-empty sets are non-empty; an empty one means exploration
-        // is already complete.
-        let Some(from_bfv) = from.as_bfv() else {
-            return Ok(CheckResult::Holds { iterations: depth });
-        };
-        let img = simulate_image_with(m, fsm, from_bfv, opts.schedule)?;
-        let img_set = StateSet::NonEmpty(img);
-        let new_reached = reached.union(m, &space, &img_set)?;
-        depth += 1;
-        if new_reached == reached {
-            return Ok(CheckResult::Holds { iterations: depth });
-        }
-        // Only new states can newly violate; checking the image set keeps
-        // the witness depth-minimal for the frontier strategy.
-        hit = img_set.intersect(m, &space, bad)?;
-        reached = new_reached;
-        from = if opts.use_frontier {
-            img_set
-        } else {
-            reached.clone()
-        };
-    }
-    // The loop only exits on a non-empty intersection, which has a member.
-    match hit.members(m, &space)?.into_iter().next() {
-        Some(witness) => Ok(CheckResult::Violated { depth, witness }),
-        None => Ok(CheckResult::Holds { iterations: depth }),
-    }
+) -> Result<CheckResult, NoVerdict> {
+    Ok(match search(m, fsm, bad, opts, |_, _| {})? {
+        (iterations, None) => CheckResult::Holds { iterations },
+        (depth, Some(witness)) => CheckResult::Violated { depth, witness },
+    })
 }
 
 #[cfg(test)]
@@ -210,6 +238,60 @@ mod tests {
             let r = check_invariant(&mut m, &fsm, &bad, &ReachOptions::default()).unwrap();
             let holds = matches!(r, CheckResult::Holds { .. });
             assert_eq!(holds, expect_holds, "{} wrong verdict", net.name());
+        }
+    }
+
+    #[test]
+    fn a_capped_run_is_no_verdict() {
+        // 1111 is 15 images away: three images decide nothing.
+        let net = generators::counter(4);
+        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+        let bad = StateSet::singleton(&mut m, &fsm.space(), &[true; 4]).unwrap();
+        let opts = ReachOptions {
+            max_iterations: Some(3),
+            ..ReachOptions::default()
+        };
+        let stopped = NoVerdict {
+            outcome: Outcome::IterationLimit,
+            iterations: 3,
+        };
+        assert_eq!(check_invariant(&mut m, &fsm, &bad, &opts), Err(stopped));
+        assert_eq!(crate::find_trace(&mut m, &fsm, &bad, &opts), Err(stopped));
+        let text = "no verdict at iteration 3: iteration cap reached (I.L.)";
+        assert_eq!(stopped.to_string(), text);
+    }
+
+    #[test]
+    fn forced_collections_change_no_verdict_witness_or_trace() {
+        // Non-cube targets: their components are not plain variables or
+        // constants, so only their pins keep them across a collection.
+        let net = generators::counter(5);
+        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+        let comp = |v: u32| -> Vec<bool> {
+            let bit = |c| v >> fsm.latch_of_component(c) & 1 == 1;
+            (0..5).map(bit).collect()
+        };
+        let observer: crate::IterationObserver = std::rc::Rc::new(|_, _, _| {});
+        let observed = ReachOptions {
+            observer: Some(observer),
+            ..ReachOptions::default()
+        };
+        for values in [&[4, 19, 22][..], &[9, 30]] {
+            let points: Vec<Vec<bool>> = values.iter().map(|&v| comp(v)).collect();
+            // Not pinned here: each run must pin its target itself.
+            let target = StateSet::from_points(&mut m, &fsm.space(), &points).unwrap();
+            let [plain, forced] = [&ReachOptions::default(), &observed].map(|opts| {
+                let verdict = check_invariant(&mut m, &fsm, &target, opts).unwrap();
+                (
+                    verdict,
+                    crate::find_trace(&mut m, &fsm, &target, opts).unwrap(),
+                )
+            });
+            assert_eq!(forced, plain, "{values:?}");
+            // The counter reaches value v at depth v: the smallest value
+            // is the witness, alone at its depth.
+            let (depth, witness) = (values[0] as usize, points[0].clone());
+            assert_eq!(forced.0, CheckResult::Violated { depth, witness });
         }
     }
 }

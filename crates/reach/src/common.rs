@@ -495,18 +495,16 @@ pub(crate) fn failed_result(
     }
 }
 
-/// Internal: arm the manager's limits; returns the deadline used.
-pub(crate) fn arm_limits(m: &mut BddManager, opts: &ReachOptions) -> Option<Instant> {
+/// Internal: arm the manager's limits, the time limit counted from `start`.
+pub(crate) fn arm_limits(m: &mut BddManager, opts: &ReachOptions, start: Instant) {
     if let Some(n) = opts.node_limit {
         m.set_node_limit(n);
     }
     if let Some(c) = opts.cache_limit {
         m.set_cache_limit(c);
     }
-    let deadline = opts.time_limit.map(|d| Instant::now() + d);
-    m.set_deadline(deadline);
+    m.set_deadline(opts.time_limit.map(|d| start + d));
     m.reset_peak_nodes();
-    deadline
 }
 
 /// Internal: disarm limits after a run.

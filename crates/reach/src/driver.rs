@@ -8,7 +8,8 @@
 //! driver owning everything lane-independent: resource-limit arming,
 //! iteration caps and deadlines, the frontier heuristic, GC root
 //! assembly, per-iteration telemetry, checkpointing, and the final
-//! canonicalization into χ for cross-engine comparison.
+//! canonicalization into χ for cross-engine comparison. The invariant
+//! checker and the trace search stop it early through its `stop` hook.
 
 use std::time::{Duration, Instant};
 
@@ -23,6 +24,12 @@ use crate::common::{
 
 /// Runs the shared traversal loop on `backend`, optionally resuming from
 /// a prior checkpoint's representation state and iteration count.
+///
+/// `stop` is called on the initial set of a fresh run and on the image
+/// of every growing iteration. When it returns `true` the run ends as a
+/// fixed point does, with no checkpoint; an error from it ends the run
+/// as an error of the loop would. Sets the hook keeps past the call must
+/// be pinned: the loop collects garbage against its own state only.
 pub(crate) fn run_fixed_point<B: SetRepr>(
     engine: EngineKind,
     backend: &mut B,
@@ -30,9 +37,10 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     fsm: &EncodedFsm,
     opts: &ReachOptions,
     seed: Option<(&ReprCheckpoint, usize)>,
+    mut stop: impl FnMut(&mut BddManager, &B::Set) -> Result<bool, bfvr_bfv::BfvError>,
 ) -> ReachResult {
     let start = Instant::now();
-    arm_limits(m, opts);
+    arm_limits(m, opts, start);
     let mut per_iteration = Vec::new();
     let mut conversion_time = Duration::ZERO;
     // Dynamic reordering: on only when asked for *and* the backend's
@@ -72,6 +80,9 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
 
     let mut outcome_opt = None;
     let run = (|| -> Result<(), bfvr_bfv::BfvError> {
+        if seed.is_none() && stop(m, &from)? {
+            return Ok(());
+        }
         loop {
             if opts.max_iterations.is_some_and(|cap| iterations >= cap) {
                 outcome_opt = Some(Outcome::IterationLimit);
@@ -91,6 +102,9 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 break;
             }
             reached = new_reached;
+            if stop(m, &img)? {
+                break;
+            }
             // Frontier choice: the image when it is no larger than the
             // reached set. The reached-set walk stops after |img| nodes.
             let take_img = opts.use_frontier && {
@@ -269,6 +283,11 @@ mod tests {
     use crate::backends::{BfvBackend, CdecBackend, CdecSet, ChiBackend};
     use crate::common::{EngineKind, ReachOptions, ReachResult};
 
+    /// The `stop` hook of a run to its fixed point or its limits.
+    fn never<S>(_: &mut BddManager, _: &S) -> Result<bool, BfvError> {
+        Ok(false)
+    }
+
     /// The one method a [`Reference`] backend replaces.
     enum Rule<'a, S> {
         /// `size_capped` keeps the trait's default: a full `size` walk,
@@ -407,9 +426,9 @@ mod tests {
             ($backend:expr) => {
                 if full_walk {
                     let mut reference = Reference($backend, Rule::FullWalk);
-                    run_fixed_point(engine, &mut reference, m, &fsm, &opts, None)
+                    run_fixed_point(engine, &mut reference, m, &fsm, &opts, None, never)
                 } else {
-                    run_fixed_point(engine, &mut $backend, m, &fsm, &opts, None)
+                    run_fixed_point(engine, &mut $backend, m, &fsm, &opts, None, never)
                 }
             };
         }
@@ -458,8 +477,8 @@ mod tests {
         opts: &ReachOptions,
         what: &str,
     ) {
-        let got = run_fixed_point(engine, &mut backend, m, fsm, opts, None);
-        let want = run_fixed_point(engine, &mut reference, m, fsm, opts, None);
+        let got = run_fixed_point(engine, &mut backend, m, fsm, opts, None, never);
+        let want = run_fixed_point(engine, &mut reference, m, fsm, opts, None, never);
         assert_eq!(got.outcome, want.outcome, "{what}");
         assert_eq!(got.iterations, want.iterations, "{what}");
         assert_eq!(got.reached_states, want.reached_states, "{what}");

@@ -29,7 +29,9 @@
 //! [`check_invariant`] layers a simple safety checker on the BFV engine —
 //! the "symbolic simulation based model checker" the paper names as the
 //! goal of this line of work. [`find_trace`] extracts a concrete
-//! minimal-depth input trace to any target set.
+//! minimal-depth input trace to any target set. Both run that driver on
+//! the BFV backend and stop it at the first image that meets their
+//! target; a run that stops on a limit first is a [`NoVerdict`] error.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +56,7 @@ pub mod telemetry;
 mod trace;
 
 pub use bfvr_setrepr::{ReprCheckpoint, SetRepr, SetView};
-pub use check::{check_invariant, CheckResult};
+pub use check::{check_invariant, CheckResult, NoVerdict};
 pub use common::{
     Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationStats, IterationView,
     Outcome, ReachOptions, ReachResult,
@@ -75,27 +77,17 @@ fn dispatch(
     seed: Option<(&ReprCheckpoint, usize)>,
 ) -> ReachResult {
     use driver::run_fixed_point;
+    macro_rules! go {
+        ($backend:expr) => {
+            run_fixed_point(engine, &mut $backend, m, fsm, opts, seed, |_, _| Ok(false))
+        };
+    }
     match engine {
-        EngineKind::Monolithic => {
-            let mut b = backends::ChiBackend::monolithic(fsm);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        EngineKind::Cbm => {
-            let mut b = backends::ChiBackend::cbm(fsm);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        EngineKind::Iwls95 => {
-            let mut b = backends::ChiBackend::iwls95(fsm, opts.cluster_threshold);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        EngineKind::Bfv => {
-            let mut b = backends::BfvBackend::new(fsm, opts.schedule);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
-        EngineKind::Cdec => {
-            let mut b = backends::CdecBackend::new(fsm, opts.schedule);
-            run_fixed_point(engine, &mut b, m, fsm, opts, seed)
-        }
+        EngineKind::Monolithic => go!(backends::ChiBackend::monolithic(fsm)),
+        EngineKind::Cbm => go!(backends::ChiBackend::cbm(fsm)),
+        EngineKind::Iwls95 => go!(backends::ChiBackend::iwls95(fsm, opts.cluster_threshold)),
+        EngineKind::Bfv => go!(backends::BfvBackend::new(fsm, opts.schedule)),
+        EngineKind::Cdec => go!(backends::CdecBackend::new(fsm, opts.schedule)),
     }
 }
 

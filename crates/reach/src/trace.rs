@@ -1,18 +1,24 @@
 //! Counterexample trace extraction: a concrete run from the initial
 //! state to a target state, with the input vector driving every step.
 //!
-//! Forward reachability remembers its frontier "onion rings"; a target
-//! found in ring `d` is then walked backwards — for each step, a
-//! predecessor in the previous ring and a concrete input are extracted
-//! from the BDD `⋀_l (δ_l(v,w) ↔ s_{i}[l]) ∧ χ_{ring_{i-1}}(v)` with a
-//! single `pick_minterm`. The result is checked against the netlist-level
-//! semantics by the tests (and can be replayed on any simulator).
+//! [`find_trace`] runs the invariant checker's search and keeps every
+//! image as an "onion ring"; a target found in ring `d` is then walked
+//! backwards: for each step, a predecessor in the previous ring and a
+//! concrete input are extracted from the BDD
+//! `⋀_l (δ_l(v,w) ↔ s_{i}[l]) ∧ χ_{ring_{i-1}}(v)` with a single
+//! `pick_minterm`. Ring `i − 1` holds every state of exact depth `i − 1`
+//! and none deeper, so it holds a predecessor of a state of exact depth
+//! `i`, and only ones of depth `i − 1`. The result is checked against
+//! the netlist-level semantics by the tests.
 
-use bfvr_bdd::BddManager;
-use bfvr_bfv::{BfvError, StateSet};
-use bfvr_sim::{simulate_image_with, EncodedFsm};
+use std::time::Instant;
 
-use crate::common::{arm_limits, disarm_limits, ReachOptions};
+use bfvr_bdd::{BddManager, Func};
+use bfvr_bfv::{convert, Bfv, BfvError, StateSet};
+use bfvr_sim::EncodedFsm;
+
+use crate::check::{search, NoVerdict};
+use crate::common::{arm_limits, disarm_limits, outcome_of_bfv_error, Outcome, ReachOptions};
 
 /// A concrete run of the machine: `states[0]` is the initial state,
 /// `inputs[i]` drives the step from `states[i]` to `states[i+1]`.
@@ -59,117 +65,71 @@ impl Trace {
 ///
 /// # Errors
 ///
-/// Fails on BDD resource-limit exhaustion: the node, time and cache
-/// limits of `opts` are armed for the duration of the search.
+/// Returns [`NoVerdict`] when the search stops short of both the target
+/// and the fixed point (see [`crate::check_invariant`]), or when the
+/// backward pass runs out of what is left of the node and time limits of
+/// `opts`.
 pub fn find_trace(
     m: &mut BddManager,
     fsm: &EncodedFsm,
     target: &StateSet,
     opts: &ReachOptions,
-) -> Result<Option<Trace>, BfvError> {
-    arm_limits(m, opts);
-    let trace = find_armed(m, fsm, target, opts);
+) -> Result<Option<Trace>, NoVerdict> {
+    let start = Instant::now();
+    // Ring `i` is image `i`, ring 0 the initial set; pinned, since the
+    // driver collects against its own loop state only.
+    let mut rings: Vec<(Bfv, Vec<Func>)> = Vec::new();
+    let keep = |m: &BddManager, set: &Bfv| rings.push((set.clone(), set.pin(m)));
+    let (depth, Some(end)) = search(m, fsm, target, opts, keep)? else {
+        return Ok(None);
+    };
+    // The backward pass spends what is left of the run's budget.
+    arm_limits(m, opts, start);
+    let mut states = vec![end];
+    let mut inputs = Vec::new();
+    let walked = rings[..depth].iter().rev().try_for_each(|(ring, _)| {
+        let (prev, input) = step_back(m, fsm, ring, &states[states.len() - 1])?;
+        states.push(prev);
+        inputs.push(input);
+        Ok(())
+    });
     disarm_limits(m);
-    trace
-}
-
-/// [`find_trace`] under already-armed limits.
-fn find_armed(
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    target: &StateSet,
-    opts: &ReachOptions,
-) -> Result<Option<Trace>, BfvError> {
-    let space = fsm.space();
-    let init = StateSet::singleton(m, &space, &fsm.initial_state())?;
-    // Forward pass, remembering each frontier ring.
-    let mut rings: Vec<StateSet> = vec![init.clone()];
-    let mut reached = init;
-    let mut hit_depth: Option<usize> = None;
-    if !reached.intersect(m, &space, target)?.is_empty() {
-        hit_depth = Some(0);
-    }
-    while hit_depth.is_none() {
-        if opts.max_iterations.is_some_and(|cap| rings.len() > cap) {
-            return Ok(None);
-        }
-        m.check_deadline()?;
-        // Rings grow from the non-empty initial singleton and images of
-        // non-empty sets are non-empty; a missing ring or vector means
-        // there is nothing left to explore.
-        let Some(from_bfv) = rings.last().and_then(StateSet::as_bfv) else {
-            return Ok(None);
-        };
-        let img = simulate_image_with(m, fsm, from_bfv, opts.schedule)?;
-        let img_set = StateSet::NonEmpty(img);
-        let new_reached = reached.union(m, &space, &img_set)?;
-        if new_reached == reached {
-            return Ok(None); // fix point, target unreachable
-        }
-        if !img_set.intersect(m, &space, target)?.is_empty() {
-            hit_depth = Some(rings.len());
-        }
-        rings.push(img_set);
-        reached = new_reached;
-    }
-    // The loop only exits with a hit at a recorded depth.
-    let Some(depth) = hit_depth else {
-        return Ok(None);
-    };
-    // Pick the endpoint.
-    let hit = rings[depth].intersect(m, &space, target)?;
-    let Some(mut cur) = hit.members(m, &space)?.into_iter().next() else {
-        return Ok(None);
-    };
-    // Backward pass: predecessor + input per step.
-    let mut states = vec![cur.clone()];
-    let mut inputs_rev: Vec<Vec<bool>> = Vec::new();
-    for i in (1..=depth).rev() {
-        let Some((prev, inp)) = step_back(m, fsm, &rings[i - 1], &cur)? else {
-            return Ok(None);
-        };
-        states.push(prev.clone());
-        inputs_rev.push(inp);
-        cur = prev;
-    }
+    walked.map_err(|outcome| NoVerdict {
+        outcome,
+        iterations: depth,
+    })?;
     states.reverse();
-    inputs_rev.reverse();
-    Ok(Some(Trace {
-        states,
-        inputs: inputs_rev,
-    }))
+    inputs.reverse();
+    Ok(Some(Trace { states, inputs }))
 }
 
-/// A concrete `(state, input)` pair in component/input order.
-type StepBack = (Vec<bool>, Vec<bool>);
-
-/// Finds some `(state ∈ ring, input)` with `δ(state, input) = next`.
-/// Returns `None` when no predecessor exists (cannot happen for states
-/// taken from the successor ring).
+/// Finds some `(state ∈ ring, input)` with `δ(state, input) = next`, in
+/// component and input order.
+/// There is one for a state of the ring after `ring` (see the module
+/// docs); failing that, the outcome is [`Outcome::Error`].
 fn step_back(
     m: &mut BddManager,
     fsm: &EncodedFsm,
-    ring: &StateSet,
+    ring: &Bfv,
     next: &[bool],
-) -> Result<Option<StepBack>, BfvError> {
+) -> Result<(Vec<bool>, Vec<bool>), Outcome> {
     let space = fsm.space();
+    let outcome = |e: BfvError| outcome_of_bfv_error(&e);
     // cond(v, w) = ⋀_c (δ_c(v,w) ↔ next[c]) ∧ χ_ring(v)
-    let mut cond = ring.to_characteristic(m, &space)?;
+    let mut cond = convert::to_characteristic(m, &space, ring).map_err(outcome)?;
     for (c, next_fn) in fsm.next_fns_in_component_order().into_iter().enumerate() {
         let lit = if next[c] { next_fn } else { m.not(next_fn) };
-        cond = m.and(cond, lit)?;
+        cond = m.and(cond, lit).map_err(|e| outcome(e.into()))?;
         if cond.is_false() {
             break;
         }
     }
-    let Some(asg) = m.pick_minterm(cond, m.num_vars()) else {
-        return Ok(None);
-    };
+    let asg = m.pick_minterm(cond, m.num_vars()).ok_or(Outcome::Error)?;
     let state: Vec<bool> = space.vars().iter().map(|v| asg[v.0 as usize]).collect();
     let inputs: Vec<bool> = (0..fsm.num_inputs())
         .map(|i| asg[fsm.input_var(i).0 as usize])
         .collect();
-    Ok(Some((state, inputs)))
+    Ok((state, inputs))
 }
 
 #[cfg(test)]
@@ -178,44 +138,26 @@ mod tests {
     use bfvr_netlist::{generators, Netlist};
     use bfvr_sim::OrderHeuristic;
 
-    /// Replays a trace on the netlist interpreter and checks every step.
+    /// Replays a trace on one lane of the netlist interpreter and checks
+    /// every step.
     fn validate(net: &Netlist, fsm: &EncodedFsm, trace: &Trace) {
-        let order = bfvr_netlist::topo::order(net).unwrap();
-        // Convert component-order state to latch order.
-        let to_latch = |comp_state: &[bool]| -> Vec<bool> {
-            let mut latch = vec![false; comp_state.len()];
+        // Component-order state to one lane in latch order.
+        let lane = |comp_state: &[bool]| -> Vec<u64> {
+            let mut latch = vec![0; comp_state.len()];
             for (c, &b) in comp_state.iter().enumerate() {
-                latch[fsm.latch_of_component(c)] = b;
+                latch[fsm.latch_of_component(c)] = u64::from(b);
             }
             latch
         };
-        assert_eq!(
-            to_latch(&trace.states[0]),
-            net.initial_state(),
-            "trace must start at reset"
-        );
+        let reset: Vec<u64> = net.initial_state().into_iter().map(u64::from).collect();
+        assert_eq!(lane(&trace.states[0]), reset, "trace must start at reset");
         for (i, inp) in trace.inputs.iter().enumerate() {
-            let state = to_latch(&trace.states[i]);
-            let mut vals = vec![false; net.num_signals()];
-            for (k, &s) in net.inputs().iter().enumerate() {
-                vals[s.index()] = inp[k];
-            }
-            for (k, l) in net.latches().iter().enumerate() {
-                vals[l.output.index()] = state[k];
-            }
-            for &g in &order {
-                let gate = &net.gates()[g];
-                let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-                vals[gate.output.index()] = gate.kind.eval(&ins);
-            }
-            let got: Vec<bool> = net
-                .latches()
-                .iter()
-                .map(|l| vals[l.input.index()])
-                .collect();
+            let inputs: Vec<u64> = inp.iter().map(|&b| u64::from(b)).collect();
+            let (next, _) = net.step_words(&lane(&trace.states[i]), &inputs).unwrap();
+            let got: Vec<u64> = next.iter().map(|w| w & 1).collect();
             assert_eq!(
                 got,
-                to_latch(&trace.states[i + 1]),
+                lane(&trace.states[i + 1]),
                 "replay diverged at step {i}"
             );
         }

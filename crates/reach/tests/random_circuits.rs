@@ -1,10 +1,9 @@
 //! Property test: on random small sequential circuits, every symbolic
-//! engine's reached set equals an explicit-state BFS ground truth.
+//! engine's reached set equals the explicit-state ground truth of
+//! `Netlist::reachable_states`.
 //!
 //! Deterministic xorshift generation keeps the suite dependency-free; a
 //! failing case is reproducible from the printed case number.
-
-use std::collections::{HashSet, VecDeque};
 
 use bfvr_netlist::{GateKind, Netlist, NetlistBuilder};
 use bfvr_reach::{run, EngineKind, Outcome, ReachOptions};
@@ -125,50 +124,13 @@ fn build(spec: &Spec) -> Netlist {
     b.finish().unwrap()
 }
 
-fn explicit_reachable(net: &Netlist) -> usize {
-    let order = bfvr_netlist::topo::order(net).unwrap();
-    let ni = net.inputs().len();
-    let step = |state: &Vec<bool>, inputs: u32| -> Vec<bool> {
-        let mut vals = vec![false; net.num_signals()];
-        for (i, &s) in net.inputs().iter().enumerate() {
-            vals[s.index()] = inputs >> i & 1 == 1;
-        }
-        for (i, l) in net.latches().iter().enumerate() {
-            vals[l.output.index()] = state[i];
-        }
-        for &g in &order {
-            let gate = &net.gates()[g];
-            let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-            vals[gate.output.index()] = gate.kind.eval(&ins);
-        }
-        net.latches()
-            .iter()
-            .map(|l| vals[l.input.index()])
-            .collect()
-    };
-    let mut seen: HashSet<Vec<bool>> = HashSet::new();
-    let mut q = VecDeque::new();
-    let init = net.initial_state();
-    seen.insert(init.clone());
-    q.push_back(init);
-    while let Some(st) = q.pop_front() {
-        for inputs in 0..(1u32 << ni) {
-            let nxt = step(&st, inputs);
-            if seen.insert(nxt.clone()) {
-                q.push_back(nxt);
-            }
-        }
-    }
-    seen.len()
-}
-
 #[test]
 fn every_engine_matches_explicit_bfs() {
     for_cases(0x5EA1, |case, rng| {
         let spec = Spec::random(rng);
         let order_seed = rng.next();
         let net = build(&spec);
-        let truth = explicit_reachable(&net) as f64;
+        let truth = net.reachable_states().unwrap().len() as f64;
         let order = OrderHeuristic::Random(order_seed);
         for kind in EngineKind::all() {
             let (mut m, fsm) = EncodedFsm::encode(&net, order).unwrap();

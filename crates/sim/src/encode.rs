@@ -356,25 +356,11 @@ mod tests {
     use super::*;
     use bfvr_netlist::generators;
 
-    /// Reference interpreter (mirrors the netlist test util).
+    /// One lane of the reference interpreter, [`Netlist::step_words`].
     fn step(net: &Netlist, state: &[bool], inputs: &[bool]) -> Vec<bool> {
-        let order = bfvr_netlist::topo::order(net).unwrap();
-        let mut vals = vec![false; net.num_signals()];
-        for (i, &s) in net.inputs().iter().enumerate() {
-            vals[s.index()] = inputs[i];
-        }
-        for (i, l) in net.latches().iter().enumerate() {
-            vals[l.output.index()] = state[i];
-        }
-        for g in order {
-            let gate = &net.gates()[g];
-            let ins: Vec<bool> = gate.inputs.iter().map(|&x| vals[x.index()]).collect();
-            vals[gate.output.index()] = gate.kind.eval(&ins);
-        }
-        net.latches()
-            .iter()
-            .map(|l| vals[l.input.index()])
-            .collect()
+        let lane = |bits: &[bool]| bits.iter().map(|&b| u64::from(b)).collect::<Vec<_>>();
+        let (next, _) = net.step_words(&lane(state), &lane(inputs)).unwrap();
+        next.iter().map(|w| w & 1 == 1).collect()
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * [`EncodedFsm`] holds the BDD encoding of an FSM: one next-state
 //!   function per latch over current-state and input variables, with
 //!   current/next variables interleaved pairwise in the order;
-//! * [`simulate_image`] performs the paper's symbolic-simulation step:
+//! * [`simulate_image_scratch`] performs the paper's symbolic-simulation step:
 //!   simultaneous composition of the next-state functions with the
 //!   components of the current reached set's Boolean functional vector
 //!   (a point of an input-free circuit steps by evaluation instead).
@@ -20,14 +20,17 @@
 //! use bfvr_bdd::BddManager;
 //! use bfvr_bfv::StateSet;
 //! use bfvr_netlist::generators;
-//! use bfvr_sim::{EncodedFsm, OrderHeuristic};
+//! use bfvr_bfv::reparam::Schedule;
+//! use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch, OrderHeuristic};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let net = generators::counter(3);
 //! let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
 //! let space = fsm.space();
 //! let init = StateSet::singleton(&mut m, &space, &fsm.initial_state())?;
-//! let image = bfvr_sim::simulate_image(&mut m, &fsm, init.as_bfv().unwrap())?;
+//! let mut scratch = ImageScratch::default();
+//! let from = init.as_bfv().unwrap();
+//! let image = simulate_image_scratch(&mut m, &fsm, from, Schedule::DynamicSupport, &mut scratch)?;
 //! // From state 0 the counter reaches {0, 1}.
 //! assert_eq!(StateSet::NonEmpty(image).len(&mut m, &space)?, 2);
 //! # Ok(())
@@ -45,7 +48,4 @@ mod simulate;
 
 pub use encode::{EncodeError, EncodedFsm};
 pub use order::{OrderHeuristic, Slot};
-pub use simulate::{
-    compose_image, simulate_image, simulate_image_scratch, simulate_image_with, simulate_outputs,
-    ImageScratch,
-};
+pub use simulate::{compose_image, simulate_image_scratch, simulate_outputs, ImageScratch};

@@ -58,38 +58,10 @@ impl ImageScratch {
 }
 
 /// Computes the canonical vector of the image
-/// `{ δ(s, w) : s ∈ R, w ∈ inputs }` of a reached set `R`.
-///
-/// Uses the dynamic support-based quantification schedule (paper §3).
-///
-/// # Errors
-///
-/// Fails on BDD resource-limit exhaustion.
-pub fn simulate_image(
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    reached: &Bfv,
-) -> Result<Bfv, BfvError> {
-    simulate_image_with(m, fsm, reached, Schedule::DynamicSupport)
-}
-
-/// Like [`simulate_image`] with an explicit quantification schedule.
-///
-/// # Errors
-///
-/// Fails on BDD resource-limit exhaustion.
-pub fn simulate_image_with(
-    m: &mut BddManager,
-    fsm: &EncodedFsm,
-    reached: &Bfv,
-    schedule: Schedule,
-) -> Result<Bfv, BfvError> {
-    simulate_image_scratch(m, fsm, reached, schedule, &mut ImageScratch::default())
-}
-
-/// Like [`simulate_image_with`], reusing the caller-held
-/// [`ImageScratch`] buffers across calls — the form the fixed-point
-/// backends drive, where the same scratch serves every iteration.
+/// `{ δ(s, w) : s ∈ R, w ∈ inputs }` of a reached set `R` under the
+/// quantification `schedule` (paper §3), reusing the caller-held
+/// [`ImageScratch`] buffers across calls — the fixed-point backends
+/// hold one scratch for every iteration of a run.
 ///
 /// A point of a circuit without inputs steps to its successor by
 /// evaluation: every component of the result is the constant its
@@ -236,8 +208,9 @@ mod tests {
         let init = StateSet::singleton(&mut m, &space, &fsm.initial_state()).unwrap();
         // Image of {0} = {0, 1}; of that = {0, 1, 2}; etc.
         let mut cur = init.as_bfv().unwrap().clone();
+        let (schedule, mut scratch) = (Schedule::DynamicSupport, ImageScratch::default());
         for step in 1..=4u64 {
-            cur = simulate_image(&mut m, &fsm, &cur).unwrap();
+            cur = simulate_image_scratch(&mut m, &fsm, &cur, schedule, &mut scratch).unwrap();
             assert!(
                 cur.is_canonical(&mut m, &space).unwrap(),
                 "step {step} not canonical"
@@ -272,6 +245,7 @@ mod tests {
         quant_vars.extend(fsm.input_vars());
         let cube = m.cube_from_vars(&quant_vars).unwrap();
         let mut cur = init.as_bfv().unwrap().clone();
+        let (schedule, mut scratch) = (Schedule::DynamicSupport, ImageScratch::default());
         let mut chi = StateSet::NonEmpty(cur.clone())
             .to_characteristic(&mut m, &space)
             .unwrap();
@@ -280,7 +254,7 @@ mod tests {
             let img = m.and_exists(t, chi, cube).unwrap();
             let img_v = m.swap_vars(img, &fsm.swap_pairs()).unwrap();
             // Symbolic simulation image.
-            cur = simulate_image(&mut m, &fsm, &cur).unwrap();
+            cur = simulate_image_scratch(&mut m, &fsm, &cur, schedule, &mut scratch).unwrap();
             let got = StateSet::NonEmpty(cur.clone())
                 .to_characteristic(&mut m, &space)
                 .unwrap();
@@ -296,8 +270,9 @@ mod tests {
         let space = fsm.space();
         let init = StateSet::singleton(&mut m, &space, &fsm.initial_state()).unwrap();
         let f = init.as_bfv().unwrap();
-        let a = simulate_image_with(&mut m, &fsm, f, Schedule::DynamicSupport).unwrap();
-        let b = simulate_image_with(&mut m, &fsm, f, Schedule::Fixed).unwrap();
+        let mut scratch = ImageScratch::default();
+        let mut image = |s| simulate_image_scratch(&mut m, &fsm, f, s, &mut scratch).unwrap();
+        let (a, b) = (image(Schedule::DynamicSupport), image(Schedule::Fixed));
         assert_eq!(a.components(), b.components());
     }
 
@@ -314,7 +289,10 @@ mod tests {
             warm =
                 simulate_image_scratch(&mut m, &fsm, &warm, Schedule::DynamicSupport, &mut scratch)
                     .unwrap();
-            fresh = simulate_image_with(&mut m, &fsm, &fresh, Schedule::DynamicSupport).unwrap();
+            let mut cold = ImageScratch::default();
+            fresh =
+                simulate_image_scratch(&mut m, &fsm, &fresh, Schedule::DynamicSupport, &mut cold)
+                    .unwrap();
             assert_eq!(warm.components(), fresh.components(), "step {step}");
         }
         // First call warmed the buffers, the next four reused them …

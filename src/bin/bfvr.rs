@@ -21,6 +21,7 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::{Cell, RefCell};
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::rc::Rc;
@@ -246,27 +247,47 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
 
 fn generate(spec: &str) -> Result<Netlist, String> {
     let parts: Vec<&str> = spec.split(':').collect();
-    let p = |i: usize| -> Result<u32, String> {
-        parts
+    let family = parts[0];
+    // Parameter `i`, refused unless the generator accepts it.
+    let p = |i: usize, accepted: RangeInclusive<u64>| -> Result<u64, String> {
+        let v: u64 = parts
             .get(i)
             .ok_or_else(|| format!("`{spec}` needs a parameter"))?
             .parse()
-            .map_err(|e| format!("bad parameter in `{spec}`: {e}"))
+            .map_err(|e| format!("bad parameter in `{spec}`: {e}"))?;
+        if accepted.contains(&v) {
+            return Ok(v);
+        }
+        let (lo, hi) = accepted.into_inner();
+        let range = if hi >= u32::MAX.into() {
+            format!("{lo} or more")
+        } else {
+            format!("{lo} to {hi}")
+        };
+        Err(format!("`{spec}`: {family} parameter {i} takes {range}"))
     };
-    Ok(match parts[0] {
+    // The first parameter, within a `u32` range and so a `u32`.
+    let n = |accepted: RangeInclusive<u32>| {
+        let (lo, hi) = accepted.into_inner();
+        p(1, lo.into()..=hi.into()).map(|v| v as u32)
+    };
+    Ok(match family {
         "s27" => bfvr::netlist::circuits::s27(),
-        "counter" => generators::counter(p(1)?),
-        "modk" => generators::counter_modk(p(1)?, u64::from(p(2)?)),
-        "gray" => generators::gray(p(1)?),
-        "lfsr" => generators::lfsr(p(1)?),
-        "shift" => generators::shift_register(p(1)?),
-        "johnson" => generators::johnson(p(1)?),
-        "pair" => generators::paired_registers(p(1)?),
-        "queue" => generators::queue_controller(p(1)?),
-        "rot" => generators::rotator(p(1)?),
-        "traffic" => generators::traffic_chain(p(1)?),
-        "load" => generators::loadable_register(p(1)?),
-        "mask" => generators::masked_accumulator(p(1)?),
+        "counter" => generators::counter(n(generators::COUNTER_BITS)?),
+        "modk" => {
+            let bits = n(generators::COUNTER_BITS)?;
+            generators::counter_modk(bits, p(2, generators::modk_moduli(bits))?)
+        }
+        "gray" => generators::gray(n(generators::COUNTER_BITS)?),
+        "lfsr" => generators::lfsr(n(generators::LFSR_STAGES)?),
+        "shift" => generators::shift_register(n(generators::SHIFT_STAGES)?),
+        "johnson" => generators::johnson(n(generators::JOHNSON_STAGES)?),
+        "pair" => generators::paired_registers(n(generators::PAIRS)?),
+        "queue" => generators::queue_controller(n(generators::QUEUE_POINTER_BITS)?),
+        "rot" => generators::rotator(n(generators::ROTATOR_STATIONS)?),
+        "traffic" => generators::traffic_chain(n(generators::TRAFFIC_STAGES)?),
+        "load" => generators::loadable_register(n(generators::LOAD_BITS)?),
+        "mask" => generators::masked_accumulator(n(generators::MASK_BITS)?),
         other => return Err(format!("unknown family `{other}`")),
     })
 }
@@ -1546,8 +1567,8 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
 }
 
 /// Parses a latch-order cube string (`1`, `0`, `x`/`-`) into component
-/// order for the given encoding.
-fn parse_cube(cube: &str, fsm: &EncodedFsm) -> Result<Vec<Option<bool>>, String> {
+/// order for the given encoding, as the set of states it matches.
+fn cube_set(cube: &str, m: &BddManager, fsm: &EncodedFsm) -> Result<StateSet, String> {
     let bits: Vec<Option<bool>> = cube
         .chars()
         .map(|c| match c {
@@ -1564,9 +1585,10 @@ fn parse_cube(cube: &str, fsm: &EncodedFsm) -> Result<Vec<Option<bool>>, String>
             fsm.num_latches()
         ));
     }
-    Ok((0..fsm.num_latches())
+    let pattern: Vec<_> = (0..bits.len())
         .map(|c| bits[fsm.latch_of_component(c)])
-        .collect())
+        .collect();
+    StateSet::from_cube(m, &fsm.space(), &pattern).map_err(|e| e.to_string())
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
@@ -1575,9 +1597,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let cube = flag_value(args, "--bad").ok_or("check needs --bad <cube>")?;
     let opts = parse_opts(args)?;
     let (mut m, fsm) = encode(&net, OrderHeuristic::DfsFanin)?;
-    let pattern = parse_cube(&cube, &fsm)?;
-    let space = fsm.space();
-    let bad = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;
+    let bad = cube_set(&cube, &m, &fsm)?;
     match check_invariant(&mut m, &fsm, &bad, &opts).map_err(|e| e.to_string())? {
         CheckResult::Holds { iterations } => {
             outln!("HOLDS: no state matching {cube} is reachable ({iterations} images)");
@@ -1597,9 +1617,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let cube = flag_value(args, "--to").ok_or("trace needs --to <cube>")?;
     let opts = parse_opts(args)?;
     let (mut m, fsm) = encode(&net, OrderHeuristic::DfsFanin)?;
-    let pattern = parse_cube(&cube, &fsm)?;
-    let space = fsm.space();
-    let target = StateSet::from_cube(&m, &space, &pattern).map_err(|e| e.to_string())?;
+    let target = cube_set(&cube, &m, &fsm)?;
     match find_trace(&mut m, &fsm, &target, &opts).map_err(|e| e.to_string())? {
         None => {
             outln!("UNREACHABLE: no state matching {cube} is reachable");

@@ -423,6 +423,46 @@ fn check_and_trace_stop_at_their_limits() {
 }
 
 #[test]
+fn check_and_trace_collect_garbage_like_reach() {
+    // queue4's reached set fits 6000 nodes only when the loop collects.
+    let holds = "HOLDS: no state matching 1111111111111 is reachable (32 images)";
+    for (cmd, flag, want) in [("check", "--bad", holds), ("trace", "--to", "UNREACHABLE")] {
+        let o = bfvr(&[
+            cmd,
+            "gen:queue:4",
+            flag,
+            "1111111111111",
+            "--node-limit",
+            "6000",
+        ]);
+        assert!(o.status.success(), "{cmd}: {}", stderr(&o));
+        assert!(stdout(&o).contains(want), "{cmd}: {}", stdout(&o));
+    }
+}
+
+#[test]
+fn out_of_range_gen_specs_are_errors_not_panics() {
+    for (spec, want) in [
+        ("gen:counter:0", "1 or more"),
+        ("gen:modk:3:9", "2 to 8"),
+        ("gen:gray:0", "1 or more"),
+        ("gen:lfsr:17", "2 to 16"),
+        ("gen:shift:0", "1 or more"),
+        ("gen:johnson:1", "2 or more"),
+        ("gen:pair:0", "1 or more"),
+        ("gen:queue:9", "1 to 8"),
+        ("gen:rot:1", "2 or more"),
+        ("gen:traffic:0", "1 or more"),
+        ("gen:load:25", "3 to 24"),
+        ("gen:mask:2", "4 to 24"),
+    ] {
+        let o = bfvr(&["stats", spec]);
+        assert_eq!(o.status.code(), Some(1), "{spec}: {}", stderr(&o));
+        assert!(stderr(&o).contains(want), "{spec}: {}", stderr(&o));
+    }
+}
+
+#[test]
 fn bad_cube_width_reported() {
     let o = bfvr(&["check", "gen:counter:3", "--bad", "1"]);
     assert!(!o.status.success());

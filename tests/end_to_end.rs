@@ -85,69 +85,16 @@ fn reachability_is_order_independent() {
     );
 }
 
-/// Explicit-state baseline: breadth-first search with a concrete
-/// interpreter must find the same reachable set size as the symbolic
-/// engines (the ultimate ground truth on small circuits).
+/// Explicit-state baseline: exhaustive search with the reference
+/// interpreter (`Netlist::reachable_states`) must find the same reachable
+/// set size as the symbolic engines (the ground truth on small circuits).
 #[test]
 fn explicit_bfs_confirms_symbolic_counts() {
-    use std::collections::{HashSet, VecDeque};
-    // Bit k of word i is bit i of k, so the first six inputs enumerate all
-    // 64 input combinations of a chunk within one word.
-    const LANES: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    // All-ones when `bit` is set, all-zeros otherwise.
-    let splat = |bit: u64| 0u64.wrapping_sub(bit & 1);
     for (name, net) in generators::standard_suite() {
-        let nl = net.latches().len();
-        let ni = net.inputs().len();
-        if nl > 14 || ni > 12 {
+        if net.latches().len() > 14 || net.inputs().len() > 12 {
             continue; // explicit search must stay small
         }
-        // Explicit BFS over all input combinations, 64 per gate evaluation;
-        // a state is a bit mask over the latches.
-        let order = bfvr::netlist::topo::order(&net).unwrap();
-        let combos = 1u64 << ni;
-        let mut vals = vec![0u64; net.num_signals()];
-        let mut ins = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut queue = VecDeque::new();
-        let init = net
-            .initial_state()
-            .iter()
-            .enumerate()
-            .fold(0u64, |acc, (i, &b)| acc | (u64::from(b) << i));
-        seen.insert(init);
-        queue.push_back(init);
-        while let Some(st) = queue.pop_front() {
-            for base in (0..combos).step_by(64) {
-                for (i, &s) in net.inputs().iter().enumerate() {
-                    vals[s.index()] = LANES.get(i).copied().unwrap_or(splat(base >> i));
-                }
-                for (i, l) in net.latches().iter().enumerate() {
-                    vals[l.output.index()] = splat(st >> i);
-                }
-                for &g in &order {
-                    let gate = &net.gates()[g];
-                    ins.clear();
-                    ins.extend(gate.inputs.iter().map(|&x| vals[x.index()]));
-                    vals[gate.output.index()] = gate.kind.eval_words(&ins);
-                }
-                for k in 0..(combos - base).min(64) {
-                    let next = net.latches().iter().enumerate().fold(0u64, |acc, (i, l)| {
-                        acc | (((vals[l.input.index()] >> k) & 1) << i)
-                    });
-                    if seen.insert(next) {
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
+        let seen = net.reachable_states().unwrap();
         // Symbolic count.
         let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
         let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
