@@ -38,7 +38,8 @@
 //!
 //! Entry points: [`run_passes`] over an [`AuditTargets`] bundle
 //! (used per-iteration by the reach engines' `audit` feature and by the
-//! `bfvr audit` CLI subcommand), and [`run_mutations`] — the
+//! `bfvr audit` CLI subcommand; [`AuditTargets::for_view`] takes the
+//! engines' borrowed per-iteration [`SetView`]), and [`run_mutations`] — the
 //! mutation-based self-test harness that seeds deliberate corruptions and
 //! proves each detector fires.
 //!
@@ -75,7 +76,9 @@
 mod finding;
 mod mutation;
 mod passes;
+mod view;
 
 pub use finding::{Finding, MutationOutcome, Pass, Report, Severity, Witness};
 pub use mutation::run_mutations;
 pub use passes::{run_passes, AuditTargets};
+pub use view::SetView;

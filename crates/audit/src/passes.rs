@@ -4,9 +4,9 @@ use bfvr_bdd::{Bdd, BddManager, GraphIssueKind, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::convert::{from_characteristic, to_characteristic};
 use bfvr_bfv::{Bfv, Result, Space};
-use bfvr_setrepr::SetView;
 
 use crate::finding::{Finding, Pass, Report, Severity, Witness};
+use crate::view::SetView;
 
 /// What to audit: a variable space plus whichever representations of the
 /// set under scrutiny the caller holds. [`run_passes`] derives the missing

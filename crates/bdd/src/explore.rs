@@ -3,7 +3,6 @@
 use crate::hash::FxHashMap;
 use crate::manager::BddManager;
 use crate::node::{Bdd, Var};
-use crate::Result;
 
 /// The set of variables a function depends on, as a compact bitset.
 ///
@@ -98,16 +97,6 @@ impl BddManager {
             }
         });
         sup
-    }
-
-    /// The support of `f` as a positive cube (for quantification).
-    ///
-    /// # Errors
-    ///
-    /// Fails on resource-limit exhaustion.
-    pub fn support_cube(&mut self, f: Bdd) -> Result<Bdd> {
-        let vars = self.support(f).vars();
-        self.cube_from_vars(&vars)
     }
 
     /// Number of interior (non-terminal) nodes in the DAG rooted at `f`.

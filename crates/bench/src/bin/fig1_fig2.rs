@@ -7,9 +7,35 @@
 //! cargo run --release -p bfvr-bench --bin fig1_fig2 [circuit]
 //! ```
 
-use bfvr_netlist::generators;
+use bfvr_netlist::{generators, Netlist};
+use bfvr_obs::{EventKind, IterRecord, Tracer};
+use bfvr_reach::telemetry::trace_handle;
 use bfvr_reach::{run, EngineKind, ReachOptions, ReachResult};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
+
+/// Runs `engine` on `net` with a stride-1 trace: the result plus one
+/// record per growing iteration.
+fn traced(
+    engine: EngineKind,
+    net: &Netlist,
+) -> Result<(ReachResult, Vec<IterRecord>), Box<dyn std::error::Error>> {
+    let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin)?;
+    let trace = trace_handle(Tracer::collector(1));
+    let opts = ReachOptions {
+        trace: Some(trace.clone()),
+        ..Default::default()
+    };
+    let r = run(engine, &mut m, &fsm, &opts);
+    let events = trace.borrow_mut().drain();
+    let iters = events
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Iter(rec) => Some(rec),
+            _ => None,
+        })
+        .collect();
+    Ok((r, iters))
+}
 
 fn report(label: &str, r: &ReachResult) {
     println!(
@@ -36,17 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("circuit {which}: {}", net.stats());
     println!();
 
-    let opts = ReachOptions {
-        record_iterations: true,
-        ..Default::default()
-    };
-
-    let (mut m1, fsm1) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
-    let fig1 = run(EngineKind::Cbm, &mut m1, &fsm1, &opts);
+    let (fig1, fig1_iters) = traced(EngineKind::Cbm, &net)?;
     report("Figure 1 flow (CBM, χ + conversions)   ", &fig1);
 
-    let (mut m2, fsm2) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin)?;
-    let fig2 = run(EngineKind::Bfv, &mut m2, &fsm2, &opts);
+    let (fig2, fig2_iters) = traced(EngineKind::Bfv, &net)?;
     report("Figure 2 flow (BFV, conversion-free)   ", &fig2);
 
     assert_eq!(
@@ -55,22 +74,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!();
     println!("per-iteration trace (Figure 1 flow): states / reached-χ nodes / conv ms");
-    for (i, s) in fig1.per_iteration.iter().enumerate() {
+    for rec in &fig1_iters {
         println!(
             "  iter {:3}: {:>10.0} states  {:>7} nodes  {:>7.2} ms conv",
-            i + 1,
-            s.reached_states,
-            s.reached_nodes,
-            s.conversion.as_secs_f64() * 1e3
+            rec.iteration,
+            rec.states.unwrap_or(f64::NAN),
+            rec.reached_nodes,
+            rec.ops.get("convert").unwrap_or(0.0) / 1e3
         );
     }
     println!();
     println!("per-iteration trace (Figure 2 flow): reached-BFV shared nodes");
-    for (i, s) in fig2.per_iteration.iter().enumerate() {
+    for rec in &fig2_iters {
         println!(
             "  iter {:3}: {:>7} nodes  (no conversions)",
-            i + 1,
-            s.reached_nodes
+            rec.iteration, rec.reached_nodes
         );
     }
     Ok(())

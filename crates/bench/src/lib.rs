@@ -139,11 +139,6 @@ pub fn format_cell(r: &ReachResult) -> String {
     }
 }
 
-/// Markdown-ish row printer used by the table binaries.
-pub fn print_row(cols: &[String]) {
-    println!("| {} |", cols.join(" | "));
-}
-
 /// Minimal wall-clock timing harness for the `benches/` binaries.
 ///
 /// The benches are plain `fn main()` programs (`harness = false`), so

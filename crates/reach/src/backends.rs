@@ -2,7 +2,7 @@
 //!
 //! Each backend packages one set representation — the transition
 //! structure it needs for image computation and the conversion bridges
-//! — behind the [`bfvr_setrepr::SetRepr`] trait, so the driver's loop
+//! — behind the [`SetRepr`] trait, so the driver's loop
 //! (`driver.rs`) is written once:
 //!
 //! * [`ChiBackend`] — characteristic functions, in three image flavors
@@ -19,10 +19,10 @@ use bfvr_bdd::{Bdd, BddManager, Func, Var};
 use bfvr_bfv::cdec::CDec;
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::{convert, ops, Bfv, BfvError, Space, StateSet};
-use bfvr_setrepr::{ReprCheckpoint, SetRepr, SetView};
 use bfvr_sim::{simulate_image_scratch, EncodedFsm, ImageScratch};
 
 use crate::cf::{count_states, initial_chi};
+use crate::{ReprCheckpoint, SetRepr, SetView};
 
 /// Which χ image computation a [`ChiBackend`] runs. Built by
 /// [`ChiBackend::prepare`]; the `Func` guards pinning the relations live
@@ -273,10 +273,6 @@ impl SetRepr for ChiBackend<'_> {
         Ok(*s)
     }
 
-    fn from_chi(&mut self, _m: &mut BddManager, chi: Bdd) -> Result<Option<Bdd>, BfvError> {
-        Ok(Some(chi))
-    }
-
     fn checkpoint(
         &mut self,
         m: &mut BddManager,
@@ -384,10 +380,6 @@ impl SetRepr for BfvBackend<'_> {
 
     fn to_chi(&mut self, m: &mut BddManager, s: &Bfv) -> Result<Bdd, BfvError> {
         convert::to_characteristic(m, &self.space, s)
-    }
-
-    fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<Bfv>, BfvError> {
-        convert::from_characteristic(m, &self.space, chi)
     }
 
     fn checkpoint(
@@ -529,14 +521,6 @@ impl SetRepr for CdecBackend<'_> {
 
     fn to_chi(&mut self, m: &mut BddManager, s: &CdecSet) -> Result<Bdd, BfvError> {
         s.dec.conjoin_all(m)
-    }
-
-    fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<CdecSet>, BfvError> {
-        let Some(bfv) = convert::from_characteristic(m, &self.space, chi)? else {
-            return Ok(None);
-        };
-        let dec = CDec::from_bfv(m, &self.space, &bfv)?;
-        Ok(Some(CdecSet { dec, bfv }))
     }
 
     fn checkpoint(

@@ -7,8 +7,9 @@ use std::time::{Duration, Instant};
 use bfvr_bdd::{Bdd, BddError, BddManager, Func};
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::BfvError;
-use bfvr_setrepr::{ReprCheckpoint, SetView};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
+
+use crate::{ReprCheckpoint, SetView};
 
 /// Which reachability engine to run (see the crate docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,7 +64,7 @@ impl EngineKind {
     /// Whether this engine's lane honors a dynamic-reordering request
     /// (`--sift`): only the χ engines survive a mid-run level
     /// permutation — BFV/CDEC tie component order to variable order
-    /// (paper §3). Agrees with [`bfvr_setrepr::SetRepr::supports_reorder`]
+    /// (paper §3). Agrees with [`crate::SetRepr::supports_reorder`]
     /// of the backend [`crate::run`] builds for the engine.
     #[must_use]
     pub fn supports_reorder(self) -> bool {
@@ -136,7 +137,7 @@ pub struct ReachOptions {
     /// (and past [`bfvr_bdd::SIFT_SIZE_FLOOR`]), runs
     /// [`BddManager::sift`] over the loop roots with resource limits
     /// suspended. Only backends whose loop state survives a permuted
-    /// order honor the flag ([`bfvr_setrepr::SetRepr::supports_reorder`]);
+    /// order honor the flag ([`crate::SetRepr::supports_reorder`]);
     /// the BFV/CDEC lanes silently decline — their
     /// representations hard-code the component-order-equals-variable-
     /// order constraint of the paper's §3.
@@ -148,8 +149,6 @@ pub struct ReachOptions {
     /// Live-node growth multiple (relative to the last post-reorder
     /// baseline) at which the driver triggers the next sift.
     pub sift_trigger: f64,
-    /// Record per-iteration statistics (adds one count per step).
-    pub record_iterations: bool,
     /// Per-iteration callback (see [`IterationObserver`]); used by the
     /// `bfvr audit` subcommand to run the analysis passes against every
     /// intermediate set. `None` costs nothing.
@@ -198,7 +197,6 @@ impl Default for ReachOptions {
             sift: false,
             sift_max_growth: 1.2,
             sift_trigger: 2.0,
-            record_iterations: false,
             observer: None,
             trace: None,
             checkpoint_every: None,
@@ -222,7 +220,6 @@ impl fmt::Debug for ReachOptions {
             .field("sift", &self.sift)
             .field("sift_max_growth", &self.sift_max_growth)
             .field("sift_trigger", &self.sift_trigger)
-            .field("record_iterations", &self.record_iterations)
             .field("observer", &self.observer.as_ref().map(|_| "<callback>"))
             .field("trace", &self.trace.as_ref().map(|_| "<tracer>"))
             .field("checkpoint_every", &self.checkpoint_every)
@@ -243,17 +240,15 @@ pub(crate) struct IterMetrics<'a> {
     pub gc: bfvr_bdd::GcStats,
     /// Wall time of the whole iteration.
     pub elapsed: Duration,
-    /// Time spent in representation conversions this iteration.
-    pub conversion: Duration,
     /// Op-class durations (`image`, `union`, `convert`), in loop order.
     pub ops: &'a [(&'static str, Duration)],
 }
 
 /// Internal: the per-iteration boundary hook shared by all five engines —
-/// records telemetry and `per_iteration` statistics, runs the
-/// `audit`-feature self-check, then the caller-supplied observer.
+/// records telemetry, runs the `audit`-feature self-check, then the
+/// caller-supplied observer.
 ///
-/// Ordering is load-bearing. Telemetry and statistics come **first**,
+/// Ordering is load-bearing. Telemetry comes **first**,
 /// from `&self` reads only, so a traced run measures exactly the state
 /// an untraced run would be in. The observer/audit path comes second
 /// and is allowed to perturb: the engines' own per-iteration collection
@@ -269,7 +264,6 @@ pub(crate) fn notify_iteration(
     opts: &ReachOptions,
     view: &IterationView<'_>,
     metrics: &IterMetrics<'_>,
-    per_iteration: &mut Vec<IterationStats>,
 ) {
     if let Some(trace) = &opts.trace {
         let mut t = trace.borrow_mut();
@@ -277,17 +271,6 @@ pub(crate) fn notify_iteration(
             let record = crate::telemetry::iter_record(m, fsm, view, metrics);
             t.iteration(record);
         }
-    }
-    if opts.record_iterations {
-        let (reached_nodes, frontier_nodes) = crate::telemetry::view_sizes(m, &view.set);
-        per_iteration.push(IterationStats {
-            reached_states: crate::telemetry::view_states(m, fsm, &view.set).unwrap_or(f64::NAN),
-            reached_nodes,
-            frontier_nodes,
-            live_nodes: metrics.gc.live,
-            elapsed: metrics.elapsed,
-            conversion: metrics.conversion,
-        });
     }
     #[cfg(not(feature = "audit"))]
     let observed = opts.observer.is_some();
@@ -343,24 +326,6 @@ impl Outcome {
     }
 }
 
-/// One image iteration's bookkeeping.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct IterationStats {
-    /// States reached after this iteration (`NaN` for the vector/CDec
-    /// engines, which would have to build a χ to count).
-    pub reached_states: f64,
-    /// Shared BDD size of the reached-set representation.
-    pub reached_nodes: usize,
-    /// Shared BDD size of the iteration's start (frontier) set.
-    pub frontier_nodes: usize,
-    /// Allocated nodes after this iteration's garbage collection.
-    pub live_nodes: usize,
-    /// Time spent in this iteration.
-    pub elapsed: Duration,
-    /// Time spent converting between representations (CBM flow only).
-    pub conversion: Duration,
-}
-
 /// The result of a reachability run.
 #[derive(Clone, Debug)]
 pub struct ReachResult {
@@ -392,14 +357,12 @@ pub struct ReachResult {
     pub conversion_time: Duration,
     /// Dynamic reorder (sift) passes the driver triggered during the
     /// run. Zero when [`ReachOptions::sift`] was off, the backend
-    /// declined ([`bfvr_setrepr::SetRepr::supports_reorder`]), or the
+    /// declined ([`crate::SetRepr::supports_reorder`]), or the
     /// graph never crossed the growth trigger.
     pub reorders: usize,
     /// Live-node counts summed across reorders: `(before, after)` totals
     /// of every triggered sift pass, for the `Peak(K)`-style tables.
     pub reorder_nodes: (usize, usize),
-    /// Per-iteration statistics (when requested).
-    pub per_iteration: Vec<IterationStats>,
     /// Resumable state, present when the run stopped short of its fixed
     /// point for a recoverable reason (time-out, mem-out, iteration cap)
     /// with at least one state reached. Feed it to [`crate::resume`] —
@@ -423,7 +386,7 @@ pub struct Checkpoint {
     /// Image iterations completed before the interruption.
     pub iterations: usize,
     /// Backend-specific reached/frontier representation, re-expressed in
-    /// manager-stable handles (see [`bfvr_setrepr::SetRepr::checkpoint`]).
+    /// manager-stable handles (see [`crate::SetRepr::checkpoint`]).
     pub(crate) state: ReprCheckpoint,
 }
 
@@ -490,7 +453,6 @@ pub(crate) fn failed_result(
         conversion_time: Duration::ZERO,
         reorders: 0,
         reorder_nodes: (0, 0),
-        per_iteration: Vec::new(),
         checkpoint: None,
     }
 }

@@ -14,13 +14,13 @@
 use std::time::{Duration, Instant};
 
 use bfvr_bdd::{BddManager, SiftConfig, SIFT_SIZE_FLOOR};
-use bfvr_setrepr::{ReprCheckpoint, SetRepr};
 use bfvr_sim::EncodedFsm;
 
 use crate::common::{
     arm_limits, disarm_limits, failed_result, notify_iteration, outcome_of_bfv_error, Checkpoint,
     EngineKind, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult,
 };
+use crate::{ReprCheckpoint, SetRepr};
 
 /// Runs the shared traversal loop on `backend`, optionally resuming from
 /// a prior checkpoint's representation state and iteration count.
@@ -41,7 +41,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
 ) -> ReachResult {
     let start = Instant::now();
     arm_limits(m, opts, start);
-    let mut per_iteration = Vec::new();
     let mut conversion_time = Duration::ZERO;
     // Dynamic reordering: on only when asked for *and* the backend's
     // representation survives a permuted order (see
@@ -184,10 +183,8 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 &IterMetrics {
                     gc,
                     elapsed: iter_start.elapsed(),
-                    conversion: conv,
                     ops: &ops,
                 },
-                &mut per_iteration,
             );
             // Periodic durable checkpoint, with resource limits
             // suspended: persisting the loop state must never trip the
@@ -262,7 +259,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         conversion_time,
         reorders,
         reorder_nodes: (reorder_before, reorder_after),
-        per_iteration,
         checkpoint,
     }
 }
@@ -276,12 +272,14 @@ mod tests {
     use bfvr_bfv::reparam::Schedule;
     use bfvr_bfv::{ops, Bfv, BfvError};
     use bfvr_netlist::{generators, Netlist};
-    use bfvr_setrepr::{ReprCheckpoint, Restored, SetRepr, SetView};
+    use bfvr_obs::{EventKind, Tracer};
     use bfvr_sim::{compose_image, EncodedFsm, ImageScratch, OrderHeuristic};
 
     use super::run_fixed_point;
     use crate::backends::{BfvBackend, CdecBackend, CdecSet, ChiBackend};
     use crate::common::{EngineKind, ReachOptions, ReachResult};
+    use crate::telemetry::trace_handle;
+    use crate::{ReprCheckpoint, Restored, SetRepr, SetView};
 
     /// The `stop` hook of a run to its fixed point or its limits.
     fn never<S>(_: &mut BddManager, _: &S) -> Result<bool, BfvError> {
@@ -368,9 +366,6 @@ mod tests {
         fn to_chi(&mut self, m: &mut BddManager, s: &B::Set) -> Result<Bdd, BfvError> {
             self.0.to_chi(m, s)
         }
-        fn from_chi(&mut self, m: &mut BddManager, chi: Bdd) -> Result<Option<B::Set>, BfvError> {
-            self.0.from_chi(m, chi)
-        }
         fn checkpoint(
             &mut self,
             m: &mut BddManager,
@@ -412,23 +407,47 @@ mod tests {
         ]
     }
 
+    /// Runs the driver with a stride-1 trace. Returns the result and the
+    /// frontier size of every growing iteration, the trace of every
+    /// frontier decision.
+    fn traced<B: SetRepr>(
+        engine: EngineKind,
+        backend: &mut B,
+        m: &mut BddManager,
+        fsm: &EncodedFsm,
+        opts: &ReachOptions,
+    ) -> (ReachResult, Vec<u64>) {
+        let trace = trace_handle(Tracer::collector(1));
+        let opts = ReachOptions {
+            trace: Some(trace.clone()),
+            ..opts.clone()
+        };
+        let r = run_fixed_point(engine, backend, m, fsm, &opts, None, never);
+        let events = trace.borrow_mut().drain();
+        let frontiers = events
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Iter(rec) => Some(rec.frontier_nodes),
+                _ => None,
+            })
+            .collect();
+        (r, frontiers)
+    }
+
     /// Runs `engine` on `net` in a fresh manager, with the backend's own
     /// `size_capped` or (`full_walk`) with the default full walk.
-    fn run(engine: EngineKind, net: &Netlist, full_walk: bool) -> ReachResult {
+    fn run(engine: EngineKind, net: &Netlist, full_walk: bool) -> (ReachResult, Vec<u64>) {
         let (mut m, fsm) = EncodedFsm::encode(net, OrderHeuristic::DfsFanin).unwrap();
-        let opts = ReachOptions {
-            record_iterations: true,
-            ..ReachOptions::default()
-        };
+        let opts = ReachOptions::default();
         assert!(opts.use_frontier);
         let m = &mut m;
         macro_rules! go {
             ($backend:expr) => {
                 if full_walk {
                     let mut reference = Reference($backend, Rule::FullWalk);
-                    run_fixed_point(engine, &mut reference, m, &fsm, &opts, None, never)
+                    traced(engine, &mut reference, m, &fsm, &opts)
                 } else {
-                    run_fixed_point(engine, &mut $backend, m, &fsm, &opts, None, never)
+                    traced(engine, &mut $backend, m, &fsm, &opts)
                 }
             };
         }
@@ -446,8 +465,8 @@ mod tests {
         for (name, net) in circuits() {
             for engine in EngineKind::all() {
                 let what = format!("{name} {}", engine.label());
-                let capped = run(engine, &net, false);
-                let full = run(engine, &net, true);
+                let (capped, capped_frontiers) = run(engine, &net, false);
+                let (full, full_frontiers) = run(engine, &net, true);
                 assert_eq!(capped.outcome, full.outcome, "{what}");
                 assert_eq!(capped.iterations, full.iterations, "{what}");
                 assert_eq!(capped.peak_nodes, full.peak_nodes, "{what}");
@@ -455,15 +474,10 @@ mod tests {
                 // Same operations in fresh managers: the same handle.
                 let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
                 assert_eq!(chi(&capped), chi(&full), "{what}");
-                assert_eq!(frontiers(&capped), frontiers(&full), "{what}");
-                assert_eq!(capped.per_iteration.len(), capped.iterations - 1, "{what}");
+                assert_eq!(capped_frontiers, full_frontiers, "{what}");
+                assert_eq!(capped_frontiers.len(), capped.iterations - 1, "{what}");
             }
         }
-    }
-
-    /// Per-iteration frontier sizes, the trace of every frontier decision.
-    fn frontiers(r: &ReachResult) -> Vec<usize> {
-        r.per_iteration.iter().map(|s| s.frontier_nodes).collect()
     }
 
     /// Runs `backend` and then `reference` in one manager and asserts
@@ -477,15 +491,15 @@ mod tests {
         opts: &ReachOptions,
         what: &str,
     ) {
-        let got = run_fixed_point(engine, &mut backend, m, fsm, opts, None, never);
-        let want = run_fixed_point(engine, &mut reference, m, fsm, opts, None, never);
+        let (got, got_frontiers) = traced(engine, &mut backend, m, fsm, opts);
+        let (want, want_frontiers) = traced(engine, &mut reference, m, fsm, opts);
         assert_eq!(got.outcome, want.outcome, "{what}");
         assert_eq!(got.iterations, want.iterations, "{what}");
         assert_eq!(got.reached_states, want.reached_states, "{what}");
         let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
         assert!(chi(&got).is_some(), "{what}");
         assert_eq!(chi(&got), chi(&want), "{what}");
-        assert_eq!(frontiers(&got), frontiers(&want), "{what}");
+        assert_eq!(got_frontiers, want_frontiers, "{what}");
     }
 
     #[test]
@@ -495,7 +509,6 @@ mod tests {
         // and every union grafts. The iteration cap turns a
         // non-canonical union, which never converges, into a failure.
         let opts = ReachOptions {
-            record_iterations: true,
             max_iterations: Some(1000),
             ..ReachOptions::default()
         };
@@ -519,7 +532,6 @@ mod tests {
         // steps by evaluation; the reference composes, re-parameterizes
         // and renames. s27 has inputs: both sides compose there.
         let opts = ReachOptions {
-            record_iterations: true,
             max_iterations: Some(2000),
             ..ReachOptions::default()
         };

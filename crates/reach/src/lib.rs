@@ -50,17 +50,19 @@ mod common;
 mod driver;
 mod iwls95;
 pub mod portfolio;
+mod repr;
 #[cfg(feature = "audit")]
 mod selfcheck;
 pub mod telemetry;
 mod trace;
 
-pub use bfvr_setrepr::{ReprCheckpoint, SetRepr, SetView};
+pub use bfvr_audit::SetView;
 pub use check::{check_invariant, CheckResult, NoVerdict};
 pub use common::{
-    Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationStats, IterationView,
-    Outcome, ReachOptions, ReachResult,
+    Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationView, Outcome,
+    ReachOptions, ReachResult,
 };
+pub use repr::{ReprCheckpoint, Restored, SetRepr};
 pub use telemetry::TraceHandle;
 pub use trace::{find_trace, Trace};
 

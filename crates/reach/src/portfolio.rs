@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use bfvr_netlist::Netlist;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-use crate::{run, EngineKind, IterationStats, Outcome, ReachOptions, ReachResult};
+use crate::{run, EngineKind, Outcome, ReachOptions, ReachResult};
 
 /// One engine × ordering lane of a race: which engine runs and —
 /// optionally — a variable order overriding the race-wide base
@@ -150,7 +150,6 @@ struct LaneOpts {
     sift: bool,
     sift_max_growth: f64,
     sift_trigger: f64,
-    record_iterations: bool,
     /// `Some(stride)` when the race driver traces: the lane records its
     /// own stream into a collector tracer and ships the events home.
     trace_sample: Option<u64>,
@@ -170,7 +169,6 @@ impl LaneOpts {
             sift: opts.sift,
             sift_max_growth: opts.sift_max_growth,
             sift_trigger: opts.sift_trigger,
-            record_iterations: opts.record_iterations,
             trace_sample: opts.trace.as_ref().map(|t| t.borrow().sample_every()),
         }
     }
@@ -188,7 +186,6 @@ impl LaneOpts {
             sift: self.sift,
             sift_max_growth: self.sift_max_growth,
             sift_trigger: self.sift_trigger,
-            record_iterations: self.record_iterations,
             observer: None,
             trace: self
                 .trace_sample
@@ -205,14 +202,13 @@ impl LaneOpts {
 
 /// Everything a lane thread sends home: the lane's report plus the
 /// fields only the winner's [`ReachResult`] needs. All fields are plain
-/// data — [`IterationStats`] is `Copy` — so the message is `Send` even
-/// though the result it summarizes was produced by a `!Send` manager.
+/// data, so the message is `Send` even though the result it summarizes
+/// was produced by a `!Send` manager.
 struct LaneMessage {
     lane: usize,
     report: LaneReport,
     won: bool,
     conversion_time: Duration,
-    per_iteration: Vec<IterationStats>,
     reorder_nodes: (usize, usize),
     /// The lane's collected trace stream ([`bfvr_obs::Event`] is plain
     /// data), empty when the race is untraced.
@@ -239,7 +235,6 @@ impl LaneMessage {
             },
             won: false,
             conversion_time: Duration::ZERO,
-            per_iteration: Vec::new(),
             reorder_nodes: (0, 0),
             events: Vec::new(),
         }
@@ -294,7 +289,6 @@ fn race_lane(
         },
         won,
         conversion_time: result.conversion_time,
-        per_iteration: result.per_iteration,
         reorder_nodes: result.reorder_nodes,
         events,
     }
@@ -418,7 +412,6 @@ pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usiz
                 conversion_time: msg.conversion_time,
                 reorders: r.reorders,
                 reorder_nodes: msg.reorder_nodes,
-                per_iteration: msg.per_iteration,
                 checkpoint: None,
             });
         }

@@ -17,8 +17,7 @@ use bfvr_obs::{Counters, IterRecord, LimitKind, SpanId, SpanKind, Tracer};
 use bfvr_sim::EncodedFsm;
 
 use crate::common::{IterMetrics, IterationView, Outcome, ReachOptions, ReachResult};
-use crate::EngineKind;
-use bfvr_setrepr::SetView;
+use crate::{EngineKind, SetView};
 
 /// A shared handle to a [`Tracer`], as carried by
 /// [`ReachOptions::trace`](crate::ReachOptions::trace).
@@ -131,7 +130,7 @@ fn cache_counter_names(name: &str) -> Option<(&'static str, &'static str, &'stat
 
 /// Shared BDD sizes of `(reached, from)` for whatever representation the
 /// engine iterates on. Pure graph walks — no allocation.
-pub(crate) fn view_sizes(m: &BddManager, set: &SetView<'_>) -> (usize, usize) {
+fn view_sizes(m: &BddManager, set: &SetView<'_>) -> (usize, usize) {
     match set {
         SetView::Chi { reached, from } => (m.size(*reached), m.size(*from)),
         SetView::Vector { reached, from } => (reached.shared_size(m), from.shared_size(m)),
@@ -146,7 +145,7 @@ pub(crate) fn view_sizes(m: &BddManager, set: &SetView<'_>) -> (usize, usize) {
 /// either; their traces carry `None` and the count appears once in the
 /// final `engine_end` event (computed by the engine's own untimed
 /// post-run accounting).
-pub(crate) fn view_states(m: &BddManager, fsm: &EncodedFsm, set: &SetView<'_>) -> Option<f64> {
+fn view_states(m: &BddManager, fsm: &EncodedFsm, set: &SetView<'_>) -> Option<f64> {
     match set {
         SetView::Chi { reached, .. } => Some(crate::cf::count_states(m, fsm, *reached)),
         SetView::Vector { .. } | SetView::Cdec { .. } => None,

@@ -6,12 +6,12 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bfvr_bdd::FaultPlan;
+use bfvr_bdd::{FaultPlan, Func};
 use bfvr_netlist::generators;
 use bfvr_obs::{Event, EventKind, JsonlSink, LimitKind, SpanKind, Tracer};
 use bfvr_reach::portfolio::{run_racing, Lane};
 use bfvr_reach::telemetry::trace_handle;
-use bfvr_reach::{run, EngineKind, Outcome, ReachOptions, ReachResult};
+use bfvr_reach::{resume, run, EngineKind, Outcome, ReachOptions, ReachResult, TraceHandle};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
 const ORDER: OrderHeuristic = OrderHeuristic::DfsFanin;
@@ -43,21 +43,29 @@ fn iter_events(events: &[Event]) -> Vec<&bfvr_obs::IterRecord> {
         .collect()
 }
 
-/// Satellite 5's regression: attaching a trace must not change what the
-/// engine computes — identical outcome, iteration count, reached-state
-/// bits and per-iteration statistics, for every engine. (The audit
-/// observer path deliberately perturbs; tracing must never.)
+/// Attaching a trace must not change what the engine computes or how
+/// it computes it: for every engine, a traced run ends with the same
+/// outcome, iterations, reached-state bits, peak, reached-set handle and
+/// manager counters (node creations, collections, per-cache lookups and
+/// hits) as an untraced one. A tracer that allocated a node or touched a
+/// computed cache would move them. (The audit observer path
+/// deliberately perturbs; tracing must never.)
 #[test]
 fn tracing_does_not_perturb_the_run() {
     let net = generators::counter(6);
-    let base = ReachOptions {
-        record_iterations: true,
-        ..ReachOptions::default()
-    };
     for engine in EngineKind::all() {
-        let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
-        let plain = run(engine, &mut m, &fsm, &base);
-        let (traced, events) = traced_run(&net, engine, &base, 1);
+        let run_with = |trace: Option<TraceHandle>| {
+            let (mut m, fsm) = EncodedFsm::encode(&net, ORDER).unwrap();
+            let opts = ReachOptions {
+                trace,
+                ..ReachOptions::default()
+            };
+            let r = run(engine, &mut m, &fsm, &opts);
+            (r, m.stats(), m.cache_stats())
+        };
+        let (plain, plain_stats, plain_caches) = run_with(None);
+        let trace = trace_handle(Tracer::collector(1));
+        let (traced, traced_stats, traced_caches) = run_with(Some(trace.clone()));
 
         assert_eq!(plain.outcome, traced.outcome, "{engine:?}");
         assert_eq!(plain.iterations, traced.iterations, "{engine:?}");
@@ -67,40 +75,72 @@ fn tracing_does_not_perturb_the_run() {
             "{engine:?}: tracing changed the reached-state count"
         );
         assert_eq!(plain.peak_nodes, traced.peak_nodes, "{engine:?}: peak");
+        // Same operations in fresh managers: the same handle.
+        let chi = |r: &ReachResult| r.reached_chi.as_ref().map(Func::bdd);
+        assert!(chi(&plain).is_some(), "{engine:?}");
+        assert_eq!(chi(&plain), chi(&traced), "{engine:?}: reached χ");
+        assert_eq!(plain_stats, traced_stats, "{engine:?}: manager counters");
+        assert_eq!(plain_caches, traced_caches, "{engine:?}: cache counters");
+        // One record per iteration *boundary*: the final iteration that
+        // discovers the fixed point adds no state and posts no record.
+        let events = trace.borrow_mut().drain();
         assert_eq!(
-            plain.per_iteration.len(),
-            traced.per_iteration.len(),
-            "{engine:?}"
+            iter_events(&events).len(),
+            plain.iterations - 1,
+            "{engine:?}: one iter event per growing iteration"
         );
-        for (i, (a, b)) in plain
-            .per_iteration
+    }
+}
+
+/// The per-iteration record survives a resume. Every engine is stopped
+/// by the iteration cap at k and resumed on the same trace: the records
+/// are numbered 1..n with no gap or repeat, and carry the reached and
+/// frontier sizes of an uninterrupted run.
+#[test]
+fn iteration_records_survive_resume() {
+    let sizes = |iters: &[&bfvr_obs::IterRecord]| -> Vec<(u64, u64)> {
+        iters
             .iter()
-            .zip(&traced.per_iteration)
-            .enumerate()
-        {
-            // Wall-clock fields differ between any two runs; every
-            // deterministic statistic must not.
-            assert_eq!(
-                a.reached_states.to_bits(),
-                b.reached_states.to_bits(),
-                "{engine:?} iter {i}"
-            );
-            assert_eq!(a.reached_nodes, b.reached_nodes, "{engine:?} iter {i}");
-            assert_eq!(a.frontier_nodes, b.frontier_nodes, "{engine:?} iter {i}");
-            assert_eq!(a.live_nodes, b.live_nodes, "{engine:?} iter {i}");
-        }
-        // And the trace agrees with the untraced run's statistics too.
-        // (One record per iteration *boundary*: the final iteration that
-        // discovers the fixed point adds no state and posts no record.)
-        let iters = iter_events(&events);
-        assert_eq!(
-            iters.len(),
-            plain.per_iteration.len(),
-            "{engine:?}: one iter event per recorded iteration"
-        );
-        for (rec, stats) in iters.iter().zip(&plain.per_iteration) {
-            assert_eq!(rec.reached_nodes as usize, stats.reached_nodes);
-            assert_eq!(rec.frontier_nodes as usize, stats.frontier_nodes);
+            .map(|r| (r.reached_nodes, r.frontier_nodes))
+            .collect()
+    };
+    let nets = [
+        ("counter6", generators::counter(6)),
+        ("queue3", generators::queue_controller(3)),
+    ];
+    for (name, net) in &nets {
+        for engine in EngineKind::all() {
+            let (full, events) = traced_run(net, engine, &ReachOptions::default(), 1);
+            assert_eq!(full.outcome, Outcome::FixedPoint, "{name} {engine:?}");
+            let want = sizes(&iter_events(&events));
+            let n = want.len();
+            assert!(n >= 4, "{name}: too shallow to stop midway");
+            for k in [1, n / 2, n] {
+                let what = format!("{name} {engine:?} stopped at {k}");
+                let (mut m, fsm) = EncodedFsm::encode(net, ORDER).unwrap();
+                let trace = trace_handle(Tracer::collector(1));
+                let capped = ReachOptions {
+                    trace: Some(trace.clone()),
+                    max_iterations: Some(k),
+                    ..ReachOptions::default()
+                };
+                let stopped = run(engine, &mut m, &fsm, &capped);
+                assert_eq!(stopped.outcome, Outcome::IterationLimit, "{what}");
+                let checkpoint = stopped.checkpoint.expect("a capped run checkpoints");
+                let opts = ReachOptions {
+                    trace: Some(trace.clone()),
+                    ..ReachOptions::default()
+                };
+                let resumed = resume(&mut m, &fsm, &opts, checkpoint);
+                assert_eq!(resumed.outcome, Outcome::FixedPoint, "{what}");
+                assert_eq!(resumed.iterations, full.iterations, "{what}");
+
+                let events = trace.borrow_mut().drain();
+                let iters = iter_events(&events);
+                let numbers: Vec<u64> = iters.iter().map(|r| r.iteration).collect();
+                assert_eq!(numbers, (1..=n as u64).collect::<Vec<_>>(), "{what}");
+                assert_eq!(sizes(&iters), want, "{what}");
+            }
         }
     }
 }

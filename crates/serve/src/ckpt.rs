@@ -44,8 +44,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use bfvr_bdd::{BddDag, BddManager, DagError, DagNode};
-use bfvr_reach::{Checkpoint, EngineKind};
-use bfvr_setrepr::ReprCheckpoint;
+use bfvr_reach::{Checkpoint, EngineKind, ReprCheckpoint};
 
 /// File magic: the first eight bytes of every checkpoint.
 pub const MAGIC: &[u8; 8] = b"BFVRCKPT";

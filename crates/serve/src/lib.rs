@@ -26,9 +26,9 @@
 //! workspace builds offline with no external crates.
 //!
 //! The engine-level mechanisms this builds on live elsewhere: in-memory
-//! checkpoints and `resume` in `bfvr-reach` (PR 2), generic
-//! representation checkpointing in `bfvr-setrepr` (PR 6), and the
-//! cooperative cancel token in `bfvr-bdd`.
+//! checkpoints, `resume` and the representation half of a checkpoint
+//! (`ReprCheckpoint`) in `bfvr-reach`, and the cooperative cancel token
+//! in `bfvr-bdd`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

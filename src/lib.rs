@@ -8,14 +8,13 @@
 //! * [`bdd`] — the ROBDD substrate (`bfvr-bdd`),
 //! * [`bfv`] — canonical Boolean functional vectors and their set algebra
 //!   (`bfvr-bfv`, the paper's contribution),
-//! * [`setrepr`] — the pluggable set-representation abstraction the
-//!   reachability engines iterate on (`bfvr-setrepr`),
 //! * [`netlist`] — ISCAS89/BLIF sequential netlists and circuit generators
 //!   (`bfvr-netlist`),
 //! * [`sim`] — symbolic simulation and variable-ordering heuristics
 //!   (`bfvr-sim`),
 //! * [`reach`] — the reachability engines of the paper's Figures 1 and 2
-//!   plus the characteristic-function baselines (`bfvr-reach`),
+//!   plus the characteristic-function baselines, and the set-representation
+//!   trait their one fixed-point driver iterates on (`bfvr-reach`),
 //! * [`audit`] — pass-based semantic analysis of BDD graphs and canonical
 //!   BFVs with compiler-style diagnostics (`bfvr-audit`),
 //! * [`nlint`] — static netlist analysis: structural/semantic lint passes,
@@ -38,5 +37,4 @@ pub use bfvr_nlint as nlint;
 pub use bfvr_obs as obs;
 pub use bfvr_reach as reach;
 pub use bfvr_serve as serve;
-pub use bfvr_setrepr as setrepr;
 pub use bfvr_sim as sim;
