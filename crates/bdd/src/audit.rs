@@ -53,7 +53,8 @@ pub enum GraphIssueKind {
     UniqueTable,
     /// A `Func` refcount is zero or pins a freed slot.
     RootTable,
-    /// A reclaim-before-fail result pin references a freed slot.
+    /// A reclaim-before-fail result pin or a loop root
+    /// ([`BddManager::set_loop_roots`]) references a freed slot.
     ResultPin,
     /// A per-variable literal node is freed or malformed.
     LiteralNode,
@@ -291,12 +292,13 @@ impl BddManager {
                 );
             }
         }
-        for &idx in &self.result_pins {
+        let pins = self.result_pins.iter().map(|&i| (i, "result pin"));
+        for (idx, what) in pins.chain(self.loop_roots.iter().map(|&i| (i, "loop root"))) {
             if !self.arena.is_live_slot(idx) {
                 push(
                     GraphIssueKind::ResultPin,
                     idx,
-                    "result pin references a freed slot".to_string(),
+                    format!("{what} references a freed slot"),
                 );
             }
         }
@@ -408,13 +410,14 @@ impl BddManager {
     }
 
     /// Reports live interior slots unreachable from `roots`, any live
-    /// [`crate::Func`] handle, the result pins or the literal nodes —
+    /// [`crate::Func`] handle, the result pins, the loop-root slot or the
+    /// literal nodes —
     /// dead nodes a [`BddManager::collect_garbage`] with the same roots
     /// would reclaim. Run it right after a collection for leak detection:
     /// anything reported then is memory the collector failed to free.
     #[must_use]
     pub fn audit_leaks(&self, roots: &[Bdd]) -> Vec<Bdd> {
-        let mark = self.mark_from(self.root_indices(roots, true));
+        let mark = self.mark_from(self.root_indices(roots));
         let mut leaked = Vec::new();
         for i in 1..self.arena.len() as u32 {
             if self.arena.is_live_slot(i)

@@ -10,8 +10,8 @@
 //!   complement of `(v, ¬lo, n)`, so `f` and `¬f` always share one
 //!   subgraph and negation is a bit flip.
 //! * **Root discipline** — garbage collection marks from explicit roots,
-//!   the per-variable literal nodes, and the refcounts held by live
-//!   [`Func`] handles.
+//!   the per-variable literal nodes, the loop-root slot and the
+//!   refcounts held by live [`Func`] handles.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -161,6 +161,10 @@ pub struct BddManager {
     /// literal), so protecting returned results makes mid-operation
     /// collection safe while still freeing operation-internal transients.
     pub(crate) result_pins: Vec<u32>,
+    /// The fixed-point loop's roots ([`Self::set_loop_roots`]): node
+    /// indices marked by every collection, replaced in place each
+    /// iteration.
+    pub(crate) loop_roots: Vec<u32>,
     /// Armed deterministic fault schedule, if any.
     fault: Option<FaultPlan>,
     /// 1-based ordinal of node-allocation attempts (fault injection).
@@ -238,6 +242,7 @@ impl BddManager {
             stats: ManagerStats::default(),
             op_depth: 0,
             result_pins: Vec::new(),
+            loop_roots: Vec::new(),
             fault: None,
             alloc_seq: 0,
             deadline_checks: Cell::new(0),
@@ -296,9 +301,21 @@ impl BddManager {
 
     /// An RAII handle pinning `f` (and everything it references) across
     /// garbage collections until the handle — and every clone of it — is
-    /// dropped. This is the only root-pinning mechanism; see [`Func`].
+    /// dropped. This is how a long-lived handle is pinned; see [`Func`].
     pub fn func(&self, f: Bdd) -> Func {
         Func::new(f, Rc::clone(&self.roots))
+    }
+
+    /// Replaces the loop-root slot with the nodes of `roots` (constants
+    /// skipped); `&[]` clears it. Every collection, reclaim pass, sift and
+    /// leak audit marks the slot, so a fixed-point loop keeps its state
+    /// alive by refilling it at each safepoint instead of re-making
+    /// [`Func`] pins. One loop uses a manager at a time: there is one
+    /// slot, not a stack.
+    pub fn set_loop_roots(&mut self, roots: &[Bdd]) {
+        self.loop_roots.clear();
+        let live = roots.iter().filter(|b| !b.is_const());
+        self.loop_roots.extend(live.map(|b| b.node()));
     }
 
     /// Arms a ceiling on allocated nodes; exceeded ⇒ [`BddError::NodeLimit`].
@@ -655,8 +672,9 @@ impl BddManager {
     /// [`Self::collect_garbage`] or [`Self::maybe_collect_garbage`],
     /// whether or not the latter sweeps — which is what makes the
     /// mid-workload reclaim sound: any edge a caller can hold is a
-    /// constant, a literal, `Func`-pinned, a root listed at the last
-    /// safepoint, or the pinned result of an operation completed since.
+    /// constant, a literal, `Func`-pinned, in the loop-root slot
+    /// ([`Self::set_loop_roots`]), or the pinned result of an operation
+    /// completed since.
     /// An operation with several results (the §2.3 union step returns
     /// three edges) pins each of them.
     pub(crate) fn recover<T: Edges>(
@@ -681,11 +699,12 @@ impl BddManager {
     }
 
     /// Emergency mark-sweep run when an operation trips the node limit:
-    /// marks from `Func` roots, literals, the caller-supplied operand
-    /// `roots`, and all pinned results, then sweeps and flushes the
-    /// computed caches. Returns the number of nodes recovered.
+    /// marks from `Func` roots, literals, the loop-root slot, the
+    /// caller-supplied operand `roots`, and all pinned results, then
+    /// sweeps and flushes the computed caches. Returns the number of
+    /// nodes recovered.
     fn reclaim(&mut self, roots: &[Bdd]) -> usize {
-        let mark = self.mark_from(self.root_indices(roots, true));
+        let mark = self.mark_from(self.root_indices(roots));
         let collected = self.sweep(&mark);
         self.stats.reclaim_attempts += 1;
         self.stats.reclaimed_nodes += collected as u64;
@@ -696,16 +715,15 @@ impl BddManager {
     // ----- garbage collection -------------------------------------------
 
     /// The mark-phase root set: the caller-supplied `roots`, every node
-    /// refcounted by a live [`Func`] handle, the per-variable literal
-    /// nodes and — when `with_result_pins` — the pinned results of
-    /// completed operations. This single definition of "root" is shared by
-    /// [`Self::reclaim`], [`Self::collect_garbage`] and the leak audit, so
-    /// the three can never drift apart.
-    pub(crate) fn root_indices(&self, roots: &[Bdd], with_result_pins: bool) -> Vec<u32> {
+    /// refcounted by a live [`Func`] handle, the loop-root slot, the
+    /// per-variable literal nodes and the pinned results of completed
+    /// operations. This single definition of "root" is shared by
+    /// [`Self::reclaim`], [`Self::collect_garbage`], sifting and the leak
+    /// audit, so they can never drift apart.
+    pub(crate) fn root_indices(&self, roots: &[Bdd]) -> Vec<u32> {
         let mut stack: Vec<u32> = roots.iter().map(|b| b.node()).collect();
-        if with_result_pins {
-            stack.extend(self.result_pins.iter().copied());
-        }
+        stack.extend(self.result_pins.iter().copied());
+        stack.extend(self.loop_roots.iter().copied());
         stack.extend(self.roots.borrow().keys().copied());
         stack.extend(self.var_nodes.iter().map(|&e| e >> 1));
         stack
@@ -754,16 +772,17 @@ impl BddManager {
     }
 
     /// Reclaims every node not reachable from `roots`, a live [`Func`]
-    /// handle, or the per-variable literal nodes. Handles to live nodes
-    /// remain valid; the computed caches are cleared.
+    /// handle, the loop-root slot ([`Self::set_loop_roots`]) or the
+    /// per-variable literal nodes. Handles to live nodes remain valid;
+    /// the computed caches are cleared.
     ///
     /// Also resets the result-pin set kept for reclaim-before-fail: from
-    /// this point on, only `roots`, `Func` handles and literals define
-    /// liveness, so results of operations completed before this call must
-    /// be pinned by one of those to survive.
+    /// this point on, only `roots`, `Func` handles, the loop-root slot
+    /// and literals define liveness, so results of operations completed
+    /// before this call must be held by one of those to survive.
     pub fn collect_garbage(&mut self, roots: &[Bdd]) -> GcStats {
         self.result_pins.clear();
-        let mark = self.mark_from(self.root_indices(roots, false));
+        let mark = self.mark_from(self.root_indices(roots));
         let collected = self.sweep(&mark);
         self.stats.gc_runs += 1;
         self.stats.gc_reclaimed += collected as u64;
@@ -1026,6 +1045,62 @@ mod tests {
         drop(h2);
         m.collect_garbage(&[]);
         assert!(!m.is_live(g));
+    }
+
+    #[test]
+    fn loop_roots_survive_collection_until_replaced_or_cleared() {
+        let mut m = BddManager::new(3);
+        let a = m.var(Var(0));
+        let b = m.var(Var(1));
+        let c = m.var(Var(2));
+        let f = m.xor(a, b).unwrap();
+        let g = m.and(b, c).unwrap();
+        m.set_loop_roots(&[f, Bdd::TRUE, m.not(g), Bdd::FALSE]);
+        assert_eq!(m.loop_roots, [f.node(), g.node()], "constants skipped");
+        m.collect_garbage(&[]);
+        assert!(m.is_live(f) && m.is_live(g));
+        assert!(m.audit_leaks(&[]).is_empty(), "the slot counts as roots");
+        m.set_loop_roots(&[g]);
+        let leaked: Vec<u32> = m.audit_leaks(&[]).iter().map(|l| l.node()).collect();
+        assert_eq!(leaked, [f.node()], "a replaced entry is no root");
+        m.collect_garbage(&[]);
+        assert!(!m.is_live(f) && m.is_live(g));
+        m.set_loop_roots(&[]);
+        m.collect_garbage(&[]);
+        assert!(!m.is_live(g), "a cleared slot holds nothing");
+        m.check_invariants().unwrap();
+        // A loop root on a freed slot is reported like a result pin.
+        m.loop_roots.push(g.node());
+        let issues = m.audit_graph();
+        assert_eq!(issues.len(), 1, "{issues:?}");
+        assert_eq!(issues[0].kind, crate::audit::GraphIssueKind::ResultPin);
+        assert_eq!(issues[0].detail, "loop root references a freed slot");
+    }
+
+    #[test]
+    fn loop_roots_survive_a_node_limit_reclaim() {
+        let mut m = BddManager::new(8);
+        let a = m.var(Var(0));
+        let b = m.var(Var(1));
+        let c = m.var(Var(2));
+        let d = m.var(Var(3));
+        let held = m.xor(a, b).unwrap();
+        let garbage = m.xor(c, d).unwrap();
+        m.set_loop_roots(&[held]);
+        // The safepoint drops both result pins and defers its sweep.
+        assert_eq!(m.maybe_collect_garbage(&[]).collected, 0);
+        assert!(m.is_live(garbage));
+        // No headroom: the fresh node fits only after a reclaim pass.
+        m.set_node_limit(m.allocated());
+        let r = m.and(a, c).unwrap();
+        assert_eq!(m.stats().reclaim_attempts, 1);
+        m.clear_node_limit();
+        // A freed `held` slot is either empty or recycled for `r`; either
+        // way, rebuilding xor(a, b) would not return it.
+        assert!(m.is_live(held));
+        assert_ne!(held.node(), r.node());
+        assert_eq!(m.xor(a, b).unwrap(), held, "the slot kept its node");
+        m.check_invariants().unwrap();
     }
 
     #[test]

@@ -44,7 +44,8 @@
 //! every per-level unique subtable collision-free. Nodes of the old `y`
 //! level whose only parents were rewritten away are freed through a
 //! sift-local reference counter (external roots — `Func` handles, result
-//! pins, literals, caller roots — hold one permanent count each).
+//! pins, loop roots, literals, caller roots — hold one permanent count
+//! each).
 //!
 //! **Frees come before allocations.** The kernel first holds every
 //! cofactor of every interacting node with a temporary count, then
@@ -129,21 +130,22 @@ impl BddManager {
     /// whole order. `roots` must list every edge the caller intends to
     /// keep using, exactly as for
     /// [`collect_garbage`](Self::collect_garbage); `Func` handles,
-    /// result pins and literals are protected automatically. All
-    /// caller-held edges remain valid and denote the same functions —
-    /// only the order (and therefore node count) changes.
+    /// result pins, loop roots and literals are protected
+    /// automatically. All caller-held edges remain valid and denote the
+    /// same functions — only the order (and therefore node count)
+    /// changes.
     ///
     /// Sweeps first, so the sizes it reports and minimises count only
-    /// the nodes reachable from `roots`, `Func` handles, literals and the
-    /// results of operations completed since the last collection
-    /// safepoint ([`maybe_collect_garbage`](Self::maybe_collect_garbage)
+    /// the nodes reachable from `roots`, `Func` handles, loop roots,
+    /// literals and the results of operations completed since the last
+    /// collection safepoint ([`maybe_collect_garbage`](Self::maybe_collect_garbage)
     /// drops those pins even when it defers its sweep). It invalidates
     /// the computed caches at the end. Resource limits are
     /// *not* consulted (callers suspend/restore them around the call,
     /// like the driver's checkpoint hook); the armed deadline is polled
     /// between variables and ends the pass early but cleanly.
     pub fn sift(&mut self, roots: &[Bdd], cfg: &SiftConfig) -> SiftStats {
-        let mark = self.mark_from(self.root_indices(roots, true));
+        let mark = self.mark_from(self.root_indices(roots));
         self.sweep(&mark);
         let before = self.allocated();
         let mut stats = SiftStats {
@@ -221,7 +223,7 @@ impl BddManager {
         {
             return Ok(());
         }
-        let mark = self.mark_from(self.root_indices(roots, true));
+        let mark = self.mark_from(self.root_indices(roots));
         self.sweep(&mark);
         let mut st = SiftState::new(self, roots);
         // Selection sort by adjacent swaps: bubble each target variable
@@ -488,7 +490,7 @@ impl BddManager {
 pub(crate) struct SiftState {
     /// One count per parent edge over the live graph, plus one permanent
     /// count per external root (caller roots, `Func` handles, result
-    /// pins, literals). External counts are never released, so externally
+    /// pins, loop roots, literals). External counts are never released, so externally
     /// visible nodes can never be freed by a swap. The terminal is never
     /// counted.
     refs: Vec<u32>,
@@ -529,7 +531,7 @@ impl SiftState {
                 st.hold(Bdd(n.hi));
             }
         }
-        for idx in m.root_indices(roots, true) {
+        for idx in m.root_indices(roots) {
             st.hold(Bdd(idx << 1));
         }
         st
@@ -735,6 +737,25 @@ mod tests {
         assert!(m.is_live(f), "Func handle must protect its node");
         assert_eq!(truth_table(&m, f, n), table_f);
         drop(h);
+        m.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sift_preserves_loop_roots() {
+        let n = 12u32;
+        let mut rng = XorShift(0x1007_2007);
+        let mut m = BddManager::new(n);
+        let f = random_fn(&mut m, n, &mut rng);
+        let g = random_fn(&mut m, n, &mut rng);
+        let table_f = truth_table(&m, f, n);
+        m.set_loop_roots(&[f]); // a loop root, not passed via roots
+                                // Drops the result pins of `f` and `g`; the sift's entry sweep
+                                // then sees `f` only through the slot.
+        assert_eq!(m.maybe_collect_garbage(&[g]).collected, 0);
+        let _ = m.sift(&[g], &SiftConfig::default());
+        assert!(m.is_live(f), "the loop-root slot must protect its node");
+        assert_eq!(truth_table(&m, f, n), table_f);
+        assert!(m.audit_leaks(&[g]).is_empty());
         m.check_invariants().unwrap();
     }
 

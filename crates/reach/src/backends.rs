@@ -254,10 +254,6 @@ impl SetRepr for ChiBackend<'_> {
         }
     }
 
-    fn pin(&self, m: &BddManager, s: &Bdd) -> Vec<Func> {
-        vec![m.func(*s)]
-    }
-
     fn view<'b>(&'b self, reached: &'b Bdd, from: &'b Bdd) -> SetView<'b> {
         SetView::Chi {
             reached: *reached,
@@ -364,10 +360,6 @@ impl SetRepr for BfvBackend<'_> {
 
     fn append_roots(&self, s: &Bfv, out: &mut Vec<Bdd>) {
         out.extend_from_slice(s.components());
-    }
-
-    fn pin(&self, m: &BddManager, s: &Bfv) -> Vec<Func> {
-        s.pin(m)
     }
 
     fn view<'b>(&'b self, reached: &'b Bfv, from: &'b Bfv) -> SetView<'b> {
@@ -500,12 +492,6 @@ impl SetRepr for CdecBackend<'_> {
     fn append_roots(&self, s: &CdecSet, out: &mut Vec<Bdd>) {
         out.extend_from_slice(s.dec.constraints());
         out.extend_from_slice(s.bfv.components());
-    }
-
-    fn pin(&self, m: &BddManager, s: &CdecSet) -> Vec<Func> {
-        let mut pins = handles(m, s.dec.constraints());
-        pins.extend(s.bfv.pin(m));
-        pins
     }
 
     fn view<'b>(&'b self, reached: &'b CdecSet, from: &'b CdecSet) -> SetView<'b> {

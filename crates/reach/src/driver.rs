@@ -13,7 +13,7 @@
 
 use std::time::{Duration, Instant};
 
-use bfvr_bdd::{BddManager, SiftConfig, SIFT_SIZE_FLOOR};
+use bfvr_bdd::{Bdd, BddManager, SiftConfig, SIFT_SIZE_FLOOR};
 use bfvr_sim::EncodedFsm;
 
 use crate::common::{
@@ -48,6 +48,10 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     // decline). The baseline is the live count right after the last
     // reorder; growth past `sift_trigger` × baseline re-triggers.
     let sift_enabled = opts.sift && backend.supports_reorder();
+    let sift_config = SiftConfig {
+        max_growth: opts.sift_max_growth,
+        converge: false,
+    };
     let mut sift_baseline = m.allocated().max(1);
     let mut reorders = 0usize;
     let mut reorder_before = 0usize;
@@ -73,9 +77,11 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     // Account conversions made during setup (restore / initial import).
     conversion_time += backend.take_conversion();
 
-    // Pin the loop state against mid-operation reclaim passes; rebound
-    // each iteration as reached/from move.
-    let mut _state_guards = (backend.pin(m, &reached), backend.pin(m, &from));
+    // The manager's loop-root slot holds the loop state against
+    // mid-operation reclaim passes; each safepoint refills it as
+    // reached/from move. An image needs no hold: its operations'
+    // result pins keep it until the next safepoint.
+    m.set_loop_roots(&loop_roots(backend, &reached, &from));
 
     let mut outcome_opt = None;
     let run = (|| -> Result<(), bfvr_bfv::BfvError> {
@@ -92,7 +98,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             let op_start = Instant::now();
             let img = backend.image(m, &from)?;
             let image_time = op_start.elapsed();
-            let _img_guard = backend.pin(m, &img);
             let op_start = Instant::now();
             let new_reached = backend.union(m, &reached, &img)?;
             let union_time = op_start.elapsed();
@@ -111,11 +116,8 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 backend.size_capped(m, &reached, k) >= k
             };
             from = if take_img { img } else { reached.clone() };
-            _state_guards = (backend.pin(m, &reached), backend.pin(m, &from));
-            let mut roots = Vec::new();
-            backend.append_roots(&reached, &mut roots);
-            backend.append_roots(&from, &mut roots);
-            backend.persistent_roots(&mut roots);
+            let roots = loop_roots(backend, &reached, &from);
+            m.set_loop_roots(&roots);
             let gc = m.maybe_collect_garbage(&roots);
             // Dynamic reorder trigger: once the live graph grows past
             // the configured multiple of the post-reorder baseline (and
@@ -128,23 +130,9 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
                 && gc.live >= SIFT_SIZE_FLOOR
                 && gc.live as f64 >= sift_baseline as f64 * opts.sift_trigger.max(1.0)
             {
-                let saved_limit = m.node_limit();
-                let saved_deadline = m.deadline();
-                m.clear_node_limit();
-                m.set_deadline(None);
                 let sift_start = Instant::now();
-                let stats = m.sift(
-                    &roots,
-                    &SiftConfig {
-                        max_growth: opts.sift_max_growth,
-                        converge: false,
-                    },
-                );
+                let stats = unlimited(m, |m| m.sift(&roots, &sift_config));
                 let sift_dur = sift_start.elapsed();
-                if let Some(n) = saved_limit {
-                    m.set_node_limit(n);
-                }
-                m.set_deadline(saved_deadline);
                 reorders += 1;
                 reorder_before += stats.before;
                 reorder_after += stats.after;
@@ -193,25 +181,18 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
             // period rather than aborting the traversal.
             if let (Some(every), Some(hook)) = (opts.checkpoint_every, &opts.checkpoint_hook) {
                 if every > 0 && iterations % every == 0 {
-                    let saved_limit = m.node_limit();
-                    let saved_deadline = m.deadline();
-                    m.clear_node_limit();
-                    m.set_deadline(None);
-                    if let Ok(state) = backend.checkpoint(m, &reached, &from) {
-                        let cp = Checkpoint {
-                            engine,
-                            iterations,
-                            state,
-                        };
-                        hook(m, &cp);
-                    }
-                    if let Some(n) = saved_limit {
-                        m.set_node_limit(n);
-                    }
-                    m.set_deadline(saved_deadline);
+                    unlimited(m, |m| {
+                        if let Ok(state) = backend.checkpoint(m, &reached, &from) {
+                            let cp = Checkpoint {
+                                engine,
+                                iterations,
+                                state,
+                            };
+                            hook(m, &cp);
+                        }
+                    });
                 }
             }
-            backend.end_of_iteration(&reached, &from);
         }
         Ok(())
     })();
@@ -247,6 +228,7 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
     let reached_states = backend
         .count_states(m, &reached)
         .or_else(|| chi.map(|c| crate::cf::count_states(m, fsm, c)));
+    m.set_loop_roots(&[]);
     ReachResult {
         engine,
         outcome,
@@ -261,6 +243,31 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         reorder_nodes: (reorder_before, reorder_after),
         checkpoint,
     }
+}
+
+/// Runs `f` with the node limit and deadline suspended, then restores
+/// them: the sift and the checkpoint shrink or persist the graph and
+/// must never trip the budget they exist to relieve.
+fn unlimited<R>(m: &mut BddManager, f: impl FnOnce(&mut BddManager) -> R) -> R {
+    let (limit, deadline) = (m.node_limit(), m.deadline());
+    m.clear_node_limit();
+    m.set_deadline(None);
+    let r = f(m);
+    if let Some(n) = limit {
+        m.set_node_limit(n);
+    }
+    m.set_deadline(deadline);
+    r
+}
+
+/// The loop's GC roots: `reached`, `from` and the backend's persistent
+/// structures.
+fn loop_roots<B: SetRepr>(backend: &B, reached: &B::Set, from: &B::Set) -> Vec<Bdd> {
+    let mut roots = Vec::new();
+    backend.append_roots(reached, &mut roots);
+    backend.append_roots(from, &mut roots);
+    backend.persistent_roots(&mut roots);
+    roots
 }
 
 #[cfg(test)]
@@ -354,9 +361,6 @@ mod tests {
         fn persistent_roots(&self, out: &mut Vec<Bdd>) {
             self.0.persistent_roots(out);
         }
-        fn pin(&self, m: &BddManager, s: &B::Set) -> Vec<Func> {
-            self.0.pin(m, s)
-        }
         fn view<'a>(&'a self, reached: &'a B::Set, from: &'a B::Set) -> SetView<'a> {
             self.0.view(reached, from)
         }
@@ -380,9 +384,6 @@ mod tests {
             cp: &ReprCheckpoint,
         ) -> Result<Restored<B::Set>, BfvError> {
             self.0.restore(m, cp)
-        }
-        fn end_of_iteration(&mut self, reached: &B::Set, from: &B::Set) {
-            self.0.end_of_iteration(reached, from);
         }
         fn supports_reorder(&self) -> bool {
             self.0.supports_reorder()

@@ -147,7 +147,8 @@ pub fn resume(
     } = checkpoint;
     let span = telemetry::engine_span_open(opts, m, engine);
     // `state` stays alive across the dispatch, keeping its `Func`
-    // handles pinned until the seeded driver has re-pinned the sets.
+    // handles pinned until the seeded driver holds the restored sets in
+    // the manager's loop-root slot.
     let r = dispatch(engine, m, fsm, opts, Some((&state, iterations)));
     drop(state);
     telemetry::engine_span_close(opts, m, span, &r);
@@ -179,5 +180,55 @@ mod tests {
             };
             assert_eq!(e.supports_reorder(), backend, "{e:?}");
         }
+    }
+
+    /// The loop state lives in the manager's loop-root slot alone: an
+    /// observer that collects against no roots at all frees nothing the
+    /// loop still uses, and the run leaves no root behind.
+    #[test]
+    fn loop_state_survives_rootless_observer_collections() {
+        let circuits = [
+            ("counter5", bfvr_netlist::generators::counter(5)),
+            ("queue3", bfvr_netlist::generators::queue_controller(3)),
+        ];
+        for (name, net) in circuits {
+            for e in EngineKind::all() {
+                let what = format!("{name} {}", e.label());
+                let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+                let before = m.collect_garbage(&[]).live;
+                let plain = run(e, &mut m, &fsm, &ReachOptions::default());
+                drop(plain.reached_chi);
+                assert_eq!(m.collect_garbage(&[]).live, before, "{what}");
+                let observer: IterationObserver = std::rc::Rc::new(|m, _, _| {
+                    m.collect_garbage(&[]);
+                });
+                let opts = ReachOptions {
+                    observer: Some(observer),
+                    ..ReachOptions::default()
+                };
+                let r = run(e, &mut m, &fsm, &opts);
+                assert_eq!(r.outcome, plain.outcome, "{what}");
+                assert_eq!(r.iterations, plain.iterations, "{what}");
+                assert_eq!(r.reached_states, plain.reached_states, "{what}");
+                drop(r);
+                assert_eq!(m.collect_garbage(&[]).live, before, "{what}");
+            }
+        }
+    }
+
+    /// Under a tight node limit, reclaim passes run inside the loop's
+    /// operations while only the loop-root slot holds its state.
+    #[test]
+    fn loop_state_survives_node_limit_reclaims() {
+        let net = bfvr_netlist::generators::queue_controller(4);
+        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+        let opts = ReachOptions {
+            node_limit: Some(2500),
+            ..ReachOptions::default()
+        };
+        let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
+        assert_eq!(r.outcome, Outcome::FixedPoint);
+        assert_eq!(r.reached_states, Some(272.0));
+        assert!(m.stats().reclaim_attempts > 0);
     }
 }

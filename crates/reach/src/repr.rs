@@ -146,9 +146,16 @@ pub trait SetRepr {
         let _ = out;
     }
 
-    /// RAII pins for `s`, guarding it across collections triggered by
-    /// observers.
-    fn pin(&self, m: &BddManager, s: &Self::Set) -> Vec<Func>;
+    /// RAII pins for the [`append_roots`](SetRepr::append_roots) of `s`.
+    /// Only the benchmark's replay (`perfbench/src/replay.rs`) calls
+    /// this; the driver holds its loop state in the manager's loop-root
+    /// slot ([`BddManager::set_loop_roots`]).
+    fn pin(&self, m: &BddManager, s: &Self::Set) -> Vec<Func> {
+        let mut roots = Vec::new();
+        self.append_roots(s, &mut roots);
+        roots.retain(|b| !b.is_const());
+        roots.into_iter().map(|b| m.func(b)).collect()
+    }
 
     /// The borrowed observer view of a reached/from pair.
     fn view<'a>(&'a self, reached: &'a Self::Set, from: &'a Self::Set) -> SetView<'a>;
@@ -192,9 +199,8 @@ pub trait SetRepr {
         cp: &ReprCheckpoint,
     ) -> Result<Restored<Self::Set>, BfvError>;
 
-    /// End-of-iteration hook for lane-private housekeeping. No backend
-    /// overrides this no-op; the manager's own collection is the driver's
-    /// job.
+    /// End-of-iteration hook. No backend overrides this no-op, and only
+    /// the benchmark's replay (`perfbench/src/replay.rs`) calls it.
     fn end_of_iteration(&mut self, reached: &Self::Set, from: &Self::Set) {
         let _ = (reached, from);
     }
