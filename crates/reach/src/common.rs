@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use bfvr_bdd::{Bdd, BddError, BddManager, Func};
 use bfvr_bfv::reparam::Schedule;
 use bfvr_bfv::BfvError;
-use bfvr_sim::{EncodedFsm, OrderHeuristic};
+use bfvr_sim::EncodedFsm;
 
 use crate::{ReprCheckpoint, SetView};
 
@@ -116,12 +116,6 @@ pub struct ReachOptions {
     pub cache_limit: Option<usize>,
     /// Safety cap on image iterations.
     pub max_iterations: Option<usize>,
-    /// Static variable-ordering heuristic for the drivers that own the
-    /// netlist encoding — the racing portfolio (each lane encodes the
-    /// netlist in its own thread) and the CLI front end. Engines called
-    /// with an already-encoded [`EncodedFsm`] inherit whatever order the
-    /// caller encoded with; this field does not re-order them.
-    pub order: OrderHeuristic,
     /// Parameter-elimination schedule for the BFV/CDEC engines (§3).
     pub schedule: Schedule,
     /// Cluster size threshold for the partitioned-TR engine \[IWLS95\].
@@ -190,7 +184,6 @@ impl Default for ReachOptions {
             time_limit: None,
             cache_limit: None,
             max_iterations: None,
-            order: OrderHeuristic::DfsFanin,
             schedule: Schedule::DynamicSupport,
             cluster_threshold: 500,
             use_frontier: true,
@@ -213,7 +206,6 @@ impl fmt::Debug for ReachOptions {
             .field("time_limit", &self.time_limit)
             .field("cache_limit", &self.cache_limit)
             .field("max_iterations", &self.max_iterations)
-            .field("order", &self.order)
             .field("schedule", &self.schedule)
             .field("cluster_threshold", &self.cluster_threshold)
             .field("use_frontier", &self.use_frontier)
@@ -258,6 +250,12 @@ pub(crate) struct IterMetrics<'a> {
 /// heap (anything live but unreachable from `view.roots` is a finding
 /// to them), so when anyone is *observing* we force the full collection
 /// the engines skipped. Tracing alone never triggers that collection.
+///
+/// With the `audit` feature every iteration of every engine runs
+/// [`audit_iteration`] and panics on an error-severity finding, turning
+/// a silent representation bug into a failure at the iteration that
+/// introduced it. An audit cut short by a BDD error (possible only
+/// under injected faults) is inconclusive and asserts nothing.
 pub(crate) fn notify_iteration(
     m: &mut BddManager,
     fsm: &EncodedFsm,
@@ -280,10 +278,71 @@ pub(crate) fn notify_iteration(
         m.collect_garbage(view.roots);
     }
     #[cfg(feature = "audit")]
-    crate::selfcheck::selfcheck_iteration(m, fsm, view);
+    {
+        let mut report = bfvr_audit::Report::new();
+        if audit_iteration(m, fsm, view, &mut report).is_ok() {
+            assert!(
+                !report.has_errors(),
+                "audit self-check failed at {}/iter[{}]:\n{}",
+                view.engine.label(),
+                view.iteration,
+                report.render()
+            );
+        }
+    }
     if let Some(obs) = &opts.observer {
         obs(m, fsm, view);
     }
+}
+
+/// Audits one iteration's set representation against the paper's §2.2
+/// canonical-BFV invariants — the full [`bfvr_audit`] pass battery,
+/// leaks counted against `view.roots` — adding its findings to `report`
+/// under the scope `ENGINE/iter[N]`. The one iteration audit: the
+/// `audit` feature and `bfvr audit` both call it.
+///
+/// The passes run with the manager's node limit and deadline suspended,
+/// so the audit's scratch work neither trips nor counts against the
+/// engine's budget; both are restored before it returns. It then
+/// collects garbage against `view.roots`, leaving the heap as the
+/// engine's own collection left it, so the next leak pass does not take
+/// the audit's scratch nodes for the engine's leak.
+///
+/// # Errors
+///
+/// A BDD error inside a pass — possible only under an injected fault,
+/// which stays armed on purpose. The audit is then inconclusive, and
+/// `report` holds the findings of the passes that finished.
+pub fn audit_iteration(
+    m: &mut BddManager,
+    fsm: &EncodedFsm,
+    view: &IterationView<'_>,
+    report: &mut bfvr_audit::Report,
+) -> Result<(), BfvError> {
+    let space = fsm.space();
+    let targets = bfvr_audit::AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
+    let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
+    unlimited(m, |m| {
+        let run = bfvr_audit::run_passes(m, &targets, &scope, report);
+        m.collect_garbage(view.roots);
+        run
+    })
+}
+
+/// Internal: runs `f` with the node limit and deadline suspended, then
+/// restores them — the crate's one suspend/restore. The sift, the
+/// checkpoint and the iteration audit shrink, persist or inspect the
+/// graph and must never trip the budget the run is held to.
+pub(crate) fn unlimited<R>(m: &mut BddManager, f: impl FnOnce(&mut BddManager) -> R) -> R {
+    let (limit, deadline) = (m.node_limit(), m.deadline());
+    m.clear_node_limit();
+    m.set_deadline(None);
+    let r = f(m);
+    if let Some(n) = limit {
+        m.set_node_limit(n);
+    }
+    m.set_deadline(deadline);
+    r
 }
 
 /// How a traversal ended.

@@ -17,8 +17,8 @@ use bfvr_bdd::{Bdd, BddManager, SiftConfig, SIFT_SIZE_FLOOR};
 use bfvr_sim::EncodedFsm;
 
 use crate::common::{
-    arm_limits, disarm_limits, failed_result, notify_iteration, outcome_of_bfv_error, Checkpoint,
-    EngineKind, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult,
+    arm_limits, disarm_limits, failed_result, notify_iteration, outcome_of_bfv_error, unlimited,
+    Checkpoint, EngineKind, IterMetrics, IterationView, Outcome, ReachOptions, ReachResult,
 };
 use crate::{ReprCheckpoint, SetRepr};
 
@@ -243,21 +243,6 @@ pub(crate) fn run_fixed_point<B: SetRepr>(
         reorder_nodes: (reorder_before, reorder_after),
         checkpoint,
     }
-}
-
-/// Runs `f` with the node limit and deadline suspended, then restores
-/// them: the sift and the checkpoint shrink or persist the graph and
-/// must never trip the budget they exist to relieve.
-fn unlimited<R>(m: &mut BddManager, f: impl FnOnce(&mut BddManager) -> R) -> R {
-    let (limit, deadline) = (m.node_limit(), m.deadline());
-    m.clear_node_limit();
-    m.set_deadline(None);
-    let r = f(m);
-    if let Some(n) = limit {
-        m.set_node_limit(n);
-    }
-    m.set_deadline(deadline);
-    r
 }
 
 /// The loop's GC roots: `reached`, `from` and the backend's persistent

@@ -51,16 +51,14 @@ mod driver;
 mod iwls95;
 pub mod portfolio;
 mod repr;
-#[cfg(feature = "audit")]
-mod selfcheck;
 pub mod telemetry;
 mod trace;
 
 pub use bfvr_audit::SetView;
 pub use check::{check_invariant, CheckResult, NoVerdict};
 pub use common::{
-    Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationView, Outcome,
-    ReachOptions, ReachResult,
+    audit_iteration, Checkpoint, CheckpointHook, EngineKind, IterationObserver, IterationView,
+    Outcome, ReachOptions, ReachResult,
 };
 pub use repr::{ReprCheckpoint, Restored, SetRepr};
 pub use telemetry::TraceHandle;
@@ -160,6 +158,7 @@ mod tests {
     use super::*;
     use backends::{BfvBackend, CdecBackend, ChiBackend};
     use bfvr_sim::OrderHeuristic;
+    use std::rc::Rc;
 
     /// The engine-level capability the CLI shows (`~S`) is the one the
     /// driver reads off the backend [`dispatch`] builds.
@@ -199,7 +198,7 @@ mod tests {
                 let plain = run(e, &mut m, &fsm, &ReachOptions::default());
                 drop(plain.reached_chi);
                 assert_eq!(m.collect_garbage(&[]).live, before, "{what}");
-                let observer: IterationObserver = std::rc::Rc::new(|m, _, _| {
+                let observer: IterationObserver = Rc::new(|m, _, _| {
                     m.collect_garbage(&[]);
                 });
                 let opts = ReachOptions {
@@ -213,6 +212,51 @@ mod tests {
                 drop(r);
                 assert_eq!(m.collect_garbage(&[]).live, before, "{what}");
             }
+        }
+    }
+
+    /// An iteration audit that an injected allocation fault cuts short
+    /// returns the error, and hands the run its node limit and deadline
+    /// back exactly as it found them.
+    #[test]
+    fn audit_iteration_under_a_fault_errs_and_restores_the_budget() {
+        use bfvr_bdd::FaultPlan;
+        use std::cell::Cell;
+        use std::time::Duration;
+
+        let net = bfvr_netlist::generators::counter(5);
+        for plan in [
+            FaultPlan::node_limit_at(1),
+            FaultPlan::deadline_in_alloc_at(1),
+        ] {
+            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
+            let audited = Rc::new(Cell::new(false));
+            let seen = Rc::clone(&audited);
+            let observer: IterationObserver = Rc::new(move |m, fsm, view| {
+                if view.iteration != 2 {
+                    return;
+                }
+                let budget = (m.node_limit(), m.deadline());
+                assert!(budget.0.is_some() && budget.1.is_some());
+                m.set_fault_plan(plan);
+                let mut report = bfvr_audit::Report::new();
+                assert!(
+                    audit_iteration(m, fsm, view, &mut report).is_err(),
+                    "{plan:?}"
+                );
+                assert_eq!((m.node_limit(), m.deadline()), budget, "{plan:?}");
+                seen.set(true);
+            });
+            let opts = ReachOptions {
+                node_limit: Some(1 << 20),
+                time_limit: Some(Duration::from_secs(3600)),
+                observer: Some(observer),
+                ..ReachOptions::default()
+            };
+            let r = run(EngineKind::Bfv, &mut m, &fsm, &opts);
+            assert!(audited.get(), "{plan:?}");
+            // The fault stays armed, so the engine stops at its next node.
+            assert!(r.outcome.is_resource_exhaustion(), "{plan:?}: {r:?}");
         }
     }
 

@@ -20,17 +20,17 @@ use std::time::{Duration, Instant};
 use bfvr_netlist::Netlist;
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-use crate::{run, EngineKind, Outcome, ReachOptions, ReachResult};
+use crate::{run, EngineKind, Outcome, ReachOptions};
 
 /// One engine × ordering lane of a race: which engine runs and —
-/// optionally — a variable order overriding the race-wide base
-/// ([`ReachOptions::order`]).
+/// optionally — a variable order overriding the race-wide base order
+/// [`run_racing`] takes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lane {
     /// The engine the lane runs.
     pub engine: EngineKind,
     /// Variable-ordering override for this lane's private encoding;
-    /// `None` inherits [`ReachOptions::order`].
+    /// `None` inherits the race's base order.
     pub order: Option<OrderHeuristic>,
 }
 
@@ -110,22 +110,18 @@ pub struct LaneReport {
     pub reorders: usize,
 }
 
-/// The race's verdict: the winning result plus every lane's report.
+/// The race's verdict: every lane's report and the winner among them.
+///
+/// Reports are plain data: a lane's private manager — and every `Func`
+/// rooted in it, the reached set included — dies with its thread. Race
+/// when you want the answer fast; run a single engine when you need the
+/// reached set itself afterwards.
 #[derive(Clone, Debug)]
 pub struct RaceReport {
-    /// The winner's result — the first lane to reach its fixed point, or
-    /// the best partial result when none did (completion beats iteration
-    /// cap beats resource exhaustion; ties go to the lane with more
-    /// iterations). `None` only when `lanes` was empty.
-    ///
-    /// The result crosses a thread boundary, so the fields that hold
-    /// manager-owned state ([`ReachResult::reached_chi`] and
-    /// [`ReachResult::checkpoint`]) are always `None`: the lane's private
-    /// manager — and every `Func` rooted in it — dies with its thread.
-    /// Race when you want the answer fast; run a single engine when you
-    /// need the reached set itself afterwards.
-    pub result: Option<ReachResult>,
-    /// Index into `lanes` of the lane that produced [`RaceReport::result`].
+    /// Index into `lanes` of the winner — the first lane to reach its
+    /// fixed point, or the best partial result when none did (completion
+    /// beats iteration cap beats resource exhaustion; ties go to the lane
+    /// with more iterations). `None` only when `lanes` was empty.
     pub winner: Option<usize>,
     /// One report per lane, in the order given.
     pub lanes: Vec<LaneReport>,
@@ -143,7 +139,6 @@ struct LaneOpts {
     time_limit: Option<Duration>,
     cache_limit: Option<usize>,
     max_iterations: Option<usize>,
-    order: OrderHeuristic,
     schedule: bfvr_bfv::reparam::Schedule,
     cluster_threshold: usize,
     use_frontier: bool,
@@ -162,7 +157,6 @@ impl LaneOpts {
             time_limit: opts.time_limit,
             cache_limit: opts.cache_limit,
             max_iterations: opts.max_iterations,
-            order: opts.order,
             schedule: opts.schedule,
             cluster_threshold: opts.cluster_threshold,
             use_frontier: opts.use_frontier,
@@ -179,7 +173,6 @@ impl LaneOpts {
             time_limit: self.time_limit,
             cache_limit: self.cache_limit,
             max_iterations: self.max_iterations,
-            order: self.order,
             schedule: self.schedule,
             cluster_threshold: self.cluster_threshold,
             use_frontier: self.use_frontier,
@@ -200,16 +193,13 @@ impl LaneOpts {
     }
 }
 
-/// Everything a lane thread sends home: the lane's report plus the
-/// fields only the winner's [`ReachResult`] needs. All fields are plain
-/// data, so the message is `Send` even though the result it summarizes
-/// was produced by a `!Send` manager.
+/// Everything a lane thread sends home. All fields are plain data, so
+/// the message is `Send` even though the result it summarizes was
+/// produced by a `!Send` manager.
 struct LaneMessage {
     lane: usize,
     report: LaneReport,
     won: bool,
-    conversion_time: Duration,
-    reorder_nodes: (usize, usize),
     /// The lane's collected trace stream ([`bfvr_obs::Event`] is plain
     /// data), empty when the race is untraced.
     events: Vec<bfvr_obs::Event>,
@@ -234,8 +224,6 @@ impl LaneMessage {
                 reorders: 0,
             },
             won: false,
-            conversion_time: Duration::ZERO,
-            reorder_nodes: (0, 0),
             events: Vec::new(),
         }
     }
@@ -246,11 +234,12 @@ fn race_lane(
     lane: usize,
     spec: Lane,
     net: &Netlist,
+    order: OrderHeuristic,
     opts: LaneOpts,
     cancel: &Arc<AtomicBool>,
 ) -> LaneMessage {
     let start = Instant::now();
-    let mut msg = LaneMessage::skipped(lane, spec, opts.order);
+    let mut msg = LaneMessage::skipped(lane, spec, order);
     if cancel.load(Ordering::Relaxed) {
         return msg;
     }
@@ -288,8 +277,6 @@ fn race_lane(
             ..msg.report
         },
         won,
-        conversion_time: result.conversion_time,
-        reorder_nodes: result.reorder_nodes,
         events,
     }
 }
@@ -307,24 +294,30 @@ fn outcome_rank(outcome: Option<Outcome>) -> u8 {
 
 /// Races `lanes` on `net`: every engine × ordering lane
 /// encodes the netlist in its own worker thread with its own private
-/// [`BddManager`](bfvr_bdd::BddManager) — under [`ReachOptions::order`] unless the lane
+/// [`BddManager`](bfvr_bdd::BddManager) — under `order` unless the lane
 /// carries an override ([`Lane::with_order`]) — and the first lane to
 /// reach the fixed point cancels the rest through the managers'
 /// cooperative deadline poll.
 ///
-/// The returned [`RaceReport`] carries the winning [`ReachResult`]
-/// (reached-state count, iterations, peak nodes — but not the reached
-/// set itself; see [`RaceReport::result`]) and a [`LaneReport`] per
-/// lane. Reached-state counts are deterministic: every lane converges
-/// to the same unique least fixed point, so whichever lane wins, the
-/// count matches a sequential run bit for bit.
+/// The returned [`RaceReport`] carries a [`LaneReport`] per lane and
+/// names the winner among them (reached-state count, iterations, peak
+/// nodes — but not the reached set itself). Reached-state counts are
+/// deterministic: every lane converges to the same unique least fixed
+/// point, so whichever lane wins, the count matches a sequential run
+/// bit for bit.
 ///
 /// `jobs` caps the worker threads: at most this many lanes run at once
 /// (`0` means one thread per lane). Lanes beyond the cap queue and start
 /// as threads free up; queued lanes are skipped outright once a winner
 /// has been declared.
 #[must_use]
-pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usize) -> RaceReport {
+pub fn run_racing(
+    lanes: &[Lane],
+    net: &Netlist,
+    order: OrderHeuristic,
+    opts: &ReachOptions,
+    jobs: usize,
+) -> RaceReport {
     let start = Instant::now();
     let n = lanes.len();
     let jobs = if jobs == 0 { n } else { jobs.min(n) };
@@ -348,7 +341,7 @@ pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usiz
                     let Some(&spec) = lanes.get(lane) else {
                         return;
                     };
-                    let msg = race_lane(lane, spec, net, lane_opts, &cancel);
+                    let msg = race_lane(lane, spec, net, order, lane_opts, &cancel);
                     if tx.send(msg).is_err() {
                         return;
                     }
@@ -378,12 +371,11 @@ pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usiz
         })
         .map(|(i, _)| i);
     let mut reports = Vec::with_capacity(n);
-    let mut result = None;
     for (i, slot) in messages.into_iter().enumerate() {
         // Every spawned lane sends exactly one message, so the slot is
         // always populated; guard anyway so a panicked lane degrades to
         // a skipped report instead of poisoning the race.
-        let mut msg = slot.unwrap_or_else(|| LaneMessage::skipped(i, lanes[i], opts.order));
+        let mut msg = slot.unwrap_or_else(|| LaneMessage::skipped(i, lanes[i], order));
         // Merge the lane's stream into the driver's trace, tagged with
         // its lane index, then synthesize the race-level events: one
         // `winner`, and one `cancel` per lane the race stopped (or
@@ -398,27 +390,9 @@ pub fn run_racing(lanes: &[Lane], net: &Netlist, opts: &ReachOptions, jobs: usiz
                 t.winner(msg.report.engine.label());
             }
         }
-        if winner == Some(i) {
-            let r = &msg.report;
-            result = Some(ReachResult {
-                engine: r.engine,
-                outcome: r.outcome.unwrap_or(Outcome::Error),
-                iterations: r.iterations,
-                reached_states: r.reached_states,
-                reached_chi: None,
-                representation_nodes: r.representation_nodes,
-                peak_nodes: r.peak_nodes,
-                elapsed: r.elapsed,
-                conversion_time: msg.conversion_time,
-                reorders: r.reorders,
-                reorder_nodes: msg.reorder_nodes,
-                checkpoint: None,
-            });
-        }
         reports.push(msg.report);
     }
     RaceReport {
-        result,
         winner,
         lanes: reports,
         elapsed: start.elapsed(),

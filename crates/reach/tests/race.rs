@@ -45,19 +45,16 @@ fn racing_matches_sequential_counts_on_three_circuits() {
             "{name}: engines disagree sequentially: {counts:?}"
         );
         // ...so whichever lane wins the race, the count is bit-identical.
-        let report = run_racing(&lanes, &net, &opts, 0);
-        let result = report.result.expect("non-empty race has a result");
-        assert_eq!(result.outcome, Outcome::FixedPoint, "{name}");
+        let report = run_racing(&lanes, &net, ORDER, &opts, 0);
+        assert_eq!(report.lanes.len(), lanes.len());
+        let winner = &report.lanes[report.winner.expect("completed race names a winner")];
+        assert_eq!(winner.outcome, Some(Outcome::FixedPoint), "{name}");
         assert_eq!(
-            result.reached_states.unwrap().to_bits(),
+            winner.reached_states.unwrap().to_bits(),
             counts[0].to_bits(),
             "{name}: race count diverges from sequential"
         );
-        assert_eq!(report.lanes.len(), lanes.len());
-        let winner = report.winner.expect("completed race names a winner");
-        assert_eq!(report.lanes[winner].engine, result.engine);
-        assert_eq!(report.lanes[winner].outcome, Some(Outcome::FixedPoint));
-        assert!(!report.lanes[winner].cancelled);
+        assert!(!winner.cancelled);
     }
 }
 
@@ -69,9 +66,9 @@ fn losing_lanes_are_cancelled_not_errored() {
     let net = generators::queue_controller(4);
     let opts = ReachOptions::default();
     for _ in 0..3 {
-        let report = run_racing(&Lane::all_lanes(), &net, &opts, 0);
-        let result = report.result.expect("race result");
-        assert_eq!(result.outcome, Outcome::FixedPoint);
+        let report = run_racing(&Lane::all_lanes(), &net, ORDER, &opts, 0);
+        let winner = &report.lanes[report.winner.expect("race winner")];
+        assert_eq!(winner.outcome, Some(Outcome::FixedPoint));
         for lane in &report.lanes {
             assert_ne!(
                 lane.outcome,
@@ -111,10 +108,10 @@ fn full_lane_matrix_races_new_representations() {
         "the lane matrix changed"
     );
     let exact = sequential_count(&net, EngineKind::Bfv, &opts);
-    let report = run_racing(&lanes, &net, &opts, 0);
-    let result = report.result.expect("race result");
-    assert_eq!(result.outcome, Outcome::FixedPoint);
-    assert_eq!(result.reached_states.unwrap().to_bits(), exact.to_bits());
+    let report = run_racing(&lanes, &net, ORDER, &opts, 0);
+    let winner = &report.lanes[report.winner.expect("race winner")];
+    assert_eq!(winner.outcome, Some(Outcome::FixedPoint));
+    assert_eq!(winner.reached_states.unwrap().to_bits(), exact.to_bits());
     for lane in &report.lanes {
         if lane.outcome == Some(Outcome::FixedPoint) {
             if let Some(states) = lane.reached_states {
@@ -135,13 +132,13 @@ fn jobs_cap_serializes_the_race_deterministically() {
         Lane::native(EngineKind::Monolithic),
         Lane::native(EngineKind::Cbm),
     ];
-    let report = run_racing(&lanes, &net, &opts, 1);
+    let report = run_racing(&lanes, &net, ORDER, &opts, 1);
     assert_eq!(report.winner, Some(0));
-    let result = report.result.unwrap();
-    assert_eq!(result.engine, EngineKind::Bfv);
-    assert_eq!(result.outcome, Outcome::FixedPoint);
+    let winner = &report.lanes[0];
+    assert_eq!(winner.engine, EngineKind::Bfv);
+    assert_eq!(winner.outcome, Some(Outcome::FixedPoint));
     assert_eq!(
-        result.reached_states.unwrap(),
+        winner.reached_states.unwrap(),
         sequential_count(&net, EngineKind::Bfv, &opts)
     );
     for lane in &report.lanes[1..] {
@@ -153,8 +150,7 @@ fn jobs_cap_serializes_the_race_deterministically() {
 #[test]
 fn empty_lane_list_yields_empty_report() {
     let net = circuits::s27();
-    let report = run_racing(&[], &net, &ReachOptions::default(), 0);
-    assert!(report.result.is_none());
+    let report = run_racing(&[], &net, ORDER, &ReachOptions::default(), 0);
     assert!(report.winner.is_none());
     assert!(report.lanes.is_empty());
 }
@@ -174,11 +170,11 @@ fn ordering_lanes_agree_on_reached_state_counts() {
         ];
         assert_eq!(lanes[1].display(), "MONO@COI");
         assert_eq!(lanes[3].display(), "BFV@COI");
-        let report = run_racing(&lanes, &net, &ReachOptions::default(), 0);
-        let result = report.result.expect("race result");
-        assert_eq!(result.outcome, Outcome::FixedPoint, "{name}");
+        let report = run_racing(&lanes, &net, ORDER, &ReachOptions::default(), 0);
+        let winner = &report.lanes[report.winner.expect("race winner")];
+        assert_eq!(winner.outcome, Some(Outcome::FixedPoint), "{name}");
         assert_eq!(
-            result.reached_states.unwrap().to_bits(),
+            winner.reached_states.unwrap().to_bits(),
             exact.to_bits(),
             "{name}"
         );
@@ -211,6 +207,7 @@ fn cancelled_lane_under_a_real_deadline_still_reports_timeout() {
             Lane::native(EngineKind::Monolithic),
         ],
         &net,
+        ORDER,
         &opts,
         0,
     );

@@ -330,8 +330,8 @@ fn raced_trace_has_one_winner_and_cancels_the_rest() {
         trace: Some(trace.clone()),
         ..ReachOptions::default()
     };
-    let report = run_racing(&lanes, &net, &opts, 1);
-    assert!(report.result.is_some());
+    let report = run_racing(&lanes, &net, ORDER, &opts, 1);
+    assert!(report.winner.is_some());
 
     let events = trace.borrow_mut().drain();
     let winners: Vec<_> = events

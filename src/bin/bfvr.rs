@@ -40,8 +40,8 @@ use bfvr::reach::portfolio::{run_racing, Lane};
 use bfvr::reach::telemetry::trace_handle;
 use bfvr::reach::TraceHandle;
 use bfvr::reach::{
-    check_invariant, find_trace, run as run_engine, CheckResult, Checkpoint, CheckpointHook,
-    EngineKind, Outcome, ReachOptions, ReachResult,
+    audit_iteration, check_invariant, find_trace, run as run_engine, CheckResult, Checkpoint,
+    EngineKind, IterationObserver, Outcome, ReachOptions, ReachResult,
 };
 use bfvr::serve::{
     fnv1a64, level_map_of, read_checkpoint, read_meta, replay, signal, write_checkpoint, CkptMeta,
@@ -361,20 +361,6 @@ fn parse_order_token(tok: &str) -> Result<OrderHeuristic, String> {
     OrderHeuristic::parse_token(tok).ok_or_else(|| format!("unknown order `{tok}`"))
 }
 
-/// The inverse of [`parse_order_token`]: the CLI token for an order,
-/// written into durable checkpoint headers so `bfvr resume` can rebuild
-/// the exact manager the checkpoint was taken in.
-fn order_token(order: OrderHeuristic) -> String {
-    match order {
-        OrderHeuristic::DfsFanin => "s1".to_string(),
-        OrderHeuristic::Declaration => "decl".to_string(),
-        OrderHeuristic::Reversed => "d".to_string(),
-        OrderHeuristic::Random(seed) => format!("o:{seed}"),
-        OrderHeuristic::Coi => "coi".to_string(),
-        OrderHeuristic::Force => "force".to_string(),
-    }
-}
-
 /// Parses `reach`'s `--order` into the selected order list: one token
 /// selects that order, `all` crosses every lane with the static
 /// portfolio (fan-in, declaration, COI, FORCE), no flag selects the
@@ -523,9 +509,9 @@ struct Durable {
     circuit: String,
     fingerprint: u64,
     /// Latched first write failure (reported, not fatal).
-    error: Rc<RefCell<Option<String>>>,
+    error: RefCell<Option<String>>,
     /// Whether at least one durable checkpoint reached disk.
-    wrote: Rc<Cell<bool>>,
+    wrote: Cell<bool>,
 }
 
 impl Durable {
@@ -535,54 +521,32 @@ impl Durable {
         order: String,
         circuit: String,
         net: &Netlist,
-    ) -> Result<Durable, String> {
+    ) -> Result<Rc<Durable>, String> {
         // Fingerprint the canonical bench text, not the on-disk bytes:
         // resume re-derives it from the rebuilt circuit the same way.
         let text = bench::write(net).map_err(|e| e.to_string())?;
-        Ok(Durable {
+        Ok(Rc::new(Durable {
             path,
             every,
             order,
             circuit,
             fingerprint: fnv1a64(text.as_bytes()),
-            error: Rc::new(RefCell::new(None)),
-            wrote: Rc::new(Cell::new(false)),
-        })
+            error: RefCell::new(None),
+            wrote: Cell::new(false),
+        }))
     }
 
-    /// The periodic hook the fixed-point driver invokes mid-run.
-    fn hook(&self) -> CheckpointHook {
-        let path = self.path.clone();
-        let order = self.order.clone();
-        let circuit = self.circuit.clone();
-        let fingerprint = self.fingerprint;
-        let error = Rc::clone(&self.error);
-        let wrote = Rc::clone(&self.wrote);
-        Rc::new(move |m, cp| {
-            let meta = CkptMeta {
-                engine: cp.engine,
-                order: order.clone(),
-                circuit: circuit.clone(),
-                fingerprint,
-                num_vars: m.num_vars(),
-                level2var: level_map_of(m),
-                iterations: cp.iterations,
-            };
-            match write_checkpoint(&path, m, &meta, cp.state()) {
-                Ok(()) => wrote.set(true),
-                Err(e) => {
-                    let mut latch = error.borrow_mut();
-                    if latch.is_none() {
-                        *latch = Some(e.to_string());
-                    }
-                }
-            }
-        })
+    /// Arms `opts` to write a checkpoint every `every` growing
+    /// iterations, through the driver's periodic hook.
+    fn arm(self: &Rc<Self>, opts: &mut ReachOptions) {
+        let d = Rc::clone(self);
+        opts.checkpoint_every = Some(self.every);
+        opts.checkpoint_hook = Some(Rc::new(move |m, cp| d.write(m, cp)));
     }
 
-    /// Direct durable write (the final checkpoint after the run, where
-    /// only a shared manager borrow is available).
-    fn write_now(&self, m: &bfvr::bdd::BddManager, cp: &Checkpoint) {
+    /// Writes `cp` to the checkpoint file, latching the first failure —
+    /// the one writer of the periodic hook and the final checkpoint.
+    fn write(&self, m: &BddManager, cp: &Checkpoint) {
         let meta = CkptMeta {
             engine: cp.engine,
             order: self.order.clone(),
@@ -613,7 +577,7 @@ fn parse_durable(
     order: OrderHeuristic,
     circuit: &str,
     default_out: Option<PathBuf>,
-) -> Result<Option<Durable>, String> {
+) -> Result<Option<Rc<Durable>>, String> {
     let out = flag_value(args, "--checkpoint-out")
         .map(PathBuf::from)
         .or(default_out);
@@ -635,7 +599,7 @@ fn parse_durable(
         }
         return Ok(None);
     };
-    Durable::new(path, every, order_token(order), circuit.to_string(), net).map(Some)
+    Durable::new(path, every, order.token(), circuit.to_string(), net).map(Some)
 }
 
 /// Runs `body` with SIGINT/SIGTERM bridged into a cooperative cancel
@@ -682,11 +646,12 @@ fn write_result_file(path: &str, r: &ReachResult) -> Result<(), String> {
 
 /// Settles a (single-lane) run under the durable-checkpoint protocol:
 /// writes the final checkpoint / result file, surfaces latched periodic
-/// write failures, and picks the exit code — 0 for a fixed point,
-/// [`EXIT_CHECKPOINTED`] when the run stopped early but left a durable
-/// checkpoint to resume from, an error otherwise when interrupted.
+/// write failures, and picks the exit code. With `--checkpoint-out` a
+/// run exits 0 at a fixed point, [`EXIT_CHECKPOINTED`] when it stopped
+/// early but left a durable checkpoint to resume from, and 1 when it
+/// stopped early with none. Without it, only an interrupt is an error.
 fn settle_durable(
-    m: &bfvr::bdd::BddManager,
+    m: &BddManager,
     r: &ReachResult,
     durable: Option<&Durable>,
     result_out: Option<&str>,
@@ -698,7 +663,7 @@ fn settle_durable(
             // resume after the fact.
             let _ = std::fs::remove_file(&d.path);
         } else if let Some(cp) = &r.checkpoint {
-            d.write_now(m, cp);
+            d.write(m, cp);
         }
         if let Some(e) = d.error.borrow().as_ref() {
             eprintln!("warning: durable checkpoint write failed: {e}");
@@ -707,27 +672,104 @@ fn settle_durable(
     if let Some(path) = result_out {
         write_result_file(path, r)?;
     }
-    if r.outcome != Outcome::FixedPoint {
-        if let Some(d) = durable {
-            if d.wrote.get() && r.outcome != Outcome::Error {
-                eprintln!(
-                    "checkpointed at iteration {} -> {} (resume with: bfvr resume --from {})",
-                    r.iterations,
-                    d.path.display(),
-                    d.path.display()
-                );
-                return Ok(ExitCode::from(
-                    u8::try_from(EXIT_CHECKPOINTED).unwrap_or(u8::MAX),
-                ));
-            }
-        }
-        if interrupted {
-            return Err(
-                "interrupted before reaching a fixed point (no durable checkpoint written)".into(),
-            );
-        }
+    if r.outcome == Outcome::FixedPoint {
+        return Ok(ExitCode::SUCCESS);
     }
-    Ok(ExitCode::SUCCESS)
+    match durable {
+        Some(d) if d.wrote.get() && r.outcome != Outcome::Error => {
+            eprintln!(
+                "checkpointed at iteration {} -> {} (resume with: bfvr resume --from {})",
+                r.iterations,
+                d.path.display(),
+                d.path.display()
+            );
+            Ok(ExitCode::from(
+                u8::try_from(EXIT_CHECKPOINTED).unwrap_or(u8::MAX),
+            ))
+        }
+        // Stopped short with nothing to resume from: a caller scripting
+        // on the exit status must not read success.
+        Some(d) => Err(format!(
+            "{} ended {} after {} iteration(s); {}",
+            r.engine.label(),
+            r.outcome.label(),
+            r.iterations,
+            if r.outcome == Outcome::Error {
+                "an internal error is not resumable".to_string()
+            } else {
+                format!("no checkpoint was written to {}", d.path.display())
+            }
+        )),
+        None if interrupted => {
+            Err("interrupted before reaching a fixed point (no durable checkpoint written)".into())
+        }
+        None => Ok(ExitCode::SUCCESS),
+    }
+}
+
+/// Runs the body of `reach` or `resume` inside the trace's run span.
+/// The span closes and the trace flushes even when the body failed: a
+/// trace of a timed-out run is exactly what the telemetry is for. A sink
+/// that swallowed a write error reports it now — a "successful" run
+/// whose trace silently went nowhere must not exit 0.
+fn in_run_span(
+    trace: Option<&TraceHandle>,
+    name: &str,
+    body: impl FnOnce() -> Result<ExitCode, String>,
+) -> Result<ExitCode, String> {
+    let span = trace.map(|t| {
+        t.borrow_mut()
+            .open_span(SpanKind::Run, name, Counters::new())
+    });
+    let result = body();
+    let Some(t) = trace else {
+        return result;
+    };
+    let mut t = t.borrow_mut();
+    if let Some(id) = span {
+        t.close_span(id, &Counters::new());
+    }
+    t.finish();
+    let trace_error = t.take_error();
+    let code = result?;
+    match trace_error {
+        Some(e) => Err(format!("--trace-out: trace write failed: {e}")),
+        None => Ok(code),
+    }
+}
+
+/// Prints the column header of the lane table of `reach` and `resume`.
+fn print_lane_header() {
+    outln!(
+        "{:10} {:>6} {:>14} {:>7} {:>10} {:>11}",
+        "lane",
+        "status",
+        "states",
+        "iters",
+        "time(ms)",
+        "peak nodes"
+    );
+}
+
+/// Prints `r`'s row of that table under `label`, then its sift line
+/// when the driver reordered.
+fn print_lane_row(label: &str, r: &ReachResult) {
+    outln!(
+        "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
+        label,
+        r.outcome.label(),
+        states_cell(r.reached_states),
+        r.iterations,
+        r.elapsed.as_secs_f64() * 1e3,
+        r.peak_nodes
+    );
+    if r.reorders > 0 {
+        let (before, after) = r.reorder_nodes;
+        outln!(
+            "  dynamic reorder: {} sift pass(es), {before} -> {after} live nodes",
+            r.reorders
+        );
+    }
 }
 
 fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
@@ -756,7 +798,6 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let orders = parse_order_list(args)?;
     let order = orders[0];
     let mut opts = parse_opts(args)?;
-    opts.order = order;
     let race = args.iter().any(|a| a == "--race");
     // A race defaults to the full portfolio — one engine has nothing to
     // race against; a plain run defaults to the paper's BFV flow.
@@ -805,7 +846,7 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
     let order_label = if orders.len() > 1 {
         "all".to_string()
     } else {
-        order_token(order)
+        order.token()
     };
     let lint = bfvr::nlint::run_passes(&net).summary();
     // Sifting provenance: the meta header records that dynamic
@@ -827,42 +868,22 @@ fn cmd_reach(args: &[String]) -> Result<ExitCode, String> {
         ),
     )?;
     opts.trace.clone_from(&trace);
-    let run_span = trace.as_ref().map(|t| {
-        t.borrow_mut()
-            .open_span(SpanKind::Run, net.name(), Counters::new())
-    });
-    let result = if race {
-        cmd_reach_race(args, &net, &opts, &lanes).map(|()| ExitCode::SUCCESS)
-    } else {
-        reach_plain(
-            args,
-            &net,
-            order,
-            &opts,
-            &lanes,
-            durable.as_ref(),
-            result_out.as_deref(),
-            kill_at,
-        )
-    };
-    // Close the run span and flush even when a lane failed: a trace of a
-    // timed-out run is exactly what the telemetry is for. A sink that
-    // swallowed a write error reports it now — a "successful" run whose
-    // trace silently went nowhere must not exit 0.
-    let mut trace_error = None;
-    if let Some(t) = &trace {
-        let mut t = t.borrow_mut();
-        if let Some(id) = run_span {
-            t.close_span(id, &Counters::new());
+    in_run_span(trace.as_ref(), net.name(), || {
+        if race {
+            cmd_reach_race(args, &net, order, &opts, &lanes).map(|()| ExitCode::SUCCESS)
+        } else {
+            reach_plain(
+                args,
+                &net,
+                order,
+                &opts,
+                &lanes,
+                durable.as_ref(),
+                result_out.as_deref(),
+                kill_at,
+            )
         }
-        t.finish();
-        trace_error = t.take_error();
-    }
-    let code = result?;
-    if let Some(e) = trace_error {
-        return Err(format!("--trace-out: trace write failed: {e}"));
-    }
-    Ok(code)
+    })
 }
 
 /// The non-racing `bfvr reach` path: run each selected lane in its own
@@ -878,19 +899,11 @@ fn reach_plain(
     order: OrderHeuristic,
     opts: &ReachOptions,
     lanes: &[Lane],
-    durable: Option<&Durable>,
+    durable: Option<&Rc<Durable>>,
     result_out: Option<&str>,
     kill_at: Option<usize>,
 ) -> Result<ExitCode, String> {
-    outln!(
-        "{:10} {:>6} {:>14} {:>7} {:>10} {:>11}",
-        "lane",
-        "status",
-        "states",
-        "iters",
-        "time(ms)",
-        "peak nodes"
-    );
+    print_lane_header();
     let dump = args.iter().any(|a| a == "--dump-reached");
     let show_stats = args.iter().any(|a| a == "--stats");
     with_interrupt_token(|cancel| {
@@ -904,8 +917,7 @@ fn reach_plain(
             m.set_cancel_token(Some(Arc::clone(cancel)));
             let mut lane_opts = opts.clone();
             if let Some(d) = durable {
-                lane_opts.checkpoint_every = Some(d.every);
-                lane_opts.checkpoint_hook = Some(d.hook());
+                d.arm(&mut lane_opts);
             }
             if let Some(k) = kill_at {
                 // Fault injection for the supervisor's crash-recovery tests:
@@ -919,22 +931,7 @@ fn reach_plain(
                 }));
             }
             let r = run_engine(lane.engine, &mut m, &fsm, &lane_opts);
-            outln!(
-                "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
-                lane_cell(lane, opts),
-                r.outcome.label(),
-                states_cell(r.reached_states),
-                r.iterations,
-                r.elapsed.as_secs_f64() * 1e3,
-                r.peak_nodes
-            );
-            if r.reorders > 0 {
-                let (before, after) = r.reorder_nodes;
-                outln!(
-                    "  dynamic reorder: {} sift pass(es), {before} -> {after} live nodes",
-                    r.reorders
-                );
-            }
+            print_lane_row(&lane_cell(lane, opts), &r);
             if show_stats {
                 let s = m.stats();
                 outln!(
@@ -980,7 +977,13 @@ fn reach_plain(
                     }
                 }
             }
-            exit = settle_durable(&m, &r, durable, result_out, cancel.load(Ordering::Relaxed))?;
+            exit = settle_durable(
+                &m,
+                &r,
+                durable.map(Rc::as_ref),
+                result_out,
+                cancel.load(Ordering::Relaxed),
+            )?;
         }
         Ok(exit)
     })
@@ -1011,6 +1014,7 @@ fn states_cell(states: Option<f64>) -> String {
 fn cmd_reach_race(
     args: &[String],
     net: &Netlist,
+    order: OrderHeuristic,
     opts: &ReachOptions,
     lanes: &[Lane],
 ) -> Result<(), String> {
@@ -1030,7 +1034,7 @@ fn cmd_reach_race(
             n
         }
     };
-    let report = run_racing(lanes, net, opts, jobs);
+    let report = run_racing(lanes, net, order, opts, jobs);
     outln!(
         "{:16} {:>9} {:>14} {:>7} {:>10} {:>11}",
         "lane",
@@ -1076,12 +1080,12 @@ fn cmd_reach_race(
         report.lanes.len(),
         report.elapsed.as_secs_f64() * 1e3
     );
-    match report.result {
-        Some(r) if r.outcome == bfvr::reach::Outcome::FixedPoint => Ok(()),
-        Some(r) => Err(format!(
+    match report.winner.map(|i| &report.lanes[i]) {
+        Some(w) if w.outcome == Some(Outcome::FixedPoint) => Ok(()),
+        Some(w) => Err(format!(
             "no lane reached a fixed point (best: {} {})",
-            r.engine.label(),
-            r.outcome.label()
+            w.engine.label(),
+            w.outcome.unwrap_or(Outcome::Error).label()
         )),
         None => Err("race had no engines".into()),
     }
@@ -1128,64 +1132,24 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
         net.name(),
         cp.iterations
     );
-    outln!(
-        "{:10} {:>6} {:>14} {:>7} {:>10} {:>11}",
-        "lane",
-        "status",
-        "states",
-        "iters",
-        "time(ms)",
-        "peak nodes"
-    );
-    let run_span = trace.as_ref().map(|t| {
-        t.borrow_mut()
-            .open_span(SpanKind::Run, net.name(), Counters::new())
-    });
-    let result = with_interrupt_token(|cancel| {
-        m.set_cancel_token(Some(Arc::clone(cancel)));
-        if let Some(d) = &durable {
-            opts.checkpoint_every = Some(d.every);
-            opts.checkpoint_hook = Some(d.hook());
-        }
-        let r = bfvr::reach::resume(&mut m, &fsm, &opts, cp);
-        outln!(
-            "{:10} {:>6} {:>14} {:>7} {:>10.1} {:>11}",
-            r.engine.label(),
-            r.outcome.label(),
-            states_cell(r.reached_states),
-            r.iterations,
-            r.elapsed.as_secs_f64() * 1e3,
-            r.peak_nodes
-        );
-        if r.reorders > 0 {
-            let (before, after) = r.reorder_nodes;
-            outln!(
-                "  dynamic reorder: {} sift pass(es), {before} -> {after} live nodes",
-                r.reorders
-            );
-        }
-        settle_durable(
-            &m,
-            &r,
-            durable.as_ref(),
-            result_out.as_deref(),
-            cancel.load(Ordering::Relaxed),
-        )
-    });
-    let mut trace_error = None;
-    if let Some(t) = &trace {
-        let mut t = t.borrow_mut();
-        if let Some(id) = run_span {
-            t.close_span(id, &Counters::new());
-        }
-        t.finish();
-        trace_error = t.take_error();
-    }
-    let code = result?;
-    if let Some(e) = trace_error {
-        return Err(format!("--trace-out: trace write failed: {e}"));
-    }
-    Ok(code)
+    print_lane_header();
+    in_run_span(trace.as_ref(), net.name(), || {
+        with_interrupt_token(|cancel| {
+            m.set_cancel_token(Some(Arc::clone(cancel)));
+            if let Some(d) = &durable {
+                d.arm(&mut opts);
+            }
+            let r = bfvr::reach::resume(&mut m, &fsm, &opts, cp);
+            print_lane_row(r.engine.label(), &r);
+            settle_durable(
+                &m,
+                &r,
+                durable.as_deref(),
+                result_out.as_deref(),
+                cancel.load(Ordering::Relaxed),
+            )
+        })
+    })
 }
 
 /// `bfvr serve`: replay the job directory's journal, then run every
@@ -1367,7 +1331,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let base_opts = parse_opts(args)?;
     let engines = parse_engines(args, &EngineKind::all())?;
     let report = Rc::new(RefCell::new(Report::new()));
-    let inconclusive = Rc::new(RefCell::new(0usize));
+    let inconclusive = Rc::new(Cell::new(0usize));
     // Lanes that ended before their fixed point: their audit covers only
     // the iterations they reached.
     let mut stopped = Vec::new();
@@ -1375,29 +1339,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     for lane in engines.into_iter().map(Lane::native) {
         let (mut m, fsm) = encode(&net, order)?;
         let mut opts = base_opts.clone();
-        let sink = Rc::clone(&report);
-        let skipped = Rc::clone(&inconclusive);
-        opts.observer = Some(Rc::new(move |m, fsm, view| {
-            let space = fsm.space();
-            let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
-            let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
-            // The audit's own scratch work must not count against the
-            // engine's resource budget: suspend limits, audit, restore.
-            // A resource failure inside the audit (possible only under
-            // injected faults) makes that audit inconclusive, not failed.
-            let node_limit = m.node_limit();
-            let deadline = m.deadline();
-            m.clear_node_limit();
-            m.set_deadline(None);
-            if run_passes(m, &targets, &scope, &mut sink.borrow_mut()).is_err() {
-                *skipped.borrow_mut() += 1;
-            }
-            match node_limit {
-                Some(n) => m.set_node_limit(n),
-                None => m.clear_node_limit(),
-            }
-            m.set_deadline(deadline);
-        }));
+        opts.observer = Some(iteration_auditor(&report, &inconclusive));
         let r = run_engine(lane.engine, &mut m, &fsm, &opts);
         // Final audit of the engine's end state, through the χ the result
         // carries (also exercising the χ→BFV converter one more time).
@@ -1449,12 +1391,11 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     }
 
     let report = report.borrow();
-    let inconclusive = *inconclusive.borrow();
     for f in report.sorted() {
         outln!("{f}");
     }
-    if inconclusive > 0 {
-        outln!("note: {inconclusive} iteration audit(s) were inconclusive (resource-limited)");
+    if let Some(note) = inconclusive_note(inconclusive.get()) {
+        outln!("{note}");
     }
     print_tally("audit", &report);
     if report.has_errors() {
@@ -1467,6 +1408,27 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// `bfvr audit`'s per-iteration observer: [`audit_iteration`] into
+/// `report`, counting in `inconclusive` each audit a BDD error cut short
+/// (possible only under injected faults) instead of failing it.
+fn iteration_auditor(
+    report: &Rc<RefCell<Report>>,
+    inconclusive: &Rc<Cell<usize>>,
+) -> IterationObserver {
+    let (report, inconclusive) = (Rc::clone(report), Rc::clone(inconclusive));
+    Rc::new(move |m, fsm, view| {
+        if audit_iteration(m, fsm, view, &mut report.borrow_mut()).is_err() {
+            inconclusive.set(inconclusive.get() + 1);
+        }
+    })
+}
+
+/// The note `bfvr audit` prints under its findings when `n` iteration
+/// audits were inconclusive.
+fn inconclusive_note(n: usize) -> Option<String> {
+    (n > 0).then(|| format!("note: {n} iteration audit(s) were inconclusive (resource-limited)"))
 }
 
 /// Prints the closing `<tool>: N finding(s) — …` tally of a report.
@@ -1683,4 +1645,39 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use bfvr::bdd::FaultPlan;
+
+    /// An iteration audit that a fault cuts short is counted, not
+    /// failed, and `bfvr audit` notes the count under its findings.
+    #[test]
+    fn a_faulted_iteration_audit_is_noted_as_inconclusive() {
+        let (mut m, fsm) = encode(&generators::counter(4), OrderHeuristic::DfsFanin).unwrap();
+        let report = Rc::new(RefCell::new(Report::new()));
+        let inconclusive = Rc::new(Cell::new(0));
+        let audit = iteration_auditor(&report, &inconclusive);
+        let opts = ReachOptions {
+            observer: Some(Rc::new(move |m, fsm, view| {
+                if view.iteration == 2 {
+                    m.set_fault_plan(FaultPlan::node_limit_at(1));
+                }
+                audit(m, fsm, view);
+            })),
+            ..ReachOptions::default()
+        };
+        let r = run_engine(EngineKind::Bfv, &mut m, &fsm, &opts);
+        assert_eq!(r.outcome, Outcome::MemOut);
+        assert_eq!(inconclusive.get(), 1);
+        assert!(!report.borrow().has_errors());
+        assert_eq!(
+            inconclusive_note(inconclusive.get()).as_deref(),
+            Some("note: 1 iteration audit(s) were inconclusive (resource-limited)")
+        );
+        assert_eq!(inconclusive_note(0), None);
+    }
 }

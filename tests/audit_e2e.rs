@@ -9,13 +9,13 @@ use std::rc::Rc;
 use bfvr::audit::{run_passes, AuditTargets, Report};
 use bfvr::netlist::{circuits, generators, Netlist};
 use bfvr::reach::portfolio::Lane;
-use bfvr::reach::{run, Outcome, ReachOptions};
+use bfvr::reach::{audit_iteration, run, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
 
-/// Runs every engine lane over `net` with an observer
-/// that audits each iteration's live set — graph, leaks, all semantic
-/// passes, and the cross-representation converters — then audits the
-/// final reached χ. Any finding anywhere fails the test.
+/// Runs every engine lane over `net` with an observer that audits each
+/// iteration's live set through [`audit_iteration`] — graph, leaks, all
+/// semantic passes, and the cross-representation converters — then
+/// audits the final reached χ. Any finding anywhere fails the test.
 fn audit_all_engines(net: &Netlist) {
     audit_all_engines_under(net, OrderHeuristic::DfsFanin, &ReachOptions::default());
 }
@@ -29,10 +29,7 @@ fn audit_all_engines_under(net: &Netlist, order: OrderHeuristic, base: &ReachOpt
         let sink = Rc::clone(&report);
         let opts = ReachOptions {
             observer: Some(Rc::new(move |m, fsm, view| {
-                let space = fsm.space();
-                let targets = AuditTargets::for_view(&space, &view.set).with_leak_roots(view.roots);
-                let scope = format!("{}/iter[{}]", view.engine.label(), view.iteration);
-                run_passes(m, &targets, &scope, &mut sink.borrow_mut()).unwrap();
+                audit_iteration(m, fsm, view, &mut sink.borrow_mut()).unwrap();
             })),
             ..base.clone()
         };
@@ -177,27 +174,38 @@ fn cli_audit_bad_input_exits_nonzero() {
 #[test]
 fn cli_audit_of_a_lane_that_stops_early_fails() {
     // The node limit stops the run at M.O. long before lfsr10's 1023
-    // iterations; the iterations it reached audit clean.
-    let out = Command::new(env!("CARGO_BIN_EXE_bfvr"))
-        .args([
-            "audit",
-            "gen:lfsr:10",
-            "--engine",
-            "bfv",
-            "--node-limit",
-            "1000",
-        ])
-        .output()
-        .unwrap();
+    // iterations; the iterations it reached audit clean. The audit runs
+    // outside the budget, so the audited run stops at the iteration
+    // where `bfvr reach` under the same limit stops.
+    let limit = ["--engine", "bfv", "--node-limit", "300"];
+    let bfvr = |cmd: &str| {
+        Command::new(env!("CARGO_BIN_EXE_bfvr"))
+            .args([cmd, "gen:lfsr:10"])
+            .args(limit)
+            .output()
+            .unwrap()
+    };
+    let out = bfvr("audit");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{stdout}");
     assert!(stdout.contains("0 error(s)"), "{stdout}");
     let lane = stdout.lines().find(|l| l.starts_with("BFV")).unwrap();
     assert!(lane.contains("M.O."), "{stdout}");
+    let reach = String::from_utf8_lossy(&bfvr("reach").stdout).to_string();
+    let row: Vec<&str> = reach
+        .lines()
+        .find(|l| l.starts_with("BFV"))
+        .unwrap()
+        .split_whitespace()
+        .collect();
+    assert_eq!(row[1], "M.O.", "{reach}");
     assert!(
-        stderr.starts_with("error: audit incomplete: BFV ended M.O. after "),
-        "{stderr}"
+        stderr.starts_with(&format!(
+            "error: audit incomplete: BFV ended M.O. after {} iteration(s)",
+            row[3]
+        )),
+        "{stderr}\n{reach}"
     );
 }
 

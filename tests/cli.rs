@@ -422,6 +422,60 @@ fn check_and_trace_stop_at_their_limits() {
     assert!(stdout(&o).contains("HOLDS"));
 }
 
+/// A run with `--checkpoint-out` that stops short of its fixed point
+/// before any checkpoint reached disk exits 1 and says so; only a run
+/// that left a checkpoint to resume from exits 75.
+#[test]
+fn checkpoint_out_without_a_checkpoint_exits_1() {
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_nockpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("q.ckpt");
+    let path = ckpt.to_str().unwrap();
+    // MONO's transition relation does not fit 1200 nodes: the run stops
+    // before its first iteration, with no state to checkpoint.
+    let o = bfvr(&[
+        "reach",
+        "gen:queue:4",
+        "--engine",
+        "mono",
+        "--node-limit",
+        "1200",
+        "--checkpoint-out",
+        path,
+    ]);
+    assert_eq!(o.status.code(), Some(1), "{}", stderr(&o));
+    let row: Vec<String> = stdout(&o)
+        .lines()
+        .nth(1)
+        .unwrap()
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    assert_eq!(row[..4], ["MONO", "M.O.", "-", "0"], "{}", stdout(&o));
+    assert_eq!(
+        stderr(&o),
+        format!(
+            "error: MONO ended M.O. after 0 iteration(s); no checkpoint was written to {path}\n"
+        )
+    );
+    assert!(!ckpt.exists());
+    // With room for the relation it stops in the loop, checkpoints and
+    // exits 75.
+    let o = bfvr(&[
+        "reach",
+        "gen:queue:4",
+        "--engine",
+        "mono",
+        "--node-limit",
+        "1330",
+        "--checkpoint-out",
+        path,
+    ]);
+    assert_eq!(o.status.code(), Some(75), "{}", stderr(&o));
+    assert!(ckpt.exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn check_and_trace_collect_garbage_like_reach() {
     // queue4's reached set fits 6000 nodes only when the loop collects.
