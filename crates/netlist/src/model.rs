@@ -1,6 +1,7 @@
 //! The in-memory netlist model and its builder.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -311,19 +312,21 @@ impl Netlist {
         inputs: &[u64],
     ) -> Result<(Vec<u64>, Vec<u64>), NetlistError> {
         let order = crate::topo::order(self)?;
-        Ok(self.step_in_order(&order, state, inputs))
+        let mut vals = Vec::new();
+        self.eval_signals(&order, &mut vals, state, inputs);
+        let next = self.latches.iter().map(|l| vals[l.input.index()]);
+        let outputs = self.outputs.iter().map(|&o| vals[o.index()]);
+        Ok((next.collect(), outputs.collect()))
     }
 
-    /// [`Netlist::step_words`] with the gates' topological order given.
-    fn step_in_order(
-        &self,
-        order: &[usize],
-        state: &[u64],
-        inputs: &[u64],
-    ) -> (Vec<u64>, Vec<u64>) {
+    /// Fills `vals` with one word per signal for one clock cycle, the
+    /// gates evaluated in the topological `order`. The buffer is resized,
+    /// not reallocated, so a caller stepping many times keeps one.
+    fn eval_signals(&self, order: &[usize], vals: &mut Vec<u64>, state: &[u64], inputs: &[u64]) {
         assert_eq!(state.len(), self.latches.len(), "one word per latch");
         assert_eq!(inputs.len(), self.inputs.len(), "one word per input");
-        let mut vals = vec![0u64; self.num_signals()];
+        vals.clear();
+        vals.resize(self.num_signals(), 0);
         for (&s, &w) in self.inputs.iter().zip(inputs) {
             vals[s.index()] = w;
         }
@@ -337,15 +340,14 @@ impl Netlist {
             ins.extend(gate.inputs.iter().map(|&x| vals[x.index()]));
             vals[gate.output.index()] = gate.kind.eval_words(&ins);
         }
-        let next = self.latches.iter().map(|l| vals[l.input.index()]);
-        let outputs = self.outputs.iter().map(|&o| vals[o.index()]);
-        (next.collect(), outputs.collect())
     }
 
-    /// Every state reachable from reset, by explicit-state search over
-    /// all `2^inputs` input vectors of each state, 64 per step: the
-    /// oracle the symbolic engines are checked against on small circuits.
-    /// A state is a bit mask, bit `l` the value of latch `l`.
+    /// Every state reachable from reset with its breadth-first depth, the
+    /// least number of clock cycles that reach it (reset has depth 0): the
+    /// oracle the symbolic engines, the invariant checker and the trace
+    /// search are checked against on small circuits. The search steps
+    /// every state of one depth under all `2^inputs` input vectors, 64 per
+    /// step. A state is a bit mask, bit `l` the value of latch `l`.
     ///
     /// # Errors
     ///
@@ -354,7 +356,7 @@ impl Netlist {
     /// # Panics
     ///
     /// Panics beyond 64 latches or 63 inputs.
-    pub fn reachable_states(&self) -> Result<HashSet<u64>, NetlistError> {
+    pub fn reachable_states(&self) -> Result<HashMap<u64, usize>, NetlistError> {
         assert!(self.latches.len() <= 64 && self.inputs.len() < 64);
         let order = crate::topo::order(self)?;
         // Batch `b` packs input vectors `64b … 64b + 63`, one per lane.
@@ -371,22 +373,28 @@ impl Netlist {
             .iter()
             .rev()
             .fold(0, |s, l| s << 1 | u64::from(l.init));
-        let mut seen = HashSet::from([reset]);
-        let mut todo = vec![reset];
-        while let Some(s) = todo.pop() {
-            let splat = |l: usize| 0u64.wrapping_sub(s >> l & 1);
-            let state: Vec<u64> = (0..self.latches.len()).map(splat).collect();
-            for (base, inputs) in &batches {
-                let (next, _) = self.step_in_order(&order, &state, inputs);
-                for k in 0..(combos - base).min(64) {
-                    let t = next.iter().rev().fold(0, |t, w| t << 1 | (w >> k & 1));
-                    if seen.insert(t) {
-                        todo.push(t);
+        let mut depth = HashMap::from([(reset, 0)]);
+        let (mut layer, mut d) = (vec![reset], 0);
+        let (mut state, mut vals) = (Vec::new(), Vec::new());
+        while !layer.is_empty() {
+            d += 1;
+            for s in std::mem::take(&mut layer) {
+                state.clear();
+                state.extend((0..self.latches.len()).map(|l| 0u64.wrapping_sub(s >> l & 1)));
+                for (base, inputs) in &batches {
+                    self.eval_signals(&order, &mut vals, &state, inputs);
+                    for k in 0..(combos - base).min(64) {
+                        let bit = |l: &Latch| vals[l.input.index()] >> k & 1;
+                        let t = self.latches.iter().rev().fold(0, |t, l| t << 1 | bit(l));
+                        if let Entry::Vacant(e) = depth.entry(t) {
+                            e.insert(d);
+                            layer.push(t);
+                        }
                     }
                 }
             }
         }
-        Ok(seen)
+        Ok(depth)
     }
 }
 
@@ -636,6 +644,21 @@ mod tests {
         b.gate("d", GateKind::Xor, &["x", "b"]).unwrap();
         b.output("x");
         b
+    }
+
+    #[test]
+    fn reachable_states_records_bfs_depths() {
+        // A counter reaches count k after exactly k cycles; a 3-bit
+        // shift register adds 1, 2 and 4 states in its first 3 cycles.
+        let counter = crate::generators::counter(4).reachable_states().unwrap();
+        assert_eq!(counter.len(), 16);
+        assert!(counter.iter().all(|(&s, &d)| s as usize == d));
+        let shift = crate::generators::shift_register(3)
+            .reachable_states()
+            .unwrap();
+        let mut depths: Vec<usize> = shift.values().copied().collect();
+        depths.sort_unstable();
+        assert_eq!(depths, [0, 1, 2, 2, 3, 3, 3, 3]);
     }
 
     #[test]

@@ -275,9 +275,9 @@ impl SetRepr for ChiBackend<'_> {
         reached: &Bdd,
         from: &Bdd,
     ) -> Result<ReprCheckpoint, BfvError> {
-        Ok(ReprCheckpoint::Chi {
-            reached: m.func(*reached),
-            from: m.func(*from),
+        Ok(ReprCheckpoint {
+            reached: vec![m.func(*reached)],
+            from: vec![m.func(*from)],
         })
     }
 
@@ -286,8 +286,8 @@ impl SetRepr for ChiBackend<'_> {
         _m: &mut BddManager,
         cp: &ReprCheckpoint,
     ) -> Result<Option<(Bdd, Bdd)>, BfvError> {
-        match cp {
-            ReprCheckpoint::Chi { reached, from } => Ok(Some((reached.bdd(), from.bdd()))),
+        match (&cp.reached[..], &cp.from[..]) {
+            ([reached], [from]) => Ok(Some((reached.bdd(), from.bdd()))),
             _ => Ok(None),
         }
     }
@@ -380,7 +380,7 @@ impl SetRepr for BfvBackend<'_> {
         reached: &Bfv,
         from: &Bfv,
     ) -> Result<ReprCheckpoint, BfvError> {
-        Ok(ReprCheckpoint::Vector {
+        Ok(ReprCheckpoint {
             reached: handles(m, reached.components()),
             from: handles(m, from.components()),
         })
@@ -391,9 +391,7 @@ impl SetRepr for BfvBackend<'_> {
         _m: &mut BddManager,
         cp: &ReprCheckpoint,
     ) -> Result<Option<(Bfv, Bfv)>, BfvError> {
-        let ReprCheckpoint::Vector { reached, from } = cp else {
-            return Ok(None);
-        };
+        let ReprCheckpoint { reached, from } = cp;
         let rv = Bfv::from_components(&self.space, reached.iter().map(Func::bdd).collect());
         let fv = Bfv::from_components(&self.space, from.iter().map(Func::bdd).collect());
         match (rv, fv) {
@@ -515,8 +513,8 @@ impl SetRepr for CdecBackend<'_> {
         reached: &CdecSet,
         from: &CdecSet,
     ) -> Result<ReprCheckpoint, BfvError> {
-        Ok(ReprCheckpoint::Cdec {
-            constraints: handles(m, reached.dec.constraints()),
+        Ok(ReprCheckpoint {
+            reached: handles(m, reached.dec.constraints()),
             from: handles(m, from.bfv.components()),
         })
     }
@@ -526,10 +524,11 @@ impl SetRepr for CdecBackend<'_> {
         m: &mut BddManager,
         cp: &ReprCheckpoint,
     ) -> Result<Option<(CdecSet, CdecSet)>, BfvError> {
-        let ReprCheckpoint::Cdec { constraints, from } = cp else {
+        let ReprCheckpoint { reached, from } = cp;
+        if reached.len() != self.space.len() {
             return Ok(None);
-        };
-        let dec = CDec::from_constraints(constraints.iter().map(Func::bdd).collect());
+        }
+        let dec = CDec::from_constraints(reached.iter().map(Func::bdd).collect());
         let Ok(from_bfv) = Bfv::from_components(&self.space, from.iter().map(Func::bdd).collect())
         else {
             return Ok(None);

@@ -10,38 +10,23 @@ use bfvr_bfv::BfvError;
 use std::time::Duration;
 
 /// The representation half of a resumable checkpoint: the reached and
-/// from sets re-expressed in manager-stable handles (RAII [`Func`] pins).
+/// from sets' roots in manager-stable handles (RAII [`Func`] pins).
 ///
 /// The engine half (which engine, how many iterations) lives with the
-/// reachability driver; a backend only needs to reconstruct its own
-/// loop state. There is one variant per representation.
+/// reachability driver, and the engine names the representation, so
+/// one shape serves every backend: a χ backend keeps one root per set,
+/// the BFV backend the components of both vectors, and the CDEC backend
+/// the reached set's constraints and the from vector's components.
 #[derive(Clone, Debug)]
-pub enum ReprCheckpoint {
-    /// χ-shaped state (the MONO, CBM and IWLS95 backends).
-    Chi {
-        /// States reached so far.
-        reached: Func,
-        /// Start set of the next iteration.
-        from: Func,
-    },
-    /// Canonical-vector state (the BFV backend).
-    Vector {
-        /// Components of the reached-set vector.
-        reached: Vec<Func>,
-        /// Components of the from-set vector.
-        from: Vec<Func>,
-    },
-    /// Conjunctive-decomposition state (the CDEC backend).
-    Cdec {
-        /// Constraints of the reached-set decomposition.
-        constraints: Vec<Func>,
-        /// Components of the from-set vector.
-        from: Vec<Func>,
-    },
+pub struct ReprCheckpoint {
+    /// Roots of the set reached so far.
+    pub reached: Vec<Func>,
+    /// Roots of the start set of the next iteration.
+    pub from: Vec<Func>,
 }
 
-/// A restored reached/from pair, or `None` on a representation
-/// mismatch (see [`SetRepr::restore`]).
+/// A restored reached/from pair, or `None` when the checkpoint's root
+/// counts do not fit the backend (see [`SetRepr::restore`]).
 pub type Restored<S> = Option<(S, S)>;
 
 /// A pluggable set representation: exactly the operations the
@@ -187,8 +172,8 @@ pub trait SetRepr {
     ) -> Result<ReprCheckpoint, BfvError>;
 
     /// Rebuilds a reached/from pair from a checkpoint taken by a backend
-    /// of the same kind. Returns `Ok(None)` on a representation
-    /// mismatch (the driver reports an error outcome).
+    /// of the same kind. Returns `Ok(None)` when the root counts do not
+    /// fit this backend (the driver reports an error outcome).
     ///
     /// # Errors
     ///

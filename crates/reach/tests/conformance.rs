@@ -57,22 +57,18 @@ fn check_laws<B: SetRepr>(mut backend: B, m: &mut BddManager, name: &str) {
         "{name}: restored from set differs"
     );
 
-    // A checkpoint from a different representation shape must be
-    // rejected with Ok(None), not misinterpreted.
-    let foreign = if matches!(cp, ReprCheckpoint::Chi { .. }) {
-        ReprCheckpoint::Vector {
-            reached: Vec::new(),
-            from: Vec::new(),
-        }
-    } else {
-        ReprCheckpoint::Chi {
-            reached: m.func(Bdd::TRUE),
-            from: m.func(Bdd::TRUE),
-        }
+    // Root counts the backend cannot take must be rejected with
+    // Ok(None), not misinterpreted: a χ backend's two roots per set
+    // where one fits, and one root where a vector backend takes one
+    // per component.
+    let wrong = if cp.reached.len() == 1 { 2 } else { 1 };
+    let foreign = ReprCheckpoint {
+        reached: vec![m.func(Bdd::TRUE); wrong],
+        from: vec![m.func(Bdd::TRUE); wrong],
     };
     assert!(
         backend.restore(m, &foreign).unwrap().is_none(),
-        "{name}: restore accepted a foreign checkpoint shape"
+        "{name}: restore accepted {wrong} root(s) per set"
     );
 }
 

@@ -1,97 +1,75 @@
 //! Sift-under-traversal parity: `--sift` is a *graph-shape* change,
-//! never a semantic one. Every engine lane must report bit-identical
-//! results (reached states, iterations, outcome) with dynamic
+//! never a semantic one. Every engine lane must reach the explicit-state
+//! oracle's count in one image per BFS layer plus one, with dynamic
 //! reordering armed or off — and the lanes whose representation is
 //! structurally tied to its variable order (BFV/CDEC) must decline the
-//! request entirely, running zero reorder passes. The test-suite twin
-//! of the CI `reorder-smoke` job.
+//! request entirely, running zero reorder passes. The trigger fires and
+//! shrinks the live graph, a sift reorders only what is live, and
+//! sifting is off by default. The test-suite twin of the CI
+//! `reorder-smoke` job.
 
 use bfvr_netlist::{generators, Netlist};
 use bfvr_reach::portfolio::Lane;
 use bfvr_reach::{run, EngineKind, Outcome, ReachOptions, ReachResult};
 use bfvr_sim::{EncodedFsm, OrderHeuristic};
 
-/// Circuits big enough (under a deliberately bad static order) to cross
-/// the sifting floor and actually fire the trigger, yet small enough to
-/// keep the full lane × order sweep in test budget. Debug builds run the
-/// two cheapest families only (the unoptimized BFV/CDEC lanes on the
-/// wider circuits dominate the sweep's wall clock by minutes); the CI
-/// `reorder-smoke` job runs the full matrix in release.
-fn sift_circuits() -> Vec<(&'static str, Netlist, f64)> {
-    let mut v = vec![
-        ("pair6", generators::paired_registers(6), 64.0),
-        ("queue4", generators::queue_controller(4), 272.0),
-    ];
-    if cfg!(not(debug_assertions)) {
-        v.push(("mask10", generators::masked_accumulator(10), 1024.0));
-        v.push(("load12", generators::loadable_register(12), 1587.0));
-    }
-    v
-}
-
-/// Deliberately bad static orders: reversed declaration order splits
-/// every current/next pair across the whole order, and raw declaration
-/// order interleaves unrelated register halves. Debug builds take the
-/// reversed order only (see [`sift_circuits`] on the budget).
-fn bad_orders() -> Vec<OrderHeuristic> {
-    let mut v = vec![OrderHeuristic::Reversed];
-    if cfg!(not(debug_assertions)) {
-        v.push(OrderHeuristic::Declaration);
-    }
-    v
-}
-
 fn run_lane(net: &Netlist, lane: Lane, order: OrderHeuristic, sift: bool) -> ReachResult {
     let (mut m, fsm) = EncodedFsm::encode(net, order).unwrap();
     let opts = ReachOptions {
         sift,
-        // Fire eagerly so the sweep's small circuits still reorder.
+        // Fire eagerly so small circuits still reorder.
         sift_trigger: 1.2,
         ..ReachOptions::default()
     };
     run(lane.engine, &mut m, &fsm, &opts)
 }
 
+/// Circuits big enough (under a deliberately bad static order) to cross
+/// the sifting floor and actually fire the trigger. Debug builds run the
+/// two cheapest families from the reversed order only (the unoptimized
+/// BFV/CDEC lanes on the wider circuits take minutes); release builds add
+/// mask10 and load12 and the raw declaration order, which interleaves
+/// unrelated register halves.
 #[test]
 fn sift_matches_static_for_every_exact_lane() {
+    let mut nets = vec![
+        generators::paired_registers(6),
+        generators::queue_controller(4),
+    ];
+    let mut orders = vec![OrderHeuristic::Reversed];
+    if cfg!(not(debug_assertions)) {
+        nets.extend([
+            generators::masked_accumulator(10),
+            generators::loadable_register(12),
+        ]);
+        orders.push(OrderHeuristic::Declaration);
+    }
     let mut fired_total = 0usize;
-    for (name, net, expected) in sift_circuits() {
-        for order in bad_orders() {
+    for net in nets {
+        let name = net.name();
+        let oracle = net.reachable_states().unwrap();
+        let expected = (
+            Some(oracle.len() as f64),
+            oracle.values().max().unwrap() + 1,
+        );
+        for &order in &orders {
             for lane in Lane::all_lanes() {
-                let stat = run_lane(&net, lane, order, false);
-                assert_eq!(stat.outcome, Outcome::FixedPoint, "{name}/{lane:?} static");
-                assert_eq!(
-                    stat.reached_states,
-                    Some(expected),
-                    "{name}/{lane:?} static count"
-                );
-                assert_eq!(stat.reorders, 0, "{name}/{lane:?}: static run reordered");
-                let sift = run_lane(&net, lane, order, true);
-                assert_eq!(
-                    sift.outcome, stat.outcome,
-                    "{name}/{lane:?} {order:?}: outcome diverged under --sift"
-                );
-                assert_eq!(
-                    sift.reached_states, stat.reached_states,
-                    "{name}/{lane:?} {order:?}: counts diverged under --sift"
-                );
-                assert_eq!(
-                    sift.iterations, stat.iterations,
-                    "{name}/{lane:?} {order:?}: iteration counts diverged under --sift"
-                );
-                if lane.engine.supports_reorder() {
-                    fired_total += sift.reorders;
-                } else {
-                    assert_eq!(
-                        sift.reorders, 0,
-                        "{name}/{lane:?}: order-tied representation ran a reorder pass"
-                    );
+                for sift in [false, true] {
+                    let at = format!("{name}/{lane:?} {order:?} sift={sift}");
+                    let r = run_lane(&net, lane, order, sift);
+                    assert_eq!(r.outcome, Outcome::FixedPoint, "{at}");
+                    assert_eq!((r.reached_states, r.iterations), expected, "{at}");
+                    if sift && lane.engine.supports_reorder() {
+                        fired_total += r.reorders;
+                    } else {
+                        assert_eq!(r.reorders, 0, "{at}: this lane may not reorder");
+                    }
                 }
             }
         }
     }
-    // The sweep must actually exercise the reorder path somewhere —
-    // a parity claim over zero firings would be vacuous.
+    // The sweep must actually exercise the reorder path somewhere — a
+    // parity claim over zero firings would be vacuous.
     assert!(
         fired_total > 0,
         "no χ lane fired a single reorder pass across the whole sweep"

@@ -16,15 +16,19 @@
 //! l2v      u32 × (count: u32)   (v2) level → variable map at capture
 //!                time; count 0 = identity (no dynamic reorder ran)
 //! iters    u64   image iterations completed
-//! tag      u8    0 = Chi, 1 = Vector, 2 = Cdec (3 is retired and refused)
+//! tag      u8    the engine's representation: 0 = chi, 1 = bfv, 2 = cdec
+//!                (3 is retired and refused; a tag that disagrees
+//!                with the engine is refused too)
 //! body           root counts + a BddDag (see below)
 //! checksum u64   FNV-1a 64 of every preceding byte
 //! ```
 //!
-//! The body stores `reached_count`/`from_count` (u32 each) followed by
-//! the shared [`BddDag`] of all roots — node count, `(var, lo, hi)`
-//! triples in child-before-parent order, then the root references,
-//! reached roots first.
+//! The body is one shape for every engine: `reached_count`/`from_count`
+//! (u32 each; a χ engine writes 1 and 1, and a χ body with other counts
+//! is refused) followed by the shared [`BddDag`] of all roots — node
+//! count, `(var, lo, hi)` triples in child-before-parent order, then the
+//! root references, reached roots first. Whether a vector's counts fit
+//! is the resumed backend's call.
 //!
 //! ## Robustness contract
 //!
@@ -43,7 +47,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-use bfvr_bdd::{BddDag, BddManager, DagError, DagNode};
+use bfvr_bdd::{Bdd, BddDag, BddManager, DagError, DagNode, Func};
 use bfvr_reach::{Checkpoint, EngineKind, ReprCheckpoint};
 
 /// File magic: the first eight bytes of every checkpoint.
@@ -200,14 +204,15 @@ fn put_dag(out: &mut Vec<u8>, dag: &BddDag) {
     }
 }
 
-/// The header's representation label. Each engine iterates on one
-/// representation, so the label follows from the engine; the header
-/// keeps it so that version-2 files written before keep their layout.
-fn repr_label(engine: EngineKind) -> &'static str {
+/// The header's representation label and state tag. Each engine
+/// iterates on one representation, so both follow from the engine; the
+/// header keeps them so that version-2 files written before keep their
+/// layout.
+fn repr_of(engine: EngineKind) -> (&'static str, u8) {
     match engine {
-        EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => "chi",
-        EngineKind::Bfv => "bfv",
-        EngineKind::Cdec => "cdec",
+        EngineKind::Cbm | EngineKind::Monolithic | EngineKind::Iwls95 => ("chi", 0),
+        EngineKind::Bfv => ("bfv", 1),
+        EngineKind::Cdec => ("cdec", 2),
     }
 }
 
@@ -215,11 +220,12 @@ fn repr_label(engine: EngineKind) -> &'static str {
 /// included) without touching the filesystem.
 #[must_use]
 pub fn encode_checkpoint(m: &BddManager, meta: &CkptMeta, state: &ReprCheckpoint) -> Vec<u8> {
+    let (label, tag) = repr_of(meta.engine);
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
     put_u32(&mut out, VERSION);
     put_str(&mut out, meta.engine.label());
-    put_str(&mut out, repr_label(meta.engine));
+    put_str(&mut out, label);
     put_str(&mut out, &meta.order);
     put_str(&mut out, &meta.circuit);
     put_u64(&mut out, meta.fingerprint);
@@ -230,39 +236,21 @@ pub fn encode_checkpoint(m: &BddManager, meta: &CkptMeta, state: &ReprCheckpoint
         put_u32(&mut out, v);
     }
     put_u64(&mut out, meta.iterations as u64);
-    match state {
-        ReprCheckpoint::Chi { reached, from } => {
-            out.push(0);
-            put_u32(&mut out, 1);
-            put_u32(&mut out, 1);
-            put_dag(&mut out, &m.export_dag(&[reached.bdd(), from.bdd()]));
-        }
-        ReprCheckpoint::Vector { reached, from } => {
-            out.push(1);
-            encode_func_lists(&mut out, m, reached, from);
-        }
-        ReprCheckpoint::Cdec { constraints, from } => {
-            out.push(2);
-            encode_func_lists(&mut out, m, constraints, from);
-        }
-    }
+    out.push(tag);
+    #[allow(clippy::cast_possible_truncation)]
+    put_u32(&mut out, state.reached.len() as u32);
+    #[allow(clippy::cast_possible_truncation)]
+    put_u32(&mut out, state.from.len() as u32);
+    let roots: Vec<Bdd> = state
+        .reached
+        .iter()
+        .chain(&state.from)
+        .map(Func::bdd)
+        .collect();
+    put_dag(&mut out, &m.export_dag(&roots));
     let sum = fnv1a64(&out);
     put_u64(&mut out, sum);
     out
-}
-
-fn encode_func_lists(
-    out: &mut Vec<u8>,
-    m: &BddManager,
-    reached: &[bfvr_bdd::Func],
-    from: &[bfvr_bdd::Func],
-) {
-    #[allow(clippy::cast_possible_truncation)]
-    put_u32(out, reached.len() as u32);
-    #[allow(clippy::cast_possible_truncation)]
-    put_u32(out, from.len() as u32);
-    let roots: Vec<bfvr_bdd::Bdd> = reached.iter().chain(from.iter()).map(|f| f.bdd()).collect();
-    put_dag(out, &m.export_dag(&roots));
 }
 
 /// Writes a checkpoint durably: encode, write to a same-directory temp
@@ -376,13 +364,10 @@ fn parse_meta(c: &mut Cursor<'_>, version: u32) -> Result<CkptMeta, CkptError> {
     let iterations = c.u64()?;
     let engine =
         EngineKind::parse(&engine_label).ok_or(CkptError::Malformed("unknown engine label"))?;
-    if !EngineKind::all()
-        .into_iter()
-        .any(|e| repr_label(e) == label)
-    {
+    if !EngineKind::all().into_iter().any(|e| repr_of(e).0 == label) {
         return Err(CkptError::Malformed("unknown representation label"));
     }
-    if repr_label(engine) != label {
+    if repr_of(engine).0 != label {
         return Err(CkptError::Malformed(
             "engine does not drive this representation",
         ));
@@ -516,47 +501,30 @@ pub fn decode_checkpoint(
             .map_err(|_| CkptError::Malformed("level map is not a valid permutation"))?;
     }
     let tag = c.u8()?;
-    let state = match tag {
-        0..=2 => {
-            let reached_count = c.u32()? as usize;
-            let from_count = c.u32()? as usize;
-            if tag == 0 && (reached_count != 1 || from_count != 1) {
-                return Err(CkptError::Malformed(
-                    "chi checkpoint needs exactly one root per set",
-                ));
-            }
-            let dag = parse_dag(&mut c, meta.num_vars)?;
-            let total = reached_count
-                .checked_add(from_count)
-                .ok_or(CkptError::Malformed("root count overflow"))?;
-            if dag.roots.len() != total {
-                return Err(CkptError::Malformed("root count disagrees with dag"));
-            }
-            let edges = m.import_dag(&dag)?;
-            let mut funcs: Vec<bfvr_bdd::Func> = edges.into_iter().map(|e| m.func(e)).collect();
-            let from: Vec<bfvr_bdd::Func> = funcs.split_off(reached_count);
-            let reached = funcs;
-            match tag {
-                0 => {
-                    // Counts were checked above; destructure, don't index.
-                    let (Some(r), Some(f)) = (reached.into_iter().next(), from.into_iter().next())
-                    else {
-                        return Err(CkptError::Malformed("chi checkpoint lost a root"));
-                    };
-                    ReprCheckpoint::Chi {
-                        reached: r,
-                        from: f,
-                    }
-                }
-                1 => ReprCheckpoint::Vector { reached, from },
-                _ => ReprCheckpoint::Cdec {
-                    constraints: reached,
-                    from,
-                },
-            }
-        }
-        _ => return Err(CkptError::Malformed("unknown state variant tag")),
-    };
+    if tag > 2 {
+        return Err(CkptError::Malformed("unknown state variant tag"));
+    }
+    if tag != repr_of(meta.engine).1 {
+        return Err(CkptError::Malformed("state tag disagrees with the engine"));
+    }
+    let reached_count = c.u32()? as usize;
+    let from_count = c.u32()? as usize;
+    if tag == 0 && (reached_count, from_count) != (1, 1) {
+        return Err(CkptError::Malformed(
+            "chi checkpoint needs exactly one root per set",
+        ));
+    }
+    let dag = parse_dag(&mut c, meta.num_vars)?;
+    let total = reached_count
+        .checked_add(from_count)
+        .ok_or(CkptError::Malformed("root count overflow"))?;
+    if dag.roots.len() != total {
+        return Err(CkptError::Malformed("root count disagrees with dag"));
+    }
+    let edges = m.import_dag(&dag)?;
+    let mut reached: Vec<Func> = edges.into_iter().map(|e| m.func(e)).collect();
+    let from = reached.split_off(reached_count);
+    let state = ReprCheckpoint { reached, from };
     if c.remaining() != 0 {
         return Err(CkptError::Malformed("trailing bytes after state"));
     }

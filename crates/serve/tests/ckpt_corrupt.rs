@@ -6,8 +6,8 @@
 //! interrupted run, then attacks it: truncation at every prefix length,
 //! a bit flip at every byte, a bumped (re-checksummed) version, foreign
 //! magic, checksum-valid trailing garbage, the retired zonotope state
-//! tag, and a context mismatch (loading into a manager of the wrong
-//! width).
+//! tag, a state tag of another engine, and a context mismatch (loading
+//! into a manager of the wrong width).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -166,6 +166,24 @@ fn retired_zonotope_tag_is_an_unknown_variant() {
     match decode_checkpoint(&bytes, &mut m) {
         Err(CkptError::Malformed("unknown state variant tag")) => {}
         other => panic!("expected the unknown-tag error, got {other:?}"),
+    }
+}
+
+/// The state tag must be the one its engine's representation takes: the
+/// genuine BFV checkpoint retagged as a χ (0) or CDEC (2) body is
+/// refused, not handed to a backend of another shape.
+#[test]
+fn state_tag_must_match_the_engine() {
+    let (bytes, mut m, _) = genuine();
+    let tag = tag_offset(&bytes);
+    for forged in [0, 2] {
+        let mut evil = bytes.clone();
+        evil[tag] = forged;
+        reseal(&mut evil);
+        match decode_checkpoint(&evil, &mut m) {
+            Err(CkptError::Malformed("state tag disagrees with the engine")) => {}
+            other => panic!("tag {forged}: expected the tag mismatch, got {other:?}"),
+        }
     }
 }
 

@@ -1140,7 +1140,7 @@ fn cmd_resume(args: &[String]) -> Result<ExitCode, String> {
                 d.arm(&mut opts);
             }
             let r = bfvr::reach::resume(&mut m, &fsm, &opts, cp);
-            print_lane_row(r.engine.label(), &r);
+            print_lane_row(&lane_cell(Lane::native(r.engine), &opts), &r);
             settle_durable(
                 &m,
                 &r,

@@ -476,6 +476,26 @@ fn checkpoint_out_without_a_checkpoint_exits_1() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `resume` labels its row as `reach` does: a sifted CBM lane is
+/// `CBM~S` whether it started fresh or from a checkpoint.
+#[test]
+fn resume_labels_a_sifted_lane_like_reach() {
+    let dir = std::env::temp_dir().join(format!("bfvr_cli_resume_sift_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("cbm.ckpt");
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/queue4-cbm.ckpt"
+    );
+    std::fs::copy(fixture, &ckpt).unwrap();
+    let o = bfvr(&["resume", "--from", ckpt.to_str().unwrap(), "--sift"]);
+    assert!(o.status.success(), "{}", stderr(&o));
+    let out = stdout(&o);
+    let row: Vec<&str> = out.lines().nth(2).unwrap().split_whitespace().collect();
+    assert_eq!(row[..3], ["CBM~S", "ok", "272"], "{out}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn check_and_trace_collect_garbage_like_reach() {
     // queue4's reached set fits 6000 nodes only when the loop collects.

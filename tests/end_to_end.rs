@@ -1,32 +1,43 @@
-//! Cross-crate integration tests: netlist text → encoding → all engines.
+//! Cross-crate integration tests: netlist text → encoding → all engines,
+//! each lane checked against explicit search by the differential harness.
+
+mod oracle;
 
 use bfvr::netlist::{bench, blif, generators, generators::ToBench};
 use bfvr::reach::{run, EngineKind, Outcome, ReachOptions};
 use bfvr::sim::{EncodedFsm, OrderHeuristic};
+use oracle::{check_circuits, standard_suite, Mode, ORDERS};
 
-/// Every engine must compute the identical reached set for every suite
-/// circuit (cross-validated via the characteristic function).
+/// Standard-suite members too deep to run under every engine in debug.
+const DEEP: [&str; 3] = ["gray8", "lfsr10", "cnt12"];
+
+/// Every engine reaches exactly the explicit-state set on the standard
+/// suite's shallow members and on counter5 and johnson5.
 #[test]
 fn all_engines_agree_on_the_suite() {
-    for (name, net) in generators::standard_suite() {
-        // Skip the largest/deepest members to keep CI fast; the benches
-        // cover them.
-        let skip = ["gray8", "lfsr10", "cnt12", "shift16"];
-        if skip.contains(&name.as_str()) {
-            continue;
-        }
-        let mut counts = Vec::new();
-        for kind in EngineKind::all() {
-            let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-            let r = run(kind, &mut m, &fsm, &ReachOptions::default());
-            assert_eq!(r.outcome, Outcome::FixedPoint, "{name}/{:?}", kind);
-            counts.push((kind, r.reached_states.unwrap()));
-        }
-        let first = counts[0].1;
-        for (kind, c) in &counts {
-            assert_eq!(*c, first, "{name}: {kind:?} disagrees");
-        }
-    }
+    let mut nets = vec![generators::counter(5), generators::johnson(5)];
+    nets.extend(standard_suite(|n| !DEEP.contains(&n) && n != "shift16"));
+    let engines = EngineKind::all();
+    let tally = check_circuits(nets, &engines, &ORDERS[..1], Mode::Straight, 0xD1FF_2024);
+    assert!(tally[1] > 0 && tally[3] > 0, "{tally:?}");
+}
+
+/// The reached set is order-independent: BFV on traffic3 under every
+/// static order.
+#[test]
+fn reachability_is_order_independent() {
+    let nets = vec![generators::traffic_chain(3)];
+    let orders = [&ORDERS[..], &[OrderHeuristic::Random(99)]].concat();
+    let bfv = [EngineKind::Bfv];
+    check_circuits(nets, &bfv, &orders, Mode::Straight, 0x0D3E_2024);
+}
+
+/// Explicit search confirms BFV on the standard suite's deep members.
+#[test]
+fn explicit_bfs_confirms_symbolic_counts() {
+    let nets = standard_suite(|n| DEEP.contains(&n));
+    let bfv = [EngineKind::Bfv];
+    check_circuits(nets, &bfv, &ORDERS[..1], Mode::Straight, 0xBF5_2024);
 }
 
 /// The full pipeline from ISCAS89 text: generate → serialize → parse →
@@ -60,50 +71,6 @@ fn blif_roundtrip_preserves_reachability() {
     let b = run(EngineKind::Bfv, &mut m2, &fsm2, &ReachOptions::default());
     assert_eq!(a.reached_states, b.reached_states);
     assert_eq!(a.iterations, b.iterations);
-}
-
-/// The reached count must be order-independent (all heuristics).
-#[test]
-fn reachability_is_order_independent() {
-    let net = generators::traffic_chain(3);
-    let mut counts = Vec::new();
-    for h in [
-        OrderHeuristic::DfsFanin,
-        OrderHeuristic::Declaration,
-        OrderHeuristic::Reversed,
-        OrderHeuristic::Random(11),
-        OrderHeuristic::Random(99),
-    ] {
-        let (mut m, fsm) = EncodedFsm::encode(&net, h).unwrap();
-        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
-        assert_eq!(r.outcome, Outcome::FixedPoint);
-        counts.push(r.reached_states.unwrap());
-    }
-    assert!(
-        counts.windows(2).all(|w| w[0] == w[1]),
-        "counts: {counts:?}"
-    );
-}
-
-/// Explicit-state baseline: exhaustive search with the reference
-/// interpreter (`Netlist::reachable_states`) must find the same reachable
-/// set size as the symbolic engines (the ground truth on small circuits).
-#[test]
-fn explicit_bfs_confirms_symbolic_counts() {
-    for (name, net) in generators::standard_suite() {
-        if net.latches().len() > 14 || net.inputs().len() > 12 {
-            continue; // explicit search must stay small
-        }
-        let seen = net.reachable_states().unwrap();
-        // Symbolic count.
-        let (mut m, fsm) = EncodedFsm::encode(&net, OrderHeuristic::DfsFanin).unwrap();
-        let r = run(EngineKind::Bfv, &mut m, &fsm, &ReachOptions::default());
-        assert_eq!(
-            r.reached_states,
-            Some(seen.len() as f64),
-            "{name}: symbolic vs explicit"
-        );
-    }
 }
 
 /// Resource limits surface as the paper's T.O./M.O. outcomes, and a rerun

@@ -401,7 +401,7 @@ fn resume_refuses_a_stale_zono_checkpoint_with_a_structured_error() {
 }
 
 /// Checkpoints written by an earlier build (`bfvr reach gen:queue:4
-/// --engine E --node-limit N --checkpoint-every 2`, one per body shape:
+/// --engine E --node-limit N --checkpoint-every 2`, one per representation:
 /// BFV vector, CDEC conjuncts, χ) still resume to the fixed point.
 #[test]
 fn committed_checkpoints_resume_to_the_fixed_point() {
